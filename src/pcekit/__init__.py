@@ -14,6 +14,8 @@ from .core import (
     StratumTable,
     SubjectRecord,
     TreatmentSequence,
+    TrialColumns,
+    as_columns,
     as_parallel,
     classify_strata,
     completer_filter,

@@ -2,7 +2,8 @@
 
 All randomness in a command flows from one --seed, so a rerun with the same
 arguments and inputs produces byte-identical output files. Exit codes: 0 on
-success, 1 for data or estimation errors, 2 for usage errors.
+success, 1 for data, estimation or file errors, 2 for usage errors (argument
+values are checked by the parser). Neither error code prints a traceback.
 """
 
 from __future__ import annotations
@@ -510,6 +511,32 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _ci_level(text: str) -> float:
+    """Argument type: a confidence level strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcekit",
@@ -533,9 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data-shape", choices=("crossover", "parallel"))
     est.add_argument("--method", choices=("ps", "direct", "both"), default="both")
     est.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
-    est.add_argument("--bootstrap", type=int, default=0, help="replicates (0 = no CIs)")
+    est.add_argument(
+        "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
+    )
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--ci", type=float, default=0.95)
+    est.add_argument("--ci", type=_ci_level, default=0.95)
     est.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
     est.add_argument("--format", choices=FORMATS, default="md")
     est.add_argument("--out")
@@ -552,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="increasing",
     )
     dia.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
-    dia.add_argument("--bootstrap", type=int, default=500)
+    dia.add_argument("--bootstrap", type=_int_at_least(1), default=500)
     dia.add_argument("--seed", type=int, default=0)
     dia.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
     dia.add_argument("--format", choices=FORMATS, default="md")
@@ -565,10 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config")
     rep.add_argument("--n", type=int)
     rep.add_argument("--seed", type=int)
-    rep.add_argument("--replicates", type=int, default=20)
+    rep.add_argument("--replicates", type=_int_at_least(1), default=20)
     rep.add_argument("--method", choices=("ps", "direct", "both"), default="both")
     rep.add_argument("--covariates")
-    rep.add_argument("--bootstrap", type=int, default=0)
+    rep.add_argument("--bootstrap", type=_int_at_least(0), default=0)
     rep.add_argument("--oracle-n", type=int, default=100_000)
     rep.add_argument("--format", choices=FORMATS, default="md")
     rep.add_argument("--out")
@@ -582,7 +611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PcekitError as exc:
+    except (PcekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,13 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import InsufficientDataError, MissingDataError, SchemaError
 
@@ -223,9 +226,12 @@ def _parse_float(token: str, what: str, row: int, allow_missing: bool) -> float 
             return None
         raise SchemaError(f"row {row}: {what} may not be missing")
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise SchemaError(f"row {row}: {what}={token!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise SchemaError(f"row {row}: {what}={token!r} is not a finite number")
+    return value
 
 
 def _format_value(v: float | int | None) -> str:
@@ -447,12 +453,6 @@ def classify_strata(records: Sequence[SubjectRecord]) -> StratumTable:
     return StratumTable(counts=counts, n_total=len(records))
 
 
-def subject_filter(
-    records: Sequence[SubjectRecord], pred: Callable[[SubjectRecord], bool]
-) -> list[SubjectRecord]:
-    return [rec for rec in records if pred(rec)]
-
-
 def derive_adherence(
     records: Iterable[SubjectRecord], rule: Callable[[float], int]
 ) -> list[SubjectRecord]:
@@ -475,3 +475,97 @@ def derive_adherence(
             )
         )
     return out
+
+
+A_MISSING = -1  # adherence sentinel in TrialColumns.a
+
+
+@dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """A dataset as arrays, with one row per crossover subject or per parallel observation.
+
+    Columns of ``a`` and ``y`` are indexed by arm (0 control, 1 experimental),
+    not by period. A parallel observation fills only its own arm; the other
+    arm reads as missing. Build with ``as_columns``, which validates; ``take``
+    trusts its input.
+    """
+
+    covariate_names: tuple[str, ...]
+    x: np.ndarray  # (n, p) covariates
+    a: np.ndarray  # (n, 2) int8 adherence, A_MISSING where unobserved
+    y: np.ndarray  # (n, 2) outcomes, NaN where unobserved
+    crossover: bool  # rows are crossover subjects, so both arms can be observed
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def take(self, idx: np.ndarray) -> "TrialColumns":
+        """The rows at idx, in that order (a bootstrap resample)."""
+        return TrialColumns(
+            self.covariate_names, self.x[idx], self.a[idx], self.y[idx], self.crossover
+        )
+
+
+Dataset = Union[Sequence[SubjectRecord], Sequence[ParallelObservation], TrialColumns]
+
+
+def _check_finite(values: np.ndarray, observed: np.ndarray, ids: Sequence[str],
+                  columns: Sequence[str]) -> None:
+    bad = observed & ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SchemaError(
+            f"subject {ids[i]!r}: {columns[j]}={float(values[i, j])!r} is not a finite number"
+        )
+
+
+def _nan_if_none(v: float | None) -> float:
+    return np.nan if v is None else float(v)
+
+
+def _sentinel_if_none(v: int | None) -> int:
+    return A_MISSING if v is None else v
+
+
+def as_columns(data: Dataset) -> TrialColumns:
+    """Columns of crossover records or parallel observations (returned as is if columns).
+
+    Rejects empty input, mixed record types, disagreeing covariate columns and
+    non-finite covariates or outcomes, naming the subject and the column.
+    """
+    if isinstance(data, TrialColumns):
+        return data
+    data = list(data)
+    if not data:
+        raise InsufficientDataError("no data")
+    crossover = isinstance(data[0], SubjectRecord)
+    kind = SubjectRecord if crossover else ParallelObservation
+    names = data[0].covariate_names
+    for rec in data:
+        if not isinstance(rec, kind):
+            raise SchemaError("data mixes crossover records and parallel observations")
+        if rec.covariate_names != names:
+            raise SchemaError("records disagree on covariate columns")
+    n = len(data)
+    ids = [rec.subject_id for rec in data]
+    x = np.asarray([rec.covariates for rec in data], dtype=float).reshape(n, len(names))
+    _check_finite(x, np.ones(x.shape, dtype=bool), ids, names)
+    if crossover:
+        y_p = np.asarray([[_nan_if_none(r.y_p1), _nan_if_none(r.y_p2)] for r in data])
+        observed = np.asarray([[r.y_p1 is not None, r.y_p2 is not None] for r in data])
+        _check_finite(y_p, observed, ids, ("y_p1", "y_p2"))
+        a_p = np.asarray([[_sentinel_if_none(r.a_p1), _sentinel_if_none(r.a_p2)] for r in data],
+                         dtype=np.int8)
+        # an experimental-first subject received arm 1 in period 1
+        ef = np.asarray([r.sequence is TreatmentSequence.EXPERIMENTAL_FIRST for r in data])
+        a = np.where(ef[:, None], a_p[:, ::-1], a_p)
+        y = np.where(ef[:, None], y_p[:, ::-1], y_p)
+    else:
+        rows, arm = np.arange(n), np.asarray([o.t for o in data])
+        y_own = np.asarray([[_nan_if_none(o.y)] for o in data])
+        _check_finite(y_own, np.asarray([[o.y is not None] for o in data]), ids, ("y",))
+        a = np.full((n, 2), A_MISSING, dtype=np.int8)
+        a[rows, arm] = [_sentinel_if_none(o.a) for o in data]
+        y = np.full((n, 2), np.nan)
+        y[rows, arm] = y_own[:, 0]
+    return TrialColumns(names, x, a, y, crossover)

@@ -7,6 +7,9 @@ joint stratum observed and so requires crossover records. Stratum
 probabilities likewise come either from observed crossover proportions or
 from model-based reconstructions that assume the two potential adherences
 are independent (conditionally on X, or unconditionally).
+
+Every estimate is computed on ``TrialColumns``; the functions that take
+records or observations are adapters that validate and convert them.
 """
 
 from __future__ import annotations
@@ -14,19 +17,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    A_MISSING,
     JOINT_LABELS,
-    CompleterRule,
+    Dataset,
     ParallelObservation,
     StratumLabel,
     SubjectRecord,
-    as_parallel,
-    classify_strata,
-    completer_filter,
+    TrialColumns,
+    as_columns,
 )
 from .errors import (
     ConvergenceError,
@@ -40,8 +43,6 @@ from .resampling import BootstrapSpec, bootstrap_vector
 
 SCORE_CLIP = 1e-12
 EXTREME_SCORE_BAND = (1e-3, 1.0 - 1e-3)
-
-Dataset = Union[Sequence[SubjectRecord], Sequence[ParallelObservation]]
 
 
 class PceMethod(Enum):
@@ -71,6 +72,13 @@ class PrincipalScoreModel:
             raise ConvergenceError(f"principal-score fit for arm {self.arm} did not converge ({detail})")
 
 
+def _covariate_index(available: tuple[str, ...], names: Sequence[str]) -> list[int]:
+    try:
+        return [available.index(n) for n in names]
+    except ValueError as exc:
+        raise PcekitError(f"unknown covariate among {tuple(names)!r}; have {available!r}") from exc
+
+
 def _covariate_matrix(
     subjects: Sequence[SubjectRecord] | Sequence[ParallelObservation],
     names: Sequence[str],
@@ -78,13 +86,38 @@ def _covariate_matrix(
     """Columns of the named covariates, in the requested order."""
     if not subjects:
         raise InsufficientDataError("no subjects to build covariates from")
-    available = subjects[0].covariate_names
-    try:
-        idx = [available.index(n) for n in names]
-    except ValueError as exc:
-        raise PcekitError(f"unknown covariate among {tuple(names)!r}; have {available!r}") from exc
+    idx = _covariate_index(subjects[0].covariate_names, names)
     raw = np.asarray([s.covariates for s in subjects], dtype=float)
     return raw[:, idx]
+
+
+def _selected_covariates(
+    cols: TrialColumns, covariates: Sequence[str] | None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Names and (n, len(names)) values of the covariates a model uses (default: all)."""
+    if covariates is None:
+        return cols.covariate_names, cols.x
+    names = tuple(covariates)
+    return names, cols.x[:, _covariate_index(cols.covariate_names, names)]
+
+
+def _fit_score(
+    x: np.ndarray, a: np.ndarray, names: tuple[str, ...], arm: int
+) -> PrincipalScoreModel:
+    """Fit Pr(A(arm)=1 | X) on covariate rows x and their observed 0/1 adherence a."""
+    if names:
+        design = DesignMatrix.with_intercept(names, x.T)
+    else:
+        design = DesignMatrix.intercept_only(x.shape[0])
+    fit = fit_logistic(design, a.astype(float))
+    return PrincipalScoreModel(arm=arm, fit=fit, covariate_names=names)
+
+
+def _scores(model: PrincipalScoreModel, x: np.ndarray) -> np.ndarray:
+    """Unclipped scores for covariate rows x, columns in the model's order."""
+    n = x.shape[0]
+    design = np.column_stack([np.ones(n), x]) if model.covariate_names else np.ones((n, 1))
+    return predict_probs(model.fit, design)
 
 
 def fit_principal_score(
@@ -101,13 +134,9 @@ def fit_principal_score(
             raise MissingDataError(
                 f"subject {o.subject_id!r} has missing adherence; drop a-missing rows first"
             )
-    names = tuple(covariates) if covariates is not None else obs[0].covariate_names
-    if names:
-        design = DesignMatrix.with_intercept(names, _covariate_matrix(obs, names).T)
-    else:
-        design = DesignMatrix.intercept_only(len(obs))
-    fit = fit_logistic(design, np.asarray([o.a for o in obs], dtype=float))
-    return PrincipalScoreModel(arm=arm, fit=fit, covariate_names=names)
+    cols = as_columns(obs)
+    names, x = _selected_covariates(cols, covariates)
+    return _fit_score(x, cols.a[:, arm], names, arm)
 
 
 def principal_scores(
@@ -115,13 +144,9 @@ def principal_scores(
     subjects: Sequence[SubjectRecord] | Sequence[ParallelObservation],
 ) -> np.ndarray:
     """Predicted adherence probabilities for subjects' covariates, unclipped."""
-    n = len(subjects)
-    if model.covariate_names:
-        x = _covariate_matrix(subjects, model.covariate_names)
-        design = np.column_stack([np.ones(n), x])
-    else:
-        design = np.ones((n, 1))
-    return predict_probs(model.fit, design)
+    if not model.covariate_names:
+        return _scores(model, np.empty((len(subjects), 0)))
+    return _scores(model, _covariate_matrix(subjects, model.covariate_names))
 
 
 def _clip_scores(g: np.ndarray) -> np.ndarray:
@@ -170,11 +195,18 @@ def estimate_mu_hayden(
             )
     if cross_model.arm != 1 - arm:
         raise ValueError(f"cross_model is for arm {cross_model.arm}; need arm {1 - arm}")
+    cols = as_columns(obs)
+    g = _clip_scores(principal_scores(cross_model, obs))
+    return _hayden_mean(cols.a[:, arm], cols.y[:, arm], g, stratum, arm)
+
+
+def _hayden_mean(
+    a: np.ndarray, y: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
+) -> float:
+    """Weighted mean of one arm's outcomes y: weight 1{a = own coordinate} times
+    g or 1-g, as the stratum's cross-arm coordinate is 1 or 0."""
     own_coord = stratum.a0 if arm == 0 else stratum.a1
     cross_coord = stratum.a1 if arm == 0 else stratum.a0
-    g = _clip_scores(principal_scores(cross_model, obs))
-    a = np.asarray([o.a for o in obs], dtype=float)
-    y = np.asarray([o.y for o in obs], dtype=float)
     w = (a == own_coord) * (g if cross_coord == 1 else 1.0 - g)
     total = float(np.sum(w))
     if total <= 0.0:
@@ -192,24 +224,32 @@ def estimate_mu_direct(
         raise ValueError("estimate_mu_direct needs a joint stratum")
     if t not in (0, 1):
         raise ValueError(f"treatment arm must be 0 or 1, got {t!r}")
-    ys: list[float] = []
-    for rec in records:
-        a0, a1 = rec.a_for_arm(0), rec.a_for_arm(1)
-        if a0 is None or a1 is None:
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} missing adherence; filter to completers first"
-            )
-        if (a0, a1) != (stratum.a0, stratum.a1):
-            continue
-        y = rec.y_for_arm(t)
-        if y is None:
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} missing arm-{t} outcome; filter to completers first"
-            )
-        ys.append(y)
-    if not ys:
+    records = list(records)
+    if not records:
         raise InestimableStratumError(f"no subjects observed in stratum {stratum}")
-    return float(np.mean(ys))
+    cols = as_columns(records)
+    missing_a = np.flatnonzero((cols.a == A_MISSING).any(axis=1))
+    if missing_a.size:
+        raise MissingDataError(
+            f"subject {records[missing_a[0]].subject_id!r} missing adherence; "
+            "filter to completers first"
+        )
+    in_stratum = (cols.a[:, 0] == stratum.a0) & (cols.a[:, 1] == stratum.a1)
+    missing_y = np.flatnonzero(in_stratum & np.isnan(cols.y[:, t]))
+    if missing_y.size:
+        raise MissingDataError(
+            f"subject {records[missing_y[0]].subject_id!r} missing arm-{t} outcome; "
+            "filter to completers first"
+        )
+    return _direct_means(cols.a, cols.y, stratum)[t]
+
+
+def _direct_means(a: np.ndarray, y: np.ndarray, stratum: StratumLabel) -> tuple[float, float]:
+    """Arm-0 and arm-1 outcome means over the rows of a (n, 2) in the stratum."""
+    mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
+    if not mask.any():
+        raise InestimableStratumError(f"no subjects observed in stratum {stratum}")
+    return float(np.mean(y[mask, 0])), float(np.mean(y[mask, 1]))
 
 
 @dataclass(frozen=True)
@@ -233,39 +273,44 @@ class StratumProbEstimate:
         return self.probs[c0] + self.probs[c1]
 
 
-def _is_crossover(data: Dataset) -> bool:
-    return isinstance(data[0], SubjectRecord)
+def _adherence_rows(cols: TrialColumns) -> np.ndarray:
+    """(n, 2) mask of observed adherence; both arms need at least one row."""
+    observed = cols.a != A_MISSING
+    if not observed.any(axis=0).all():
+        raise InsufficientDataError("need adherence observations in both arms")
+    return observed
 
 
-def _split_parallel(data: Dataset) -> tuple[list[ParallelObservation], list[ParallelObservation]]:
-    """Arm-0 and arm-1 observation lists from either data shape."""
-    if _is_crossover(data):
-        recs = list(data)  # type: ignore[arg-type]
-        return as_parallel(recs, 0), as_parallel(recs, 1)
-    obs = list(data)  # type: ignore[arg-type]
-    return [o for o in obs if o.t == 0], [o for o in obs if o.t == 1]
+def _fit_both_arms(
+    cols: TrialColumns, observed: np.ndarray, covariates: Sequence[str] | None
+) -> tuple[tuple[PrincipalScoreModel, PrincipalScoreModel], np.ndarray]:
+    """Each arm's principal-score model, fit on its adherence-observed rows,
+    and the covariate values the models use."""
+    names, x = _selected_covariates(cols, covariates)
+    m0, m1 = (_fit_score(x[observed[:, t]], cols.a[observed[:, t], t], names, t) for t in (0, 1))
+    return (m0, m1), x
 
 
 def _prob_vector(
     data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
 ) -> np.ndarray:
     """Joint-cell probabilities in JOINT_LABELS order."""
+    cols = as_columns(data)
     if method is ProbMethod.OBSERVED:
-        if not _is_crossover(data):
+        if not cols.crossover:
             raise PcekitError("observed stratum proportions need crossover records")
-        table = classify_strata(list(data))  # type: ignore[arg-type]
-        props = table.proportions
-        return np.asarray([props[lab] for lab in JOINT_LABELS])
+        if (cols.a == A_MISSING).any():
+            raise MissingDataError(
+                "observed stratum proportions need adherence in both periods; apply "
+                "completer_filter(records, CompleterRule.STRATUM_VAR) first"
+            )
+        # JOINT_LABELS order is S00, S01, S10, S11: cell index 2*a0 + a1
+        return np.bincount(2 * cols.a[:, 0] + cols.a[:, 1], minlength=4) / len(cols)
 
-    arm0, arm1 = _split_parallel(data)
-    arm0 = [o for o in arm0 if o.a is not None]
-    arm1 = [o for o in arm1 if o.a is not None]
-    if not arm0 or not arm1:
-        raise InsufficientDataError("need adherence observations in both arms")
-
+    observed = _adherence_rows(cols)
     if method is ProbMethod.INDEP:
-        p0 = float(np.mean([o.a for o in arm0]))
-        p1 = float(np.mean([o.a for o in arm1]))
+        p0 = float(np.mean(cols.a[observed[:, 0], 0]))
+        p1 = float(np.mean(cols.a[observed[:, 1], 1]))
         return np.asarray(
             [
                 p0**lab.a0 * (1 - p0) ** (1 - lab.a0) * p1**lab.a1 * (1 - p1) ** (1 - lab.a1)
@@ -274,14 +319,9 @@ def _prob_vector(
         )
 
     # conditional independence given X: average the product of per-arm scores
-    m0 = fit_principal_score(arm0, covariates)
-    m1 = fit_principal_score(arm1, covariates)
-    if _is_crossover(data):
-        subjects: Sequence = list(data)
-    else:
-        subjects = list(data)
-    g0 = principal_scores(m0, subjects)
-    g1 = principal_scores(m1, subjects)
+    (m0, m1), x = _fit_both_arms(cols, observed, covariates)
+    g0 = _scores(m0, x)
+    g1 = _scores(m1, x)
     cells = []
     for lab in JOINT_LABELS:
         w0 = g0 if lab.a0 == 1 else 1.0 - g0
@@ -303,18 +343,16 @@ def estimate_stratum_probs(
     bootstrap spec, subject-level resampling (refitting any models) supplies
     standard errors.
     """
-    data = list(data)
-    if not data:
-        raise InsufficientDataError("no data")
-    vec = _prob_vector(data, method, covariates)
+    cols = as_columns(data)
+    vec = _prob_vector(cols, method, covariates)
     se: dict[StratumLabel, float] | None = None
     if bootstrap_spec is not None:
         res = bootstrap_vector(
-            data, lambda sample: _prob_vector(sample, method, covariates), bootstrap_spec
+            cols, lambda sample: _prob_vector(sample, method, covariates), bootstrap_spec
         )
         se = {lab: float(res.se[i]) for i, lab in enumerate(JOINT_LABELS)}
     probs = {lab: float(vec[i]) for i, lab in enumerate(JOINT_LABELS)}
-    return StratumProbEstimate(method=method, probs=probs, n=len(data), se=se)
+    return StratumProbEstimate(method=method, probs=probs, n=len(cols), se=se)
 
 
 def combine_marginal(
@@ -353,57 +391,58 @@ class EstimateSummary:
     note: str | None = None
 
 
-def _hayden_cell(
-    obs_by_arm: tuple[list[ParallelObservation], list[ParallelObservation]],
-    models: tuple[PrincipalScoreModel, PrincipalScoreModel],
-    stratum: StratumLabel,
-) -> tuple[float, float]:
-    mu0 = estimate_mu_hayden(obs_by_arm[0], models[1], stratum)
-    mu1 = estimate_mu_hayden(obs_by_arm[1], models[0], stratum)
-    return mu0, mu1
+def _ps_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarray:
+    """(4, 2) principal-score-weighted arm means per joint stratum; NaN rows inestimable.
+
+    Each arm's outcomes are weighted by the other arm's score, computed once
+    for that arm's complete rows (adherence and outcome observed).
+    """
+    observed = _adherence_rows(cols)
+    models, x = _fit_both_arms(cols, observed, covariates)
+    mu = np.full((len(JOINT_LABELS), 2), np.nan)
+    for t in (0, 1):
+        use = observed[:, t] & ~np.isnan(cols.y[:, t])
+        if not use.any():
+            continue
+        g = _clip_scores(_scores(models[1 - t], x[use]))
+        a, y = cols.a[use, t], cols.y[use, t]
+        for i, stratum in enumerate(JOINT_LABELS):
+            try:
+                mu[i, t] = _hayden_mean(a, y, g, stratum, t)
+            except InestimableStratumError:
+                pass
+    mu[np.isnan(mu).any(axis=1)] = np.nan  # a stratum needs both arms
+    return mu
+
+
+def _direct_cells(cols: TrialColumns) -> np.ndarray:
+    """(4, 2) arm means per joint stratum over full completers; NaN rows empty."""
+    if not cols.crossover:
+        raise PcekitError("direct stratification needs crossover records")
+    complete = (cols.a != A_MISSING).all(axis=1) & ~np.isnan(cols.y).any(axis=1)
+    a, y = cols.a[complete], cols.y[complete]
+    mu = np.full((len(JOINT_LABELS), 2), np.nan)
+    for i, stratum in enumerate(JOINT_LABELS):
+        try:
+            mu[i] = _direct_means(a, y, stratum)
+        except InestimableStratumError:
+            pass
+    return mu
 
 
 def _table_values(
     data: Dataset, methods: Sequence[PceMethod], covariates: Sequence[str] | None
 ) -> np.ndarray:
     """All table cells in (method, stratum, quantity) order; NaN = inestimable."""
-    out: list[float] = []
-    crossover = _is_crossover(data)
-
-    ps_cells: dict[StratumLabel, tuple[float, float]] = {}
+    cols = as_columns(data)
+    cells: dict[PceMethod, np.ndarray] = {}
     if PceMethod.PS in methods:
-        arm0_all, arm1_all = _split_parallel(data)
-        fit0 = [o for o in arm0_all if o.a is not None]
-        fit1 = [o for o in arm1_all if o.a is not None]
-        if not fit0 or not fit1:
-            raise InsufficientDataError("need adherence observations in both arms")
-        models = (fit_principal_score(fit0, covariates), fit_principal_score(fit1, covariates))
-        use0 = [o for o in arm0_all if o.a is not None and o.y is not None]
-        use1 = [o for o in arm1_all if o.a is not None and o.y is not None]
-        for stratum in JOINT_LABELS:
-            try:
-                ps_cells[stratum] = _hayden_cell((use0, use1), models, stratum)
-            except (InestimableStratumError, InsufficientDataError):
-                ps_cells[stratum] = (np.nan, np.nan)
-
-    direct_cells: dict[StratumLabel, tuple[float, float]] = {}
+        cells[PceMethod.PS] = _ps_cells(cols, covariates)
     if PceMethod.DIRECT in methods:
-        if not crossover:
-            raise PcekitError("direct stratification needs crossover records")
-        comp = completer_filter(list(data), CompleterRule.BOTH)  # type: ignore[arg-type]
-        for stratum in JOINT_LABELS:
-            try:
-                direct_cells[stratum] = (
-                    estimate_mu_direct(comp, stratum, 0),
-                    estimate_mu_direct(comp, stratum, 1),
-                )
-            except (InestimableStratumError, InsufficientDataError):
-                direct_cells[stratum] = (np.nan, np.nan)
-
+        cells[PceMethod.DIRECT] = _direct_cells(cols)
+    out: list[float] = []
     for method in methods:
-        cells = ps_cells if method is PceMethod.PS else direct_cells
-        for stratum in JOINT_LABELS:
-            mu0, mu1 = cells[stratum]
+        for mu0, mu1 in cells[method].tolist():
             out.extend([mu0, mu1, mu1 - mu0])
     return np.asarray(out)
 
@@ -421,18 +460,16 @@ def estimate_pce_table(
     level and refits all models inside each replicate; cells inestimable on
     the full data carry NaN points and a note instead of failing the table.
     """
-    data = list(data)
-    if not data:
-        raise InsufficientDataError("no data")
+    cols = as_columns(data)
     methods = list(dict.fromkeys(methods))
     if not methods:
         raise ValueError("at least one method required")
-    points = _table_values(data, methods, covariates)
+    points = _table_values(cols, methods, covariates)
 
     boot = None
     if bootstrap_spec is not None:
         boot = bootstrap_vector(
-            data, lambda sample: _table_values(sample, methods, covariates), bootstrap_spec
+            cols, lambda sample: _table_values(sample, methods, covariates), bootstrap_spec
         )
 
     rows: list[EstimateSummary] = []

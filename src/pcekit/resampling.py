@@ -17,6 +17,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from .core import TrialColumns
 from .errors import BootstrapError, PcekitError
 
 _U64 = np.uint64
@@ -202,17 +203,21 @@ class VectorBootstrapResult:
 
 
 def bootstrap_vector(
-    records: Sequence[T],
-    statistic: Callable[[list[T]], np.ndarray],
+    records: Sequence[T] | TrialColumns,
+    statistic: Callable[[list[T]], np.ndarray] | Callable[[TrialColumns], np.ndarray],
     spec: BootstrapSpec,
 ) -> VectorBootstrapResult:
     """Bootstrap a vector statistic; NaN components mark inestimable pieces.
 
     Uses the same per-replicate index streams as ``bootstrap`` under the same
-    spec. A raised package error fails the whole replicate; per-component
-    inestimability should be encoded as NaN so the other components survive.
+    spec. Columns are resampled by row, with ``TrialColumns.take``; any other
+    sequence is resampled as a list. A raised package error fails the whole
+    replicate; per-component inestimability should be encoded as NaN so the
+    other components survive.
     """
-    records = list(records)
+    columnar = isinstance(records, TrialColumns)
+    if not columnar:
+        records = list(records)
     n = len(records)
     if n == 0:
         raise ValueError("cannot bootstrap an empty record list")
@@ -228,7 +233,7 @@ def bootstrap_vector(
         count = min(_chunk_size(n), b_total - done)
         idx = resample_index_matrix(spec.seed, done, count, n)
         for r in range(count):
-            sample = [records[i] for i in idx[r].tolist()]
+            sample = records.take(idx[r]) if columnar else [records[i] for i in idx[r].tolist()]
             try:
                 values[done + r] = np.asarray(statistic(sample), dtype=float)
             except (PcekitError, ArithmeticError):

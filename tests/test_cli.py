@@ -222,3 +222,43 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
     path = tmp_path / "p.csv"
     write_parallel_csv(obs, path)
     assert run(["estimate", "--input", path, "--method", "ps"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "{input}", "--ci", "1.5"],
+        ["estimate", "--input", "{input}", "--ci", "0"],
+        ["estimate", "--input", "{input}", "--bootstrap", "-3"],
+        ["diagnose", "--input", "{input}", "--bootstrap", "-1"],
+        ["diagnose", "--input", "{input}", "--bootstrap", "0"],
+        ["replicate", "--scenario", "paper_like", "--replicates", "0"],
+        ["replicate", "--scenario", "paper_like", "--bootstrap", "-1"],
+    ],
+)
+def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(input=trial_csv) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_unreadable_input_is_a_data_error(command, tmp_path, capsys):
+    assert run([command, "--input", tmp_path / "absent.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file" in err
+    assert run([command, "--input", tmp_path, "--data-shape", "crossover"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_finite_input_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
+        "s1,CF,nan,0,1,1,0,1.0,2.0\n"
+    )
+    assert run(["estimate", "--input", path]) == 1
+    assert "row 2: x_base='nan' is not a finite number" in capsys.readouterr().err

@@ -1,12 +1,18 @@
+import math
+
+import numpy as np
 import pytest
 
 from pcekit.core import (
+    A_MISSING,
     JOINT_LABELS,
     CompleterRule,
+    ParallelObservation,
     StratumLabel,
     StratumTable,
     SubjectRecord,
     TreatmentSequence,
+    as_columns,
     as_parallel,
     classify_strata,
     completer_filter,
@@ -155,6 +161,80 @@ def test_crossover_csv_rejects_bad_rows(tmp_path, row, message):
     with pytest.raises(SchemaError, match=message) as excinfo:
         load_crossover_csv(path)
     assert "row 2" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+@pytest.mark.parametrize("column", ["x_base", "y_p1", "y_p2"])
+def test_crossover_csv_rejects_non_finite_numbers(tmp_path, column, token):
+    header = "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2"
+    cells = dict(x_base="1.0", y_p1="1.0", y_p2="2.0")
+    cells[column] = token
+    row = f"s1,CF,{cells['x_base']},0,1,1,0,{cells['y_p1']},{cells['y_p2']}"
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\ns0,CF,0.5,0,1,0,0,0.0,0.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"row 3: {column}='{token}' is not a finite number"):
+        load_crossover_csv(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["x_base", "y"])
+def test_parallel_csv_rejects_non_finite_numbers(tmp_path, column, token):
+    x, y = (token, "1.0") if column == "x_base" else ("1.0", token)
+    path = tmp_path / "bad.csv"
+    path.write_text(f"subject_id,treatment,x_base,a,y\np1,0,{x},1,{y}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"row 2: {column}='{token}' is not a finite number"):
+        load_parallel_csv(path)
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (make_record("s1", x=(math.nan,)), "subject 's1': x_base=nan"),
+        (make_record("s1", y=(math.inf, 1.0)), "subject 's1': y_p1=inf"),
+        (make_record("s1", y=(None, -math.inf)), "subject 's1': y_p2=-inf"),
+        (
+            ParallelObservation("p1", ("x_base",), (1.0,), t=1, a=0, y=math.nan),
+            "subject 'p1': y=nan",
+        ),
+    ],
+)
+def test_columns_reject_non_finite_numbers(record, message):
+    data = [make_record("s0"), record] if isinstance(record, SubjectRecord) else [record]
+    with pytest.raises(SchemaError, match=f"{message} is not a finite number"):
+        as_columns(data)
+
+
+def test_columns_index_by_arm_with_sentinels():
+    records = [
+        make_record("a", "CF", x=(1.5,), a=(1, 0), y=(10.0, 20.0)),
+        make_record("b", "EF", x=(2.5,), a=(None, 1), y=(30.0, None)),
+    ]
+    cols = as_columns(records)
+    assert cols.crossover and len(cols) == 2
+    assert cols.x.tolist() == [[1.5], [2.5]]
+    # EF: period 1 is arm 1
+    assert cols.a.tolist() == [[1, 0], [1, A_MISSING]]
+    assert cols.y[0].tolist() == [10.0, 20.0]
+    assert math.isnan(cols.y[1, 0]) and cols.y[1, 1] == 30.0
+    assert as_columns(cols) is cols
+    taken = cols.take(np.asarray([1, 1, 0]))
+    assert taken.a.tolist() == [[1, A_MISSING], [1, A_MISSING], [1, 0]]
+
+    obs = as_parallel(records[:1], 1)
+    par = as_columns(obs)
+    assert not par.crossover
+    assert par.a.tolist() == [[A_MISSING, 0]]
+    assert math.isnan(par.y[0, 0]) and par.y[0, 1] == 20.0
+
+
+def test_columns_reject_mixed_and_empty_data():
+    with pytest.raises(InsufficientDataError):
+        as_columns([])
+    record = make_record("a")
+    with pytest.raises(SchemaError, match="mixes"):
+        as_columns([record, *as_parallel([record], 0)])
+    with pytest.raises(SchemaError, match="disagree"):
+        as_columns([record, make_record("b", covariate_names=("x_other",))])
 
 
 def test_crossover_csv_rejects_duplicate_ids(tmp_path):

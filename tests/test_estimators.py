@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from pcekit import core
 from pcekit.core import (
     JOINT_LABELS,
     ParallelObservation,
@@ -366,3 +368,39 @@ def test_estimate_summary_is_plain_data():
         stratum=StratumLabel(1, 1), quantity="diff", method=PceMethod.PS, point=1.0
     )
     assert s.se is None and s.ci is None and s.note is None
+
+
+def test_bootstrap_builds_no_records_per_replicate(monkeypatch):
+    """Replicates resample array rows: no projection or observation is built per replicate."""
+    records = generate_trial(scenario("paper_like", n_subjects=60, seed=5))
+    parallel = as_parallel(records[:30], 1) + as_parallel(records[30:], 0)
+    calls = {"as_parallel": 0, "ParallelObservation": 0}
+    original = core.as_parallel
+
+    def counting_as_parallel(*args, **kwargs):
+        calls["as_parallel"] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "pcekit" or name.startswith("pcekit.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_as_parallel)
+    post_init = ParallelObservation.__post_init__
+
+    def counting_post_init(self):
+        calls["ParallelObservation"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ParallelObservation, "__post_init__", counting_post_init)
+    core.as_parallel(records[:2], 0)
+    assert calls == {"as_parallel": 1, "ParallelObservation": 2}  # the wrappers count
+
+    def count_calls(data, methods, spec):
+        calls.update(as_parallel=0, ParallelObservation=0)
+        estimate_pce_table(data, methods=methods, bootstrap_spec=spec)
+        return dict(calls)
+
+    for data, methods in ((records, (PceMethod.PS, PceMethod.DIRECT)), (parallel, (PceMethod.PS,))):
+        plain = count_calls(data, methods, None)
+        assert count_calls(data, methods, BootstrapSpec(n_replicates=20, seed=1)) == plain
