@@ -70,7 +70,6 @@ from .glm import (
     OlsFit,
     fit_logistic,
     fit_ols,
-    predict_prob,
     predict_probs,
     t_two_sided_p,
 )

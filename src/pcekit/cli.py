@@ -107,8 +107,8 @@ def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
 
 
 def _sniff_shape(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline()
+    with open(path, "rb") as fh:
+        head = core.decode_utf8(fh.readline(), path)
     if head.startswith("subject_id,sequence"):
         return "crossover"
     if head.startswith("subject_id,treatment"):

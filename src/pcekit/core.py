@@ -10,6 +10,7 @@ bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -264,9 +265,21 @@ def _split_header(
     return names
 
 
+def decode_utf8(data: bytes, path: str | Path) -> str:
+    """Text of a file's bytes; a byte sequence that is not UTF-8 is a SchemaError
+    naming the file and the offset of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            f"{path}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+
+
 def _read_rows(path: str | Path) -> list[list[str]]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), path)
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise SchemaError(f"{path}: empty file")
     return rows

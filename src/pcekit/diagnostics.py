@@ -32,8 +32,8 @@ from .errors import (
     SingularDesignError,
 )
 from .estimators import ProbMethod, _covariate_matrix, _prob_vector
-from .glm import DesignMatrix, fit_logistic, fit_ols, t_two_sided_p
-from .resampling import exceedance_p, resample_indices
+from .glm import DesignMatrix, fit_logistic, fit_logistic_counts, fit_ols, t_two_sided_p
+from .resampling import exceedance_p, resample_index_matrix
 
 
 class MonotonicityDirection(Enum):
@@ -217,14 +217,45 @@ class IndependenceReport:
         }
 
 
-def _cell_products(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Mean of g0^k (1-g0)^(1-k) * g1^l (1-g1)^(1-l) per joint cell."""
-    return np.asarray(
-        [
-            float(np.mean((g0 if lab.a0 == 1 else 1.0 - g0) * (g1 if lab.a1 == 1 else 1.0 - g1)))
-            for lab in JOINT_LABELS
-        ]
-    )
+# each chunk of resamples holds about this many (replicate, subject) counts,
+# which bounds the batched refits' memory whatever n_bootstrap is
+_CHUNK_ELEMENTS = 2**14
+
+
+def _cell_table(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Stratum probabilities g0^k (1-g0)^(1-k) g1^l (1-g1)^(1-l), in
+    JOINT_LABELS order along a new last axis, from arm adherence probabilities."""
+    return np.stack([(1.0 - g0) * (1.0 - g1), (1.0 - g0) * g1, g0 * (1.0 - g1), g0 * g1], axis=-1)
+
+
+def _resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """(b, n) multinomial counts: how often each subject occurs in each index row."""
+    b = idx.shape[0]
+    flat = (idx + n * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, minlength=b * n).reshape(b, n).astype(float)
+
+
+def _refit_cells(
+    design: DesignMatrix,
+    a0: np.ndarray,
+    a1: np.ndarray,
+    idx: np.ndarray,
+    warm: dict[int, np.ndarray],
+) -> np.ndarray:
+    """Cond-indep stratum cells of one resample, both arms refit by fit_logistic.
+
+    Raises DegenerateResponseError when a fit does not converge; fit_logistic
+    itself raises on a constant response or a rank-deficient resample.
+    """
+    xb = design.values[idx]
+    design_b = DesignMatrix(design.names, xb)
+    g = []
+    for arm, a in ((0, a0), (1, a1)):
+        fit = fit_logistic(design_b, a[idx].astype(float), start=warm[arm])
+        if not fit.converged:
+            raise DegenerateResponseError("resample fit did not converge")
+        g.append(expit(xb @ fit.coefficients))
+    return _cell_table(g[0], g[1]).mean(axis=0)
 
 
 def independence_test(
@@ -243,6 +274,11 @@ def independence_test(
     whether the observed gap exceeds pure sampling noise. Replicates where a
     model cannot be refit are rejected and redrawn; more than 10% rejections
     aborts the test. Records need adherence in both periods.
+
+    Each replicate is a row of multinomial counts over the subjects. Chunks
+    of rows are refit together by ``fit_logistic_counts``; a row it does not
+    fit cleanly is refit alone by ``fit_logistic``, which decides whether it
+    is rejected.
     """
     records = list(records)
     if method is ProbMethod.OBSERVED:
@@ -269,13 +305,14 @@ def independence_test(
     a0 = np.asarray([rec.a_for_arm(0) for rec in records], dtype=np.int64)
     a1 = np.asarray([rec.a_for_arm(1) for rec in records], dtype=np.int64)
     x = _covariate_matrix(records, names) if names else np.empty((n, 0))
-    design_full = np.column_stack([np.ones(n), x])
-    col_names = ("intercept", *names)
+    design = DesignMatrix(("intercept", *names), np.column_stack([np.ones(n), x]))
+    # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
+    cells = ((2 * a0 + a1)[:, None] == np.arange(len(JOINT_LABELS))).astype(float)
 
     warm: dict[int, np.ndarray] = {}
     if method is ProbMethod.COND_INDEP:
         for arm, a_vec in ((0, a0), (1, a1)):
-            fit = fit_logistic(DesignMatrix(col_names, design_full), a_vec.astype(float))
+            fit = fit_logistic(design, a_vec.astype(float))
             if not fit.converged:
                 raise DiagnosticError(
                     f"arm-{arm} principal-score model did not converge on the full data"
@@ -288,44 +325,42 @@ def independence_test(
     reject_cap = 0.1 * n_bootstrap
     collected = 0
     attempt = 0
+    chunk = max(1, _CHUNK_ELEMENTS // n)
     while collected < n_bootstrap:
-        idx = resample_indices(seed, attempt, n)
-        attempt += 1
-        b0, b1 = a0[idx], a1[idx]
-        obs_b = np.bincount(2 * b0 + b1, minlength=4).astype(float) / n
-        try:
-            if method is ProbMethod.INDEP:
-                p0, p1 = float(np.mean(b0)), float(np.mean(b1))
-                est_b = np.asarray(
-                    [
-                        (p0 if lab.a0 == 1 else 1 - p0) * (p1 if lab.a1 == 1 else 1 - p1)
-                        for lab in JOINT_LABELS
-                    ]
-                )
-            else:
-                xb = design_full[idx]
-                design_b = DesignMatrix(col_names, xb)
-                fits = []
-                for arm, ab in ((0, b0), (1, b1)):
-                    fit = fit_logistic(design_b, ab.astype(float), start=warm[arm])
-                    if not fit.converged:
-                        raise DegenerateResponseError("resample fit did not converge")
-                    fits.append(fit)
-                g0 = expit(xb @ fits[0].coefficients)
-                g1 = expit(xb @ fits[1].coefficients)
-                est_b = _cell_products(g0, g1)
-        except (DegenerateResponseError, SingularDesignError, InsufficientDataError):
-            n_rejected += 1
-            if n_rejected > reject_cap:
-                raise DiagnosticError(
-                    f"model refit failed on {n_rejected} resamples (>10% of "
-                    f"{n_bootstrap}); the data are too sparse for this test"
-                )
-            continue
-        centered = (obs_b - est_b) - gap0
-        d_null[collected] = np.max(np.abs(centered))
-        ssq_null[collected] = np.sum(centered**2)
-        collected += 1
+        # never more attempts than successes still needed: the attempts made
+        # are exactly those of a one-at-a-time redraw loop
+        count = min(chunk, n_bootstrap - collected)
+        idx = resample_index_matrix(seed, attempt, count, n)
+        attempt += count
+        counts = _resample_counts(idx, n)
+        obs_b = counts @ cells / n
+        if method is ProbMethod.INDEP:
+            est_b = _cell_table(counts @ a0 / n, counts @ a1 / n)
+            fitted = np.ones(count, dtype=bool)
+        else:
+            beta0, ok0 = fit_logistic_counts(design.values, a0, counts, warm[0])
+            beta1, ok1 = fit_logistic_counts(design.values, a1, counts, warm[1])
+            g0 = expit(beta0 @ design.values.T)
+            g1 = expit(beta1 @ design.values.T)
+            est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
+            fitted = ok0 & ok1
+        for r in np.flatnonzero(~fitted):
+            try:
+                est_b[r] = _refit_cells(design, a0, a1, idx[r], warm)
+            except (DegenerateResponseError, SingularDesignError, InsufficientDataError):
+                continue  # rejected: a later chunk draws its replacement
+            fitted[r] = True
+        n_rejected += int(np.sum(~fitted))
+        if n_rejected > reject_cap:
+            raise DiagnosticError(
+                f"model refit failed on {int(reject_cap) + 1} resamples (>10% of "
+                f"{n_bootstrap}); the data are too sparse for this test"
+            )
+        centered = (obs_b - est_b)[fitted] - gap0
+        kept = slice(collected, collected + len(centered))
+        d_null[kept] = np.max(np.abs(centered), axis=1)
+        ssq_null[kept] = np.sum(centered**2, axis=1)
+        collected += len(centered)
 
     observed = {lab: float(obs_vec[i]) for i, lab in enumerate(JOINT_LABELS)}
     estimated = {lab: float(est_vec[i]) for i, lab in enumerate(JOINT_LABELS)}

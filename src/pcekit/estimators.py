@@ -344,12 +344,14 @@ def estimate_stratum_probs(
     standard errors.
     """
     cols = as_columns(data)
-    vec = _prob_vector(cols, method, covariates)
     se: dict[StratumLabel, float] | None = None
-    if bootstrap_spec is not None:
+    if bootstrap_spec is None:
+        vec = _prob_vector(cols, method, covariates)
+    else:
         res = bootstrap_vector(
             cols, lambda sample: _prob_vector(sample, method, covariates), bootstrap_spec
         )
+        vec = res.points
         se = {lab: float(res.se[i]) for i, lab in enumerate(JOINT_LABELS)}
     probs = {lab: float(vec[i]) for i, lab in enumerate(JOINT_LABELS)}
     return StratumProbEstimate(method=method, probs=probs, n=len(cols), se=se)
@@ -464,13 +466,15 @@ def estimate_pce_table(
     methods = list(dict.fromkeys(methods))
     if not methods:
         raise ValueError("at least one method required")
-    points = _table_values(cols, methods, covariates)
-
     boot = None
-    if bootstrap_spec is not None:
+    if bootstrap_spec is None:
+        points = _table_values(cols, methods, covariates)
+    else:
+        # the bootstrap's own point is the full-data table
         boot = bootstrap_vector(
             cols, lambda sample: _table_values(sample, methods, covariates), bootstrap_spec
         )
+        points = boot.points
 
     rows: list[EstimateSummary] = []
     i = 0

@@ -23,6 +23,10 @@ DIVERGENCE_NORM = 1e6
 # max |a - p| below this at the gradient stop means the fit is numerically
 # perfect, which only separated data can achieve: no finite MLE exists
 PERFECT_FIT_TOL = 1e-6
+# fit_logistic_counts fits a resample only if its Gram matrix's smallest
+# eigenvalue is above this share of the largest: far above matrix_rank's
+# tolerance, so every row it fits is certainly full rank
+GRAM_RATIO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -275,12 +279,116 @@ def fit_logistic(
     )
 
 
-def predict_prob(fit: LogisticFit, x_row: Sequence[float] | np.ndarray) -> float:
-    """Fitted probability for one design row (include the intercept's 1)."""
-    row = np.asarray(x_row, dtype=float)
-    if row.shape != (len(fit.names),):
-        raise ValueError(f"expected a length-{len(fit.names)} design row")
-    return float(expit(row @ fit.coefficients))
+def _probs_and_deviances(
+    sign: np.ndarray, eta: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """expit(eta) and each row's count-weighted deviance, from one exp(-|eta|).
+
+    sign is 1 - 2a: -log p = log1p(e) + max(-eta, 0) for a = 1, and
+    -log(1 - p) = log1p(e) + max(eta, 0) for a = 0, with e = exp(-|eta|).
+    """
+    e = np.exp(-np.abs(eta))
+    p = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    loss = np.log1p(e) + np.maximum(sign * eta, 0.0)
+    return p, 2.0 * np.sum(counts * loss, axis=1)
+
+
+def fit_logistic_counts(
+    design: np.ndarray, a: np.ndarray, counts: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic MLEs for many frequency-weighted copies of one design at once.
+
+    Row r of ``counts`` (b, n) says how often each of the n design rows
+    occurs in resample r; its fit is the one ``fit_logistic`` computes on
+    that resample with ``start`` as the warm start. Every row runs the same
+    IRLS: the same tolerances, iteration cap and divergence norm, and up to
+    30 step halvings under the same acceptance rule.
+
+    Returns (b, q) coefficients and a (b,) mask of the rows that converged
+    cleanly. The other rows carry no usable coefficients: a constant
+    response, a rank-deficient resample, separation, a singular Hessian, a
+    stall or the iteration cap. Refit those with ``fit_logistic`` for its
+    exact verdict.
+    """
+    x = np.asarray(design, dtype=float)
+    a = np.asarray(a, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    b, n = counts.shape
+    q = x.shape[1]
+    sign = 1.0 - 2.0 * a
+    present = counts > 0.0
+    # row i's outer product d_i d_i^T, flattened: counts @ outer sums them
+    outer = (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
+
+    # a resample needs both responses and a clearly full-rank design; the
+    # Gram threshold leaves any doubtful row to fit_logistic's rank check
+    both = (counts @ a > 0.0) & (counts @ (1.0 - a) > 0.0)
+    gram_eigs = np.linalg.eigvalsh((counts @ outer).reshape(b, q, q))
+    full_rank = gram_eigs[:, 0] > GRAM_RATIO_TOL * gram_eigs[:, -1]
+    active = both & full_rank
+    converged = np.zeros(b, dtype=bool)
+
+    start = np.asarray(start, dtype=float)
+    beta = np.tile(start, (b, 1))
+    # every row starts at the same coefficients: one eta row serves them all
+    p, dev = _probs_and_deviances(sign, (x @ start)[None, :], counts)
+    p = np.repeat(p, b, axis=0)
+    for it in range(MAX_ITERATIONS + 1):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        c, pr = counts[rows], p[rows]
+        resid = a - pr
+        grad = (c * resid) @ x
+        small = np.max(np.abs(grad), axis=1) <= GRADIENT_TOL
+        if small.any():
+            # a numerically perfect fit certifies separation, not convergence
+            worst = np.max(np.where(present[rows[small]], np.abs(resid[small]), 0.0), axis=1)
+            converged[rows[small]] = worst >= PERFECT_FIT_TOL
+            active[rows[small]] = False
+            rows, grad, c, pr = rows[~small], grad[~small], c[~small], pr[~small]
+        if it == MAX_ITERATIONS or rows.size == 0:
+            break  # iteration cap: rows still active stay unconverged
+
+        w = c * pr * (1.0 - pr)
+        delta, solved = _solve_stack((w @ outer).reshape(rows.size, q, q), grad)
+        active[rows[~solved]] = False
+        rows, delta = rows[solved], delta[solved]
+
+        step = np.ones(rows.size)
+        pending = np.ones(rows.size, dtype=bool)
+        for _ in range(30):
+            k = np.flatnonzero(pending)
+            r = rows[k]
+            cand = beta[r] + step[k, None] * delta[k]
+            p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, counts[r])
+            ok = dev_c <= dev[r] + 1e-12
+            beta[r[ok]], p[r[ok]], dev[r[ok]] = cand[ok], p_c[ok], dev_c[ok]
+            pending[k[ok]] = False
+            step[k[~ok]] *= 0.5
+            if not pending.any():
+                break
+        # stalled rows found no improving step along the Newton direction
+        active[rows[pending]] = False
+        moved = rows[~pending]
+        active[moved[np.max(np.abs(beta[moved]), axis=1) > DIVERGENCE_NORM]] = False
+    return beta, converged
+
+
+def _solve_stack(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps for a (k, q, q) stack of Hessians, and which of them solved."""
+    try:
+        return np.linalg.solve(hess, grad[..., None])[..., 0], np.ones(len(hess), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass  # one singular matrix fails the stack: solve row by row
+    delta = np.zeros_like(grad)
+    solved = np.ones(len(hess), dtype=bool)
+    for i in range(len(hess)):
+        try:
+            delta[i] = np.linalg.solve(hess[i], grad[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return delta, solved
 
 
 def predict_probs(fit: LogisticFit, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Write the frozen `estimate` inputs and outputs that test_golden.py compares.
+"""Write the frozen `estimate` and `diagnose` inputs and outputs that
+test_golden.py compares.
 
 Run from the repository root, only when an output change is intended:
 
@@ -21,7 +22,7 @@ from pcekit.simulator import generate_trial, scenario
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import CASES  # noqa: E402  (name -> estimate arguments after --input)
+from test_golden import CASES, DIAGNOSE_CASES, diagnose_argv  # noqa: E402
 
 
 def _blank(rec, i):
@@ -59,6 +60,11 @@ def write_inputs() -> None:
     recs[i] = dataclasses.replace(recs[i], **{field: 0})
     write_crossover_csv(recs, HERE / "sparse_stratum.csv")
 
+    # 24 subjects: a few resamples separate an arm's adherence, so the
+    # independence test rejects and redraws them
+    recs = generate_trial(scenario("paper_like", n_subjects=24, seed=5))
+    write_crossover_csv(recs, HERE / "sparse_refit.csv")
+
 
 def write_outputs() -> None:
     for name, args in CASES.items():
@@ -66,6 +72,9 @@ def write_outputs() -> None:
                 "--format", "csv", "--out", str(HERE / f"{name}.out.csv")]
         if main(argv) != 0:
             sys.exit(f"estimate failed for {name}")
+    for name in DIAGNOSE_CASES:
+        if main(diagnose_argv(name, HERE / f"{name}.out.json")) != 0:
+            sys.exit(f"diagnose failed for {name}")
 
 
 if __name__ == "__main__":

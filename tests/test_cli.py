@@ -262,3 +262,14 @@ def test_non_finite_input_is_a_data_error(tmp_path, capsys):
     )
     assert run(["estimate", "--input", path]) == 1
     assert "row 2: x_base='nan' is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_non_utf8_input_is_a_data_error(command, tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    head = b"subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
+    path.write_bytes(head + b"s1,CF,\xff\xfe,0,1,1,0,1.0,2.0\n")
+    assert run([command, "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{path}: not UTF-8 text (byte 0xff at offset {len(head) + 6})" in err

@@ -1,9 +1,19 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcekit.core import CompleterRule, StratumLabel, completer_filter
+from scipy.special import expit
+
+from pcekit import diagnostics, estimators
+from pcekit.core import (
+    JOINT_LABELS,
+    CompleterRule,
+    StratumLabel,
+    completer_filter,
+    load_crossover_csv,
+)
 from pcekit.diagnostics import (
     MonotonicityDirection,
     crossover_effects_test,
@@ -12,15 +22,20 @@ from pcekit.diagnostics import (
     monotonicity_report,
 )
 from pcekit.errors import (
+    DegenerateResponseError,
     DiagnosticError,
     InsufficientDataError,
     MissingDataError,
+    SingularDesignError,
 )
 from pcekit.estimators import ProbMethod
-from pcekit.glm import DesignMatrix, fit_ols
+from pcekit.glm import DesignMatrix, fit_logistic, fit_ols
+from pcekit.resampling import exceedance_p, resample_indices
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def eight_records():
@@ -153,6 +168,77 @@ def test_independence_test_aborts_on_sparse_data():
     ]
     with pytest.raises(DiagnosticError, match="sparse"):
         independence_test(records, covariates=(), n_bootstrap=100, seed=0)
+
+
+def one_at_a_time_null(records, n_bootstrap, seed):
+    """The cond-indep null by one resample and two fit_logistic calls at a time,
+    redrawing resamples that cannot be refit: the reference for the batched test."""
+    report = independence_test(records, n_bootstrap=1, seed=seed)
+    gap0 = np.asarray([report.observed[lab] - report.estimated[lab] for lab in JOINT_LABELS])
+    n = len(records)
+    a = np.asarray([[r.a_for_arm(0), r.a_for_arm(1)] for r in records])
+    design = DesignMatrix.with_intercept(records[0].covariate_names,
+                                         np.asarray([r.covariates for r in records]).T)
+    warm = [fit_logistic(design, a[:, t].astype(float)).coefficients for t in (0, 1)]
+    d_null, ssq_null, rejected, attempt = [], [], 0, 0
+    while len(d_null) < n_bootstrap:
+        idx = resample_indices(seed, attempt, n)
+        attempt += 1
+        resample = DesignMatrix(design.names, design.values[idx])
+        try:
+            g = []
+            for t in (0, 1):
+                fit = fit_logistic(resample, a[idx, t].astype(float), start=warm[t])
+                if not fit.converged:
+                    raise DegenerateResponseError("no convergence")
+                g.append(expit(resample.values @ fit.coefficients))
+        except (DegenerateResponseError, SingularDesignError):
+            rejected += 1
+            continue
+        obs = np.bincount(2 * a[idx, 0] + a[idx, 1], minlength=4) / n
+        est = [np.mean((g[0] if lab.a0 else 1 - g[0]) * (g[1] if lab.a1 else 1 - g[1]))
+               for lab in JOINT_LABELS]
+        centered = obs - est - gap0
+        d_null.append(np.max(np.abs(centered)))
+        ssq_null.append(np.sum(centered**2))
+    return report, d_null, ssq_null, rejected
+
+
+@pytest.mark.parametrize("case", ["clean", "sparse"])
+def test_independence_test_matches_one_at_a_time_refits(case):
+    if case == "clean":
+        records = generate_trial(scenario("a4p_violated", n_subjects=90, seed=2))
+        n_bootstrap, seed = 80, 4
+    else:  # some resamples separate an arm's adherence and are redrawn
+        records = load_crossover_csv(DATA / "sparse_refit.csv")
+        n_bootstrap, seed = 60, 5
+    rep = independence_test(records, n_bootstrap=n_bootstrap, seed=seed)
+    ref, d_null, ssq_null, rejected = one_at_a_time_null(records, n_bootstrap, seed)
+    assert (rep.n_rejected > 0) == (case == "sparse")
+    assert rep.n_rejected == rejected
+    assert rep.p_value == exceedance_p(d_null, ref.discrepancy)
+    assert rep.secondary_p_value == exceedance_p(ssq_null, ref.secondary_discrepancy)
+
+
+def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
+    """Resamples are refit in batches: fit_logistic runs only on the full data."""
+    records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_logistic(*args, **kwargs)
+
+    for module in (diagnostics, estimators):
+        monkeypatch.setattr(module, "fit_logistic", counting_fit)
+
+    def fits(n_bootstrap):
+        calls.clear()
+        rep = independence_test(records, n_bootstrap=n_bootstrap, seed=1)
+        assert rep.n_rejected == 0
+        return len(calls)
+
+    assert fits(20) == fits(1) == 4
 
 
 def test_crossover_effects_hand_values():

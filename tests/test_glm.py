@@ -14,8 +14,8 @@ from pcekit.errors import DegenerateResponseError, InsufficientDataError, Singul
 from pcekit.glm import (
     DesignMatrix,
     fit_logistic,
+    fit_logistic_counts,
     fit_ols,
-    predict_prob,
     predict_probs,
     t_two_sided_p,
 )
@@ -218,6 +218,56 @@ def test_logistic_warm_start_converges_fast():
     assert warm.coefficients == pytest.approx(cold.coefficients)
 
 
+def _resample_fit(design, a, row, start):
+    """fit_logistic on the resample a count row describes; None where it raises."""
+    idx = np.repeat(np.arange(design.n), row.astype(int))
+    try:
+        return fit_logistic(DesignMatrix(design.names, design.values[idx]), a[idx], start=start)
+    except (DegenerateResponseError, SingularDesignError):
+        return None
+
+
+def test_count_weighted_fits_match_per_resample_fits():
+    rng = np.random.default_rng(3)
+    n = 60
+    x = rng.normal(40.0, 20.0, n)
+    a = (0.8 - 0.02 * x + rng.normal(size=n) > 0).astype(float)
+    design = DesignMatrix.with_intercept(("x1",), [x])
+    start = fit_logistic(design, a).coefficients
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=12).astype(float)
+    # resamples fit_logistic rejects or cannot converge on:
+    counts[8] = 0.0
+    counts[8, a == 1.0] = 1.0  # constant response
+    counts[9] = 0.0
+    counts[9, np.flatnonzero(a == 0.0)[0]] = 30.0
+    counts[9, np.flatnonzero(a == 1.0)[0]] = 30.0  # two distinct rows: separated
+    counts[10] = 0.0
+    counts[10, 0] = n  # one distinct row: rank deficient and constant
+    coef, converged = fit_logistic_counts(design.values, a, counts, start)
+    for r, row in enumerate(counts):
+        ref = _resample_fit(design, a, row, start)
+        assert converged[r] == (ref is not None and ref.converged), r
+        if converged[r]:
+            np.testing.assert_allclose(coef[r], ref.coefficients, rtol=1e-9, atol=1e-12)
+    assert converged[:8].all() and not converged[8:11].any()
+
+
+def test_count_weighted_fits_leave_rank_deficient_resamples_to_fit_logistic():
+    # subjects 0 and 1 share x but not a: a resample of only them has both
+    # responses and a constant x column
+    x = np.asarray([1.0, 1.0, 2.0, 3.0, 0.0, 2.5])
+    a = np.asarray([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    design = DesignMatrix.with_intercept(("x1",), [x])
+    start = fit_logistic(design, a).coefficients
+    counts = np.asarray([[3.0, 3.0, 0.0, 0.0, 0.0, 0.0], [1.0] * 6])
+    coef, converged = fit_logistic_counts(design.values, a, counts, start)
+    assert converged.tolist() == [False, True]
+    idx = [0, 0, 0, 1, 1, 1]
+    with pytest.raises(SingularDesignError):
+        fit_logistic(DesignMatrix(design.names, design.values[idx]), a[idx])
+    np.testing.assert_allclose(coef[1], start, rtol=1e-12)
+
+
 def test_logistic_deviance_path_is_monotone():
     case = LOGISTIC_ORACLE["eight_point"]
     design = DesignMatrix.with_intercept(("x1",), [np.asarray(case["x"], dtype=float)])
@@ -227,18 +277,14 @@ def test_logistic_deviance_path_is_monotone():
     assert fit.deviance == path[-1]
 
 
-def test_predict_prob_matches_matrix_version():
+def test_predict_probs_reproduces_group_rates():
     case = LOGISTIC_ORACLE["six_point"]
     design = DesignMatrix.with_intercept(("x1",), [np.asarray(case["x"], dtype=float)])
     fit = fit_logistic(design, np.asarray(case["a"], dtype=float))
-    single = predict_prob(fit, [1.0, 1.0])
     batch = predict_probs(fit, np.asarray([[1.0, 0.0], [1.0, 1.0]]))
-    assert single == pytest.approx(batch[1], abs=1e-15)
     # saturated two-level fit reproduces the group rates
     assert batch[0] == pytest.approx(1 / 3, abs=1e-9)
     assert batch[1] == pytest.approx(2 / 3, abs=1e-9)
-    with pytest.raises(ValueError):
-        predict_prob(fit, [1.0])
     with pytest.raises(ValueError):
         predict_probs(fit, np.ones((2, 3)))
 
