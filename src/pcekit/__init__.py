@@ -61,7 +61,6 @@ from .estimators import (
     estimate_pce_table,
     estimate_stratum_probs,
     fit_principal_score,
-    hayden_weight,
     principal_scores,
 )
 from .glm import (

@@ -94,8 +94,14 @@ def _parse_covariates(arg: str | None) -> tuple[str, ...] | None:
 
 def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = simulator.DgpConfig.from_dict(json.load(fh))
+        with open(args.config, "rb") as fh:
+            text = core.decode_utf8(fh.read(), args.config)
+        try:
+            config = simulator.DgpConfig.from_dict(json.loads(text))
+        except (ValueError, RecursionError) as exc:  # bad syntax, huge integers, deep nesting
+            raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
     else:
         config = simulator.scenario(args.scenario)
     updates: dict = {}

@@ -25,15 +25,16 @@ from .core import (
     classify_strata,
 )
 from .errors import (
+    BootstrapError,
     DegenerateResponseError,
     DiagnosticError,
     InsufficientDataError,
     MissingDataError,
     SingularDesignError,
 )
-from .estimators import ProbMethod, _covariate_matrix, _prob_vector
+from .estimators import ProbMethod, _cell_table, _covariate_matrix, _prob_vector
 from .glm import DesignMatrix, fit_logistic, fit_logistic_counts, fit_ols, t_two_sided_p
-from .resampling import exceedance_p, resample_index_matrix
+from .resampling import draw_replicates, exceedance_p
 
 
 class MonotonicityDirection(Enum):
@@ -217,17 +218,6 @@ class IndependenceReport:
         }
 
 
-# each chunk of resamples holds about this many (replicate, subject) counts,
-# which bounds the batched refits' memory whatever n_bootstrap is
-_CHUNK_ELEMENTS = 2**14
-
-
-def _cell_table(g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Stratum probabilities g0^k (1-g0)^(1-k) g1^l (1-g1)^(1-l), in
-    JOINT_LABELS order along a new last axis, from arm adherence probabilities."""
-    return np.stack([(1.0 - g0) * (1.0 - g1), (1.0 - g0) * g1, g0 * (1.0 - g1), g0 * g1], axis=-1)
-
-
 def _resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
     """(b, n) multinomial counts: how often each subject occurs in each index row."""
     b = idx.shape[0]
@@ -319,48 +309,34 @@ def independence_test(
                 )
             warm[arm] = fit.coefficients
 
-    d_null = np.empty(n_bootstrap)
-    ssq_null = np.empty(n_bootstrap)
-    n_rejected = 0
-    reject_cap = 0.1 * n_bootstrap
-    collected = 0
-    attempt = 0
-    chunk = max(1, _CHUNK_ELEMENTS // n)
-    while collected < n_bootstrap:
-        # never more attempts than successes still needed: the attempts made
-        # are exactly those of a one-at-a-time redraw loop
-        count = min(chunk, n_bootstrap - collected)
-        idx = resample_index_matrix(seed, attempt, count, n)
-        attempt += count
+    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+        """Centered max and sum-of-squares gaps of a chunk of resamples."""
         counts = _resample_counts(idx, n)
         obs_b = counts @ cells / n
+        failed: dict[int, str] = {}
         if method is ProbMethod.INDEP:
             est_b = _cell_table(counts @ a0 / n, counts @ a1 / n)
-            fitted = np.ones(count, dtype=bool)
         else:
             beta0, ok0 = fit_logistic_counts(design.values, a0, counts, warm[0])
             beta1, ok1 = fit_logistic_counts(design.values, a1, counts, warm[1])
             g0 = expit(beta0 @ design.values.T)
             g1 = expit(beta1 @ design.values.T)
             est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
-            fitted = ok0 & ok1
-        for r in np.flatnonzero(~fitted):
-            try:
-                est_b[r] = _refit_cells(design, a0, a1, idx[r], warm)
-            except (DegenerateResponseError, SingularDesignError, InsufficientDataError):
-                continue  # rejected: a later chunk draws its replacement
-            fitted[r] = True
-        n_rejected += int(np.sum(~fitted))
-        if n_rejected > reject_cap:
-            raise DiagnosticError(
-                f"model refit failed on {int(reject_cap) + 1} resamples (>10% of "
-                f"{n_bootstrap}); the data are too sparse for this test"
-            )
-        centered = (obs_b - est_b)[fitted] - gap0
-        kept = slice(collected, collected + len(centered))
-        d_null[kept] = np.max(np.abs(centered), axis=1)
-        ssq_null[kept] = np.sum(centered**2, axis=1)
-        collected += len(centered)
+            for r in np.flatnonzero(~(ok0 & ok1)):
+                try:
+                    est_b[r] = _refit_cells(design, a0, a1, idx[r], warm)
+                except (
+                    DegenerateResponseError, SingularDesignError, InsufficientDataError
+                ) as exc:
+                    failed[int(r)] = type(exc).__name__  # redrawn by the engine
+        centered = obs_b - est_b - gap0
+        gaps = np.column_stack([np.max(np.abs(centered), axis=1), np.sum(centered**2, axis=1)])
+        return gaps, failed
+
+    try:
+        null, rejected = draw_replicates(seed, n, n_bootstrap, evaluate, redraw=True)
+    except BootstrapError as exc:
+        raise DiagnosticError(f"{exc}; the data are too sparse for this test") from exc
 
     observed = {lab: float(obs_vec[i]) for i, lab in enumerate(JOINT_LABELS)}
     estimated = {lab: float(est_vec[i]) for i, lab in enumerate(JOINT_LABELS)}
@@ -369,12 +345,12 @@ def independence_test(
         observed=observed,
         estimated=estimated,
         discrepancy=d_obs,
-        p_value=exceedance_p(d_null, d_obs),
+        p_value=exceedance_p(null[:, 0], d_obs),
         secondary_discrepancy=ssq_obs,
-        secondary_p_value=exceedance_p(ssq_null, ssq_obs),
+        secondary_p_value=exceedance_p(null[:, 1], ssq_obs),
         n_subjects=n,
         n_bootstrap=n_bootstrap,
-        n_rejected=n_rejected,
+        n_rejected=sum(rejected.values()),
     )
 
 

@@ -160,15 +160,6 @@ def _clip_scores(g: np.ndarray) -> np.ndarray:
     return np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP)
 
 
-def hayden_weight(g: float, coord: int) -> float:
-    """Stratum weight from a cross-arm score: g if coord=1, else 1-g."""
-    if not 0.0 < g < 1.0:
-        raise ValueError(f"principal score must be strictly inside (0,1), got {g!r}")
-    if coord not in (0, 1):
-        raise ValueError(f"stratum coordinate must be 0 or 1, got {coord!r}")
-    return g if coord == 1 else 1.0 - g
-
-
 def estimate_mu_hayden(
     obs: Sequence[ParallelObservation],
     cross_model: PrincipalScoreModel,
@@ -291,6 +282,13 @@ def _fit_both_arms(
     return (m0, m1), x
 
 
+def _cell_table(g0: np.ndarray | float, g1: np.ndarray | float) -> np.ndarray:
+    """Stratum probabilities g0^k (1-g0)^(1-k) g1^l (1-g1)^(1-l), in
+    JOINT_LABELS order along a new last axis, from arm adherence probabilities
+    that are taken as independent."""
+    return np.stack([(1.0 - g0) * (1.0 - g1), (1.0 - g0) * g1, g0 * (1.0 - g1), g0 * g1], axis=-1)
+
+
 def _prob_vector(
     data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
 ) -> np.ndarray:
@@ -311,23 +309,12 @@ def _prob_vector(
     if method is ProbMethod.INDEP:
         p0 = float(np.mean(cols.a[observed[:, 0], 0]))
         p1 = float(np.mean(cols.a[observed[:, 1], 1]))
-        return np.asarray(
-            [
-                p0**lab.a0 * (1 - p0) ** (1 - lab.a0) * p1**lab.a1 * (1 - p1) ** (1 - lab.a1)
-                for lab in JOINT_LABELS
-            ]
-        )
+        return _cell_table(p0, p1)
 
-    # conditional independence given X: average the product of per-arm scores
+    # conditional independence given X: average the product of per-arm scores;
+    # each cell is summed as one contiguous row, in the order of a 1-D mean
     (m0, m1), x = _fit_both_arms(cols, observed, covariates)
-    g0 = _scores(m0, x)
-    g1 = _scores(m1, x)
-    cells = []
-    for lab in JOINT_LABELS:
-        w0 = g0 if lab.a0 == 1 else 1.0 - g0
-        w1 = g1 if lab.a1 == 1 else 1.0 - g1
-        cells.append(float(np.mean(w0 * w1)))
-    return np.asarray(cells)
+    return np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
 
 
 def estimate_stratum_probs(

@@ -1,18 +1,19 @@
-"""Deterministic subject-level bootstrap with percentile intervals.
+"""Deterministic subject-level resampling with percentile intervals.
 
 Replicate index streams are derived from (seed, replicate_index) through a
 SplitMix64 mix, so any replicate can be regenerated in isolation and results
-are independent of evaluation order or chunking. Resamples where the
-statistic is inestimable are recorded and excluded, not retried; if more
-than 10% of replicates fail the whole bootstrap errors out.
+are independent of evaluation order or chunking. Every resample, for the
+bootstrap and for the independence test alike, is drawn by one engine,
+``draw_replicates``, in chunks of one fixed budget of index draws. Failed
+replicates are counted by exception name under one of two policies: the
+bootstrap records them as NaN and excludes them, the independence test
+redraws them. Past 10% failures the engine errors out.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -82,7 +83,6 @@ class BootstrapResult:
     n_failures: int
     failure_counts: dict[str, int]
     warnings: tuple[str, ...]
-    replicates: np.ndarray | None = None
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -113,81 +113,78 @@ def exceedance_p(values: Sequence[float] | np.ndarray, observed: float) -> float
     return (int(np.sum(arr >= observed)) + 1) / (arr.size + 1)
 
 
-def _chunk_size(n: int) -> int:
-    return max(1, 8_000_000 // max(n, 1))
+# each chunk of index rows holds about this many (replicate, subject) draws,
+# which bounds a chunk's memory whatever the replicate count is
+_CHUNK_ELEMENTS = 2**14
+
+
+def draw_replicates(
+    seed: int,
+    n: int,
+    n_replicates: int,
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, dict[int, str]]],
+    redraw: bool = False,
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Evaluate a statistic on ``n_replicates`` resamples of n subjects.
+
+    Index rows are drawn in chunks by ``resample_index_matrix``. ``evaluate``
+    maps a (b, n) chunk of rows to (b, m) values and a ``{row: exception
+    name}`` map of the rows it failed on. A failed row stays NaN, or with
+    ``redraw`` is dropped and replaced by the next stream. A chunk never
+    holds more rows than replicates still needed, so the rows drawn are
+    those of a one-at-a-time loop. Returns the (n_replicates, m) values and
+    the failures counted by name; more than 10% failures raise BootstrapError.
+    """
+    kept: list[np.ndarray] = []
+    failure_counts: dict[str, int] = {}
+    n_failures = 0
+    filled = 0
+    attempt = 0
+    chunk = max(1, _CHUNK_ELEMENTS // n)
+    while filled < n_replicates:
+        count = min(chunk, n_replicates - filled)
+        idx = resample_index_matrix(seed, attempt, count, n)
+        attempt += count
+        values, failed = evaluate(idx)
+        for name in failed.values():
+            failure_counts[name] = failure_counts.get(name, 0) + 1
+        n_failures += len(failed)
+        if n_failures > 0.1 * n_replicates:
+            dominant = max(failure_counts, key=failure_counts.get)  # type: ignore[arg-type]
+            raise BootstrapError(
+                f"statistic failed on {n_failures} of the first {attempt} replicates "
+                f"(>10% of {n_replicates}); dominant failure: {dominant}"
+            )
+        if redraw:
+            values = np.delete(values, list(failed), axis=0)
+        else:
+            values[list(failed)] = np.nan
+        kept.append(values)
+        filled += len(values)
+    return np.concatenate(kept), failure_counts
 
 
 def bootstrap(
     records: Sequence[T],
     statistic: Callable[[list[T]], float],
     spec: BootstrapSpec,
-    keep_replicates: bool = False,
-    replicate_csv: str | Path | None = None,
 ) -> BootstrapResult:
-    """Subject-level bootstrap of a scalar statistic.
+    """Subject-level bootstrap of a scalar statistic: ``bootstrap_vector``
+    with one component.
 
     The statistic must be defined on the original records (errors propagate);
     on resamples, package errors mark the replicate inestimable.
     """
-    records = list(records)
-    n = len(records)
-    if n == 0:
-        raise ValueError("cannot bootstrap an empty record list")
-    point = float(statistic(records))
-
-    b_total = spec.n_replicates
-    values = np.full(b_total, np.nan)
-    failure_counts: dict[str, int] = {}
-    n_failures = 0
-    fail_cap = 0.1 * b_total
-    done = 0
-    while done < b_total:
-        count = min(_chunk_size(n), b_total - done)
-        idx = resample_index_matrix(spec.seed, done, count, n)
-        for r in range(count):
-            sample = [records[i] for i in idx[r].tolist()]
-            try:
-                values[done + r] = float(statistic(sample))
-            except (PcekitError, ArithmeticError) as exc:
-                name = type(exc).__name__
-                failure_counts[name] = failure_counts.get(name, 0) + 1
-                n_failures += 1
-                if n_failures > fail_cap:
-                    dominant = max(failure_counts, key=failure_counts.get)  # type: ignore[arg-type]
-                    raise BootstrapError(
-                        f"statistic failed on {n_failures} of the first {done + r + 1} "
-                        f"replicates (>10% of {b_total}); dominant failure: {dominant}"
-                    ) from exc
-        done += count
-
-    estimable = values[~np.isnan(values)]
-    se = float(np.std(estimable, ddof=1)) if estimable.size >= 2 else 0.0
-    ci = percentile_interval(estimable, spec.ci_level)
-    warns: list[str] = []
-    if b_total < 20:
-        warns.append(
-            f"only {b_total} replicates; the percentile interval is unstable below 20"
-        )
-    if replicate_csv is not None:
-        _write_replicates(values, replicate_csv)
+    res = bootstrap_vector(records, lambda sample: np.asarray([float(statistic(sample))]), spec)
     return BootstrapResult(
-        point=point,
-        se=se,
-        ci=ci,
-        n_effective=int(estimable.size),
-        n_failures=n_failures,
-        failure_counts=failure_counts,
-        warnings=tuple(warns),
-        replicates=values if keep_replicates else None,
+        point=float(res.points[0]),
+        se=float(res.se[0]),
+        ci=(float(res.ci[0, 0]), float(res.ci[0, 1])),
+        n_effective=int(res.n_effective[0]),
+        n_failures=res.n_failures,
+        failure_counts=res.failure_counts,
+        warnings=res.warnings,
     )
-
-
-def _write_replicates(values: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate_index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, "NA" if math.isnan(v) else repr(float(v))])
 
 
 @dataclass(frozen=True)
@@ -199,6 +196,7 @@ class VectorBootstrapResult:
     ci: np.ndarray  # shape (m, 2)
     n_effective: np.ndarray
     n_failures: int
+    failure_counts: dict[str, int]
     warnings: tuple[str, ...]
 
 
@@ -209,11 +207,11 @@ def bootstrap_vector(
 ) -> VectorBootstrapResult:
     """Bootstrap a vector statistic; NaN components mark inestimable pieces.
 
-    Uses the same per-replicate index streams as ``bootstrap`` under the same
-    spec. Columns are resampled by row, with ``TrialColumns.take``; any other
+    Columns are resampled by row, with ``TrialColumns.take``; any other
     sequence is resampled as a list. A raised package error fails the whole
-    replicate; per-component inestimability should be encoded as NaN so the
-    other components survive.
+    replicate, which stays NaN and is counted by exception name;
+    per-component inestimability should be encoded as NaN so the other
+    components survive.
     """
     columnar = isinstance(records, TrialColumns)
     if not columnar:
@@ -224,25 +222,19 @@ def bootstrap_vector(
     points = np.asarray(statistic(records), dtype=float)
     m = points.shape[0]
 
-    b_total = spec.n_replicates
-    values = np.full((b_total, m), np.nan)
-    n_failures = 0
-    fail_cap = 0.1 * b_total
-    done = 0
-    while done < b_total:
-        count = min(_chunk_size(n), b_total - done)
-        idx = resample_index_matrix(spec.seed, done, count, n)
-        for r in range(count):
+    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+        out = np.full((idx.shape[0], m), np.nan)
+        failed: dict[int, str] = {}
+        for r in range(idx.shape[0]):
             sample = records.take(idx[r]) if columnar else [records[i] for i in idx[r].tolist()]
             try:
-                values[done + r] = np.asarray(statistic(sample), dtype=float)
-            except (PcekitError, ArithmeticError):
-                n_failures += 1
-                if n_failures > fail_cap:
-                    raise BootstrapError(
-                        f"vector statistic failed on more than 10% of {b_total} replicates"
-                    )
-        done += count
+                out[r] = np.asarray(statistic(sample), dtype=float)
+            except (PcekitError, ArithmeticError) as exc:
+                failed[r] = type(exc).__name__
+        return out, failed
+
+    b_total = spec.n_replicates
+    values, failure_counts = draw_replicates(spec.seed, n, b_total, evaluate)
 
     se = np.zeros(m)
     ci = np.zeros((m, 2))
@@ -263,5 +255,11 @@ def bootstrap_vector(
             f"only {b_total} replicates; the percentile interval is unstable below 20"
         )
     return VectorBootstrapResult(
-        points=points, se=se, ci=ci, n_effective=n_eff, n_failures=n_failures, warnings=tuple(warns)
+        points=points,
+        se=se,
+        ci=ci,
+        n_effective=n_eff,
+        n_failures=sum(failure_counts.values()),
+        failure_counts=failure_counts,
+        warnings=tuple(warns),
     )

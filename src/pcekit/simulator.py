@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -66,6 +67,8 @@ class DgpConfig:
     def __post_init__(self) -> None:
         if self.n_subjects < 2:
             raise ConfigError("n_subjects must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.sigma_x <= 0:
             raise ConfigError("sigma_x must be positive")
         for name in ("eta", "beta", "gamma", "delta", "sigma", "missing_y_prob"):
@@ -106,14 +109,36 @@ class DgpConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DgpConfig":
-        kwargs = {}
-        fields = {f.name for f in dataclasses.fields(cls)}
+    def from_dict(cls, d: object) -> "DgpConfig":
+        """A config from a decoded JSON object. Keys and value types are
+        checked here; value ranges are checked on construction."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}  # annotation strings
         for k, v in d.items():
-            if k not in fields:
+            if k not in kinds:
                 raise ConfigError(f"unknown config key {k!r}")
-            kwargs[k] = tuple(v) if isinstance(v, list) else v
-        return cls(**kwargs)
+            if not _is_kind(v, kinds[k]):
+                raise ConfigError(f"config key {k!r} must be {kinds[k]}, got {v!r}")
+        if "n_subjects" not in d:
+            raise ConfigError("config lacks the key 'n_subjects'")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
+def _is_kind(v: object, kind: str) -> bool:
+    """Whether a decoded JSON value fits a DgpConfig annotation; floats must be finite."""
+    if kind == "str":
+        return isinstance(v, str)
+    if kind == "tuple[float, float]":
+        return isinstance(v, list) and all(_is_kind(e, "float") for e in v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    if kind == "int":
+        return isinstance(v, int)
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:

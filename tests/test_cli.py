@@ -77,6 +77,27 @@ def test_simulate_from_config_file(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "replicate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n_subjects": 40', "not valid JSON"),
+        ("[1,2]", "a config must be a JSON object, not list"),
+        ('{"n_subjects": "x"}', "config key 'n_subjects' must be int, got 'x'"),
+        ("[" * 100_000, "not valid JSON"),
+    ],
+)
+def test_malformed_config_file_is_a_data_error(command, text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    argv = [command, "--config", path, "--oracle-n", 10_000]
+    argv += ["--out", tmp_path / "t.csv"] if command == "simulate" else ["--replicates", 1]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_estimate_csv_and_json(tmp_path, trial_csv, capsys):
     out = tmp_path / "est.csv"
     assert run(["estimate", "--input", trial_csv, "--format", "csv", "--out", out]) == 0

@@ -4,12 +4,15 @@ Whatever the input file or the arguments, ``pcekit`` exits 0 (success), 1
 (bad data or a failed analysis, reported as ``error: ...``) or 2 (a usage
 error), and never ends in a Python traceback. The mutations start from a
 valid crossover file and change cells, raw bytes (including bytes that are
-not UTF-8) and arguments. Examples are derandomized, so every run of the
-suite tries the same inputs.
+not UTF-8) and arguments; for ``simulate`` and ``replicate`` they start
+from a valid ``--config`` JSON file and change its keys, values and raw
+bytes. Examples are derandomized, so every run of the suite tries the same
+inputs.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -136,3 +139,67 @@ def test_mutated_arguments_keep_the_exit_contract(base_csv, tmp_path, data, comm
     if "--bootstrap" not in argv:
         argv += ["--bootstrap", "4"]
     check_contract(argv)
+
+
+CONFIG_KEYS = ["n_subjects", "seed", "mu_x", "sigma_x", "eta", "sigma", "rho_within",
+               "rho_strata", "missing_y_prob", "covariate_name", "bogus", "", "ETA"]
+CONFIG_VALUES = [None, True, "x", "x_z", -1, 0, 1, 2, 0.5, -0.5, 1.5, 1e308, -1e308,
+                 10**30, float("nan"), float("inf"), [], [1], [1, 2], [0.5, 0.999],
+                 [0, -1], [1, 2, 3], ["a", "b"], [None, 1], {}]
+CONFIG_RUNS = {
+    "simulate": ["--out", "{dir}/sim.csv"],
+    "replicate": ["--replicates", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def base_config() -> dict:
+    return scenario("paper_like", n_subjects=16, seed=2).to_dict()
+
+
+def check_config_contract(command: str, path) -> None:
+    argv = [command, "--config", str(path), "--n", "16", "--oracle-n", "10000"]
+    check_contract(argv + [a.format(dir=path.parent) for a in CONFIG_RUNS[command]])
+
+
+CONFIG_COMMAND = st.sampled_from(sorted(CONFIG_RUNS))
+
+
+@FUZZ
+@given(
+    command=CONFIG_COMMAND,
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(CONFIG_KEYS),
+            st.sampled_from(["set", "rename", "drop"]),
+            st.sampled_from(CONFIG_VALUES),
+        ),
+        max_size=3,
+    ),
+)
+def test_mutated_config_keeps_the_exit_contract(base_config, tmp_path, command, edits):
+    config = dict(base_config)
+    for key, action, value in edits:
+        if action == "set":
+            config[key] = value
+        elif key in config:
+            moved = config.pop(key)
+            if action == "rename":
+                config[key.upper() or "_"] = moved
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    check_config_contract(command, path)
+
+
+@FUZZ
+@given(
+    command=CONFIG_COMMAND,
+    edits=st.lists(st.tuples(st.integers(0, 600), st.sampled_from(BYTES)), max_size=3),
+    cut=st.none() | st.integers(0, 400),
+)
+def test_mutated_config_bytes_keep_the_exit_contract(
+    base_config, tmp_path, command, edits, cut
+):
+    path = tmp_path / "config.json"
+    path.write_bytes(mutate_bytes(json.dumps(base_config).encode("utf-8"), edits, cut))
+    check_config_contract(command, path)

@@ -30,7 +30,6 @@ from pcekit.estimators import (
     estimate_pce_table,
     estimate_stratum_probs,
     fit_principal_score,
-    hayden_weight,
     principal_scores,
 )
 from pcekit.glm import LogisticFit
@@ -62,17 +61,6 @@ def saturated_cross_model():
         obs("c6", 1, 0, x=1.0),
     ]
     return fit_principal_score(cross)
-
-
-def test_hayden_weight_formula():
-    assert hayden_weight(0.3, 1) == 0.3
-    assert hayden_weight(0.3, 0) == 0.7
-    with pytest.raises(ValueError):
-        hayden_weight(0.0, 1)
-    with pytest.raises(ValueError):
-        hayden_weight(1.0, 0)
-    with pytest.raises(ValueError):
-        hayden_weight(0.5, 2)
 
 
 def test_fit_principal_score_validation():

@@ -9,6 +9,7 @@ from pcekit.resampling import (
     BootstrapSpec,
     bootstrap,
     bootstrap_vector,
+    draw_replicates,
     exceedance_p,
     percentile_interval,
     resample_index_matrix,
@@ -99,34 +100,77 @@ def test_small_replicate_count_warns_in_result():
     assert res.n_effective == 10
 
 
-def test_failed_replicates_are_counted_not_fatal():
+def scalar_run(records, statistic, spec):
+    res = bootstrap(records, statistic, spec)
+    return res.n_failures, res.n_effective, res.failure_counts
+
+
+def vector_run(records, statistic, spec):
+    res = bootstrap_vector(records, lambda s: np.asarray([statistic(s), 1.0]), spec)
+    assert res.n_effective[0] == res.n_effective[1]
+    return res.n_failures, int(res.n_effective[0]), res.failure_counts
+
+
+@pytest.mark.parametrize("run", [scalar_run, vector_run], ids=["scalar", "vector"])
+def test_failed_replicates_are_counted_not_fatal(run):
     records = list(range(20))
     spec = BootstrapSpec(n_replicates=100, seed=5)
 
     def statistic(sample):
         if sample[0] == 19:  # fails on ~5% of resamples
             raise InestimableStratumError("triggered")
+        if sample[0] == 18:
+            raise ZeroDivisionError("triggered")
         return float(np.mean(sample))
 
-    res = bootstrap(records, statistic, spec)
-    expected_failures = sum(
-        int(resample_indices(5, b, 20)[0] == 19) for b in range(100)
-    )
-    assert res.n_failures == expected_failures > 0
-    assert res.n_effective == 100 - expected_failures
-    assert res.failure_counts == {"InestimableStratumError": expected_failures}
+    n_failures, n_effective, failure_counts = run(records, statistic, spec)
+    first = [int(resample_indices(5, b, 20)[0]) for b in range(100)]
+    assert first.count(19) > 0 and first.count(18) > 0
+    assert n_failures == first.count(19) + first.count(18) <= 10
+    assert n_effective == 100 - n_failures
+    assert failure_counts == {
+        "InestimableStratumError": first.count(19),
+        "ZeroDivisionError": first.count(18),
+    }
 
 
-def test_bootstrap_errors_out_past_failure_cap():
+@pytest.mark.parametrize("run", [scalar_run, vector_run], ids=["scalar", "vector"])
+def test_bootstrap_errors_out_past_failure_cap(run):
     records = list(range(4))
 
     def statistic(sample):
         if 0 not in sample:  # fails on ~32% of resamples
             raise InestimableStratumError("no zero drawn")
+        if sample[0] == 3:
+            raise ZeroDivisionError("rarer")
         return float(np.mean(sample))
 
-    with pytest.raises(BootstrapError, match="InestimableStratumError"):
-        bootstrap(records, statistic, BootstrapSpec(n_replicates=200, seed=3))
+    with pytest.raises(BootstrapError, match="dominant failure: InestimableStratumError"):
+        run(records, statistic, BootstrapSpec(n_replicates=200, seed=3))
+
+
+def test_redraw_keeps_the_first_successes_in_attempt_order():
+    n, n_replicates, seed = 9, 40, 4
+
+    def fails(row):
+        return row[0] == 0  # about one row in nine
+
+    def evaluate(idx):
+        failed = {r: "InestimableStratumError" for r in range(len(idx)) if fails(idx[r])}
+        return idx[:, :2].astype(float), failed
+
+    values, failure_counts = draw_replicates(seed, n, n_replicates, evaluate, redraw=True)
+    kept, rejected, attempt = [], 0, 0
+    while len(kept) < n_replicates:
+        row = resample_indices(seed, attempt, n)
+        attempt += 1
+        if fails(row):
+            rejected += 1
+        else:
+            kept.append(row[:2])
+    assert rejected > 0
+    assert failure_counts == {"InestimableStratumError": rejected}
+    assert np.array_equal(values, np.asarray(kept, dtype=float))
 
 
 def test_point_estimate_errors_propagate():
@@ -137,23 +181,6 @@ def test_point_estimate_errors_propagate():
         bootstrap([1.0, 2.0], statistic, BootstrapSpec(n_replicates=10, seed=0))
     with pytest.raises(ValueError):
         bootstrap([], lambda s: 0.0, BootstrapSpec(n_replicates=10, seed=0))
-
-
-def test_replicate_csv_dump(tmp_path):
-    path = tmp_path / "reps.csv"
-    res = bootstrap(
-        [1.0, 2.0, 3.0, 4.0],
-        lambda s: float(np.mean(s)),
-        BootstrapSpec(n_replicates=25, seed=2),
-        keep_replicates=True,
-        replicate_csv=path,
-    )
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "replicate_index,value"
-    assert len(lines) == 26
-    assert res.replicates is not None and res.replicates.shape == (25,)
-    # file values round-trip to the kept replicates
-    assert float(lines[1].split(",")[1]) == res.replicates[0]
 
 
 def test_vector_bootstrap_tracks_components_separately():
@@ -177,7 +204,7 @@ def test_vector_bootstrap_tracks_components_separately():
 def test_vector_bootstrap_shares_index_streams_with_scalar():
     records = [3.0, 1.0, 4.0, 1.0, 5.0]
     spec = BootstrapSpec(n_replicates=30, seed=12)
-    scalar = bootstrap(records, lambda s: float(np.mean(s)), spec, keep_replicates=True)
+    scalar = bootstrap(records, lambda s: float(np.mean(s)), spec)
     vector = bootstrap_vector(records, lambda s: np.asarray([float(np.mean(s))]), spec)
     assert scalar.se == pytest.approx(float(vector.se[0]), abs=1e-15)
     assert scalar.ci == (float(vector.ci[0, 0]), float(vector.ci[0, 1]))

@@ -159,3 +159,14 @@ def test_config_dict_round_trip():
     assert DgpConfig.from_dict(d) == cfg
     with pytest.raises(ConfigError, match="unknown config key"):
         DgpConfig.from_dict({**d, "bogus": 1})
+    for bad, message in [
+        ({}, "lacks the key 'n_subjects'"),
+        ({**d, "n_subjects": 40.0}, "'n_subjects' must be int"),
+        ({**d, "mu_x": float("nan")}, "'mu_x' must be float"),
+        ({**d, "mu_x": 10**400}, "'mu_x' must be float"),
+        ({**d, "eta": [0.5, "x"]}, "'eta' must be tuple"),
+        ({**d, "covariate_name": 3}, "'covariate_name' must be str"),
+        ({**d, "seed": -1}, "seed must be non-negative"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            DgpConfig.from_dict(bad)
