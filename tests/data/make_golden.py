@@ -1,4 +1,4 @@
-"""Write the frozen `estimate` and `diagnose` inputs and outputs that
+"""Write the frozen inputs and the frozen outputs of every command that
 test_golden.py compares.
 
 Run from the repository root, only when an output change is intended:
@@ -22,7 +22,14 @@ from pcekit.simulator import generate_trial, scenario
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from test_golden import CASES, DIAGNOSE_CASES, diagnose_argv  # noqa: E402
+from test_golden import (  # noqa: E402
+    CASES,
+    DIAGNOSE_CASES,
+    REPORT_CASES,
+    diagnose_argv,
+    report_argv,
+    simulate_argvs,
+)
 
 
 def _blank(rec, i):
@@ -75,6 +82,12 @@ def write_outputs() -> None:
     for name in DIAGNOSE_CASES:
         if main(diagnose_argv(name, HERE / f"{name}.out.json")) != 0:
             sys.exit(f"diagnose failed for {name}")
+    for name in REPORT_CASES:
+        if main(report_argv(name, HERE / name)) != 0:
+            sys.exit(f"{REPORT_CASES[name][0]} failed for {name}")
+    for argv in simulate_argvs(HERE):
+        if main(argv) != 0:
+            sys.exit("simulate failed")
 
 
 if __name__ == "__main__":
