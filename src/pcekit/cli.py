@@ -4,13 +4,24 @@ All randomness in a command flows from one --seed, so a rerun with the same
 arguments and inputs produces byte-identical output files. Exit codes: 0 on
 success, 1 for data, estimation or file errors, 2 for usage errors (argument
 values are checked by the parser). Neither error code prints a traceback.
+
+Every report, and simulate's truth table, is rendered by one function,
+`_render`, from three views of the same result: a JSON document, CSV rows
+(dicts sharing their keys) and markdown text. JSON is strict: keys are
+sorted, and a missing or non-finite number (NaN, +-inf) is `null`. CSV has
+one header row; a cell is quoted only when it holds a comma, a quote or a
+line break; a missing value or NaN is `NA`, and a float is written as its
+`repr`, which reads back to the same number. The markdown view rounds for
+reading.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -25,6 +36,7 @@ from .errors import ConfigError, PcekitError
 
 OUT_DIR_ENV = "PCEKIT_OUT_DIR"
 FORMATS = ("md", "csv", "json")
+METHODS = ("ps", "direct", "both")
 
 
 def _out_dir() -> Path:
@@ -37,24 +49,47 @@ def _fmt_float(v: float | None, places: int = 4) -> str:
     return f"{v:.{places}f}"
 
 
-def _repr_or_na(v: float | None) -> str:
+def _finite_or_none(obj: object) -> object:
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def _csv_cell(v: object) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "NA"
-    return repr(float(v))
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
+def _render(fmt: str, doc: object, rows: Sequence[dict], md: str) -> str:
+    """One report as text: doc as JSON, rows (dicts sharing their keys) as
+    CSV under a header of those keys, or md as it is."""
+    if fmt == "json":
+        text = json.dumps(_finite_or_none(doc), indent=2, sort_keys=True, allow_nan=False)
+        return text + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
+        return buf.getvalue()
+    return md + "\n"
+
+
+def _emit(args: argparse.Namespace, doc: object, rows: Sequence[dict], md: str) -> int:
+    """Write a command's report in --format to --out, or to stdout."""
+    text = _render(args.format, doc, rows, md)
+    if args.out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
-        print(f"wrote {out}")
-
-
-def _json_text(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote {args.out}")
+    return 0
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -128,7 +163,7 @@ def _load_dataset(args: argparse.Namespace):
         data = core.load_crossover_csv(args.input)
     else:
         data = core.load_parallel_csv(args.input)
-    if getattr(args, "derive_a", None):
+    if args.derive_a:
         rule = _parse_derive_rule(args.derive_a)
         if shape == "crossover":
             data = core.derive_adherence(data, rule)
@@ -146,13 +181,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = args.out or str(_out_dir() / "trial.csv")
     truth_out = args.truth_out or str(Path(out).with_suffix("")) + "_truth.json"
-    records = simulator.generate_trial(config)
-    core.write_crossover_csv(records, out)
+    # compute and render everything before writing either file
     truth = simulator.true_pce(config, args.oracle_n)
-    if truth_out.endswith(".csv"):
-        truth.write_csv(truth_out)
-    else:
-        truth.write_json(truth_out)
+    records = simulator.generate_trial(config)
+    doc = truth.to_dict()
+    rows = [{"stratum": stratum, **cell} for stratum, cell in doc["strata"].items()]
+    text = _render("csv" if truth_out.endswith(".csv") else "json", doc, rows, "")
+    core.write_crossover_csv(records, out)
+    Path(truth_out).write_text(text, encoding="utf-8")
     print(f"wrote {out} ({len(records)} subjects)")
     print(f"wrote {truth_out} (oracle_n={args.oracle_n})")
     print(f"seed {config.seed}  config {_config_digest(config)}")
@@ -162,58 +198,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- estimate
 
 
-def _estimate_rows(args: argparse.Namespace, data, methods) -> list[estimators.EstimateSummary]:
-    covariates = _parse_covariates(args.covariates)
-    spec = None
-    if args.bootstrap > 0:
-        spec = resampling.BootstrapSpec(
-            n_replicates=args.bootstrap, seed=args.seed, ci_level=args.ci
-        )
-    return estimators.estimate_pce_table(
-        data, methods=methods, covariates=covariates, bootstrap_spec=spec
-    )
+def _methods(arg: str) -> list[estimators.PceMethod]:
+    """The estimation routes a --method value names."""
+    if arg == "both":
+        return [estimators.PceMethod.PS, estimators.PceMethod.DIRECT]
+    return [estimators.PceMethod(arg)]
 
 
-def _render_estimates(rows: list[estimators.EstimateSummary], fmt: str) -> str:
-    if fmt == "json":
-        return _json_text(
-            [
-                {
-                    "stratum": str(r.stratum),
-                    "method": r.method.value,
-                    "quantity": r.quantity,
-                    "point": None if math.isnan(r.point) else r.point,
-                    "se": r.se,
-                    "ci": list(r.ci) if r.ci else None,
-                    "n_effective": r.n_effective,
-                    "note": r.note,
-                }
-                for r in rows
-            ]
-        )
-    if fmt == "csv":
-        lines = ["stratum,method,quantity,point,se,lo,hi,n_effective,note"]
-        for r in rows:
-            lo, hi = (r.ci if r.ci else (None, None))
-            lines.append(
-                ",".join(
-                    [
-                        str(r.stratum),
-                        r.method.value,
-                        r.quantity,
-                        _repr_or_na(r.point),
-                        _repr_or_na(r.se),
-                        _repr_or_na(lo),
-                        _repr_or_na(hi),
-                        "NA" if r.n_effective is None else str(r.n_effective),
-                        r.note or "",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    # md: one row per stratum/method with the three quantities side by side
+def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
+    """One row per stratum/method with the three quantities side by side."""
     by_key: dict[tuple, dict[str, estimators.EstimateSummary]] = {}
-    for r in rows:
+    for r in table:
         by_key.setdefault((str(r.stratum), r.method.value), {})[r.quantity] = r
 
     def cell(r: estimators.EstimateSummary | None) -> str:
@@ -226,30 +221,38 @@ def _render_estimates(rows: list[estimators.EstimateSummary], fmt: str) -> str:
             text += f" ({_fmt_float(r.ci[0], 3)}, {_fmt_float(r.ci[1], 3)})"
         return text
 
-    table_rows = [
-        [stratum, method, cell(q.get("arm0")), cell(q.get("arm1")), cell(q.get("diff"))]
-        for (stratum, method), q in by_key.items()
-    ]
-    return (
-        _md_table(
-            ["Stratum", "Method", "Mean (control)", "Mean (experimental)", "Difference"],
-            table_rows,
-        )
-        + "\n"
+    return _md_table(
+        ["Stratum", "Method", "Mean (control)", "Mean (experimental)", "Difference"],
+        [
+            [stratum, method, cell(q.get("arm0")), cell(q.get("arm1")), cell(q.get("diff"))]
+            for (stratum, method), q in by_key.items()
+        ],
     )
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     shape, data = _load_dataset(args)
-    if args.method == "both":
-        methods = [estimators.PceMethod.PS, estimators.PceMethod.DIRECT]
-    else:
-        methods = [estimators.PceMethod(args.method)]
+    methods = _methods(args.method)
     if shape == "parallel" and estimators.PceMethod.DIRECT in methods:
         raise ConfigError("direct stratification needs crossover data")
-    rows = _estimate_rows(args, data, methods)
-    _write_text(_render_estimates(rows, args.format), args.out)
-    return 0
+    spec = None
+    if args.bootstrap > 0:
+        spec = resampling.BootstrapSpec(
+            n_replicates=args.bootstrap, seed=args.seed, ci_level=args.ci
+        )
+    table = estimators.estimate_pce_table(
+        data, methods=methods, covariates=_parse_covariates(args.covariates), bootstrap_spec=spec
+    )
+    doc, rows = [], []
+    for r in table:
+        head = {"stratum": str(r.stratum), "method": r.method.value, "quantity": r.quantity,
+                "point": r.point, "se": r.se}
+        lo, hi = r.ci or (None, None)
+        doc.append({**head, "ci": list(r.ci) if r.ci else None, "n_effective": r.n_effective,
+                    "note": r.note})
+        rows.append({**head, "lo": lo, "hi": hi, "n_effective": r.n_effective,
+                     "note": r.note or ""})
+    return _emit(args, doc, rows, _estimates_md(table))
 
 
 # ---------------------------------------------------------------- diagnose
@@ -296,121 +299,84 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         notes.append(f"effects: {len(kept)}/{len(data)} outcome completers")
         results["effects"] = diagnostics.crossover_effects_test(kept).to_dict()
 
-    _write_text(_render_diagnose(results, notes, args.format), args.out)
-    return 0
+    rows = [
+        {"section": section, "key": key, "value": value}
+        for section, obj in results.items()
+        for key, value in _flat_items(obj)
+    ]
+    return _emit(args, {"notes": notes, "results": results}, rows, _diagnose_md(results, notes))
 
 
-def _render_diagnose(results: dict[str, dict], notes: list[str], fmt: str) -> str:
-    if fmt == "json":
-        return _json_text({"notes": notes, "results": results})
-    if fmt == "csv":
-        lines = ["section,key,value"]
+def _flat_items(obj: dict | list, prefix: str = ""):
+    """(dotted key, leaf) pairs of nested dicts and lists, in their order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _flat_items(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k}", v
 
-        def emit(section: str, prefix: str, obj) -> None:
-            items = obj.items() if isinstance(obj, dict) else enumerate(obj)
-            for k, v in items:
-                if isinstance(v, (dict, list)):
-                    emit(section, f"{prefix}{k}.", v)
-                else:
-                    lines.append(f"{section},{prefix}{k},{v}")
 
-        for section, obj in results.items():
-            emit(section, "", obj)
-        return "\n".join(lines) + "\n"
-
-    parts: list[str] = []
-    for note in notes:
-        parts.append(f"- {note}")
-    if notes:
-        parts.append("")
+def _diagnose_md(results: dict[str, dict], notes: list[str]) -> str:
+    parts = [f"- {note}" for note in notes] + [""]
     if "monotonicity" in results:
         d = results["monotonicity"]
-        parts.append("## Monotonicity")
-        parts.append("")
-        parts.append(
-            _md_table(
-                ["Stratum", "Count", "Proportion"],
-                [
-                    [lab, str(d["counts"][lab]), _fmt_float(d["proportions"][lab], 3)]
-                    for lab in sorted(d["counts"])
-                ],
-            )
+        table = _md_table(
+            ["Stratum", "Count", "Proportion"],
+            [
+                [lab, str(d["counts"][lab]), _fmt_float(d["proportions"][lab], 3)]
+                for lab in sorted(d["counts"])
+            ],
         )
-        parts.append("")
-        parts.append(d["note"])
-        parts.append("")
+        parts += ["## Monotonicity", "", table, "", d["note"], ""]
     if "ignorability" in results:
-        d = results["ignorability"]
-        parts.append("## Ignorability regressions")
-        parts.append("")
-        parts.append(
-            _md_table(
-                ["Outcome arm", "Adherence arm", "Coef (SE)", "p", "Adj mean a=0", "Adj mean a=1"],
+        table = _md_table(
+            ["Outcome arm", "Adherence arm", "Coef (SE)", "p", "Adj mean a=0", "Adj mean a=1"],
+            [
                 [
-                    [
-                        str(r["outcome_arm"]),
-                        str(r["adherence_arm"]),
-                        f"{_fmt_float(r['coefficient'], 2)} ({_fmt_float(r['standard_error'], 2)})",
-                        _fmt_float(r["p_value"], 4),
-                        _fmt_float(r["adjusted_mean_a0"], 2),
-                        _fmt_float(r["adjusted_mean_a1"], 2),
-                    ]
-                    for r in d["regressions"]
-                ],
-            )
+                    str(r["outcome_arm"]),
+                    str(r["adherence_arm"]),
+                    f"{_fmt_float(r['coefficient'], 2)} ({_fmt_float(r['standard_error'], 2)})",
+                    _fmt_float(r["p_value"], 4),
+                    _fmt_float(r["adjusted_mean_a0"], 2),
+                    _fmt_float(r["adjusted_mean_a1"], 2),
+                ]
+                for r in results["ignorability"]["regressions"]
+            ],
         )
-        parts.append("")
+        parts += ["## Ignorability regressions", "", table, ""]
     if "independence" in results:
         d = results["independence"]
-        parts.append("## Cross-world independence")
-        parts.append("")
-        parts.append(
-            _md_table(
-                ["Stratum", "Observed", "Estimated"],
-                [
-                    [lab, _fmt_float(d["observed"][lab], 3), _fmt_float(d["estimated"][lab], 3)]
-                    for lab in sorted(d["observed"])
-                ],
-            )
+        table = _md_table(
+            ["Stratum", "Observed", "Estimated"],
+            [
+                [lab, _fmt_float(d["observed"][lab], 3), _fmt_float(d["estimated"][lab], 3)]
+                for lab in sorted(d["observed"])
+            ],
         )
-        parts.append("")
-        parts.append(
+        summary = (
             f"max gap {_fmt_float(d['discrepancy'], 4)}, p = {_fmt_float(d['p_value'], 4)} "
             f"(sum-of-squares p = {_fmt_float(d['secondary_p_value'], 4)}; "
             f"{d['n_bootstrap']} resamples, {d['n_rejected']} rejected)"
         )
-        parts.append("")
+        parts += ["## Cross-world independence", "", table, "", summary, ""]
     if "effects" in results:
         d = results["effects"]
-        parts.append("## Crossover effects")
-        parts.append("")
-        parts.append(
-            _md_table(
-                ["Effect", "Estimate", "t", "p"],
+        table = _md_table(
+            ["Effect", "Estimate", "t", "p"],
+            [
                 [
-                    [
-                        "treatment",
-                        _fmt_float(d["treatment_effect"], 3),
-                        _fmt_float(d["treatment_t"], 3),
-                        _fmt_float(d["treatment_p"], 4),
-                    ],
-                    [
-                        "period",
-                        _fmt_float(d["period_effect"], 3),
-                        _fmt_float(d["period_t"], 3),
-                        _fmt_float(d["period_p"], 4),
-                    ],
-                    [
-                        "sequence (carry-over)",
-                        "",
-                        _fmt_float(d["sequence_t"], 3),
-                        _fmt_float(d["sequence_p"], 4),
-                    ],
-                ],
-            )
+                    label,
+                    _fmt_float(d[f"{key}_effect"], 3) if f"{key}_effect" in d else "",
+                    _fmt_float(d[f"{key}_t"], 3),
+                    _fmt_float(d[f"{key}_p"], 4),
+                ]
+                for key, label in (("treatment", "treatment"), ("period", "period"),
+                                   ("sequence", "sequence (carry-over)"))
+            ],
         )
-        parts.append("")
-    return "\n".join(parts)
+        parts += ["## Crossover effects", "", table, ""]
+    return "\n".join(parts[:-1])
 
 
 # ---------------------------------------------------------------- replicate
@@ -418,10 +384,7 @@ def _render_diagnose(results: dict[str, dict], notes: list[str], fmt: str) -> st
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if args.method == "both":
-        methods = [estimators.PceMethod.PS, estimators.PceMethod.DIRECT]
-    else:
-        methods = [estimators.PceMethod(args.method)]
+    methods = _methods(args.method)
     covariates = _parse_covariates(args.covariates)
 
     sums: dict[tuple, dict[str, float]] = {
@@ -469,49 +432,13 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         }
         agg.append(entry)
 
-    if args.format == "json":
-        text = _json_text({"replicates": args.replicates, "cells": agg})
-    elif args.format == "csv":
-        lines = ["method,stratum,n_estimable,mean_truth,mean_estimate,bias,rmse,coverage,mean_ci_width"]
-        for e in agg:
-            lines.append(
-                ",".join(
-                    [
-                        e["method"],
-                        e["stratum"],
-                        str(e["n_estimable"]),
-                        _repr_or_na(e["mean_truth"]),
-                        _repr_or_na(e["mean_estimate"]),
-                        _repr_or_na(e["bias"]),
-                        _repr_or_na(e["rmse"]),
-                        _repr_or_na(e["coverage"]),
-                        _repr_or_na(e["mean_ci_width"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = (
-            _md_table(
-                ["Method", "Stratum", "n", "Truth", "Estimate", "Bias", "RMSE", "Coverage"],
-                [
-                    [
-                        e["method"],
-                        e["stratum"],
-                        str(e["n_estimable"]),
-                        _fmt_float(e["mean_truth"], 3),
-                        _fmt_float(e["mean_estimate"], 3),
-                        _fmt_float(e["bias"], 3),
-                        _fmt_float(e["rmse"], 3),
-                        "NA" if e["coverage"] is None else _fmt_float(e["coverage"], 3),
-                    ]
-                    for e in agg
-                ],
-            )
-            + "\n"
-        )
-    _write_text(text, args.out)
-    return 0
+    shown = ("mean_truth", "mean_estimate", "bias", "rmse", "coverage")
+    md = _md_table(
+        ["Method", "Stratum", "n", "Truth", "Estimate", "Bias", "RMSE", "Coverage"],
+        [[e["method"], e["stratum"], str(e["n_estimable"])] + [_fmt_float(e[k], 3) for k in shown]
+         for e in agg],
+    )
+    return _emit(args, {"replicates": args.replicates, "cells": agg}, agg, md)
 
 
 # ---------------------------------------------------------------- parser
@@ -550,37 +477,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="generate a synthetic crossover trial plus its truth")
-    src = sim.add_mutually_exclusive_group(required=True)
+    # argument groups that several subcommands share
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=FORMATS, default="md")
+    report.add_argument("--out", help="report path (default: stdout)")
+
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--input", required=True)
+    dataset.add_argument("--data-shape", choices=("crossover", "parallel"))
+    dataset.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
+    dataset.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
+
+    dgp = argparse.ArgumentParser(add_help=False)
+    src = dgp.add_mutually_exclusive_group(required=True)
     src.add_argument("--scenario", choices=simulator.scenario_names())
     src.add_argument("--config", help="JSON file of generator settings")
-    sim.add_argument("--n", type=int, help="override the subject count")
-    sim.add_argument("--seed", type=int, help="override the seed")
-    sim.add_argument("--oracle-n", type=int, default=100_000)
+    dgp.add_argument("--n", type=int, help="override the subject count")
+    dgp.add_argument("--seed", type=int, help="override the seed")
+    dgp.add_argument("--oracle-n", type=int, default=100_000)
+
+    sim = sub.add_parser(
+        "simulate", parents=[dgp], help="generate a synthetic crossover trial plus its truth"
+    )
     sim.add_argument("--out", help="dataset CSV path (default $PCEKIT_OUT_DIR/trial.csv)")
     sim.add_argument("--truth-out", help="truth table path (.json or .csv)")
     sim.set_defaults(func=_cmd_simulate)
 
-    est = sub.add_parser("estimate", help="per-stratum means and treatment contrasts")
-    est.add_argument("--input", required=True)
-    est.add_argument("--data-shape", choices=("crossover", "parallel"))
-    est.add_argument("--method", choices=("ps", "direct", "both"), default="both")
-    est.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
+    est = sub.add_parser(
+        "estimate", parents=[dataset, report], help="per-stratum means and treatment contrasts"
+    )
+    est.add_argument("--method", choices=METHODS, default="both")
     est.add_argument(
         "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
     )
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--ci", type=_ci_level, default=0.95)
-    est.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
-    est.add_argument("--format", choices=FORMATS, default="md")
-    est.add_argument("--out")
     est.set_defaults(func=_cmd_estimate)
 
-    dia = sub.add_parser("diagnose", help="assumption checks on crossover data")
-    dia.add_argument("--input", required=True)
-    dia.add_argument("--data-shape", choices=("crossover", "parallel"))
+    dia = sub.add_parser(
+        "diagnose", parents=[dataset, report], help="assumption checks on crossover data"
+    )
     dia.add_argument("--checks", default="all", help=f"comma list from {', '.join(CHECKS)}")
-    dia.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
     dia.add_argument(
         "--direction",
         choices=[d.value for d in diagnostics.MonotonicityDirection],
@@ -589,24 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
     dia.add_argument("--bootstrap", type=_int_at_least(1), default=500)
     dia.add_argument("--seed", type=int, default=0)
-    dia.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
-    dia.add_argument("--format", choices=FORMATS, default="md")
-    dia.add_argument("--out")
     dia.set_defaults(func=_cmd_diagnose)
 
-    rep = sub.add_parser("replicate", help="repeated simulate+estimate against the truth")
-    src = rep.add_mutually_exclusive_group(required=True)
-    src.add_argument("--scenario", choices=simulator.scenario_names())
-    src.add_argument("--config")
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--seed", type=int)
+    rep = sub.add_parser(
+        "replicate", parents=[dgp, report], help="repeated simulate+estimate against the truth"
+    )
     rep.add_argument("--replicates", type=_int_at_least(1), default=20)
-    rep.add_argument("--method", choices=("ps", "direct", "both"), default="both")
-    rep.add_argument("--covariates")
+    rep.add_argument("--method", choices=METHODS, default="both")
+    rep.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
     rep.add_argument("--bootstrap", type=_int_at_least(0), default=0)
-    rep.add_argument("--oracle-n", type=int, default=100_000)
-    rep.add_argument("--format", choices=FORMATS, default="md")
-    rep.add_argument("--out")
     rep.set_defaults(func=_cmd_replicate)
 
     return parser

@@ -235,14 +235,25 @@ def _parse_float(token: str, what: str, row: int, allow_missing: bool) -> float 
     return value
 
 
-def _format_value(v: float | int | None) -> str:
+def _format_value(v: float | int | str | None) -> str:
     if v is None:
         return MISSING_TOKEN
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):  # guard against accidental bools
         return str(int(v))
     if isinstance(v, int):
         return str(v)
     return repr(float(v))
+
+
+def _data_row(header: Sequence[str], values: Sequence) -> list[str]:
+    """The cells of one written row, whose first value is the subject id. A
+    non-finite number would not load back, so it is refused here, by name."""
+    for column, v in zip(header, values):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise SchemaError(f"subject {values[0]!r}: {column}={v!r} is not a finite number")
+    return [_format_value(v) for v in values]
 
 
 def _split_header(
@@ -339,23 +350,19 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
     for rec in records:
         if rec.covariate_names != names:
             raise SchemaError("records disagree on covariate columns")
+    header = ["subject_id", "sequence", *names, *_CROSSOVER_FIXED_TAIL]
+    rows = [
+        _data_row(
+            header,
+            [rec.subject_id, rec.sequence.value, *rec.covariates,
+             rec.t_p1, rec.t_p2, rec.a_p1, rec.a_p2, rec.y_p1, rec.y_p2],
+        )
+        for rec in records
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject_id", "sequence", *names, *_CROSSOVER_FIXED_TAIL])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.subject_id,
-                    rec.sequence.value,
-                    *(_format_value(v) for v in rec.covariates),
-                    rec.t_p1,
-                    rec.t_p2,
-                    _format_value(rec.a_p1),
-                    _format_value(rec.a_p2),
-                    _format_value(rec.y_p1),
-                    _format_value(rec.y_p2),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
@@ -397,19 +404,12 @@ def write_parallel_csv(obs: Sequence[ParallelObservation], path: str | Path) -> 
     for o in obs:
         if o.covariate_names != names:
             raise SchemaError("observations disagree on covariate columns")
+    header = ["subject_id", "treatment", *names, "a", "y"]
+    rows = [_data_row(header, [o.subject_id, o.t, *o.covariates, o.a, o.y]) for o in obs]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject_id", "treatment", *names, "a", "y"])
-        for o in obs:
-            writer.writerow(
-                [
-                    o.subject_id,
-                    o.t,
-                    *(_format_value(v) for v in o.covariates),
-                    _format_value(o.a),
-                    _format_value(o.y),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObservation]:

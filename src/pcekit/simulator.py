@@ -20,10 +20,8 @@ outcomes the truth table is computed from.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -148,17 +146,30 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 def _draw_population(
     config: DgpConfig, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariates, potential adherences (n,2), potential outcomes (n,2)."""
-    x = config.mu_x + config.sigma_x * rng.standard_normal(n)
-    eps = rng.multivariate_normal(
-        np.zeros(4), config.correlation_matrix(), size=n, method="eigh"
-    )
-    a = np.empty((n, 2), dtype=np.int64)
-    y = np.empty((n, 2))
-    for t in (0, 1):
-        a[:, t] = (config.eta[t] + config.beta[t] * x + eps[:, t] > 0.0).astype(np.int64)
-        y[:, t] = config.gamma[t] + config.delta[t] * x + config.sigma[t] * eps[:, 2 + t]
+    """Covariates, potential adherences (n,2), potential outcomes (n,2).
+
+    Finite but huge knobs can overflow; that is a ConfigError, not a warning
+    followed by inf or NaN draws."""
+    with np.errstate(all="ignore"):
+        x = config.mu_x + config.sigma_x * rng.standard_normal(n)
+        _require_finite(x, "covariate draws")
+        eps = rng.multivariate_normal(
+            np.zeros(4), config.correlation_matrix(), size=n, method="eigh"
+        )
+        a = np.empty((n, 2), dtype=np.int64)
+        y = np.empty((n, 2))
+        for t in (0, 1):
+            latent = config.eta[t] + config.beta[t] * x + eps[:, t]
+            _require_finite(latent, "adherence latent draws")
+            a[:, t] = latent > 0.0
+            y[:, t] = config.gamma[t] + config.delta[t] * x + config.sigma[t] * eps[:, 2 + t]
+    _require_finite(y, "outcome draws")
     return x, a, y
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} are not finite (overflow); use smaller config values")
 
 
 def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
@@ -171,6 +182,11 @@ def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
 
     ef = np.zeros(n, dtype=bool)
     ef[perm[: (n + 1) // 2]] = True
+    # the observed period-2 outcome; huge period or carry-over knobs overflow it
+    rows, first = np.arange(n), ef.astype(np.int64)
+    with np.errstate(all="ignore"):
+        y_p2 = y_pot[rows, 1 - first] + config.pi_period + config.lambda_carry * y_pot[rows, first]
+    _require_finite(y_p2, "period-2 outcome draws")
 
     width = len(str(n))
     records: list[SubjectRecord] = []
@@ -178,7 +194,7 @@ def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
         seq = TreatmentSequence.EXPERIMENTAL_FIRST if ef[i] else TreatmentSequence.CONTROL_FIRST
         t1, t2 = seq.treatments
         y1 = float(y_pot[i, t1])
-        y2 = float(y_pot[i, t2] + config.pi_period + config.lambda_carry * y1)
+        y2 = float(y_p2[i])
         # missingness is sampled per arm; carry-over always uses the realized
         # period-1 value even when that value is subsequently masked
         y_by_period: dict[int, float | None] = {1: y1, 2: y2}
@@ -244,31 +260,6 @@ class TruthTable:
             },
         }
 
-    def write_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path: str | Path) -> None:
-        header = "stratum,probability,prob_mc_se,mu0,mu1,pce,pce_mc_se,n_members"
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.stratum),
-                        repr(r.probability),
-                        repr(r.prob_mc_se),
-                        repr(r.mu0),
-                        repr(r.mu1),
-                        repr(r.pce),
-                        repr(r.pce_mc_se),
-                        str(r.n_members),
-                    ]
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     """Stratum probabilities and PCEs from a fresh oracle draw.
@@ -280,30 +271,32 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
         raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
     rng = _stream(config.seed, _ORACLE_STREAM)
     _, a, y = _draw_population(config, rng, oracle_n)
-    diff = y[:, 1] - y[:, 0]
     rows = []
-    for stratum in JOINT_LABELS:
-        mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
-        n_s = int(np.sum(mask))
-        if n_s < 2:
-            raise ConfigError(
-                f"stratum {stratum} has {n_s} oracle members; increase oracle_n "
-                "or check the config (the stratum may be structurally empty)"
+    with np.errstate(all="ignore"):  # differences and sums of huge outcomes overflow
+        diff = y[:, 1] - y[:, 0]
+        for stratum in JOINT_LABELS:
+            mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
+            n_s = int(np.sum(mask))
+            if n_s < 2:
+                raise ConfigError(
+                    f"stratum {stratum} has {n_s} oracle members; increase oracle_n "
+                    "or check the config (the stratum may be structurally empty)"
+                )
+            p = n_s / oracle_n
+            d = diff[mask]
+            rows.append(
+                TruthRow(
+                    stratum=stratum,
+                    probability=p,
+                    prob_mc_se=float(np.sqrt(p * (1.0 - p) / oracle_n)),
+                    mu0=float(np.mean(y[mask, 0])),
+                    mu1=float(np.mean(y[mask, 1])),
+                    pce=float(np.mean(d)),
+                    pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)),
+                    n_members=n_s,
+                )
             )
-        p = n_s / oracle_n
-        d = diff[mask]
-        rows.append(
-            TruthRow(
-                stratum=stratum,
-                probability=p,
-                prob_mc_se=float(np.sqrt(p * (1.0 - p) / oracle_n)),
-                mu0=float(np.mean(y[mask, 0])),
-                mu1=float(np.mean(y[mask, 1])),
-                pce=float(np.mean(d)),
-                pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)),
-                n_members=n_s,
-            )
-        )
+    _require_finite(np.array([(r.mu0, r.mu1, r.pce, r.pce_mc_se) for r in rows]), "oracle means")
     return TruthTable(rows=tuple(rows), oracle_n=oracle_n, seed=config.seed)
 
 

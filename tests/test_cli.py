@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import warnings
 
 import pytest
 
@@ -201,6 +204,40 @@ def test_diagnose_all_checks_markdown(trial_csv, capsys):
     assert "adherence completers" in out
 
 
+def test_diagnose_csv_quotes_cells_holding_commas(trial_csv, capsys):
+    assert run([
+        "diagnose", "--input", trial_csv, "--checks", "monotonicity",
+        "--direction", "equal", "--format", "csv",
+    ]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["section", "key", "value"]
+    assert all(len(row) == 3 for row in rows)
+    note = {key: value for _, key, value in rows[1:]}["note"]
+    assert "requires empty S01, S10;" in note
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_diagnose_json_writes_infinite_t_as_null(tmp_path, capsys):
+    # period differences are constant within each sequence, so the pooled
+    # variance is 0 and the treatment and period t statistics are infinite
+    path = tmp_path / "flat.csv"
+    path.write_text(
+        "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
+        "s1,CF,0.0,0,1,1,0,2.0,1.0\n"
+        "s2,CF,1.0,0,1,0,1,5.0,4.0\n"
+        "s3,EF,2.0,1,0,1,1,4.0,1.0\n"
+        "s4,EF,3.0,1,0,0,0,7.0,4.0\n"
+    )
+    assert run(["diagnose", "--input", path, "--checks", "effects", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    effects = json.loads(text, parse_constant=_reject_constant)["results"]["effects"]
+    assert effects["treatment_t"] is None and effects["period_t"] is None
+    assert effects["sequence_t"] is not None
+
+
 def test_diagnose_needs_crossover(parallel_csv, capsys):
     assert run(["diagnose", "--input", parallel_csv]) == 1
     assert "need crossover data" in capsys.readouterr().err
@@ -233,6 +270,31 @@ def test_replicate_small_run(tmp_path, capsys):
         assert fields[0] == "direct"
         assert int(fields[2]) <= 2
         assert fields[7] == "NA"  # no bootstrap, so no coverage
+
+
+@pytest.mark.parametrize("command", ["simulate", "replicate"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_subjects": 20, "mu_x": 1e308, "sigma_x": 1e308},
+        {"n_subjects": 20, "gamma": [1e308, 1e308], "sigma": [1e308, 1e308]},
+        {"n_subjects": 20, "gamma": [1e308, 1e308], "pi_period": 1.7e308, "lambda_carry": 1.0},
+    ],
+)
+def test_overflowing_config_is_a_data_error(command, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", path, "--oracle-n", 10_000, "--out", tmp_path / "out.csv"]
+    if command == "replicate":
+        argv += ["--replicates", 1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_parallel_round_trip_keeps_response_indicator(tmp_path):

@@ -2,7 +2,9 @@
 
 Whatever the input file or the arguments, ``pcekit`` exits 0 (success), 1
 (bad data or a failed analysis, reported as ``error: ...``) or 2 (a usage
-error), and never ends in a Python traceback. The mutations start from a
+error), and never ends in a Python traceback. A run that exits 0 with
+``--format json`` prints strict JSON (no ``NaN`` or ``Infinity``), and one
+with ``--format csv`` prints rows as wide as the header. The mutations start from a
 valid crossover file and change cells, raw bytes (including bytes that are
 not UTF-8) and arguments; for ``simulate`` and ``replicate`` they start
 from a valid ``--config`` JSON file and change its keys, values and raw
@@ -11,6 +13,7 @@ inputs.
 """
 
 import contextlib
+import csv
 import io
 import json
 
@@ -49,6 +52,7 @@ ARGUMENTS = {
         ["--checks", "bogus"], ["--checks", ""], ["--indep-method", "indep"],
         ["--indep-method", "observed"], ["--bootstrap", "1"], ["--bootstrap", "8"],
         ["--bootstrap", "0"], ["--seed", "-3"], ["--direction", "decreasing"],
+        ["--direction", "equal"],
         ["--covariates", "none"], ["--covariates", "x_nope"], ["--derive-a", "y>0"],
         ["--data-shape", "parallel"], ["--format", "csv"], ["--format", "json"],
     ],
@@ -62,24 +66,40 @@ def base_csv(tmp_path_factory) -> bytes:
     return path.read_bytes()
 
 
-def run_cli(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of one in-process CLI run; an escaping exception
-    is the traceback the contract forbids, so it fails the test."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run; an escaping
+    exception is the traceback the contract forbids, so it fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
+
+
+def check_output(argv: list[str], out: str) -> None:
+    formats = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg == "--format"]
+    fmt = formats[-1] if formats else "md"  # argparse keeps the last one given
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows), out
 
 
 def check_contract(argv: list[str]) -> None:
-    code, err = run_cli(argv)
+    code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     if code == 1:
         assert err.startswith("error: "), err
+    if code == 0:
+        check_output(argv, out)
 
 
 def mutate_cells(data: bytes, edits: list[tuple[int, int, str]]) -> bytes:

@@ -186,7 +186,7 @@ def test_parallel_csv_rejects_non_finite_numbers(tmp_path, column, token):
         load_parallel_csv(path)
 
 
-@pytest.mark.parametrize(
+NON_FINITE_RECORDS = pytest.mark.parametrize(
     "record,message",
     [
         (make_record("s1", x=(math.nan,)), "subject 's1': x_base=nan"),
@@ -198,10 +198,27 @@ def test_parallel_csv_rejects_non_finite_numbers(tmp_path, column, token):
         ),
     ],
 )
+
+
+@NON_FINITE_RECORDS
 def test_columns_reject_non_finite_numbers(record, message):
     data = [make_record("s0"), record] if isinstance(record, SubjectRecord) else [record]
     with pytest.raises(SchemaError, match=f"{message} is not a finite number"):
         as_columns(data)
+
+
+@NON_FINITE_RECORDS
+def test_writers_reject_non_finite_numbers(record, message, tmp_path):
+    # a written nan or inf would not load back, so nothing is written
+    path = tmp_path / "out.csv"
+    if isinstance(record, SubjectRecord):
+        write = write_crossover_csv
+        data = [make_record("s0"), record]
+    else:
+        write, data = write_parallel_csv, [record]
+    with pytest.raises(SchemaError, match=f"{message} is not a finite number"):
+        write(data, path)
+    assert not path.exists()
 
 
 def test_columns_index_by_arm_with_sentinels():

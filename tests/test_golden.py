@@ -44,7 +44,8 @@ REPORT_CASES = {
                                  [*CASES["crossover_missing"], "--format", "md"]),
     "crossover_missing.out.json": ("estimate", "crossover_missing",
                                    [*CASES["crossover_missing"], "--format", "json"]),
-    "parallel_ps.out.json": ("estimate", "parallel_ps", [*CASES["parallel_ps"], "--format", "json"]),
+    "parallel_ps.out.json": ("estimate", "parallel_ps",
+                             [*CASES["parallel_ps"], "--format", "json"]),
     "diagnose_cond_indep.out.md": ("diagnose", "crossover_missing",
                                    ["--bootstrap", "200", "--seed", "5", "--format", "md"]),
     "diagnose_cond_indep.out.csv": ("diagnose", "crossover_missing",

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -111,27 +109,19 @@ def test_true_pce_guards():
         true_pce(scenario("monotone", seed=0), oracle_n=MIN_ORACLE_N)
 
 
-def test_truth_table_access_and_files(tmp_path):
+def test_truth_table_access_and_dict():
     truth = true_pce(DgpConfig(n_subjects=10, seed=1, gamma=(0.0, 1.0)), MIN_ORACLE_N)
     assert truth.row(StratumLabel(1, 0)).stratum == StratumLabel(1, 0)
     with pytest.raises(KeyError):
         truth.row(StratumLabel(None, 1))
 
-    jpath = tmp_path / "truth.json"
-    truth.write_json(jpath)
-    loaded = json.loads(jpath.read_text())
-    assert loaded["oracle_n"] == MIN_ORACLE_N
-    assert set(loaded["strata"]) == {"S00", "S01", "S10", "S11"}
-    assert loaded["strata"]["S11"]["pce"] == truth.row(StratumLabel(1, 1)).pce
-
-    cpath = tmp_path / "truth.csv"
-    truth.write_csv(cpath)
-    lines = cpath.read_text().strip().split("\n")
-    assert lines[0].startswith("stratum,probability")
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "S00"
-    assert float(first[1]) == truth.row(StratumLabel(0, 0)).probability
+    # the CLI writes this dict as the truth JSON and its strata as CSV rows;
+    # tests/test_golden.py freezes both files
+    d = truth.to_dict()
+    assert d["oracle_n"] == MIN_ORACLE_N
+    assert list(d["strata"]) == ["S00", "S01", "S10", "S11"]
+    assert d["strata"]["S11"]["pce"] == truth.row(StratumLabel(1, 1)).pce
+    assert d["strata"]["S00"]["probability"] == truth.row(StratumLabel(0, 0)).probability
 
 
 def test_scenario_catalogue():
