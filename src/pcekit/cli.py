@@ -403,10 +403,11 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             records, methods=methods, covariates=covariates, bootstrap_spec=spec
         )
         for r in rows:
-            if r.quantity != "diff" or math.isnan(r.point):
+            true_val = truth.row(r.stratum).pce
+            # a stratum with no oracle members has no truth to score against
+            if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
                 continue
             cell = sums[(r.method.value, str(r.stratum))]
-            true_val = truth.row(r.stratum).pce
             cell["n"] += 1
             cell["truth"] += true_val
             cell["est"] += r.point

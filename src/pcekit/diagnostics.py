@@ -34,7 +34,7 @@ from .errors import (
 )
 from .estimators import ProbMethod, _cell_table, _covariate_matrix, _prob_vector
 from .glm import DesignMatrix, fit_logistic, fit_logistic_counts, fit_ols, t_two_sided_p
-from .resampling import draw_replicates, exceedance_p
+from .resampling import draw_replicates, exceedance_p, resample_counts
 
 
 class MonotonicityDirection(Enum):
@@ -218,13 +218,6 @@ class IndependenceReport:
         }
 
 
-def _resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """(b, n) multinomial counts: how often each subject occurs in each index row."""
-    b = idx.shape[0]
-    flat = (idx + n * np.arange(b)[:, None]).ravel()
-    return np.bincount(flat, minlength=b * n).reshape(b, n).astype(float)
-
-
 def _refit_cells(
     design: DesignMatrix,
     a0: np.ndarray,
@@ -311,7 +304,7 @@ def independence_test(
 
     def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
         """Centered max and sum-of-squares gaps of a chunk of resamples."""
-        counts = _resample_counts(idx, n)
+        counts = resample_counts(idx, n)
         obs_b = counts @ cells / n
         failed: dict[int, str] = {}
         if method is ProbMethod.INDEP:

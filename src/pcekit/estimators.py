@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import (
     A_MISSING,
@@ -38,8 +39,8 @@ from .errors import (
     MissingDataError,
     PcekitError,
 )
-from .glm import DesignMatrix, LogisticFit, fit_logistic, predict_probs
-from .resampling import BootstrapSpec, bootstrap_vector
+from .glm import DesignMatrix, LogisticFit, fit_logistic, fit_logistic_counts, predict_probs
+from .resampling import BootstrapSpec, bootstrap_vector, resample_counts
 
 SCORE_CLIP = 1e-12
 EXTREME_SCORE_BAND = (1e-3, 1.0 - 1e-3)
@@ -149,14 +150,21 @@ def principal_scores(
     return _scores(model, _covariate_matrix(subjects, model.covariate_names))
 
 
-def _clip_scores(g: np.ndarray) -> np.ndarray:
-    frac_extreme = float(np.mean((g < EXTREME_SCORE_BAND[0]) | (g > EXTREME_SCORE_BAND[1])))
+def _extreme(g: np.ndarray) -> np.ndarray:
+    return (g < EXTREME_SCORE_BAND[0]) | (g > EXTREME_SCORE_BAND[1])
+
+
+def _warn_if_extreme(frac_extreme: float, stacklevel: int) -> None:
     if frac_extreme > 0.5:
         warnings.warn(
             f"{frac_extreme:.0%} of principal scores are outside [0.001, 0.999]; "
             "weights may be unstable",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+
+
+def _clip_scores(g: np.ndarray) -> np.ndarray:
+    _warn_if_extreme(float(np.mean(_extreme(g))), stacklevel=4)
     return np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP)
 
 
@@ -194,17 +202,25 @@ def estimate_mu_hayden(
 def _hayden_mean(
     a: np.ndarray, y: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
 ) -> float:
-    """Weighted mean of one arm's outcomes y: weight 1{a = own coordinate} times
-    g or 1-g, as the stratum's cross-arm coordinate is 1 or 0."""
-    own_coord = stratum.a0 if arm == 0 else stratum.a1
-    cross_coord = stratum.a1 if arm == 0 else stratum.a0
-    w = (a == own_coord) * (g if cross_coord == 1 else 1.0 - g)
+    """Weighted mean of one arm's outcomes y, with _hayden_weights."""
+    w = _hayden_weights(a, g, stratum, arm)
     total = float(np.sum(w))
     if total <= 0.0:
         raise InestimableStratumError(
-            f"no weight in stratum {stratum} for arm {arm}: no subjects with a={own_coord}"
+            f"no weight in stratum {stratum} for arm {arm}: no subjects with "
+            f"a={stratum.a0 if arm == 0 else stratum.a1}"
         )
     return float(np.sum(w * y) / total)
+
+
+def _hayden_weights(
+    a: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
+) -> np.ndarray:
+    """Weights 1{a = own coordinate} times g or 1-g, as the stratum's cross-arm
+    coordinate is 1 or 0; g may carry leading axes over a's."""
+    own_coord = stratum.a0 if arm == 0 else stratum.a1
+    cross_coord = stratum.a1 if arm == 0 else stratum.a0
+    return (a == own_coord) * (g if cross_coord == 1 else 1.0 - g)
 
 
 def estimate_mu_direct(
@@ -429,11 +445,99 @@ def _table_values(
         cells[PceMethod.PS] = _ps_cells(cols, covariates)
     if PceMethod.DIRECT in methods:
         cells[PceMethod.DIRECT] = _direct_cells(cols)
-    out: list[float] = []
-    for method in methods:
-        for mu0, mu1 in cells[method].tolist():
-            out.extend([mu0, mu1, mu1 - mu0])
-    return np.asarray(out)
+    return _table_layout([cells[method] for method in methods])
+
+
+def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
+    """(..., 4, 2) arm means per method, flattened along the last axis in
+    (method, stratum, quantity) order, the quantities being arm0, arm1, diff."""
+    parts = [np.concatenate([mu, mu[..., 1:] - mu[..., :1]], axis=-1) for mu in cells]
+    return np.concatenate([p.reshape(*p.shape[:-2], -1) for p in parts], axis=-1)
+
+
+def _ps_cells_counts(
+    cols: TrialColumns, covariates: Sequence[str] | None, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
+
+    Both arms' scores are refit for all rows at once by
+    ``fit_logistic_counts`` from fit_logistic's own zero start, so each row
+    takes the IRLS path of its one-at-a-time fit. Returns the (b, 4, 2) means,
+    a (b,) mask of the rows whose two fits converged cleanly (the others carry
+    no usable means) and each arm's (b, 2) count-weighted share of extreme
+    scores, NaN where the arm has no complete rows.
+    """
+    observed = cols.a != A_MISSING
+    _, x = _selected_covariates(cols, covariates)
+    design = np.column_stack([np.ones(len(cols)), x])
+    b = counts.shape[0]
+    clean = np.ones(b, dtype=bool)
+    beta = []
+    for t in (0, 1):
+        rows = observed[:, t]
+        coef, ok = fit_logistic_counts(
+            design[rows], cols.a[rows, t], counts[:, rows], start=np.zeros(design.shape[1])
+        )
+        beta.append(coef)
+        clean &= ok
+    mu = np.full((b, len(JOINT_LABELS), 2), np.nan)
+    share = np.full((b, 2), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows with no weight read NaN
+        for t in (0, 1):
+            use = observed[:, t] & ~np.isnan(cols.y[:, t])
+            c = counts[:, use]
+            g = expit(beta[1 - t] @ design[use].T)
+            share[:, t] = (c * _extreme(g)).sum(axis=1) / c.sum(axis=1)
+            g = np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP)
+            a, y = cols.a[use, t], cols.y[use, t]
+            for i, stratum in enumerate(JOINT_LABELS):
+                w = c * _hayden_weights(a, g, stratum, t)
+                total = w.sum(axis=1)
+                mu[:, i, t] = np.where(total > 0.0, (w @ y) / total, np.nan)
+    mu[np.isnan(mu).any(axis=2)] = np.nan  # a stratum needs both arms
+    return mu, clean, share
+
+
+def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> np.ndarray:
+    """``_direct_cells`` of each resample in a chunk, given as (b, n) counts: (b, 4, 2)."""
+    if not cols.crossover:
+        raise PcekitError("direct stratification needs crossover records")
+    complete = (cols.a != A_MISSING).all(axis=1) & ~np.isnan(cols.y).any(axis=1)
+    c, a, y = counts[:, complete], cols.a[complete], cols.y[complete]
+    mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
+    with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN
+        for i, stratum in enumerate(JOINT_LABELS):
+            mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
+            mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
+    return mu
+
+
+def _table_chunk(
+    cols: TrialColumns,
+    methods: Sequence[PceMethod],
+    covariates: Sequence[str] | None,
+    idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_table_values`` of a chunk of resamples, given as (b, n) index rows.
+
+    Each resample is a row of multinomial counts over the subjects, so every
+    mean is a count-weighted sum. Returns the (b, m) values and a (b,) mask
+    of the rows left to ``_table_values``: those whose principal-score fits
+    did not converge cleanly. The extreme-score warning is raised here for
+    the other rows, once per arm and replicate, as ``_clip_scores`` would.
+    """
+    counts = resample_counts(idx, len(cols))
+    b = counts.shape[0]
+    retry = np.zeros(b, dtype=bool)
+    cells: dict[PceMethod, np.ndarray] = {}
+    if PceMethod.PS in methods:
+        cells[PceMethod.PS], clean, share = _ps_cells_counts(cols, covariates, counts)
+        retry = ~clean
+        for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
+            _warn_if_extreme(float(share[r, t]), stacklevel=2)
+    if PceMethod.DIRECT in methods:
+        cells[PceMethod.DIRECT] = _direct_cells_counts(cols, counts)
+    return _table_layout([cells[method] for method in methods]), retry
 
 
 def estimate_pce_table(
@@ -457,9 +561,13 @@ def estimate_pce_table(
     if bootstrap_spec is None:
         points = _table_values(cols, methods, covariates)
     else:
-        # the bootstrap's own point is the full-data table
+        # the bootstrap's own point is the full-data table; replicates are
+        # evaluated a chunk at a time, with _table_values for rows left over
         boot = bootstrap_vector(
-            cols, lambda sample: _table_values(sample, methods, covariates), bootstrap_spec
+            cols,
+            lambda sample: _table_values(sample, methods, covariates),
+            bootstrap_spec,
+            lambda idx: _table_chunk(cols, methods, covariates, idx),
         )
         points = boot.points
 

@@ -61,6 +61,17 @@ def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
     return resample_index_matrix(seed, replicate, 1, n)[0]
 
 
+def resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """(b, n) multinomial counts: how often each subject occurs in each index row.
+
+    A statistic that is a count-weighted function of the n subjects can be
+    evaluated on a whole chunk of resamples at once from these rows.
+    """
+    b = idx.shape[0]
+    flat = (idx + n * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, minlength=b * n).reshape(b, n).astype(float)
+
+
 @dataclass(frozen=True)
 class BootstrapSpec:
     n_replicates: int
@@ -204,6 +215,7 @@ def bootstrap_vector(
     records: Sequence[T] | TrialColumns,
     statistic: Callable[[list[T]], np.ndarray] | Callable[[TrialColumns], np.ndarray],
     spec: BootstrapSpec,
+    chunk_statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> VectorBootstrapResult:
     """Bootstrap a vector statistic; NaN components mark inestimable pieces.
 
@@ -212,6 +224,11 @@ def bootstrap_vector(
     replicate, which stays NaN and is counted by exception name;
     per-component inestimability should be encoded as NaN so the other
     components survive.
+
+    ``chunk_statistic``, if given, evaluates a (b, n) chunk of index rows at
+    once. It returns (b, m) values and a (b,) mask of the rows it could not
+    evaluate cleanly; only those rows are resampled and passed to
+    ``statistic``, whose verdict, value or exception, stands for them.
     """
     columnar = isinstance(records, TrialColumns)
     if not columnar:
@@ -223,9 +240,12 @@ def bootstrap_vector(
     m = points.shape[0]
 
     def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-        out = np.full((idx.shape[0], m), np.nan)
+        if chunk_statistic is None:
+            out, retry = np.full((idx.shape[0], m), np.nan), np.ones(idx.shape[0], dtype=bool)
+        else:
+            out, retry = chunk_statistic(idx)
         failed: dict[int, str] = {}
-        for r in range(idx.shape[0]):
+        for r in np.flatnonzero(retry).tolist():
             sample = records.take(idx[r]) if columnar else [records[i] for i in idx[r].tolist()]
             try:
                 out[r] = np.asarray(statistic(sample), dtype=float)

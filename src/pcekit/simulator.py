@@ -265,7 +265,10 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     """Stratum probabilities and PCEs from a fresh oracle draw.
 
     The oracle stream is separate from the trial stream under the same seed,
-    so the truth is independent of any generated trial of that config.
+    so the truth is independent of any generated trial of that config. A
+    stratum with no oracle members, such as S10 under monotone adherence,
+    gets probability 0 and NaN means and PCE; one with a single member has
+    no Monte Carlo SE and is an error.
     """
     if oracle_n < MIN_ORACLE_N:
         raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
@@ -277,26 +280,31 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
         for stratum in JOINT_LABELS:
             mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
             n_s = int(np.sum(mask))
-            if n_s < 2:
+            if n_s == 1:
                 raise ConfigError(
-                    f"stratum {stratum} has {n_s} oracle members; increase oracle_n "
-                    "or check the config (the stratum may be structurally empty)"
+                    f"stratum {stratum} has 1 oracle member, too few for a Monte Carlo "
+                    "SE; increase oracle_n or check the config"
                 )
             p = n_s / oracle_n
             d = diff[mask]
+            nan = float("nan")
             rows.append(
                 TruthRow(
                     stratum=stratum,
                     probability=p,
                     prob_mc_se=float(np.sqrt(p * (1.0 - p) / oracle_n)),
-                    mu0=float(np.mean(y[mask, 0])),
-                    mu1=float(np.mean(y[mask, 1])),
-                    pce=float(np.mean(d)),
-                    pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)),
+                    mu0=float(np.mean(y[mask, 0])) if n_s else nan,
+                    mu1=float(np.mean(y[mask, 1])) if n_s else nan,
+                    pce=float(np.mean(d)) if n_s else nan,
+                    pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)) if n_s else nan,
                     n_members=n_s,
                 )
             )
-    _require_finite(np.array([(r.mu0, r.mu1, r.pce, r.pce_mc_se) for r in rows]), "oracle means")
+    # an empty stratum's NaNs are its definition, not an overflow
+    _require_finite(
+        np.array([(r.mu0, r.mu1, r.pce, r.pce_mc_se) for r in rows if r.n_members]),
+        "oracle means",
+    )
     return TruthTable(rows=tuple(rows), oracle_n=oracle_n, seed=config.seed)
 
 

@@ -272,6 +272,44 @@ def test_replicate_small_run(tmp_path, capsys):
         assert fields[7] == "NA"  # no bootstrap, so no coverage
 
 
+def test_simulate_monotone_writes_empty_stratum_as_missing(tmp_path, capsys):
+    """Monotone adherence leaves S10 without oracle members: probability 0, no means."""
+    base = ["simulate", "--scenario", "monotone", "--n", 40, "--seed", 0, "--oracle-n", 10_000,
+            "--out", tmp_path / "trial.csv"]
+    assert run(base + ["--truth-out", tmp_path / "truth.json"]) == 0
+    assert run(base + ["--truth-out", tmp_path / "truth.csv"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    s10 = json.loads((tmp_path / "truth.json").read_text())["strata"]["S10"]
+    assert s10 == {"probability": 0.0, "prob_mc_se": 0.0, "mu0": None, "mu1": None,
+                   "pce": None, "pce_mc_se": None, "n_members": 0}
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "truth.csv").read_text())))
+    s10 = next(r for r in rows if r["stratum"] == "S10")
+    assert [s10[k] for k in ("mu0", "mu1", "pce", "pce_mc_se", "n_members")] == ["NA"] * 4 + ["0"]
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_replicate_monotone_reports_empty_stratum_as_not_estimable(fmt, tmp_path, capsys):
+    out = tmp_path / f"rep.{fmt}"
+    assert run(["replicate", "--scenario", "monotone", "--n", 60, "--seed", 1,
+                "--replicates", 2, "--oracle-n", 10_000, "--format", fmt, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    text = out.read_text()
+    if fmt == "json":
+        cells = json.loads(text)["cells"]
+        rows = [c for c in cells if c["stratum"] == "S10"]
+        assert [c["method"] for c in rows] == ["ps", "direct"]
+        for c in rows:
+            assert c["n_estimable"] == 0
+            assert all(c[k] is None for k in ("mean_truth", "mean_estimate", "bias", "rmse"))
+        assert all(c["n_estimable"] == 2 for c in cells if c["stratum"] != "S10")
+    elif fmt == "csv":
+        rows = [r for r in csv.DictReader(io.StringIO(text)) if r["stratum"] == "S10"]
+        assert len(rows) == 2
+        assert all(r["n_estimable"] == "0" and r["mean_truth"] == "NA" for r in rows)
+    else:
+        assert text.count("| S10 | 0 | NA | NA | NA | NA | NA |") == 2
+
+
 @pytest.mark.parametrize("command", ["simulate", "replicate"])
 @pytest.mark.parametrize(
     "config",

@@ -1,15 +1,23 @@
 import math
+import os
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcekit import core
+from pcekit import core, estimators, resampling
 from pcekit.core import (
     JOINT_LABELS,
     ParallelObservation,
     StratumLabel,
+    TrialColumns,
+    as_columns,
     as_parallel,
+    load_crossover_csv,
+    load_parallel_csv,
 )
 from pcekit.errors import (
     ConvergenceError,
@@ -32,11 +40,13 @@ from pcekit.estimators import (
     fit_principal_score,
     principal_scores,
 )
-from pcekit.glm import LogisticFit
-from pcekit.resampling import BootstrapSpec
+from pcekit.glm import LogisticFit, fit_logistic
+from pcekit.resampling import BootstrapSpec, bootstrap_vector
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def obs(sid, t, a, y=None, x=0.0):
@@ -392,3 +402,112 @@ def test_bootstrap_builds_no_records_per_replicate(monkeypatch):
     for data, methods in ((records, (PceMethod.PS, PceMethod.DIRECT)), (parallel, (PceMethod.PS,))):
         plain = count_calls(data, methods, None)
         assert count_calls(data, methods, BootstrapSpec(n_replicates=20, seed=1)) == plain
+
+
+def few_adherers() -> TrialColumns:
+    """40 subjects of whom only 3 adhere on control: a few resamples hold none,
+    so their arm-0 score has a constant response."""
+    cols = as_columns(generate_trial(scenario("paper_like", n_subjects=40, seed=1)))
+    a = cols.a.copy()
+    a[np.flatnonzero(a[:, 0] == 1)[3:], 0] = 0
+    return TrialColumns(cols.covariate_names, cols.x, a, cols.y, cols.crossover)
+
+
+BOTH = (PceMethod.PS, PceMethod.DIRECT)
+# name -> (data, methods, covariates, replicates, seed); the first four are the
+# estimate goldens of test_golden.py with their arguments
+BATCH_CASES = {
+    "crossover_missing": (lambda: load_crossover_csv(DATA / "crossover_missing.csv"),
+                          BOTH, None, 40, 5),
+    "parallel_ps": (lambda: load_parallel_csv(DATA / "parallel_ps.csv"),
+                    (PceMethod.PS,), None, 40, 6),
+    "empty_stratum": (lambda: load_crossover_csv(DATA / "empty_stratum.csv"), BOTH, None, 40, 7),
+    "sparse_stratum": (lambda: load_crossover_csv(DATA / "sparse_stratum.csv"),
+                       BOTH, None, 40, 8),
+    # 24 subjects: a few resamples separate an arm's adherence (ConvergenceError
+    # through the fallback) and a few others put most scores outside the band
+    "separating": (lambda: load_crossover_csv(DATA / "sparse_refit.csv"), BOTH, None, 40, 4),
+    "constant_response": (few_adherers, BOTH, (), 100, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
+    """estimate_pce_table's count-weighted chunks against one _table_values per replicate."""
+    load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
+    cols = as_columns(load())
+    spec = BootstrapSpec(n_replicates=n_replicates, seed=seed)
+    drawn = []
+    draw = resampling.draw_replicates
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(resampling, "draw_replicates", recording_draw)
+
+    def run(batched):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if batched:
+                rows = estimate_pce_table(cols, methods, covariates, spec)
+                summary = (np.asarray([np.nan if r.se is None else r.se for r in rows]),
+                           [r.n_effective for r in rows])
+            else:
+                res = bootstrap_vector(
+                    cols, lambda s: estimators._table_values(s, methods, covariates), spec
+                )
+                summary = (np.where(np.isnan(res.points), np.nan, res.se),
+                           [None if np.isnan(p) else int(k)
+                            for p, k in zip(res.points, res.n_effective)])
+        return drawn.pop(), summary, sorted(str(w.message) for w in caught)
+
+    (ref, ref_failures), (ref_se, ref_neff), ref_warnings = run(batched=False)
+    (new, new_failures), (new_se, new_neff), new_warnings = run(batched=True)
+    assert new_failures == ref_failures
+    assert new_warnings == ref_warnings
+    assert new_neff == ref_neff
+    np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+    np.testing.assert_allclose(new, ref, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(new_se, ref_se, rtol=1e-10, atol=0.0)
+    good = ~np.isnan(ref)
+    worst = float(np.max(np.abs(new[good] - ref[good]) / np.abs(ref[good])))
+    print(f"{case}: largest relative replicate difference {worst:.1e}")
+    if case == "separating":
+        assert ref_failures == {"ConvergenceError": 3} and ref_warnings
+    if case == "constant_response":
+        assert ref_failures == {"DegenerateResponseError": 2}
+
+
+def test_estimate_bootstrap_refits_do_not_grow_with_replicates(monkeypatch):
+    """Replicates are refit in batches: fit_logistic runs only on the full data."""
+    records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_logistic(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "fit_logistic", counting_fit)
+
+    def fits(n_replicates):
+        calls.clear()
+        estimate_pce_table(records, bootstrap_spec=BootstrapSpec(n_replicates, seed=1))
+        return len(calls)
+
+    assert fits(20) == fits(1) == 2
+
+
+def test_estimate_bootstrap_output_does_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "pcekit.cli", "estimate",
+            "--input", str(DATA / "crossover_missing.csv"), "--method", "both",
+            "--bootstrap", "40", "--seed", "5", "--format", "csv"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"stratum,method,quantity")

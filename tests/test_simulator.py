@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -104,9 +107,21 @@ def test_true_pce_guards():
     cfg = scenario("paper_like", seed=2)
     with pytest.raises(ConfigError, match=str(MIN_ORACLE_N)):
         true_pce(cfg, oracle_n=MIN_ORACLE_N - 1)
+    # near-monotone adherence leaves S10 one oracle member: no Monte Carlo SE
+    near_monotone = dataclasses.replace(scenario("monotone", seed=12), rho_strata=0.99)
+    with pytest.raises(ConfigError, match="1 oracle member"):
+        true_pce(near_monotone, oracle_n=MIN_ORACLE_N)
+
+
+def test_true_pce_empty_stratum_has_probability_zero_and_no_means():
     # perfect monotonicity leaves S10 with no oracle members at all
-    with pytest.raises(ConfigError, match="oracle members"):
-        true_pce(scenario("monotone", seed=0), oracle_n=MIN_ORACLE_N)
+    truth = true_pce(scenario("monotone", seed=0), oracle_n=MIN_ORACLE_N)
+    s10 = truth.row(StratumLabel(1, 0))
+    assert (s10.probability, s10.prob_mc_se, s10.n_members) == (0.0, 0.0, 0)
+    assert all(math.isnan(v) for v in (s10.mu0, s10.mu1, s10.pce, s10.pce_mc_se))
+    others = [r for r in truth.rows if r is not s10]
+    assert sum(r.n_members for r in others) == MIN_ORACLE_N
+    assert all(math.isfinite(r.pce) and r.pce_mc_se > 0.0 for r in others)
 
 
 def test_truth_table_access_and_dict():
