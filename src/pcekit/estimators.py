@@ -480,8 +480,8 @@ def _ps_cells_counts(
         )
         beta.append(coef)
         clean &= ok
-    mu = np.full((b, len(JOINT_LABELS), 2), np.nan)
-    share = np.full((b, 2), np.nan)
+    mu = np.empty((b, len(JOINT_LABELS), 2))
+    share = np.empty((b, 2))
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with no weight read NaN
         for t in (0, 1):
             use = observed[:, t] & ~np.isnan(cols.y[:, t])
@@ -500,8 +500,6 @@ def _ps_cells_counts(
 
 def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> np.ndarray:
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts: (b, 4, 2)."""
-    if not cols.crossover:
-        raise PcekitError("direct stratification needs crossover records")
     complete = (cols.a != A_MISSING).all(axis=1) & ~np.isnan(cols.y).any(axis=1)
     c, a, y = counts[:, complete], cols.a[complete], cols.y[complete]
     mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
