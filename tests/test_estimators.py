@@ -482,6 +482,8 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
     good = ~np.isnan(ref)
     worst = float(np.max(np.abs(new[good] - ref[good]) / np.abs(ref[good])))
     print(f"{case}: largest relative replicate difference {worst:.1e}")
+    if case == "sparse_stratum":  # direct S10: one subject, missed by 9 resamples
+        assert new_neff[18:21] == [31, 31, 31]
     if case == "separating":
         assert ref_failures == {"ConvergenceError": 3} and ref_warnings
     if case == "constant_response":
