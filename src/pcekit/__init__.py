@@ -87,6 +87,7 @@ from .simulator import (
     generate_trial,
     scenario,
     scenario_names,
+    trial_columns,
     true_pce,
 )
 

@@ -27,6 +27,8 @@ import math
 import os
 import re
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,6 +39,9 @@ from .errors import ConfigError, PcekitError
 OUT_DIR_ENV = "PCEKIT_OUT_DIR"
 FORMATS = ("md", "csv", "json")
 METHODS = ("ps", "direct", "both")
+# threads drawing replicate's oracle truths beside the main thread; numpy's
+# draws and large array operations release the GIL, so the two overlap
+ORACLE_WORKERS = 2
 
 
 def _out_dir() -> Path:
@@ -392,30 +397,42 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         for m in methods
         for lab in JOINT_LABELS
     }
-    for k in range(args.replicates):
-        cfg = dataclasses.replace(config, seed=config.seed + k)
-        records = simulator.generate_trial(cfg)
-        truth = simulator.true_pce(cfg, args.oracle_n)
-        spec = None
-        if args.bootstrap > 0:
-            spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
-        rows = estimators.estimate_pce_table(
-            records, methods=methods, covariates=covariates, bootstrap_spec=spec
-        )
-        for r in rows:
-            true_val = truth.row(r.stratum).pce
-            # a stratum with no oracle members has no truth to score against
-            if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
-                continue
-            cell = sums[(r.method.value, str(r.stratum))]
-            cell["n"] += 1
-            cell["truth"] += true_val
-            cell["est"] += r.point
-            cell["bias"] += r.point - true_val
-            cell["sq"] += (r.point - true_val) ** 2
-            if r.ci is not None:
-                cell["cover"] += float(r.ci[0] <= true_val <= r.ci[1])
-                cell["width"] += r.ci[1] - r.ci[0]
+    cfgs = [dataclasses.replace(config, seed=config.seed + k) for k in range(args.replicates)]
+    # the truths are drawn on worker threads, at most ORACLE_WORKERS ahead of
+    # the trial in hand; each has its own seed and is consumed in trial order,
+    # so the output and the order in which errors surface match a serial loop
+    pool = ThreadPoolExecutor(max_workers=ORACLE_WORKERS)
+    try:
+        truths = deque(pool.submit(simulator.true_pce, c, args.oracle_n)
+                       for c in cfgs[:ORACLE_WORKERS])
+        for k, cfg in enumerate(cfgs):
+            cols = simulator.trial_columns(cfg)
+            truth = truths.popleft().result()
+            if k + ORACLE_WORKERS < len(cfgs):
+                truths.append(pool.submit(simulator.true_pce, cfgs[k + ORACLE_WORKERS],
+                                          args.oracle_n))
+            spec = None
+            if args.bootstrap > 0:
+                spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
+            rows = estimators.estimate_pce_table(
+                cols, methods=methods, covariates=covariates, bootstrap_spec=spec
+            )
+            for r in rows:
+                true_val = truth.row(r.stratum).pce
+                # a stratum with no oracle members has no truth to score against
+                if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
+                    continue
+                cell = sums[(r.method.value, str(r.stratum))]
+                cell["n"] += 1
+                cell["truth"] += true_val
+                cell["est"] += r.point
+                cell["bias"] += r.point - true_val
+                cell["sq"] += (r.point - true_val) ** 2
+                if r.ci is not None:
+                    cell["cover"] += float(r.ci[0] <= true_val <= r.ci[1])
+                    cell["width"] += r.ci[1] - r.ci[0]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     agg = []
     for (method, stratum), cell in sums.items():
@@ -495,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="JSON file of generator settings")
     dgp.add_argument("--n", type=int, help="override the subject count")
     dgp.add_argument("--seed", type=int, help="override the seed")
-    dgp.add_argument("--oracle-n", type=int, default=100_000)
+    dgp.add_argument("--oracle-n", type=_int_at_least(simulator.MIN_ORACLE_N), default=100_000)
 
     sim = sub.add_parser(
         "simulate", parents=[dgp], help="generate a synthetic crossover trial plus its truth"

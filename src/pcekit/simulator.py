@@ -26,13 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import JOINT_LABELS, StratumLabel, SubjectRecord, TreatmentSequence
+from .core import JOINT_LABELS, StratumLabel, SubjectRecord, TreatmentSequence, TrialColumns
 from .errors import ConfigError
 
 _TRIAL_STREAM = 0
 _ORACLE_STREAM = 1
 
 MIN_ORACLE_N = 10_000
+# most noise rows per multivariate_normal call; n rows are split into equal chunks
+_NOISE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -146,25 +148,34 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 def _draw_population(
     config: DgpConfig, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariates, potential adherences (n,2), potential outcomes (n,2).
+    """Covariates (n,), stratum codes (n,) and potential outcomes (2, n).
 
-    Finite but huge knobs can overflow; that is a ConfigError, not a warning
-    followed by inf or NaN draws."""
+    A stratum code is ``2*A(0) + A(1)``, the index of the stratum in
+    ``JOINT_LABELS``. The covariates are drawn whole, then the noise rows in
+    chunks of the same stream; an even split never leaves a 1-row chunk, whose
+    product takes another BLAS path, so every n draws the same bits as one
+    ``multivariate_normal`` call. Finite but huge knobs can overflow; that is
+    a ConfigError, not a warning followed by inf or NaN draws."""
+    corr = config.correlation_matrix()
+    code = np.zeros(n, dtype=np.int8)
+    y = np.empty((2, n))
+    k = -(-n // _NOISE_CHUNK)
+    bounds = [i * n // k for i in range(k + 1)]
     with np.errstate(all="ignore"):
         x = config.mu_x + config.sigma_x * rng.standard_normal(n)
         _require_finite(x, "covariate draws")
-        eps = rng.multivariate_normal(
-            np.zeros(4), config.correlation_matrix(), size=n, method="eigh"
-        )
-        a = np.empty((n, 2), dtype=np.int64)
-        y = np.empty((n, 2))
-        for t in (0, 1):
-            latent = config.eta[t] + config.beta[t] * x + eps[:, t]
-            _require_finite(latent, "adherence latent draws")
-            a[:, t] = latent > 0.0
-            y[:, t] = config.gamma[t] + config.delta[t] * x + config.sigma[t] * eps[:, 2 + t]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            eps = rng.multivariate_normal(np.zeros(4), corr, size=hi - lo, method="eigh")
+            xc = x[lo:hi]
+            for t in (0, 1):
+                latent = config.eta[t] + config.beta[t] * xc + eps[:, t]
+                _require_finite(latent, "adherence latent draws")
+                code[lo:hi] += (latent > 0.0).astype(np.int8) << (1 - t)
+                y[t, lo:hi] = (
+                    config.gamma[t] + config.delta[t] * xc + config.sigma[t] * eps[:, 2 + t]
+                )
     _require_finite(y, "outcome draws")
-    return x, a, y
+    return x, code, y
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -172,11 +183,15 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} are not finite (overflow); use smaller config values")
 
 
-def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
-    """One simulated trial; sequences are randomized 1:1 (EF gets the odd slot)."""
+def _draw_trial(config: DgpConfig) -> tuple[TrialColumns, np.ndarray]:
+    """One simulated trial as columns, and which subjects are experimental-first.
+
+    Sequences are randomized 1:1 (EF gets the odd slot). Missingness is
+    sampled per arm; carry-over always uses the realized period-1 value even
+    when that value is masked."""
     n = config.n_subjects
     rng = _stream(config.seed, _TRIAL_STREAM)
-    x, a, y_pot = _draw_population(config, rng, n)
+    x, code, y_pot = _draw_population(config, rng, n)
     perm = rng.permutation(n)
     miss = rng.random((n, 2))
 
@@ -185,32 +200,43 @@ def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     # the observed period-2 outcome; huge period or carry-over knobs overflow it
     rows, first = np.arange(n), ef.astype(np.int64)
     with np.errstate(all="ignore"):
-        y_p2 = y_pot[rows, 1 - first] + config.pi_period + config.lambda_carry * y_pot[rows, first]
+        y_p2 = y_pot[1 - first, rows] + config.pi_period + config.lambda_carry * y_pot[first, rows]
     _require_finite(y_p2, "period-2 outcome draws")
 
-    width = len(str(n))
+    a = np.stack([code >> 1, code & 1], axis=1)
+    y = y_pot.T.copy()
+    y[rows, 1 - first] = y_p2
+    y[miss < np.asarray(config.missing_y_prob)] = np.nan
+    return TrialColumns((config.covariate_name,), x.reshape(n, 1), a, y, True), ef
+
+
+def trial_columns(config: DgpConfig) -> TrialColumns:
+    """One simulated trial as arm-indexed columns, without building records."""
+    return _draw_trial(config)[0]
+
+
+def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
+    """One simulated trial as records: the draw of ``trial_columns``, by period."""
+    cols, ef = _draw_trial(config)
+    width = len(str(len(cols)))
+
+    def period_y(v: float) -> float | None:
+        return None if math.isnan(v) else float(v)
+
     records: list[SubjectRecord] = []
-    for i in range(n):
+    for i in range(len(cols)):
         seq = TreatmentSequence.EXPERIMENTAL_FIRST if ef[i] else TreatmentSequence.CONTROL_FIRST
         t1, t2 = seq.treatments
-        y1 = float(y_pot[i, t1])
-        y2 = float(y_p2[i])
-        # missingness is sampled per arm; carry-over always uses the realized
-        # period-1 value even when that value is subsequently masked
-        y_by_period: dict[int, float | None] = {1: y1, 2: y2}
-        for t in (0, 1):
-            if miss[i, t] < config.missing_y_prob[t]:
-                y_by_period[1 if t1 == t else 2] = None
         records.append(
             SubjectRecord(
                 subject_id=f"s{i + 1:0{width}d}",
-                covariate_names=(config.covariate_name,),
-                covariates=(float(x[i]),),
+                covariate_names=cols.covariate_names,
+                covariates=(float(cols.x[i, 0]),),
                 sequence=seq,
-                a_p1=int(a[i, t1]),
-                a_p2=int(a[i, t2]),
-                y_p1=y_by_period[1],
-                y_p2=y_by_period[2],
+                a_p1=int(cols.a[i, t1]),
+                a_p2=int(cols.a[i, t2]),
+                y_p1=period_y(cols.y[i, t1]),
+                y_p2=period_y(cols.y[i, t2]),
             )
         )
     return records
@@ -273,28 +299,35 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     if oracle_n < MIN_ORACLE_N:
         raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
     rng = _stream(config.seed, _ORACLE_STREAM)
-    _, a, y = _draw_population(config, rng, oracle_n)
+    _, code, y = _draw_population(config, rng, oracle_n)
+    # stratum members as contiguous slices, each in draw order, so every sum
+    # adds the same elements in the same order as a boolean mask would
+    counts = np.bincount(code, minlength=len(JOINT_LABELS))
+    order = np.argsort(code, kind="stable")
+    for t in (0, 1):
+        y[t] = y[t, order]
+    del code, order
     rows = []
+    lo = 0
     with np.errstate(all="ignore"):  # differences and sums of huge outcomes overflow
-        diff = y[:, 1] - y[:, 0]
-        for stratum in JOINT_LABELS:
-            mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
-            n_s = int(np.sum(mask))
+        for stratum, n_s in zip(JOINT_LABELS, counts.tolist()):
             if n_s == 1:
                 raise ConfigError(
                     f"stratum {stratum} has 1 oracle member, too few for a Monte Carlo "
                     "SE; increase oracle_n or check the config"
                 )
+            y0, y1 = y[0, lo : lo + n_s], y[1, lo : lo + n_s]
+            lo += n_s
+            d = y1 - y0
             p = n_s / oracle_n
-            d = diff[mask]
             nan = float("nan")
             rows.append(
                 TruthRow(
                     stratum=stratum,
                     probability=p,
                     prob_mc_se=float(np.sqrt(p * (1.0 - p) / oracle_n)),
-                    mu0=float(np.mean(y[mask, 0])) if n_s else nan,
-                    mu1=float(np.mean(y[mask, 1])) if n_s else nan,
+                    mu0=float(np.mean(y0)) if n_s else nan,
+                    mu1=float(np.mean(y1)) if n_s else nan,
                     pce=float(np.mean(d)) if n_s else nan,
                     pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)) if n_s else nan,
                     n_members=n_s,

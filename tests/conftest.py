@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from pcekit.core import SubjectRecord, TreatmentSequence
@@ -26,3 +28,14 @@ def make_record(
 @pytest.fixture
 def record_factory():
     return make_record
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a live non-daemon thread behind."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.is_alive() and not t.daemon]
+    if leaked:
+        pytest.fail(f"test left non-daemon threads running: {', '.join(leaked)}")

@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import io
 import json
+import sys
+import threading
+import time
 import warnings
 
 import pytest
 
+from pcekit import cli, simulator
 from pcekit.cli import main
 from pcekit.core import (
     ParallelObservation,
@@ -272,6 +277,59 @@ def test_replicate_small_run(tmp_path, capsys):
         assert fields[7] == "NA"  # no bootstrap, so no coverage
 
 
+@pytest.mark.parametrize("workers", [cli.ORACLE_WORKERS, 4])
+def test_replicate_output_does_not_depend_on_oracle_threads(workers, tmp_path, monkeypatch):
+    argv = ["replicate", "--scenario", "a4p_violated", "--n", 60, "--seed", 4,
+            "--replicates", 6, "--oracle-n", 10_000, "--format", "json"]
+    monkeypatch.setattr(cli, "ORACLE_WORKERS", 1)
+    assert run(argv + ["--out", tmp_path / "serial.json"]) == 0
+    # more workers than this host's cores, switching threads as often as it can
+    monkeypatch.setattr(cli, "ORACLE_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(argv + ["--out", tmp_path / "threaded.json"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "threaded.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+def test_replicate_oracle_error_cancels_the_rest_and_joins_its_threads(
+    tmp_path, monkeypatch, capsys
+):
+    # near-monotone adherence leaves S10 one oracle member at seed 12, so the
+    # truth of trial 0 of 50 is a ConfigError
+    config = dataclasses.replace(scenario("monotone", seed=12), rho_strata=0.99)
+    path = tmp_path / "near_monotone.json"
+    path.write_text(json.dumps(config.to_dict()))
+    seeds = []
+    true_pce = simulator.true_pce
+
+    def counted(cfg, oracle_n):
+        seeds.append(cfg.seed)
+        if cfg.seed == 12:  # time for a worker to run ahead, if it may
+            time.sleep(0.2)
+        return true_pce(cfg, oracle_n)
+
+    monkeypatch.setattr(simulator, "true_pce", counted)
+    baseline = threading.active_count()
+    assert run(["replicate", "--config", path, "--replicates", 50, "--oracle-n", 10_000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1 oracle member" in err
+    assert "Traceback" not in err
+    assert 12 in seeds and len(seeds) <= 3
+    assert threading.active_count() == baseline
+
+
+def test_replicate_reports_a_trial_error_before_its_truth_error(tmp_path, capsys):
+    # trial 0's period-2 outcomes overflow, and so do the sums of its oracle
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_subjects": 20, "gamma": [1e308, 1e308],
+                                "pi_period": 1.7e308, "lambda_carry": 1.0}))
+    assert run(["replicate", "--config", path, "--replicates", 3, "--oracle-n", 10_000]) == 1
+    assert capsys.readouterr().err.startswith("error: period-2 outcome draws are not finite")
+
+
 def test_simulate_monotone_writes_empty_stratum_as_missing(tmp_path, capsys):
     """Monotone adherence leaves S10 without oracle members: probability 0, no means."""
     base = ["simulate", "--scenario", "monotone", "--n", 40, "--seed", 0, "--oracle-n", 10_000,
@@ -364,6 +422,24 @@ def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
     err = capsys.readouterr().err
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "replicate"])
+def test_small_oracle_n_exits_two_before_any_draw(command, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a trial or a truth before the arguments were checked")
+
+    for name in ("generate_trial", "trial_columns", "true_pce"):
+        monkeypatch.setattr(simulator, name, fail)
+    argv = [command, "--scenario", "paper_like", "--oracle-n", simulator.MIN_ORACLE_N - 1,
+            "--out", tmp_path / "out.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --oracle-n: must be at least {simulator.MIN_ORACLE_N}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["estimate", "diagnose"])

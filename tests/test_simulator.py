@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from pcekit.core import JOINT_LABELS, StratumLabel, TreatmentSequence
+from pcekit.core import JOINT_LABELS, StratumLabel, TreatmentSequence, as_columns
+from pcekit import simulator
 from pcekit.errors import ConfigError
 from pcekit.simulator import (
     MIN_ORACLE_N,
     DgpConfig,
+    TruthTable,
     generate_trial,
     scenario,
+    TruthRow,
     scenario_names,
+    trial_columns,
     true_pce,
 )
 
@@ -86,6 +90,89 @@ def test_missingness_is_per_arm():
     assert 0.8 < missing0 / 400 < 0.97
     # masking never touches adherence
     assert all(r.a_p1 in (0, 1) and r.a_p2 in (0, 1) for r in records)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("n", [2, 163, 300])
+def test_records_and_columns_are_one_draw(name, n):
+    cfg = dataclasses.replace(scenario(name, n_subjects=n, seed=n), missing_y_prob=(0.1, 0.2))
+    via_records, direct = as_columns(generate_trial(cfg)), trial_columns(cfg)
+    assert direct.covariate_names == via_records.covariate_names == ("x_base",)
+    assert direct.crossover and len(direct) == n
+    for field in ("x", "a", "y"):
+        got, want = getattr(direct, field), getattr(via_records, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _whole_draw(config: DgpConfig, rng: np.random.Generator, n: int):
+    """The population as first drawn: covariates, then all n noise rows in one call."""
+    x = config.mu_x + config.sigma_x * rng.standard_normal(n)
+    eps = rng.multivariate_normal(np.zeros(4), config.correlation_matrix(), size=n, method="eigh")
+    a = np.empty((n, 2), dtype=np.int64)
+    y = np.empty((n, 2))
+    for t in (0, 1):
+        a[:, t] = config.eta[t] + config.beta[t] * x + eps[:, t] > 0.0
+        y[:, t] = config.gamma[t] + config.delta[t] * x + config.sigma[t] * eps[:, 2 + t]
+    return x, a, y
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_chunked_draw_matches_whole_draw_bit_for_bit(name):
+    # 8193 and 16385 rows would leave a 1-row chunk under a fixed chunk size;
+    # a 1-row product takes another BLAS path and changes the last bits
+    for n in (2, 8192, 8193, 10_001, 16_385, 123_457):
+        cfg = scenario(name, seed=n % 7)
+        x, code, y = simulator._draw_population(cfg, np.random.default_rng(n), n)
+        x_ref, a_ref, y_ref = _whole_draw(cfg, np.random.default_rng(n), n)
+        assert code.dtype == np.int8
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(code, 2 * a_ref[:, 0] + a_ref[:, 1])
+        assert np.array_equal(y, y_ref.T)
+
+
+def _reference_true_pce(config: DgpConfig, oracle_n: int) -> TruthTable:
+    """true_pce as first written: the noise drawn whole and one boolean mask per stratum."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    _, a, y = _whole_draw(config, rng, oracle_n)
+    diff = y[:, 1] - y[:, 0]
+    rows = []
+    for stratum in JOINT_LABELS:
+        mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
+        n_s = int(np.sum(mask))
+        if n_s == 1:
+            raise ConfigError(f"stratum {stratum} has 1 oracle member")
+        p = n_s / oracle_n
+        d = diff[mask]
+        nan = float("nan")
+        rows.append(
+            TruthRow(
+                stratum=stratum,
+                probability=p,
+                prob_mc_se=float(np.sqrt(p * (1.0 - p) / oracle_n)),
+                mu0=float(np.mean(y[mask, 0])) if n_s else nan,
+                mu1=float(np.mean(y[mask, 1])) if n_s else nan,
+                pce=float(np.mean(d)) if n_s else nan,
+                pce_mc_se=float(np.std(d, ddof=1) / np.sqrt(n_s)) if n_s else nan,
+                n_members=n_s,
+            )
+        )
+    return TruthTable(rows=tuple(rows), oracle_n=oracle_n, seed=config.seed)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_true_pce_matches_whole_draw_reference_bit_for_bit(name):
+    # the noise is drawn in chunks of about 8192 rows; these sizes split unevenly
+    for seed in range(6):
+        cfg = scenario(name, seed=seed)
+        for oracle_n in (10_000, 10_001, 16_385, 100_000, 123_457):
+            want, got = _reference_true_pce(cfg, oracle_n), true_pce(cfg, oracle_n)
+            assert (got.oracle_n, got.seed) == (want.oracle_n, want.seed)
+            for g, w in zip(got.rows, want.rows, strict=True):
+                for field in dataclasses.fields(TruthRow):
+                    gv, wv = getattr(g, field.name), getattr(w, field.name)
+                    assert type(gv) is type(wv), (name, seed, oracle_n, field.name)
+                    assert gv == wv or (gv != gv and wv != wv), (name, seed, oracle_n, field.name)
 
 
 def test_true_pce_table_shape_and_consistency():
