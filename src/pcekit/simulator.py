@@ -218,13 +218,14 @@ def trial_columns(config: DgpConfig) -> TrialColumns:
 def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     """One simulated trial as records: the draw of ``trial_columns``, by period."""
     cols, ef = _draw_trial(config)
-    width = len(str(len(cols)))
+    n = len(cols)
+    width = len(str(n))
 
     def period_y(v: float) -> float | None:
         return None if math.isnan(v) else float(v)
 
     records: list[SubjectRecord] = []
-    for i in range(len(cols)):
+    for i in range(n):
         seq = TreatmentSequence.EXPERIMENTAL_FIRST if ef[i] else TreatmentSequence.CONTROL_FIRST
         t1, t2 = seq.treatments
         records.append(
