@@ -19,9 +19,10 @@ from .core import (
     as_parallel,
     classify_strata,
     completer_filter,
-    derive_adherence,
+    completer_mask,
     load_crossover_csv,
     load_parallel_csv,
+    stratum_counts,
     write_crossover_csv,
     write_parallel_csv,
 )
@@ -55,7 +56,6 @@ from .estimators import (
     PrincipalScoreModel,
     ProbMethod,
     StratumProbEstimate,
-    combine_marginal,
     estimate_mu_direct,
     estimate_mu_hayden,
     estimate_pce_table,
@@ -78,7 +78,6 @@ from .resampling import (
     bootstrap,
     exceedance_p,
     percentile_interval,
-    resample_indices,
 )
 from .simulator import (
     DgpConfig,

@@ -32,6 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import core, diagnostics, estimators, resampling, simulator
 from .core import CompleterRule, JOINT_LABELS
 from .errors import ConfigError, PcekitError
@@ -108,20 +110,19 @@ def _config_digest(config: simulator.DgpConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _parse_derive_rule(rule: str) -> Callable[[float], int]:
+_RULE_OPS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.less_equal}
+
+
+def _derive_adherence(rule: str, y: np.ndarray) -> np.ndarray:
+    """Adherence from outcomes y by a threshold rule such as 'y>0'; missing
+    where y is."""
     m = re.fullmatch(r"\s*y\s*(>=|<=|>|<)\s*(-?\d+(?:\.\d+)?)\s*", rule)
     if m is None:
         raise ConfigError(
             f"cannot parse adherence rule {rule!r}; expected like 'y>0' or 'y<=1.5'"
         )
-    op, thr = m.group(1), float(m.group(2))
-    ops: dict[str, Callable[[float], int]] = {
-        ">": lambda y: int(y > thr),
-        ">=": lambda y: int(y >= thr),
-        "<": lambda y: int(y < thr),
-        "<=": lambda y: int(y <= thr),
-    }
-    return ops[op]
+    hit = _RULE_OPS[m.group(1)](y, float(m.group(2)))
+    return np.where(np.isnan(y), core.A_MISSING, hit).astype(np.int8)
 
 
 def _parse_covariates(arg: str | None) -> tuple[str, ...] | None:
@@ -162,21 +163,13 @@ def _sniff_shape(path: str) -> str:
     raise ConfigError(f"{path}: unrecognized header; not a crossover or parallel file")
 
 
-def _load_dataset(args: argparse.Namespace):
+def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
     shape = args.data_shape or _sniff_shape(args.input)
-    if shape == "crossover":
-        data = core.load_crossover_csv(args.input)
-    else:
-        data = core.load_parallel_csv(args.input)
+    load = core.load_crossover_csv if shape == "crossover" else core.load_parallel_csv
+    cols = core.as_columns(load(args.input))
     if args.derive_a:
-        rule = _parse_derive_rule(args.derive_a)
-        if shape == "crossover":
-            data = core.derive_adherence(data, rule)
-        else:
-            data = [
-                dataclasses.replace(o, a=None if o.y is None else rule(o.y)) for o in data
-            ]
-    return shape, data
+        cols = dataclasses.replace(cols, a=_derive_adherence(args.derive_a, cols.y))
+    return cols
 
 
 # ---------------------------------------------------------------- simulate
@@ -236,17 +229,15 @@ def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    shape, data = _load_dataset(args)
+    cols = _load_dataset(args)
     methods = _methods(args.method)
-    if shape == "parallel" and estimators.PceMethod.DIRECT in methods:
-        raise ConfigError("direct stratification needs crossover data")
     spec = None
     if args.bootstrap > 0:
         spec = resampling.BootstrapSpec(
             n_replicates=args.bootstrap, seed=args.seed, ci_level=args.ci
         )
     table = estimators.estimate_pce_table(
-        data, methods=methods, covariates=_parse_covariates(args.covariates), bootstrap_spec=spec
+        cols, methods=methods, covariates=_parse_covariates(args.covariates), bootstrap_spec=spec
     )
     doc, rows = [], []
     for r in table:
@@ -266,9 +257,7 @@ CHECKS = ("monotonicity", "ignorability", "independence", "effects")
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    shape, data = _load_dataset(args)
-    if shape != "crossover":
-        raise ConfigError("diagnostics need crossover data")
+    cols = _load_dataset(args)
     checks = CHECKS if args.checks == "all" else tuple(s.strip() for s in args.checks.split(","))
     for c in checks:
         if c not in CHECKS:
@@ -277,20 +266,22 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     results: dict[str, dict] = {}
     notes: list[str] = []
 
+    def completers(check: str, rule: CompleterRule, what: str) -> core.TrialColumns:
+        kept = cols.take(core.completer_mask(cols, rule))
+        notes.append(f"{check}: {len(kept)}/{len(cols)} {what} completers")
+        return kept
+
     if "monotonicity" in checks:
-        kept = core.completer_filter(data, CompleterRule.STRATUM_VAR)
-        notes.append(f"monotonicity: {len(kept)}/{len(data)} adherence completers")
+        kept = completers("monotonicity", CompleterRule.STRATUM_VAR, "adherence")
         report = diagnostics.monotonicity_report(
             kept, diagnostics.MonotonicityDirection(args.direction)
         )
         results["monotonicity"] = report.to_dict()
     if "ignorability" in checks:
-        kept = core.completer_filter(data, CompleterRule.BOTH)
-        notes.append(f"ignorability: {len(kept)}/{len(data)} full completers")
+        kept = completers("ignorability", CompleterRule.BOTH, "full")
         results["ignorability"] = diagnostics.ignorability_regressions(kept, covariates).to_dict()
     if "independence" in checks:
-        kept = core.completer_filter(data, CompleterRule.STRATUM_VAR)
-        notes.append(f"independence: {len(kept)}/{len(data)} adherence completers")
+        kept = completers("independence", CompleterRule.STRATUM_VAR, "adherence")
         report = diagnostics.independence_test(
             kept,
             method=estimators.ProbMethod(args.indep_method),
@@ -300,8 +291,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         )
         results["independence"] = report.to_dict()
     if "effects" in checks:
-        kept = core.completer_filter(data, CompleterRule.OUTCOME)
-        notes.append(f"effects: {len(kept)}/{len(data)} outcome completers")
+        kept = completers("effects", CompleterRule.OUTCOME, "outcome")
         results["effects"] = diagnostics.crossover_effects_test(kept).to_dict()
 
     rows = [

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InsufficientDataError, MissingDataError, SchemaError
+from .errors import InsufficientDataError, MissingDataError, PcekitError, SchemaError
 
 MISSING_TOKEN = "NA"
 
@@ -429,67 +429,6 @@ def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObserv
     ]
 
 
-def completer_filter(
-    records: Sequence[SubjectRecord], require: CompleterRule
-) -> list[SubjectRecord]:
-    """Keep subjects with the required fields observed in both periods."""
-
-    def ok(rec: SubjectRecord) -> bool:
-        has_y = rec.y_p1 is not None and rec.y_p2 is not None
-        has_a = rec.a_p1 is not None and rec.a_p2 is not None
-        if require is CompleterRule.OUTCOME:
-            return has_y
-        if require is CompleterRule.STRATUM_VAR:
-            return has_a
-        return has_y and has_a
-
-    return [rec for rec in records if ok(rec)]
-
-
-def classify_strata(records: Sequence[SubjectRecord]) -> StratumTable:
-    """Tabulate joint strata from crossover adherence in both arms.
-
-    All records must have a observed in both periods; apply
-    ``completer_filter(records, CompleterRule.STRATUM_VAR)`` first if not.
-    """
-    if not records:
-        raise InsufficientDataError("no records to classify")
-    counts = {lab: 0 for lab in JOINT_LABELS}
-    for rec in records:
-        a0, a1 = rec.a_for_arm(0), rec.a_for_arm(1)
-        if a0 is None or a1 is None:
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} has missing adherence; apply "
-                "completer_filter(records, CompleterRule.STRATUM_VAR) first"
-            )
-        counts[StratumLabel(a0, a1)] += 1
-    return StratumTable(counts=counts, n_total=len(records))
-
-
-def derive_adherence(
-    records: Iterable[SubjectRecord], rule: Callable[[float], int]
-) -> list[SubjectRecord]:
-    """Fill adherence from observed outcomes via a threshold-style rule.
-
-    Periods with missing y keep a missing a.
-    """
-    out: list[SubjectRecord] = []
-    for rec in records:
-        out.append(
-            SubjectRecord(
-                subject_id=rec.subject_id,
-                covariate_names=rec.covariate_names,
-                covariates=rec.covariates,
-                sequence=rec.sequence,
-                a_p1=None if rec.y_p1 is None else rule(rec.y_p1),
-                a_p2=None if rec.y_p2 is None else rule(rec.y_p2),
-                y_p1=rec.y_p1,
-                y_p2=rec.y_p2,
-            )
-        )
-    return out
-
-
 A_MISSING = -1  # adherence sentinel in TrialColumns.a
 
 
@@ -499,24 +438,29 @@ class TrialColumns:
 
     Columns of ``a`` and ``y`` are indexed by arm (0 control, 1 experimental),
     not by period. A parallel observation fills only its own arm; the other
-    arm reads as missing. Build with ``as_columns``, which validates; ``take``
-    trusts its input.
+    arm reads as missing. A crossover subject received arm t in period 2
+    exactly when ``ef != t``. Build with ``as_columns``, which validates;
+    ``take`` trusts its input.
     """
 
     covariate_names: tuple[str, ...]
     x: np.ndarray  # (n, p) covariates
     a: np.ndarray  # (n, 2) int8 adherence, A_MISSING where unobserved
     y: np.ndarray  # (n, 2) outcomes, NaN where unobserved
-    crossover: bool  # rows are crossover subjects, so both arms can be observed
+    ef: np.ndarray | None  # (n,) bool, experimental first; None for parallel observations
+
+    @property
+    def crossover(self) -> bool:
+        """Rows are crossover subjects, so both arms can be observed."""
+        return self.ef is not None
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
     def take(self, idx: np.ndarray) -> "TrialColumns":
-        """The rows at idx, in that order (a bootstrap resample)."""
-        return TrialColumns(
-            self.covariate_names, self.x[idx], self.a[idx], self.y[idx], self.crossover
-        )
+        """The rows at idx, in that order (a bootstrap resample), or where a mask is true."""
+        ef = None if self.ef is None else self.ef[idx]
+        return TrialColumns(self.covariate_names, self.x[idx], self.a[idx], self.y[idx], ef)
 
 
 Dataset = Union[Sequence[SubjectRecord], Sequence[ParallelObservation], TrialColumns]
@@ -563,6 +507,7 @@ def as_columns(data: Dataset) -> TrialColumns:
     ids = [rec.subject_id for rec in data]
     x = np.asarray([rec.covariates for rec in data], dtype=float).reshape(n, len(names))
     _check_finite(x, np.ones(x.shape, dtype=bool), ids, names)
+    ef = None
     if crossover:
         y_p = np.asarray([[_nan_if_none(r.y_p1), _nan_if_none(r.y_p2)] for r in data])
         observed = np.asarray([[r.y_p1 is not None, r.y_p2 is not None] for r in data])
@@ -581,4 +526,55 @@ def as_columns(data: Dataset) -> TrialColumns:
         a[rows, arm] = [_sentinel_if_none(o.a) for o in data]
         y = np.full((n, 2), np.nan)
         y[rows, arm] = y_own[:, 0]
-    return TrialColumns(names, x, a, y, crossover)
+    return TrialColumns(names, x, a, y, ef)
+
+
+def completer_mask(cols: TrialColumns, require: CompleterRule) -> np.ndarray:
+    """(n,) mask of the rows with the required fields observed in both arms."""
+    has_y = ~np.isnan(cols.y).any(axis=1)
+    has_a = (cols.a != A_MISSING).all(axis=1)
+    if require is CompleterRule.OUTCOME:
+        return has_y
+    if require is CompleterRule.STRATUM_VAR:
+        return has_a
+    return has_y & has_a
+
+
+def _require_completers(cols: TrialColumns, require: CompleterRule) -> None:
+    """Raise MissingDataError naming the first row that is not a completer."""
+    missing = np.flatnonzero(~completer_mask(cols, require))
+    if missing.size:
+        rule = f"CompleterRule.{require.name}"
+        raise MissingDataError(
+            f"row {missing[0]} lacks a field {rule} requires in both arms; keep the "
+            f"rows of completer_mask(cols, {rule}) first"
+        )
+
+
+def completer_filter(
+    records: Sequence[SubjectRecord], require: CompleterRule
+) -> list[SubjectRecord]:
+    """Keep subjects with the required fields observed in both periods."""
+    records = list(records)
+    if not records:
+        return []
+    keep = completer_mask(as_columns(records), require)
+    return [rec for rec, k in zip(records, keep.tolist()) if k]
+
+
+def stratum_counts(cols: TrialColumns) -> np.ndarray:
+    """Subjects per joint stratum, in JOINT_LABELS order (cell index 2*A(0) + A(1)).
+
+    Needs crossover rows with adherence observed in both arms; take
+    ``completer_mask(cols, CompleterRule.STRATUM_VAR)`` first if not.
+    """
+    if not cols.crossover:
+        raise PcekitError("stratum counts need crossover data")
+    _require_completers(cols, CompleterRule.STRATUM_VAR)
+    return np.bincount(2 * cols.a[:, 0] + cols.a[:, 1], minlength=len(JOINT_LABELS))
+
+
+def classify_strata(records: Sequence[SubjectRecord]) -> StratumTable:
+    """Tabulate joint strata from crossover adherence in both arms."""
+    counts = stratum_counts(as_columns(records))
+    return StratumTable(dict(zip(JOINT_LABELS, counts.tolist())), int(counts.sum()))

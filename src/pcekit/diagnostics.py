@@ -19,22 +19,33 @@ from scipy.special import expit
 
 from .core import (
     JOINT_LABELS,
+    CompleterRule,
+    Dataset,
     StratumLabel,
     StratumTable,
-    SubjectRecord,
-    classify_strata,
+    TrialColumns,
+    _require_completers,
+    as_columns,
+    stratum_counts,
 )
 from .errors import (
     BootstrapError,
     DegenerateResponseError,
     DiagnosticError,
     InsufficientDataError,
-    MissingDataError,
     SingularDesignError,
 )
-from .estimators import ProbMethod, _cell_table, _covariate_matrix, _prob_vector
+from .estimators import ProbMethod, _cell_table, _prob_vector, _selected_covariates
 from .glm import DesignMatrix, fit_logistic, fit_logistic_counts, fit_ols, t_two_sided_p
 from .resampling import draw_replicates, exceedance_p, resample_counts
+
+
+def _crossover_columns(data: Dataset) -> TrialColumns:
+    """Records or columns as columns; every check needs crossover subjects."""
+    cols = as_columns(data)
+    if not cols.crossover:
+        raise DiagnosticError("diagnostics need crossover data")
+    return cols
 
 
 class MonotonicityDirection(Enum):
@@ -72,14 +83,14 @@ class MonotonicityReport:
 
 
 def monotonicity_report(
-    records: Sequence[SubjectRecord],
-    direction: MonotonicityDirection = MonotonicityDirection.INCREASING,
+    data: Dataset, direction: MonotonicityDirection = MonotonicityDirection.INCREASING
 ) -> MonotonicityReport:
     """Tabulate strata and the share of subjects in cells monotonicity forbids.
 
-    Records need adherence in both periods (stratum-variable completers).
+    Subjects need adherence in both periods (stratum-variable completers).
     """
-    table = classify_strata(records)
+    counts = stratum_counts(_crossover_columns(data))
+    table = StratumTable(dict(zip(JOINT_LABELS, counts.tolist())), int(counts.sum()))
     forbidden = direction.forbidden
     violating = sum(table.counts[lab] for lab in forbidden)
     prop = violating / table.n_total
@@ -141,35 +152,25 @@ class IgnorabilityReport:
 
 
 def ignorability_regressions(
-    records: Sequence[SubjectRecord], covariates: Sequence[str] | None = None
+    data: Dataset, covariates: Sequence[str] | None = None
 ) -> IgnorabilityReport:
     """Regress each arm's outcome on each arm's adherence, X, and period.
 
     Needs completers for adherence and outcome in both periods. Four rows
     come back in (outcome, adherence) order (0,0), (1,1), (0,1), (1,0).
     """
-    records = list(records)
-    if not records:
-        raise InsufficientDataError("no records")
-    for rec in records:
-        if None in (rec.a_p1, rec.a_p2, rec.y_p1, rec.y_p2):
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} is not a completer; apply "
-                "completer_filter(records, CompleterRule.BOTH) first"
-            )
-    names = tuple(covariates) if covariates is not None else records[0].covariate_names
-    x = _covariate_matrix(records, names) if names else np.empty((len(records), 0))
-    y = {t: np.asarray([rec.y_for_arm(t) for rec in records], dtype=float) for t in (0, 1)}
-    a = {t: np.asarray([rec.a_for_arm(t) for rec in records], dtype=float) for t in (0, 1)}
-    period2 = {
-        t: np.asarray([rec.period_of_arm(t) == 2 for rec in records], dtype=float)
-        for t in (0, 1)
-    }
+    cols = _crossover_columns(data)
+    _require_completers(cols, CompleterRule.BOTH)
+    names, x = _selected_covariates(cols, covariates)
+    # contiguous copies: fit_ols on a strided column view differs in the last bits
+    y = {t: np.ascontiguousarray(cols.y[:, t]) for t in (0, 1)}
+    a = {t: cols.a[:, t].astype(float) for t in (0, 1)}
+    period2 = {t: (cols.ef != t).astype(float) for t in (0, 1)}
 
     rows = []
     for outcome_arm, adherence_arm in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        cols = [a[adherence_arm]] + [x[:, j] for j in range(x.shape[1])] + [period2[outcome_arm]]
-        design = DesignMatrix.with_intercept(("adherence", *names, "period2"), cols)
+        regressors = [a[adherence_arm], *x.T, period2[outcome_arm]]
+        design = DesignMatrix.with_intercept(("adherence", *names, "period2"), regressors)
         fit = fit_ols(design, y[outcome_arm])
         coef_a = fit.coef("adherence")
         idx_a = fit.names.index("adherence")
@@ -187,7 +188,7 @@ def ignorability_regressions(
                 adjusted_mean_a1=base + coef_a,
             )
         )
-    return IgnorabilityReport(rows=tuple(rows), n_subjects=len(records))
+    return IgnorabilityReport(rows=tuple(rows), n_subjects=len(cols))
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ def _refit_cells(
 
 
 def independence_test(
-    records: Sequence[SubjectRecord],
+    data: Dataset,
     method: ProbMethod = ProbMethod.COND_INDEP,
     covariates: Sequence[str] | None = None,
     n_bootstrap: int = 500,
@@ -256,38 +257,31 @@ def independence_test(
     replicate's gap centered at the full-sample gap, so the p-value measures
     whether the observed gap exceeds pure sampling noise. Replicates where a
     model cannot be refit are rejected and redrawn; more than 10% rejections
-    aborts the test. Records need adherence in both periods.
+    aborts the test. Subjects need adherence in both periods.
 
     Each replicate is a row of multinomial counts over the subjects. Chunks
     of rows are refit together by ``fit_logistic_counts``; a row it does not
     fit cleanly is refit alone by ``fit_logistic``, which decides whether it
     is rejected.
     """
-    records = list(records)
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
     if n_bootstrap < 1:
         raise ValueError("n_bootstrap must be at least 1")
-    n = len(records)
+    cols = _crossover_columns(data)
+    n = len(cols)
     if n < 4:
-        raise InsufficientDataError("too few records for the independence test")
-    for rec in records:
-        if rec.a_p1 is None or rec.a_p2 is None:
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} has missing adherence; apply "
-                "completer_filter(records, CompleterRule.STRATUM_VAR) first"
-            )
+        raise InsufficientDataError("too few subjects for the independence test")
 
-    names = tuple(covariates) if covariates is not None else records[0].covariate_names
-    obs_vec = _prob_vector(records, ProbMethod.OBSERVED, None)
-    est_vec = _prob_vector(records, method, names)
+    names, x = _selected_covariates(cols, covariates)
+    obs_vec = _prob_vector(cols, ProbMethod.OBSERVED, None)
+    est_vec = _prob_vector(cols, method, names)
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
 
-    a0 = np.asarray([rec.a_for_arm(0) for rec in records], dtype=np.int64)
-    a1 = np.asarray([rec.a_for_arm(1) for rec in records], dtype=np.int64)
-    x = _covariate_matrix(records, names) if names else np.empty((n, 0))
+    a0 = cols.a[:, 0].astype(np.int64)
+    a1 = cols.a[:, 1].astype(np.int64)
     design = DesignMatrix(("intercept", *names), np.column_stack([np.ones(n), x]))
     # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
     cells = ((2 * a0 + a1)[:, None] == np.arange(len(JOINT_LABELS))).astype(float)
@@ -390,7 +384,7 @@ def _pooled_t(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
     return t, float(t_two_sided_p(t, dof))
 
 
-def crossover_effects_test(records: Sequence[SubjectRecord]) -> CrossoverEffectsReport:
+def crossover_effects_test(data: Dataset) -> CrossoverEffectsReport:
     """Treatment, period, and sequence (carry-over) tests from period
     differences and sums, compared between sequence groups.
 
@@ -398,21 +392,13 @@ def crossover_effects_test(records: Sequence[SubjectRecord]) -> CrossoverEffects
     per sequence. The sequence test doubles as the carry-over check: with no
     carry-over, period sums have equal means in both sequence groups.
     """
-    records = list(records)
-    for rec in records:
-        if rec.y_p1 is None or rec.y_p2 is None:
-            raise MissingDataError(
-                f"subject {rec.subject_id!r} is missing an outcome; apply "
-                "completer_filter(records, CompleterRule.OUTCOME) first"
-            )
-    d_cf = np.asarray(
-        [r.y_p1 - r.y_p2 for r in records if r.t_p1 == 0], dtype=float
-    )
-    d_ef = np.asarray(
-        [r.y_p1 - r.y_p2 for r in records if r.t_p1 == 1], dtype=float
-    )
-    s_cf = np.asarray([r.y_p1 + r.y_p2 for r in records if r.t_p1 == 0], dtype=float)
-    s_ef = np.asarray([r.y_p1 + r.y_p2 for r in records if r.t_p1 == 1], dtype=float)
+    cols = _crossover_columns(data)
+    _require_completers(cols, CompleterRule.OUTCOME)
+    # outcomes by period: an experimental-first subject had arm 1 in period 1
+    y_p = np.where(cols.ef[:, None], cols.y[:, ::-1], cols.y)
+    d, s = y_p[:, 0] - y_p[:, 1], y_p[:, 0] + y_p[:, 1]
+    d_cf, d_ef = d[~cols.ef], d[cols.ef]
+    s_cf, s_ef = s[~cols.ef], s[cols.ef]
     if d_cf.size < 2 or d_ef.size < 2:
         raise InsufficientDataError(
             f"need at least two outcome completers per sequence, have "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -25,12 +25,15 @@ from scipy.special import expit
 from .core import (
     A_MISSING,
     JOINT_LABELS,
+    CompleterRule,
     Dataset,
     ParallelObservation,
     StratumLabel,
     SubjectRecord,
     TrialColumns,
     as_columns,
+    completer_mask,
+    stratum_counts,
 )
 from .errors import (
     ConvergenceError,
@@ -78,18 +81,6 @@ def _covariate_index(available: tuple[str, ...], names: Sequence[str]) -> list[i
         return [available.index(n) for n in names]
     except ValueError as exc:
         raise PcekitError(f"unknown covariate among {tuple(names)!r}; have {available!r}") from exc
-
-
-def _covariate_matrix(
-    subjects: Sequence[SubjectRecord] | Sequence[ParallelObservation],
-    names: Sequence[str],
-) -> np.ndarray:
-    """Columns of the named covariates, in the requested order."""
-    if not subjects:
-        raise InsufficientDataError("no subjects to build covariates from")
-    idx = _covariate_index(subjects[0].covariate_names, names)
-    raw = np.asarray([s.covariates for s in subjects], dtype=float)
-    return raw[:, idx]
 
 
 def _selected_covariates(
@@ -140,14 +131,9 @@ def fit_principal_score(
     return _fit_score(x, cols.a[:, arm], names, arm)
 
 
-def principal_scores(
-    model: PrincipalScoreModel,
-    subjects: Sequence[SubjectRecord] | Sequence[ParallelObservation],
-) -> np.ndarray:
+def principal_scores(model: PrincipalScoreModel, subjects: Dataset) -> np.ndarray:
     """Predicted adherence probabilities for subjects' covariates, unclipped."""
-    if not model.covariate_names:
-        return _scores(model, np.empty((len(subjects), 0)))
-    return _scores(model, _covariate_matrix(subjects, model.covariate_names))
+    return _scores(model, _selected_covariates(as_columns(subjects), model.covariate_names)[1])
 
 
 def _extreme(g: np.ndarray) -> np.ndarray:
@@ -195,7 +181,7 @@ def estimate_mu_hayden(
     if cross_model.arm != 1 - arm:
         raise ValueError(f"cross_model is for arm {cross_model.arm}; need arm {1 - arm}")
     cols = as_columns(obs)
-    g = _clip_scores(principal_scores(cross_model, obs))
+    g = _clip_scores(principal_scores(cross_model, cols))
     return _hayden_mean(cols.a[:, arm], cols.y[:, arm], g, stratum, arm)
 
 
@@ -235,7 +221,7 @@ def estimate_mu_direct(
     if not records:
         raise InestimableStratumError(f"no subjects observed in stratum {stratum}")
     cols = as_columns(records)
-    missing_a = np.flatnonzero((cols.a == A_MISSING).any(axis=1))
+    missing_a = np.flatnonzero(~completer_mask(cols, CompleterRule.STRATUM_VAR))
     if missing_a.size:
         raise MissingDataError(
             f"subject {records[missing_a[0]].subject_id!r} missing adherence; "
@@ -311,15 +297,7 @@ def _prob_vector(
     """Joint-cell probabilities in JOINT_LABELS order."""
     cols = as_columns(data)
     if method is ProbMethod.OBSERVED:
-        if not cols.crossover:
-            raise PcekitError("observed stratum proportions need crossover records")
-        if (cols.a == A_MISSING).any():
-            raise MissingDataError(
-                "observed stratum proportions need adherence in both periods; apply "
-                "completer_filter(records, CompleterRule.STRATUM_VAR) first"
-            )
-        # JOINT_LABELS order is S00, S01, S10, S11: cell index 2*a0 + a1
-        return np.bincount(2 * cols.a[:, 0] + cols.a[:, 1], minlength=4) / len(cols)
+        return stratum_counts(cols) / len(cols)
 
     observed = _adherence_rows(cols)
     if method is ProbMethod.INDEP:
@@ -358,27 +336,6 @@ def estimate_stratum_probs(
         se = {lab: float(res.se[i]) for i, lab in enumerate(JOINT_LABELS)}
     probs = {lab: float(vec[i]) for i, lab in enumerate(JOINT_LABELS)}
     return StratumProbEstimate(method=method, probs=probs, n=len(cols), se=se)
-
-
-def combine_marginal(
-    mu_joint: Mapping[StratumLabel, float],
-    probs: StratumProbEstimate,
-    marginal: StratumLabel,
-) -> float:
-    """Probability-weighted mean over a marginal stratum's two joint cells."""
-    if marginal.is_joint:
-        raise ValueError("combine_marginal needs a marginal stratum label")
-    c0, c1 = marginal.joint_components()
-    missing = [str(c) for c in (c0, c1) if c not in mu_joint]
-    if missing:
-        raise InestimableStratumError(
-            f"cannot combine {marginal}: no mean for {', '.join(missing)}"
-        )
-    p0, p1 = probs.prob(c0), probs.prob(c1)
-    total = p0 + p1
-    if total <= 0.0:
-        raise InestimableStratumError(f"marginal stratum {marginal} has zero probability")
-    return (mu_joint[c0] * p0 + mu_joint[c1] * p1) / total
 
 
 QUANTITIES = ("arm0", "arm1", "diff")
@@ -423,8 +380,8 @@ def _ps_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarra
 def _direct_cells(cols: TrialColumns) -> np.ndarray:
     """(4, 2) arm means per joint stratum over full completers; NaN rows empty."""
     if not cols.crossover:
-        raise PcekitError("direct stratification needs crossover records")
-    complete = (cols.a != A_MISSING).all(axis=1) & ~np.isnan(cols.y).any(axis=1)
+        raise PcekitError("direct stratification needs crossover data")
+    complete = completer_mask(cols, CompleterRule.BOTH)
     a, y = cols.a[complete], cols.y[complete]
     mu = np.full((len(JOINT_LABELS), 2), np.nan)
     for i, stratum in enumerate(JOINT_LABELS):
@@ -500,7 +457,7 @@ def _ps_cells_counts(
 
 def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> np.ndarray:
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts: (b, 4, 2)."""
-    complete = (cols.a != A_MISSING).all(axis=1) & ~np.isnan(cols.y).any(axis=1)
+    complete = completer_mask(cols, CompleterRule.BOTH)
     c, a, y = counts[:, complete], cols.a[complete], cols.y[complete]
     mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
     with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN

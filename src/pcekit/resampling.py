@@ -56,11 +56,6 @@ def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n:
     return np.minimum((u * n).astype(np.int64), n - 1)
 
 
-def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
-    """The index vector for one replicate; see resample_index_matrix."""
-    return resample_index_matrix(seed, replicate, 1, n)[0]
-
-
 def resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
     """(b, n) multinomial counts: how often each subject occurs in each index row.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -183,8 +182,8 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} are not finite (overflow); use smaller config values")
 
 
-def _draw_trial(config: DgpConfig) -> tuple[TrialColumns, np.ndarray]:
-    """One simulated trial as columns, and which subjects are experimental-first.
+def trial_columns(config: DgpConfig) -> TrialColumns:
+    """One simulated trial as arm-indexed columns, without building records.
 
     Sequences are randomized 1:1 (EF gets the odd slot). Missingness is
     sampled per arm; carry-over always uses the realized period-1 value even
@@ -207,26 +206,20 @@ def _draw_trial(config: DgpConfig) -> tuple[TrialColumns, np.ndarray]:
     y = y_pot.T.copy()
     y[rows, 1 - first] = y_p2
     y[miss < np.asarray(config.missing_y_prob)] = np.nan
-    return TrialColumns((config.covariate_name,), x.reshape(n, 1), a, y, True), ef
-
-
-def trial_columns(config: DgpConfig) -> TrialColumns:
-    """One simulated trial as arm-indexed columns, without building records."""
-    return _draw_trial(config)[0]
+    return TrialColumns((config.covariate_name,), x.reshape(n, 1), a, y, ef)
 
 
 def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     """One simulated trial as records: the draw of ``trial_columns``, by period."""
-    cols, ef = _draw_trial(config)
-    n = len(cols)
-    width = len(str(n))
+    cols = trial_columns(config)
+    width = len(str(len(cols)))
 
     def period_y(v: float) -> float | None:
         return None if math.isnan(v) else float(v)
 
     records: list[SubjectRecord] = []
-    for i in range(n):
-        seq = TreatmentSequence.EXPERIMENTAL_FIRST if ef[i] else TreatmentSequence.CONTROL_FIRST
+    for i, first in enumerate(cols.ef.tolist()):
+        seq = TreatmentSequence.EXPERIMENTAL_FIRST if first else TreatmentSequence.CONTROL_FIRST
         t1, t2 = seq.treatments
         records.append(
             SubjectRecord(

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from pcekit.core import (
     write_parallel_csv,
 )
 from pcekit.simulator import generate_trial, scenario
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -151,6 +154,54 @@ def test_estimate_derive_rule(trial_csv, tmp_path, capsys):
     capsys.readouterr()
     assert run(["estimate", "--input", trial_csv, "--derive-a", "q>0"]) == 1
     assert "cannot parse adherence rule" in capsys.readouterr().err
+
+
+def _write_derived_adherence(source, target, threshold):
+    """Copy a crossover or parallel CSV with each adherence cell set to
+    1{y > threshold} of its period's outcome, NA where the outcome is NA."""
+    with open(source, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    pairs = [("a_p1", "y_p1"), ("a_p2", "y_p2")] if "a_p1" in header else [("a", "y")]
+    for row in rows[1:]:
+        for a_col, y_col in pairs:
+            y = row[header.index(y_col)]
+            row[header.index(a_col)] = "NA" if y == "NA" else str(int(float(y) > threshold))
+    with open(target, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "command, stem, rule, threshold, args",
+    [
+        ("estimate", "parallel_ps", "y>17", 17.0, ["--method", "ps"]),
+        ("estimate", "crossover_missing", "y>0", 0.0,
+         ["--method", "both", "--bootstrap", "20", "--seed", "3"]),
+        ("diagnose", "crossover_missing", "y>0", 0.0, ["--bootstrap", "40", "--seed", "3"]),
+    ],
+)
+def test_derive_a_equals_the_same_adherence_read_from_the_file(
+    command, stem, rule, threshold, args, tmp_path, capsys
+):
+    source = DATA / f"{stem}.csv"
+    derived = tmp_path / f"{stem}.csv"
+    _write_derived_adherence(source, derived, threshold)
+    assert derived.read_text() != source.read_text()
+    argv = [command, *args, "--format", "csv"]
+    assert run([*argv, "--input", source, "--derive-a", rule]) == 0
+    from_rule = capsys.readouterr().out
+    assert run([*argv, "--input", derived]) == 0
+    assert capsys.readouterr().out == from_rule
+
+
+@pytest.mark.parametrize("argv", [["estimate", "--method", "direct"], ["diagnose"]])
+def test_crossover_only_commands_reject_parallel_data(argv, capsys):
+    assert run([*argv, "--input", DATA / "parallel_ps.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "crossover data" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_estimate_direct_rejects_parallel_data(parallel_csv, capsys):

@@ -16,7 +16,6 @@ from pcekit.core import (
     as_parallel,
     classify_strata,
     completer_filter,
-    derive_adherence,
     load_crossover_csv,
     load_parallel_csv,
     write_crossover_csv,
@@ -283,18 +282,6 @@ def test_missing_tokens_accept_na_and_blank(tmp_path):
     rec = load_crossover_csv(path)[0]
     assert rec.a_p1 is None and rec.y_p1 is None
     assert rec.a_p2 == 1 and rec.y_p2 == 2.0
-
-
-def test_derive_adherence_threshold():
-    records = [
-        make_record("a", y=(1.0, 3.0), a=(None, None)),
-        make_record("b", y=(None, 2.0), a=(None, None)),
-    ]
-    derived = derive_adherence(records, lambda y: int(y >= 2.0))
-    assert (derived[0].a_p1, derived[0].a_p2) == (0, 1)
-    assert derived[1].a_p1 is None  # missing outcome keeps missing adherence
-    assert derived[1].a_p2 == 1
-    assert derived[0].y_p1 == 1.0  # outcomes untouched
 
 
 def test_joint_labels_cover_the_grid():

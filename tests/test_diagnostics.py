@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,11 +7,13 @@ import pytest
 
 from scipy.special import expit
 
-from pcekit import diagnostics, estimators
+from pcekit import core, diagnostics, estimators
 from pcekit.core import (
     JOINT_LABELS,
     CompleterRule,
     StratumLabel,
+    as_columns,
+    as_parallel,
     completer_filter,
     load_crossover_csv,
 )
@@ -26,11 +29,12 @@ from pcekit.errors import (
     DiagnosticError,
     InsufficientDataError,
     MissingDataError,
+    PcekitError,
     SingularDesignError,
 )
 from pcekit.estimators import ProbMethod
 from pcekit.glm import DesignMatrix, fit_logistic, fit_ols
-from pcekit.resampling import exceedance_p, resample_indices
+from pcekit.resampling import exceedance_p, resample_index_matrix
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
@@ -182,7 +186,7 @@ def one_at_a_time_null(records, n_bootstrap, seed):
     warm = [fit_logistic(design, a[:, t].astype(float)).coefficients for t in (0, 1)]
     d_null, ssq_null, rejected, attempt = [], [], 0, 0
     while len(d_null) < n_bootstrap:
-        idx = resample_indices(seed, attempt, n)
+        idx = resample_index_matrix(seed, attempt, 1, n)[0]
         attempt += 1
         resample = DesignMatrix(design.names, design.values[idx])
         try:
@@ -284,3 +288,56 @@ def test_crossover_effects_validation():
     ]
     with pytest.raises(InsufficientDataError, match="EF=1"):
         crossover_effects_test(few)
+
+
+DIAGNOSTICS = {
+    "monotonicity": monotonicity_report,
+    "ignorability": ignorability_regressions,
+    "independence": lambda data: independence_test(data, n_bootstrap=30, seed=2),
+    "effects": crossover_effects_test,
+}
+# the completer rules under which each diagnostic has the data it needs
+NEEDS = {
+    "monotonicity": {CompleterRule.STRATUM_VAR, CompleterRule.BOTH},
+    "ignorability": {CompleterRule.BOTH},
+    "independence": {CompleterRule.STRATUM_VAR, CompleterRule.BOTH},
+    "effects": {CompleterRule.OUTCOME, CompleterRule.BOTH},
+}
+
+
+def _outcome(diagnostic, data):
+    """Whether a diagnostic gave a report, and that report or the package
+    error it raised, as text."""
+    try:
+        return True, repr(diagnostic(data))
+    except PcekitError as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", ["paper_like", "a4p_violated"])
+def test_diagnostics_give_the_same_report_on_columns(name):
+    cfg = dataclasses.replace(scenario(name, n_subjects=120, seed=3), missing_y_prob=(0.1, 0.15))
+    # every ninth subject also lacks its period-1 adherence
+    records = [dataclasses.replace(r, a_p1=None) if i % 9 == 4 else r
+               for i, r in enumerate(generate_trial(cfg))]
+    for rule in (CompleterRule.OUTCOME, CompleterRule.STRATUM_VAR):
+        assert len(completer_filter(records, rule)) < len(records)
+    cols = as_columns(records)
+    for rule in CompleterRule:
+        kept = completer_filter(records, rule)
+        kept_cols = cols.take(core.completer_mask(cols, rule))
+        assert len(kept_cols) == len(kept)
+        for check, diagnostic in DIAGNOSTICS.items():
+            expected = _outcome(diagnostic, kept)
+            assert expected[0] == (rule in NEEDS[check]), (check, rule, expected)
+            assert _outcome(diagnostic, as_columns(kept)) == expected, (check, rule)
+            assert _outcome(diagnostic, kept_cols) == expected, (check, rule)
+
+
+def test_diagnostics_reject_parallel_data():
+    records = generate_trial(scenario("paper_like", n_subjects=40, seed=4))
+    parallel = as_parallel(records[:20], 1) + as_parallel(records[20:], 0)
+    for data in (parallel, as_columns(parallel)):
+        for check, diagnostic in DIAGNOSTICS.items():
+            with pytest.raises(DiagnosticError, match="crossover data"):
+                diagnostic(data)

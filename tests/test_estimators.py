@@ -32,7 +32,6 @@ from pcekit.estimators import (
     PrincipalScoreModel,
     ProbMethod,
     StratumProbEstimate,
-    combine_marginal,
     estimate_mu_direct,
     estimate_mu_hayden,
     estimate_pce_table,
@@ -257,40 +256,6 @@ def test_stratum_probs_bootstrap_se():
     assert est.se == again.se
 
 
-def test_combine_marginal_weighted_mean():
-    records = (
-        [make_record(f"a{i}", "CF", a=(0, 0)) for i in range(2)]
-        + [make_record("b", "CF", a=(0, 1))]
-        + [make_record("c", "CF", a=(1, 0))]
-        + [make_record(f"d{i}", "CF", a=(1, 1)) for i in range(4)]
-    )
-    probs = estimate_stratum_probs(records, ProbMethod.OBSERVED)
-    mus = {StratumLabel(1, 0): 10.0, StratumLabel(1, 1): 20.0}
-    got = combine_marginal(mus, probs, StratumLabel.marginal_control(1))
-    # weights 1/8 and 4/8 -> (10/8 + 80/8) / (5/8) = 18
-    assert got == pytest.approx(18.0, abs=1e-12)
-    with pytest.raises(ValueError, match="marginal"):
-        combine_marginal(mus, probs, StratumLabel(1, 1))
-    with pytest.raises(InestimableStratumError, match="S01"):
-        combine_marginal({StratumLabel(0, 0): 1.0}, probs, StratumLabel.marginal_control(0))
-
-
-def test_combine_marginal_zero_probability():
-    probs = StratumProbEstimate(
-        method=ProbMethod.OBSERVED,
-        probs={
-            StratumLabel(0, 0): 0.0,
-            StratumLabel(0, 1): 0.0,
-            StratumLabel(1, 0): 0.5,
-            StratumLabel(1, 1): 0.5,
-        },
-        n=4,
-    )
-    mus = {lab: 1.0 for lab in JOINT_LABELS}
-    with pytest.raises(InestimableStratumError, match="zero probability"):
-        combine_marginal(mus, probs, StratumLabel.marginal_control(0))
-
-
 def test_pce_table_shape_and_order():
     records = generate_trial(scenario("paper_like", n_subjects=120, seed=3))
     rows = estimate_pce_table(records)
@@ -414,7 +379,7 @@ def few_adherers() -> TrialColumns:
     adherers = np.flatnonzero(a[:, 0] == 1)
     a[adherers[3:], 0] = 0
     y[adherers[:2], 0] = np.nan
-    return TrialColumns(cols.covariate_names, cols.x, a, y, cols.crossover)
+    return TrialColumns(cols.covariate_names, cols.x, a, y, cols.ef)
 
 
 BOTH = (PceMethod.PS, PceMethod.DIRECT)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pcekit import core
 from pcekit.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -100,6 +101,21 @@ def test_diagnose_reproduces_frozen_output(name, tmp_path, capsys):
     assert main(diagnose_argv(name, out)) == 0
     capsys.readouterr()
     assert out.read_bytes() == (DATA / f"{name}.out.json").read_bytes()
+
+
+def test_diagnose_builds_no_per_record_arrays(tmp_path, monkeypatch, capsys):
+    """diagnose works on columns from load to report: the per-record arm
+    accessors and the record completer filter are never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagnose went through a per-record path")
+
+    for name in ("a_for_arm", "y_for_arm", "period_of_arm"):
+        monkeypatch.setattr(core.SubjectRecord, name, refuse)
+    monkeypatch.setattr(core, "completer_filter", refuse)
+    out = tmp_path / "out.json"
+    assert main(diagnose_argv("diagnose_cond_indep", out)) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / "diagnose_cond_indep.out.json").read_bytes()
 
 
 def test_sparse_diagnose_case_redraws():

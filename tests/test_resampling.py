@@ -13,7 +13,6 @@ from pcekit.resampling import (
     exceedance_p,
     percentile_interval,
     resample_index_matrix,
-    resample_indices,
 )
 
 
@@ -21,17 +20,17 @@ def test_index_streams_are_replicate_addressable():
     # row b of a batch equals the standalone draw for replicate b
     batch = resample_index_matrix(seed=7, first_replicate=0, n_replicates=10, n=13)
     for b in range(10):
-        assert np.array_equal(batch[b], resample_indices(7, b, 13))
+        assert np.array_equal(batch[b], resample_index_matrix(7, b, 1, 13)[0])
     shifted = resample_index_matrix(seed=7, first_replicate=4, n_replicates=2, n=13)
     assert np.array_equal(shifted[0], batch[4])
     assert np.array_equal(shifted[1], batch[5])
 
 
 def test_index_streams_vary_with_seed_and_replicate():
-    a = resample_indices(1, 0, 50)
-    assert not np.array_equal(a, resample_indices(2, 0, 50))
-    assert not np.array_equal(a, resample_indices(1, 1, 50))
-    assert np.array_equal(a, resample_indices(1, 0, 50))
+    a = resample_index_matrix(1, 0, 1, 50)[0]
+    assert not np.array_equal(a, resample_index_matrix(2, 0, 1, 50)[0])
+    assert not np.array_equal(a, resample_index_matrix(1, 1, 1, 50)[0])
+    assert np.array_equal(a, resample_index_matrix(1, 0, 1, 50)[0])
 
 
 def test_indices_stay_in_range():
@@ -41,7 +40,7 @@ def test_indices_stay_in_range():
     # all positions get hit eventually
     assert set(np.unique(idx)) == set(range(7))
     with pytest.raises(ValueError):
-        resample_indices(0, 0, 0)
+        resample_index_matrix(0, 0, 1, 0)
 
 
 def test_exhaustive_enumeration_of_three_point_mean():
@@ -124,7 +123,7 @@ def test_failed_replicates_are_counted_not_fatal(run):
         return float(np.mean(sample))
 
     n_failures, n_effective, failure_counts = run(records, statistic, spec)
-    first = [int(resample_indices(5, b, 20)[0]) for b in range(100)]
+    first = [int(resample_index_matrix(5, b, 1, 20)[0, 0]) for b in range(100)]
     assert first.count(19) > 0 and first.count(18) > 0
     assert n_failures == first.count(19) + first.count(18) <= 10
     assert n_effective == 100 - n_failures
@@ -162,7 +161,7 @@ def test_redraw_keeps_the_first_successes_in_attempt_order():
     values, failure_counts = draw_replicates(seed, n, n_replicates, evaluate, redraw=True)
     kept, rejected, attempt = [], 0, 0
     while len(kept) < n_replicates:
-        row = resample_indices(seed, attempt, n)
+        row = resample_index_matrix(seed, attempt, 1, n)[0]
         attempt += 1
         if fails(row):
             rejected += 1
