@@ -133,7 +133,8 @@ def fit_principal_score(
 
 def principal_scores(model: PrincipalScoreModel, subjects: Dataset) -> np.ndarray:
     """Predicted adherence probabilities for subjects' covariates, unclipped."""
-    return _scores(model, _selected_covariates(as_columns(subjects), model.covariate_names)[1])
+    _, x = _selected_covariates(as_columns(subjects), model.covariate_names)
+    return _scores(model, x)
 
 
 def _extreme(g: np.ndarray) -> np.ndarray:
