@@ -500,8 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = dgp.add_mutually_exclusive_group(required=True)
     src.add_argument("--scenario", choices=simulator.scenario_names())
     src.add_argument("--config", help="JSON file of generator settings")
-    dgp.add_argument("--n", type=int, help="override the subject count")
-    dgp.add_argument("--seed", type=int, help="override the seed")
+    dgp.add_argument(
+        "--n", type=_int_at_least(simulator.MIN_SUBJECTS), help="override the subject count"
+    )
+    dgp.add_argument("--seed", type=_int_at_least(0), help="override the seed")
     dgp.add_argument("--oracle-n", type=_int_at_least(simulator.MIN_ORACLE_N), default=100_000)
 
     sim = sub.add_parser(

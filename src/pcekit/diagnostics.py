@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     JOINT_LABELS,
@@ -36,7 +35,14 @@ from .errors import (
     SingularDesignError,
 )
 from .estimators import ProbMethod, _cell_table, _prob_vector, _selected_covariates
-from .glm import DesignMatrix, fit_logistic, fit_logistic_counts, fit_ols, t_two_sided_p
+from .glm import (
+    DesignMatrix,
+    expit,
+    fit_logistic,
+    fit_logistic_counts,
+    fit_ols,
+    t_two_sided_p,
+)
 from .resampling import draw_replicates, exceedance_p, resample_counts
 
 

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     A_MISSING,
@@ -42,7 +41,14 @@ from .errors import (
     MissingDataError,
     PcekitError,
 )
-from .glm import DesignMatrix, LogisticFit, fit_logistic, fit_logistic_counts, predict_probs
+from .glm import (
+    DesignMatrix,
+    LogisticFit,
+    expit,
+    fit_logistic,
+    fit_logistic_counts,
+    predict_probs,
+)
 from .resampling import BootstrapSpec, bootstrap_vector, resample_counts
 
 SCORE_CLIP = 1e-12

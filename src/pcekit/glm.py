@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, expit
 
 from .errors import DegenerateResponseError, InsufficientDataError, SingularDesignError
 
@@ -101,12 +100,26 @@ class LogisticFit:
         return float(self.coefficients[self.names.index(name)])
 
 
+def expit(x: float | np.ndarray) -> float | np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Below x = -709.78, exp(-x) overflows to inf and the result is its limit,
+    0.0; numpy's overflow warning is silenced because nothing went wrong.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def t_two_sided_p(t: float | np.ndarray, dof: int) -> float | np.ndarray:
     """P(|T_dof| >= |t|) via the regularized incomplete beta identity.
 
     For T ~ t with dof degrees of freedom, the two-sided tail equals
     I_x(dof/2, 1/2) evaluated at x = dof / (dof + t^2).
     """
+    # imported here so that only the OLS t-tests load scipy, which would
+    # otherwise be most of the time every command spends importing pcekit
+    from scipy.special import betainc
+
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     t_arr = np.asarray(t, dtype=float)

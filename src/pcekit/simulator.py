@@ -31,6 +31,7 @@ from .errors import ConfigError
 _TRIAL_STREAM = 0
 _ORACLE_STREAM = 1
 
+MIN_SUBJECTS = 2
 MIN_ORACLE_N = 10_000
 # most noise rows per multivariate_normal call; n rows are split into equal chunks
 _NOISE_CHUNK = 8192
@@ -64,8 +65,8 @@ class DgpConfig:
     covariate_name: str = "x_base"
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 2:
-            raise ConfigError("n_subjects must be at least 2")
+        if self.n_subjects < MIN_SUBJECTS:
+            raise ConfigError(f"n_subjects must be at least {MIN_SUBJECTS}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.sigma_x <= 0:

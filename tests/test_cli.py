@@ -464,6 +464,10 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
         ["diagnose", "--input", "{input}", "--bootstrap", "0"],
         ["replicate", "--scenario", "paper_like", "--replicates", "0"],
         ["replicate", "--scenario", "paper_like", "--bootstrap", "-1"],
+        ["simulate", "--scenario", "paper_like", "--n", "1"],
+        ["simulate", "--scenario", "paper_like", "--seed", "-1"],
+        ["replicate", "--scenario", "paper_like", "--n", "1"],
+        ["replicate", "--scenario", "paper_like", "--seed", "-1"],
     ],
 )
 def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
@@ -472,6 +476,24 @@ def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "replicate"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n_subjects": 1}, "n_subjects must be at least 2"),
+        ({"n_subjects": 20, "seed": -1}, "seed must be non-negative"),
+    ],
+)
+def test_out_of_range_config_values_are_data_errors(command, config, message, tmp_path, capsys):
+    # the same values as --n 1 or --seed -1, which exit 2, are data errors in a file
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", path, "--out", tmp_path / "out.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
     assert "Traceback" not in err
 
 

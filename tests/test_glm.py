@@ -6,13 +6,16 @@ the Bernoulli log-likelihood. Values are frozen here, not recomputed.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from pcekit.errors import DegenerateResponseError, InsufficientDataError, SingularDesignError
 from pcekit.glm import (
     DesignMatrix,
+    expit,
     fit_logistic,
     fit_logistic_counts,
     fit_ols,
@@ -162,6 +165,27 @@ def test_t_two_sided_p_vectorized():
     assert p.shape == (3,)
     assert p[0] == pytest.approx(p[1], abs=1e-15)
     assert p[2] == 1.0
+
+
+def test_expit_matches_scipy_without_warnings():
+    x = np.random.default_rng(9).uniform(-800.0, 800.0, 10**6)
+    edges = [0.0, -0.0, 709.0, -709.0, 745.0, -745.0, np.inf, -np.inf, np.nan]
+    x = np.concatenate([x, edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp overflows below x = -709.78
+        got = expit(x)
+    # atol 0: where scipy underflows to exactly 0.0, so must expit
+    np.testing.assert_allclose(got, scipy_expit(x), rtol=1e-15, atol=0.0)
+
+
+def test_expit_limits_and_shapes():
+    assert expit(-np.inf) == 0.0
+    assert expit(np.inf) == 1.0
+    assert expit(0.0) == 0.5
+    assert np.ndim(expit(1.5)) == 0
+    assert np.ndim(expit(np.asarray(1.5))) == 0
+    assert expit(np.zeros(4)).shape == (4,)
+    assert expit(np.zeros((2, 3))).shape == (2, 3)
 
 
 @pytest.mark.parametrize("name", sorted(LOGISTIC_ORACLE))
