@@ -52,14 +52,18 @@ def loaded_scipy(argv):
          "--truth-out", "{tmp}/truth.json"],
         ["replicate", "--scenario", "paper_like", "--n", "60", "--replicates", "2",
          "--out", "{tmp}/replicate.md"],
+        ["diagnose", "--input", DATA / "crossover_missing.csv",
+         "--checks", "monotonicity,independence", "--bootstrap", "20",
+         "--out", "{tmp}/diagnose.md"],
     ],
-    ids=["import", "estimate", "simulate", "replicate"],
+    ids=["import", "estimate", "simulate", "replicate", "diagnose-no-t-tests"],
 )
 def test_command_runs_without_loading_scipy(argv, tmp_path):
     assert loaded_scipy([str(a).format(tmp=tmp_path) for a in argv]) == []
 
 
-def test_diagnose_t_tests_load_scipy(tmp_path):
+@pytest.mark.parametrize("check", ["ignorability", "effects"])
+def test_diagnose_t_tests_load_scipy(check, tmp_path):
     argv = ["diagnose", "--input", DATA / "crossover_missing.csv",
-            "--checks", "ignorability", "--out", tmp_path / "diagnose.md"]
+            "--checks", check, "--out", tmp_path / "diagnose.md"]
     assert "scipy.special" in loaded_scipy(argv)
