@@ -558,6 +558,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PcekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size too large to allocate; numpy names it
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ _ORACLE_STREAM = 1
 
 MIN_SUBJECTS = 2
 MIN_ORACLE_N = 10_000
-# most noise rows per multivariate_normal call; n rows are split into equal chunks
+# most noise rows per chunk; n rows are split into equal chunks
 _NOISE_CHUNK = 8192
 
 
@@ -152,28 +152,46 @@ def _draw_population(
 
     A stratum code is ``2*A(0) + A(1)``, the index of the stratum in
     ``JOINT_LABELS``. The covariates are drawn whole, then the noise rows in
-    chunks of the same stream; an even split never leaves a 1-row chunk, whose
-    product takes another BLAS path, so every n draws the same bits as one
-    ``multivariate_normal`` call. Finite but huge knobs can overflow; that is
-    a ConfigError, not a warning followed by inf or NaN draws."""
-    corr = config.correlation_matrix()
+    chunks of the same stream. The noise factor is computed once per call,
+    as ``multivariate_normal(method="eigh")`` computes it on every call:
+    ``u * sqrt(|s|)`` from ``eigh`` of the correlation matrix. Each chunk is
+    its standard normals times the factor's transpose, the product numpy
+    takes, and an even split never leaves a 1-row chunk, whose product takes
+    another BLAS path. The same factor, the same products and the same stream
+    order make every n draw the same bits as one ``multivariate_normal``
+    call; numpy's add of the zero mean could only turn a noise value of
+    exactly -0.0 into +0.0. The chunks reuse one set of buffers, and the
+    latents and outcomes are formed in place; floating-point sums and
+    products commute, so ``(x*beta + eta) + eps`` has the bits of
+    ``eta + beta*x + eps``. Finite but huge knobs can overflow; that is a
+    ConfigError, not a warning followed by inf or NaN draws."""
+    s, u = np.linalg.eigh(config.correlation_matrix())
+    factor_t = (u * np.sqrt(np.abs(s))).T
     code = np.zeros(n, dtype=np.int8)
     y = np.empty((2, n))
     k = -(-n // _NOISE_CHUNK)
     bounds = [i * n // k for i in range(k + 1)]
+    rows = -(-n // k)  # the even split's largest chunk
+    z_buf, eps_buf = np.empty((rows, 4)), np.empty((rows, 4))
+    tmp_buf, up_buf = np.empty(rows), np.empty(rows, dtype=bool)
     with np.errstate(all="ignore"):
         x = config.mu_x + config.sigma_x * rng.standard_normal(n)
         _require_finite(x, "covariate draws")
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            eps = rng.multivariate_normal(np.zeros(4), corr, size=hi - lo, method="eigh")
+            z, eps = z_buf[: hi - lo], eps_buf[: hi - lo]
+            tmp, up = tmp_buf[: hi - lo], up_buf[: hi - lo]
+            rng.standard_normal(out=z)
+            np.matmul(z, factor_t, out=eps)
             xc = x[lo:hi]
             for t in (0, 1):
-                latent = config.eta[t] + config.beta[t] * xc + eps[:, t]
+                latent = np.multiply(xc, config.beta[t], out=tmp)
+                latent += config.eta[t]
+                latent += eps[:, t]
                 _require_finite(latent, "adherence latent draws")
-                code[lo:hi] += (latent > 0.0).astype(np.int8) << (1 - t)
-                y[t, lo:hi] = (
-                    config.gamma[t] + config.delta[t] * xc + config.sigma[t] * eps[:, 2 + t]
-                )
+                code[lo:hi] += np.greater(latent, 0.0, out=up).view(np.int8) << (1 - t)
+                y_t = np.multiply(xc, config.delta[t], out=y[t, lo:hi])
+                y_t += config.gamma[t]
+                y_t += np.multiply(eps[:, 2 + t], config.sigma[t], out=tmp)
     _require_finite(y, "outcome draws")
     return x, code, y
 

@@ -515,6 +515,25 @@ def test_small_oracle_n_exits_two_before_any_draw(command, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10**15 members fail at the first allocation; a size the machine could
+        # partly allocate would exhaust its memory before failing
+        ["simulate", "--scenario", "paper_like", "--oracle-n", 10**15],
+        ["replicate", "--scenario", "paper_like", "--n", 10**15, "--replicates", 1,
+         "--oracle-n", 10_000],
+    ],
+)
+def test_unallocatable_sizes_are_errors_without_a_traceback(argv, tmp_path, capsys):
+    assert run(argv + ["--out", tmp_path / "out.csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["estimate", "diagnose"])
 def test_unreadable_input_is_a_data_error(command, tmp_path, capsys):
     assert run([command, "--input", tmp_path / "absent.csv"]) == 1
