@@ -153,18 +153,8 @@ def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _sniff_shape(path: str) -> str:
-    with open(path, "rb") as fh:
-        head = core.decode_utf8(fh.readline(), path)
-    if head.startswith("subject_id,sequence"):
-        return "crossover"
-    if head.startswith("subject_id,treatment"):
-        return "parallel"
-    raise ConfigError(f"{path}: unrecognized header; not a crossover or parallel file")
-
-
 def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
-    shape = args.data_shape or _sniff_shape(args.input)
+    shape = core.data_shape(args.input)
     load = core.load_crossover_csv if shape == "crossover" else core.load_parallel_csv
     cols = core.as_columns(load(args.input))
     if args.derive_a:
@@ -492,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--input", required=True)
-    dataset.add_argument("--data-shape", choices=("crossover", "parallel"))
     dataset.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
     dataset.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .errors import InsufficientDataError, MissingDataError, PcekitError, Schema
 
 MISSING_TOKEN = "NA"
 
+_CROSSOVER_HEAD = ("subject_id", "sequence")
 _CROSSOVER_FIXED_TAIL = ("t_p1", "t_p2", "a_p1", "a_p2", "y_p1", "y_p2")
+_PARALLEL_HEAD = ("subject_id", "treatment")
 _COVARIATE_PREFIX = "x_"
 
 
@@ -95,10 +97,7 @@ class SubjectRecord:
 
 @dataclass(frozen=True)
 class ParallelObservation:
-    """One subject-arm observation in parallel form.
-
-    ``r`` is the response indicator: 1 when ``y`` is observed, else 0.
-    """
+    """One subject-arm observation in parallel form."""
 
     subject_id: str
     covariate_names: tuple[str, ...]
@@ -118,62 +117,21 @@ class ParallelObservation:
                 f"names but {len(self.covariates)} values"
             )
 
-    @property
-    def r(self) -> int:
-        return 0 if self.y is None else 1
-
 
 @dataclass(frozen=True)
 class StratumLabel:
-    """Principal stratum by potential adherence (a0, a1) = (A(0), A(1)).
+    """Joint principal stratum S_kl by potential adherence (a0, a1) = (A(0), A(1))."""
 
-    ``None`` marks a marginalized coordinate: S_k* has a1=None, S_*l has
-    a0=None. At least one coordinate must be specified.
-    """
-
-    a0: int | None
-    a1: int | None
+    a0: int
+    a1: int
 
     def __post_init__(self) -> None:
-        if self.a0 is None and self.a1 is None:
-            raise ValueError("a stratum label needs at least one specified coordinate")
         for v in (self.a0, self.a1):
-            if v is not None and v not in (0, 1):
-                raise ValueError(f"stratum coordinates must be 0, 1, or None, got {v!r}")
-
-    @classmethod
-    def joint(cls, a0: int, a1: int) -> "StratumLabel":
-        return cls(a0, a1)
-
-    @classmethod
-    def marginal_control(cls, a0: int) -> "StratumLabel":
-        """S_k*: subjects with A(0)=a0, either A(1)."""
-        return cls(a0, None)
-
-    @classmethod
-    def marginal_experimental(cls, a1: int) -> "StratumLabel":
-        """S_*l: subjects with A(1)=a1, either A(0)."""
-        return cls(None, a1)
-
-    @property
-    def is_joint(self) -> bool:
-        return self.a0 is not None and self.a1 is not None
-
-    def joint_components(self) -> tuple["StratumLabel", "StratumLabel"]:
-        """The two joint strata a marginal label aggregates over."""
-        if self.is_joint:
-            return (self, self)
-        if self.a0 is not None:
-            return (StratumLabel(self.a0, 0), StratumLabel(self.a0, 1))
-        return (StratumLabel(0, self.a1), StratumLabel(1, self.a1))
-
-    def contains(self, a0: int, a1: int) -> bool:
-        return (self.a0 is None or self.a0 == a0) and (self.a1 is None or self.a1 == a1)
+            if v not in (0, 1):
+                raise ValueError(f"stratum coordinates must be 0 or 1, got {v!r}")
 
     def __str__(self) -> str:
-        k = "*" if self.a0 is None else str(self.a0)
-        l_ = "*" if self.a1 is None else str(self.a1)
-        return f"S{k}{l_}"
+        return f"S{self.a0}{self.a1}"
 
 
 JOINT_LABELS: tuple[StratumLabel, ...] = (
@@ -202,13 +160,6 @@ class StratumTable:
     @property
     def proportions(self) -> dict[StratumLabel, float]:
         return {lab: c / self.n_total for lab, c in self.counts.items()}
-
-    def proportion(self, label: StratumLabel) -> float:
-        """Proportion in a joint or marginal stratum."""
-        if label.is_joint:
-            return self.counts[label] / self.n_total
-        c0, c1 = label.joint_components()
-        return (self.counts[c0] + self.counts[c1]) / self.n_total
 
 
 def _parse_int01(token: str, what: str, row: int) -> int | None:
@@ -287,19 +238,35 @@ def decode_utf8(data: bytes, path: str | Path) -> str:
         ) from None
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _csv_rows(path: str | Path) -> Iterator[list[str]]:
+    """The non-empty CSV rows of the file, each parsed when it is taken."""
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    return (row for row in csv.reader(io.StringIO(text, newline="")) if row)
+
+
+def _read_rows(path: str | Path) -> list[list[str]]:
+    rows = list(_csv_rows(path))
     if not rows:
         raise SchemaError(f"{path}: empty file")
     return rows
 
 
+def data_shape(path: str | Path) -> str:
+    """'crossover' or 'parallel', as the first two columns of the file's
+    header name; the loader of that shape checks the rest."""
+    head = tuple(next(_csv_rows(path), [])[:2])
+    if head == _CROSSOVER_HEAD:
+        return "crossover"
+    if head == _PARALLEL_HEAD:
+        return "parallel"
+    raise SchemaError(f"{path}: unrecognized header; not a crossover or parallel file")
+
+
 def load_crossover_csv(path: str | Path) -> list[SubjectRecord]:
     """Read crossover records; schema and consistency problems name the row."""
     rows = _read_rows(path)
-    names = _split_header(rows[0], ("subject_id", "sequence"), _CROSSOVER_FIXED_TAIL)
+    names = _split_header(rows[0], _CROSSOVER_HEAD, _CROSSOVER_FIXED_TAIL)
     width = 2 + len(names) + len(_CROSSOVER_FIXED_TAIL)
     records: list[SubjectRecord] = []
     seen_ids: set[str] = set()
@@ -350,7 +317,7 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
     for rec in records:
         if rec.covariate_names != names:
             raise SchemaError("records disagree on covariate columns")
-    header = ["subject_id", "sequence", *names, *_CROSSOVER_FIXED_TAIL]
+    header = [*_CROSSOVER_HEAD, *names, *_CROSSOVER_FIXED_TAIL]
     rows = [
         _data_row(
             header,
@@ -368,7 +335,7 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
 def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
     """Read parallel-arm observations (one subject-arm row each)."""
     rows = _read_rows(path)
-    names = _split_header(rows[0], ("subject_id", "treatment"), ("a", "y"))
+    names = _split_header(rows[0], _PARALLEL_HEAD, ("a", "y"))
     width = 2 + len(names) + 2
     obs: list[ParallelObservation] = []
     for i, row in enumerate(rows[1:], start=2):
@@ -404,7 +371,7 @@ def write_parallel_csv(obs: Sequence[ParallelObservation], path: str | Path) -> 
     for o in obs:
         if o.covariate_names != names:
             raise SchemaError("observations disagree on covariate columns")
-    header = ["subject_id", "treatment", *names, "a", "y"]
+    header = [*_PARALLEL_HEAD, *names, "a", "y"]
     rows = [_data_row(header, [o.subject_id, o.t, *o.covariates, o.a, o.y]) for o in obs]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

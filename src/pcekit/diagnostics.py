@@ -41,6 +41,7 @@ from .glm import (
     fit_logistic,
     fit_logistic_counts,
     fit_ols,
+    intercept_design,
     t_two_sided_p,
 )
 from .resampling import draw_replicates, exceedance_p, resample_counts
@@ -121,10 +122,6 @@ class RegressionRow:
     p_value: float
     adjusted_mean_a0: float
     adjusted_mean_a1: float
-
-    @property
-    def is_own_arm(self) -> bool:
-        return self.outcome_arm == self.adherence_arm
 
     def to_dict(self) -> dict:
         return {
@@ -288,7 +285,7 @@ def independence_test(
 
     a0 = cols.a[:, 0].astype(np.int64)
     a1 = cols.a[:, 1].astype(np.int64)
-    design = DesignMatrix(("intercept", *names), np.column_stack([np.ones(n), x]))
+    design = DesignMatrix(("intercept", *names), intercept_design(x))
     # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
     cells = ((2 * a0 + a1)[:, None] == np.arange(len(JOINT_LABELS))).astype(float)
 

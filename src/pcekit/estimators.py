@@ -47,6 +47,7 @@ from .glm import (
     expit,
     fit_logistic,
     fit_logistic_counts,
+    intercept_design,
     predict_probs,
 )
 from .resampling import BootstrapSpec, bootstrap_vector, resample_counts
@@ -103,19 +104,13 @@ def _fit_score(
     x: np.ndarray, a: np.ndarray, names: tuple[str, ...], arm: int
 ) -> PrincipalScoreModel:
     """Fit Pr(A(arm)=1 | X) on covariate rows x and their observed 0/1 adherence a."""
-    if names:
-        design = DesignMatrix.with_intercept(names, x.T)
-    else:
-        design = DesignMatrix.intercept_only(x.shape[0])
-    fit = fit_logistic(design, a.astype(float))
+    fit = fit_logistic(DesignMatrix(("intercept", *names), intercept_design(x)), a.astype(float))
     return PrincipalScoreModel(arm=arm, fit=fit, covariate_names=names)
 
 
 def _scores(model: PrincipalScoreModel, x: np.ndarray) -> np.ndarray:
     """Unclipped scores for covariate rows x, columns in the model's order."""
-    n = x.shape[0]
-    design = np.column_stack([np.ones(n), x]) if model.covariate_names else np.ones((n, 1))
-    return predict_probs(model.fit, design)
+    return predict_probs(model.fit, intercept_design(x))
 
 
 def fit_principal_score(
@@ -173,8 +168,6 @@ def estimate_mu_hayden(
     own-arm adherence value are weighted by the cross-arm score raised to
     the stratum's other coordinate: g^c (1-g)^(1-c).
     """
-    if not stratum.is_joint:
-        raise ValueError("estimate_mu_hayden needs a joint stratum")
     if not obs:
         raise InsufficientDataError("no observations")
     arm = obs[0].t
@@ -220,8 +213,6 @@ def estimate_mu_direct(
     records: Sequence[SubjectRecord], stratum: StratumLabel, t: int
 ) -> float:
     """Plain mean of arm-t outcomes among subjects observed in the stratum."""
-    if not stratum.is_joint:
-        raise ValueError("estimate_mu_direct needs a joint stratum")
     if t not in (0, 1):
         raise ValueError(f"treatment arm must be 0 or 1, got {t!r}")
     records = list(records)
@@ -257,7 +248,6 @@ class StratumProbEstimate:
     method: ProbMethod
     probs: dict[StratumLabel, float]
     n: int
-    se: dict[StratumLabel, float] | None = None
 
     def __post_init__(self) -> None:
         if set(self.probs) != set(JOINT_LABELS):
@@ -265,12 +255,6 @@ class StratumProbEstimate:
         total = sum(self.probs.values())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"stratum probabilities sum to {total!r}, not 1")
-
-    def prob(self, label: StratumLabel) -> float:
-        if label.is_joint:
-            return self.probs[label]
-        c0, c1 = label.joint_components()
-        return self.probs[c0] + self.probs[c1]
 
 
 def _adherence_rows(cols: TrialColumns) -> np.ndarray:
@@ -322,27 +306,16 @@ def estimate_stratum_probs(
     data: Dataset,
     method: ProbMethod,
     covariates: Sequence[str] | None = None,
-    bootstrap_spec: BootstrapSpec | None = None,
 ) -> StratumProbEstimate:
     """Joint stratum probabilities by the requested method.
 
     Observed proportions need crossover completers (adherence in both
-    periods); the model-based methods work on either data shape. With a
-    bootstrap spec, subject-level resampling (refitting any models) supplies
-    standard errors.
+    periods); the model-based methods work on either data shape.
     """
     cols = as_columns(data)
-    se: dict[StratumLabel, float] | None = None
-    if bootstrap_spec is None:
-        vec = _prob_vector(cols, method, covariates)
-    else:
-        res = bootstrap_vector(
-            cols, lambda sample: _prob_vector(sample, method, covariates), bootstrap_spec
-        )
-        vec = res.points
-        se = {lab: float(res.se[i]) for i, lab in enumerate(JOINT_LABELS)}
+    vec = _prob_vector(cols, method, covariates)
     probs = {lab: float(vec[i]) for i, lab in enumerate(JOINT_LABELS)}
-    return StratumProbEstimate(method=method, probs=probs, n=len(cols), se=se)
+    return StratumProbEstimate(method=method, probs=probs, n=len(cols))
 
 
 QUANTITIES = ("arm0", "arm1", "diff")
@@ -433,7 +406,7 @@ def _ps_cells_counts(
     """
     observed = cols.a != A_MISSING
     _, x = _selected_covariates(cols, covariates)
-    design = np.column_stack([np.ones(len(cols)), x])
+    design = intercept_design(x)
     b = counts.shape[0]
     clean = np.ones(b, dtype=bool)
     beta = []

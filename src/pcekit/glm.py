@@ -54,8 +54,7 @@ class DesignMatrix:
         """Assemble [1, columns...]; ``names`` labels the non-intercept columns."""
         if not len(names):
             raise ValueError("with_intercept needs columns; use intercept_only for none")
-        cols = np.column_stack(columns)
-        values = np.column_stack([np.ones(cols.shape[0]), cols])
+        values = intercept_design(np.column_stack(columns))
         return cls(names=("intercept", *names), values=np.asarray(values, dtype=float))
 
     @classmethod
@@ -69,6 +68,11 @@ class DesignMatrix:
     @property
     def q(self) -> int:
         return self.values.shape[1]
+
+
+def intercept_design(x: np.ndarray) -> np.ndarray:
+    """[1, x] for (n, p) covariate values: an (n, 1) column of ones when p is 0."""
+    return np.column_stack([np.ones(x.shape[0]), x])
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,15 @@ def _bernoulli_deviance(a: np.ndarray, eta: np.ndarray) -> float:
 def fit_logistic(
     design: DesignMatrix,
     a: np.ndarray,
-    tol: float = GRADIENT_TOL,
-    max_iter: int = MAX_ITERATIONS,
     start: np.ndarray | None = None,
 ) -> LogisticFit:
     """Logistic MLE by IRLS with step-halving.
 
-    Stops when max |gradient| <= tol or after max_iter updates; the converged
-    flag reflects which. Divergence (coefficient norm beyond 1e6, a collapsed
-    weight matrix, or a numerically perfect fit, all separation symptoms)
-    yields converged=False and diverged=True rather than an exception.
+    Stops when max |gradient| <= GRADIENT_TOL or after MAX_ITERATIONS
+    updates; the converged flag reflects which. Divergence (coefficient norm
+    beyond 1e6, a collapsed weight matrix, or a numerically perfect fit, all
+    separation symptoms) yields converged=False and diverged=True rather than
+    an exception.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.shape[0] != design.n:
@@ -235,8 +238,8 @@ def fit_logistic(
     grad = x.T @ (a - p)
     gnorm = float(np.max(np.abs(grad)))
 
-    for _ in range(max_iter):
-        if gnorm <= tol:
+    for _ in range(MAX_ITERATIONS):
+        if gnorm <= GRADIENT_TOL:
             if float(np.max(np.abs(a - p))) < PERFECT_FIT_TOL:
                 diverged = True  # perfect fit certifies separation
             else:
@@ -273,7 +276,7 @@ def fit_logistic(
     else:
         pass  # iteration cap: converged stays False
 
-    if not converged and not diverged and gnorm <= tol:
+    if not converged and not diverged and gnorm <= GRADIENT_TOL:
         # loop ended exactly at the cap with a small gradient
         if float(np.max(np.abs(a - p))) < PERFECT_FIT_TOL:
             diverged = True

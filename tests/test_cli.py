@@ -231,6 +231,26 @@ def test_unrecognized_header_is_a_data_error(tmp_path, capsys):
     assert "unrecognized header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture", ["trial_csv", "parallel_csv"])
+def test_header_is_read_as_a_csv_row(fixture, request, tmp_path, capsys):
+    # R's write.csv quotes every header cell, and the loaders skip blank lines
+    plain = Path(request.getfixturevalue(fixture))
+    header, rest = plain.read_text().split("\n", 1)
+    quoted = ",".join(f'"{name}"' for name in header.split(","))
+    assert run(["estimate", "--input", plain, "--method", "ps"]) == 0
+    want = capsys.readouterr().out
+    variants = [f"{quoted}\n{rest}", f"\n{header}\n{rest}", f"\r\n{quoted}\n{rest}"]
+    for i, text in enumerate(variants):
+        path = tmp_path / f"variant{i}.csv"
+        path.write_bytes(text.encode())
+        assert run(["estimate", "--input", path, "--method", "ps"]) == 0, text[:80]
+        assert capsys.readouterr().out == want
+    junk = tmp_path / "junk.csv"
+    junk.write_bytes(b'\n"foo","bar"\n1,2\n')
+    assert run(["estimate", "--input", junk]) == 1
+    assert "unrecognized header" in capsys.readouterr().err
+
+
 def test_diagnose_subset_checks(tmp_path, trial_csv, capsys):
     out = tmp_path / "diag.json"
     assert run([
@@ -539,7 +559,7 @@ def test_unreadable_input_is_a_data_error(command, tmp_path, capsys):
     assert run([command, "--input", tmp_path / "absent.csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file" in err
-    assert run([command, "--input", tmp_path, "--data-shape", "crossover"]) == 1
+    assert run([command, "--input", tmp_path]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

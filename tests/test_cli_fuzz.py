@@ -44,8 +44,7 @@ ARGUMENTS = {
         ["--seed", "7"], ["--ci", "0.9"], ["--ci", "1.5"], ["--ci", "nan"],
         ["--covariates", "none"], ["--covariates", "x_base"], ["--covariates", "x_nope"],
         ["--derive-a", "y>0"], ["--derive-a", "y>"], ["--derive-a", "z<1"],
-        ["--data-shape", "parallel"], ["--format", "csv"], ["--format", "json"],
-        ["--format", "xml"], ["--unknown"],
+        ["--format", "csv"], ["--format", "json"], ["--format", "xml"], ["--unknown"],
     ],
     "diagnose": [
         ["--checks", "all"], ["--checks", "independence"], ["--checks", "monotonicity,effects"],
@@ -54,7 +53,7 @@ ARGUMENTS = {
         ["--bootstrap", "0"], ["--seed", "-3"], ["--direction", "decreasing"],
         ["--direction", "equal"],
         ["--covariates", "none"], ["--covariates", "x_nope"], ["--derive-a", "y>0"],
-        ["--data-shape", "parallel"], ["--format", "csv"], ["--format", "json"],
+        ["--format", "csv"], ["--format", "json"],
     ],
 }
 

@@ -52,15 +52,9 @@ def test_record_validation():
 
 
 def test_stratum_label_rendering_and_membership():
-    assert str(StratumLabel.joint(1, 0)) == "S10"
-    assert str(StratumLabel.marginal_control(1)) == "S1*"
-    assert str(StratumLabel.marginal_experimental(0)) == "S*0"
-    assert StratumLabel.marginal_control(1).contains(1, 0)
-    assert not StratumLabel.marginal_control(1).contains(0, 0)
-    pair = StratumLabel.marginal_experimental(1).joint_components()
-    assert pair == (StratumLabel(0, 1), StratumLabel(1, 1))
+    assert str(StratumLabel(1, 0)) == "S10"
     with pytest.raises(ValueError):
-        StratumLabel(None, None)
+        StratumLabel(None, 1)
     with pytest.raises(ValueError):
         StratumLabel(3, 0)
 
@@ -74,8 +68,6 @@ def test_stratum_table_proportions():
     }
     table = StratumTable(counts=counts, n_total=10)
     assert table.proportions[StratumLabel(0, 0)] == 0.4
-    assert table.proportion(StratumLabel.marginal_control(0)) == 0.7
-    assert table.proportion(StratumLabel.marginal_experimental(1)) == 0.4
     with pytest.raises(ValueError):
         StratumTable(counts=counts, n_total=11)
 
@@ -115,9 +107,9 @@ def test_completer_filter_rules():
 def test_as_parallel_projection():
     rec = make_record("a", "EF", a=(1, 0), y=(5.0, None))
     arm1 = as_parallel([rec], 1)[0]
-    assert (arm1.t, arm1.a, arm1.y, arm1.r) == (1, 1, 5.0, 1)
+    assert (arm1.t, arm1.a, arm1.y) == (1, 1, 5.0)
     arm0 = as_parallel([rec], 0)[0]
-    assert (arm0.t, arm0.a, arm0.y, arm0.r) == (0, 0, None, 0)
+    assert (arm0.t, arm0.a, arm0.y) == (0, 0, None)
     with pytest.raises(ValueError):
         as_parallel([rec], 2)
 

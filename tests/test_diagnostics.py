@@ -100,7 +100,6 @@ def test_ignorability_rows_match_direct_ols():
     row = report.row(0, 1)
     assert row.coefficient == pytest.approx(fit.coef("adherence"), abs=1e-12)
     assert row.p_value == pytest.approx(float(fit.p_values[1]), abs=1e-12)
-    assert not row.is_own_arm
     # adjusted means differ by exactly the adherence coefficient
     assert row.adjusted_mean_a1 - row.adjusted_mean_a0 == pytest.approx(
         row.coefficient, abs=1e-12
