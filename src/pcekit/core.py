@@ -228,10 +228,11 @@ def _split_header(
 
 
 def decode_utf8(data: bytes, path: str | Path) -> str:
-    """Text of a file's bytes; a byte sequence that is not UTF-8 is a SchemaError
-    naming the file and the offset of the first bad byte."""
+    """Text of a file's bytes, less one leading byte-order mark; a byte
+    sequence that is not UTF-8 is a SchemaError naming the file and the
+    offset of the first bad byte."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(
             f"{path}: not UTF-8 text (byte {data[exc.start]:#04x} at offset {exc.start})"
@@ -239,10 +240,15 @@ def decode_utf8(data: bytes, path: str | Path) -> str:
 
 
 def _csv_rows(path: str | Path) -> Iterator[list[str]]:
-    """The non-empty CSV rows of the file, each parsed when it is taken."""
+    """The non-empty CSV rows of the file, each parsed when it is taken; a row
+    the csv module cannot parse is a SchemaError naming the file and line."""
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
-    return (row for row in csv.reader(io.StringIO(text, newline="")) if row)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from (row for row in reader if row)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:

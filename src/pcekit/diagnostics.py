@@ -32,7 +32,6 @@ from .errors import (
     DegenerateResponseError,
     DiagnosticError,
     InsufficientDataError,
-    SingularDesignError,
 )
 from .estimators import ProbMethod, _cell_table, _prob_vector, _selected_covariates
 from .glm import (
@@ -263,9 +262,9 @@ def independence_test(
     aborts the test. Subjects need adherence in both periods.
 
     Each replicate is a row of multinomial counts over the subjects. Chunks
-    of rows are refit together by ``fit_logistic_counts``; a row it does not
-    fit cleanly is refit alone by ``fit_logistic``, which decides whether it
-    is rejected.
+    of rows are refit together by ``fit_logistic_counts``; the resampling
+    engine refits each row that does not fit cleanly alone, by
+    ``fit_logistic``, whose verdict decides whether the row is rejected.
     """
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
@@ -291,40 +290,32 @@ def independence_test(
 
     warm: dict[int, np.ndarray] = {}
     if method is ProbMethod.COND_INDEP:
+        # _prob_vector above raised if these fits failed; they warm-start every refit
         for arm, a_vec in ((0, a0), (1, a1)):
-            fit = fit_logistic(design, a_vec.astype(float))
-            if not fit.converged:
-                raise DiagnosticError(
-                    f"arm-{arm} principal-score model did not converge on the full data"
-                )
-            warm[arm] = fit.coefficients
+            warm[arm] = fit_logistic(design, a_vec.astype(float)).coefficients
 
-    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-        """Centered max and sum-of-squares gaps of a chunk of resamples."""
+    def gaps(counts: np.ndarray, est_b: np.ndarray) -> np.ndarray:
+        """Centered max and sum-of-squares gaps of resamples given as counts."""
+        centered = counts @ cells / n - est_b - gap0
+        return np.column_stack([np.max(np.abs(centered), axis=1), np.sum(centered**2, axis=1)])
+
+    def chunk(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = resample_counts(idx, n)
-        obs_b = counts @ cells / n
-        failed: dict[int, str] = {}
         if method is ProbMethod.INDEP:
             est_b = _cell_table(counts @ a0 / n, counts @ a1 / n)
-        else:
-            beta0, ok0 = fit_logistic_counts(design.values, a0, counts, warm[0])
-            beta1, ok1 = fit_logistic_counts(design.values, a1, counts, warm[1])
-            g0 = expit(beta0 @ design.values.T)
-            g1 = expit(beta1 @ design.values.T)
-            est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
-            for r in np.flatnonzero(~(ok0 & ok1)):
-                try:
-                    est_b[r] = _refit_cells(design, a0, a1, idx[r], warm)
-                except (
-                    DegenerateResponseError, SingularDesignError, InsufficientDataError
-                ) as exc:
-                    failed[int(r)] = type(exc).__name__  # redrawn by the engine
-        centered = obs_b - est_b - gap0
-        gaps = np.column_stack([np.max(np.abs(centered), axis=1), np.sum(centered**2, axis=1)])
-        return gaps, failed
+            return gaps(counts, est_b), np.zeros(len(idx), dtype=bool)
+        beta0, ok0 = fit_logistic_counts(design.values, a0, counts, warm[0])
+        beta1, ok1 = fit_logistic_counts(design.values, a1, counts, warm[1])
+        g0 = expit(beta0 @ design.values.T)
+        g1 = expit(beta1 @ design.values.T)
+        est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
+        return gaps(counts, est_b), ~(ok0 & ok1)
+
+    def one(row: np.ndarray) -> np.ndarray:
+        return gaps(resample_counts(row[None, :], n), _refit_cells(design, a0, a1, row, warm))[0]
 
     try:
-        null, rejected = draw_replicates(seed, n, n_bootstrap, evaluate, redraw=True)
+        null, rejected = draw_replicates(seed, n, n_bootstrap, chunk, one, redraw=True)
     except BootstrapError as exc:
         raise DiagnosticError(f"{exc}; the data are too sparse for this test") from exc
 

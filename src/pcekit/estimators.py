@@ -97,6 +97,9 @@ def _selected_covariates(
     if covariates is None:
         return cols.covariate_names, cols.x
     names = tuple(covariates)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise PcekitError(f"covariate {name!r} is listed more than once in {names!r}")
     return names, cols.x[:, _covariate_index(cols.covariate_names, names)]
 
 

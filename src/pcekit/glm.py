@@ -238,13 +238,15 @@ def fit_logistic(
     grad = x.T @ (a - p)
     gnorm = float(np.max(np.abs(grad)))
 
-    for _ in range(MAX_ITERATIONS):
+    for it in range(MAX_ITERATIONS + 1):
         if gnorm <= GRADIENT_TOL:
             if float(np.max(np.abs(a - p))) < PERFECT_FIT_TOL:
                 diverged = True  # perfect fit certifies separation
             else:
                 converged = True
             break
+        if it == MAX_ITERATIONS:
+            break  # iteration cap: converged stays False
         w = p * (1.0 - p)
         hess = (x * w[:, None]).T @ x
         try:
@@ -273,15 +275,6 @@ def fit_logistic(
         if float(np.max(np.abs(beta))) > DIVERGENCE_NORM:
             diverged = True
             break
-    else:
-        pass  # iteration cap: converged stays False
-
-    if not converged and not diverged and gnorm <= GRADIENT_TOL:
-        # loop ended exactly at the cap with a small gradient
-        if float(np.max(np.abs(a - p))) < PERFECT_FIT_TOL:
-            diverged = True
-        else:
-            converged = True
 
     return LogisticFit(
         names=design.names,

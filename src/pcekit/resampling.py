@@ -4,10 +4,11 @@ Replicate index streams are derived from (seed, replicate_index) through a
 SplitMix64 mix, so any replicate can be regenerated in isolation and results
 are independent of evaluation order or chunking. Every resample, for the
 bootstrap and for the independence test alike, is drawn by one engine,
-``draw_replicates``, in chunks of one fixed budget of index draws. Failed
-replicates are counted by exception name under one of two policies: the
-bootstrap records them as NaN and excludes them, the independence test
-redraws them. Past 10% failures the engine errors out.
+``draw_replicates``, in chunks of one fixed budget of index draws. It runs
+a caller's exact statistic on each row the caller's batched kernel leaves.
+A replicate that statistic fails on is counted by exception name, then kept
+as NaN (the bootstrap) or redrawn (the independence test). Past 10%
+failures the engine errors out.
 """
 
 from __future__ import annotations
@@ -128,33 +129,40 @@ def draw_replicates(
     seed: int,
     n: int,
     n_replicates: int,
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, dict[int, str]]],
+    chunk: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    one: Callable[[np.ndarray], np.ndarray],
     redraw: bool = False,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Evaluate a statistic on ``n_replicates`` resamples of n subjects.
 
-    Index rows are drawn in chunks by ``resample_index_matrix``. ``evaluate``
-    maps a (b, n) chunk of rows to (b, m) values and a ``{row: exception
-    name}`` map of the rows it failed on. A failed row stays NaN, or with
-    ``redraw`` is dropped and replaced by the next stream. A chunk never
-    holds more rows than replicates still needed, so the rows drawn are
-    those of a one-at-a-time loop. Returns the (n_replicates, m) values and
-    the failures counted by name; more than 10% failures raise BootstrapError.
+    Index rows are drawn in chunks by ``resample_index_matrix``. ``chunk``
+    maps a (b, n) chunk of rows to (b, m) values and a (b,) mask of rows it
+    leaves to ``one``, the exact (m,) values of one index row. A row fails
+    where ``one`` raises a package error or ArithmeticError; it stays NaN,
+    or with ``redraw`` is replaced by the next stream. A chunk never holds
+    more rows than replicates still needed, so the rows drawn are those of
+    a one-at-a-time loop. Returns the (n_replicates, m) values and the
+    failures counted by name; more than 10% failures raise BootstrapError.
     """
     kept: list[np.ndarray] = []
     failure_counts: dict[str, int] = {}
-    n_failures = 0
     filled = 0
     attempt = 0
-    chunk = max(1, _CHUNK_ELEMENTS // n)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     while filled < n_replicates:
-        count = min(chunk, n_replicates - filled)
+        count = min(rows_per_chunk, n_replicates - filled)
         idx = resample_index_matrix(seed, attempt, count, n)
         attempt += count
-        values, failed = evaluate(idx)
+        values, retry = chunk(idx)
+        failed: dict[int, str] = {}
+        for r in np.flatnonzero(retry).tolist():
+            try:
+                values[r] = one(idx[r])
+            except (PcekitError, ArithmeticError) as exc:
+                failed[r] = type(exc).__name__
         for name in failed.values():
             failure_counts[name] = failure_counts.get(name, 0) + 1
-        n_failures += len(failed)
+        n_failures = sum(failure_counts.values())
         if n_failures > 0.1 * n_replicates:
             dominant = max(failure_counts, key=failure_counts.get)  # type: ignore[arg-type]
             raise BootstrapError(
@@ -220,10 +228,11 @@ def bootstrap_vector(
     per-component inestimability should be encoded as NaN so the other
     components survive.
 
-    ``chunk_statistic``, if given, evaluates a (b, n) chunk of index rows at
-    once. It returns (b, m) values and a (b,) mask of the rows it could not
-    evaluate cleanly; only those rows are resampled and passed to
-    ``statistic``, whose verdict, value or exception, stands for them.
+    ``chunk_statistic``, if given, is the engine's ``chunk``: it evaluates a
+    (b, n) chunk of index rows at once and returns (b, m) values and a (b,)
+    mask of the rows it could not evaluate cleanly; only those rows (all,
+    without it) are resampled and passed to ``statistic``, whose verdict,
+    value or exception, stands for them.
     """
     columnar = isinstance(records, TrialColumns)
     if not columnar:
@@ -234,22 +243,16 @@ def bootstrap_vector(
     points = np.asarray(statistic(records), dtype=float)
     m = points.shape[0]
 
-    def evaluate(idx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
-        if chunk_statistic is None:
-            out, retry = np.full((idx.shape[0], m), np.nan), np.ones(idx.shape[0], dtype=bool)
-        else:
-            out, retry = chunk_statistic(idx)
-        failed: dict[int, str] = {}
-        for r in np.flatnonzero(retry).tolist():
-            sample = records.take(idx[r]) if columnar else [records[i] for i in idx[r].tolist()]
-            try:
-                out[r] = np.asarray(statistic(sample), dtype=float)
-            except (PcekitError, ArithmeticError) as exc:
-                failed[r] = type(exc).__name__
-        return out, failed
+    def one(row: np.ndarray) -> np.ndarray:
+        return statistic(records.take(row) if columnar else [records[i] for i in row.tolist()])
+
+    def every_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.full((idx.shape[0], m), np.nan), np.ones(idx.shape[0], dtype=bool)
 
     b_total = spec.n_replicates
-    values, failure_counts = draw_replicates(spec.seed, n, b_total, evaluate)
+    values, failure_counts = draw_replicates(
+        spec.seed, n, b_total, chunk_statistic or every_row, one
+    )
 
     se = np.zeros(m)
     ci = np.zeros((m, 2))

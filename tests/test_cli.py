@@ -233,13 +233,15 @@ def test_unrecognized_header_is_a_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("fixture", ["trial_csv", "parallel_csv"])
 def test_header_is_read_as_a_csv_row(fixture, request, tmp_path, capsys):
-    # R's write.csv quotes every header cell, and the loaders skip blank lines
+    # R's write.csv quotes every header cell, the loaders skip blank lines,
+    # and Excel's "CSV UTF-8" starts the file with a byte-order mark
     plain = Path(request.getfixturevalue(fixture))
     header, rest = plain.read_text().split("\n", 1)
     quoted = ",".join(f'"{name}"' for name in header.split(","))
     assert run(["estimate", "--input", plain, "--method", "ps"]) == 0
     want = capsys.readouterr().out
-    variants = [f"{quoted}\n{rest}", f"\n{header}\n{rest}", f"\r\n{quoted}\n{rest}"]
+    variants = [f"{quoted}\n{rest}", f"\n{header}\n{rest}", f"\r\n{quoted}\n{rest}",
+                f"\ufeff{header}\n{rest}", f"\ufeff{quoted}\n{rest}"]
     for i, text in enumerate(variants):
         path = tmp_path / f"variant{i}.csv"
         path.write_bytes(text.encode())
@@ -577,8 +579,45 @@ def test_non_finite_input_is_a_data_error(tmp_path, capsys):
 def test_non_utf8_input_is_a_data_error(command, tmp_path, capsys):
     path = tmp_path / "latin.csv"
     head = b"subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
-    path.write_bytes(head + b"s1,CF,\xff\xfe,0,1,1,0,1.0,2.0\n")
+    for mark in (b"", b"\xef\xbb\xbf"):  # the offset counts a byte-order mark
+        path.write_bytes(mark + head + b"s1,CF,\xff\xfe,0,1,1,0,1.0,2.0\n")
+        assert run([command, "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        offset = len(mark) + len(head) + 6
+        assert f"{path}: not UTF-8 text (byte 0xff at offset {offset})" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+def test_over_long_cell_is_a_data_error(command, tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
+        f"s1,CF,{'1' * 140_000},0,1,1,0,1.0,2.0\n"
+    )
     assert run([command, "--input", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert f"{path}: not UTF-8 text (byte 0xff at offset {len(head) + 6})" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: line 2: field larger than field limit")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "ps"],
+        ["estimate", "--method", "both"],
+        ["diagnose", "--checks", "ignorability"],
+        ["diagnose", "--checks", "independence", "--bootstrap", "5"],
+        ["replicate", "--scenario", "paper_like", "--n", "40", "--replicates", "1",
+         "--oracle-n", "10000"],
+    ],
+)
+def test_repeated_covariate_is_a_data_error(argv, trial_csv, capsys):
+    if argv[0] != "replicate":
+        argv = [*argv, "--input", trial_csv]
+    assert run([*argv, "--covariates", "x_base,x_base"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: covariate 'x_base' is listed more than once")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -43,6 +43,7 @@ ARGUMENTS = {
         ["--bootstrap", "0"], ["--bootstrap", "3"], ["--bootstrap", "-1"], ["--bootstrap", "x"],
         ["--seed", "7"], ["--ci", "0.9"], ["--ci", "1.5"], ["--ci", "nan"],
         ["--covariates", "none"], ["--covariates", "x_base"], ["--covariates", "x_nope"],
+        ["--covariates", "x_base,x_base"],
         ["--derive-a", "y>0"], ["--derive-a", "y>"], ["--derive-a", "z<1"],
         ["--format", "csv"], ["--format", "json"], ["--format", "xml"], ["--unknown"],
     ],
@@ -52,7 +53,8 @@ ARGUMENTS = {
         ["--indep-method", "observed"], ["--bootstrap", "1"], ["--bootstrap", "8"],
         ["--bootstrap", "0"], ["--seed", "-3"], ["--direction", "decreasing"],
         ["--direction", "equal"],
-        ["--covariates", "none"], ["--covariates", "x_nope"], ["--derive-a", "y>0"],
+        ["--covariates", "none"], ["--covariates", "x_nope"], ["--covariates", "x_base,x_base"],
+        ["--derive-a", "y>0"],
         ["--format", "csv"], ["--format", "json"],
     ],
 }

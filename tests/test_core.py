@@ -267,6 +267,15 @@ def test_crossover_csv_rejects_bad_headers(tmp_path):
         load_crossover_csv(path)
 
 
+def test_crossover_csv_rejects_an_over_long_cell(tmp_path):
+    # the csv module refuses a field past its limit of 131072 characters
+    path = tmp_path / "long.csv"
+    header = "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2"
+    path.write_text(f"{header}\ns1,CF,{'1' * 140_000},0,1,1,0,1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"{path}: line 2: field larger than field limit"):
+        load_crossover_csv(path)
+
+
 def test_missing_tokens_accept_na_and_blank(tmp_path):
     path = tmp_path / "na.csv"
     header = "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2"

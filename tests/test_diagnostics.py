@@ -223,6 +223,29 @@ def test_independence_test_matches_one_at_a_time_refits(case):
     assert rep.secondary_p_value == exceedance_p(ssq_null, ref.secondary_discrepancy)
 
 
+def test_independence_rows_left_by_the_batched_fit_are_refit_alone(monkeypatch):
+    """Every row the batched fit leaves is refit by fit_logistic, as in the reference."""
+    records = generate_trial(scenario("paper_like", n_subjects=90, seed=2))
+    nulls = []
+    draw = diagnostics.draw_replicates
+
+    def leave_every_row(design, a, counts, start):
+        return np.full((counts.shape[0], design.shape[1]), np.nan), np.zeros(len(counts), bool)
+
+    def recording_draw(*args, **kwargs):
+        result = draw(*args, **kwargs)
+        nulls.append(result[0])
+        return result
+
+    monkeypatch.setattr(diagnostics, "fit_logistic_counts", leave_every_row)
+    monkeypatch.setattr(diagnostics, "draw_replicates", recording_draw)
+    rep = independence_test(records, n_bootstrap=40, seed=4)
+    ref, d_null, ssq_null, rejected = one_at_a_time_null(records, 40, 4)
+    assert rejected == 0 and 0.1 < rep.p_value < 1.0
+    np.testing.assert_allclose(nulls[0], np.column_stack([d_null, ssq_null]), rtol=1e-12)
+    assert rep.p_value == exceedance_p(d_null, ref.discrepancy)
+
+
 def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
     """Resamples are refit in batches: fit_logistic runs only on the full data."""
     records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
+from pcekit import glm
 from pcekit.errors import DegenerateResponseError, InsufficientDataError, SingularDesignError
 from pcekit.glm import (
     DesignMatrix,
@@ -290,6 +291,25 @@ def test_count_weighted_fits_leave_rank_deficient_resamples_to_fit_logistic():
     with pytest.raises(SingularDesignError):
         fit_logistic(DesignMatrix(design.names, design.values[idx]), a[idx])
     np.testing.assert_allclose(coef[1], start, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(LOGISTIC_ORACLE))
+def test_logistic_gradient_is_checked_at_the_iteration_cap(name, monkeypatch):
+    """A fit whose gradient first meets the tolerance after exactly
+    MAX_ITERATIONS updates converges; one update fewer leaves it unconverged."""
+    case = LOGISTIC_ORACLE[name]
+    design = DesignMatrix.with_intercept(("x1",), [np.asarray(case["x"], dtype=float)])
+    a = np.asarray(case["a"], dtype=float)
+    needed = fit_logistic(design, a).iterations
+    assert needed == {"six_point": 3, "eight_point": 5}[name]
+    for cap, expected in ((needed, True), (needed - 1, False)):
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", cap)
+        fit = fit_logistic(design, a)
+        assert fit.converged is expected and not fit.diverged
+        assert fit.iterations == cap
+        assert (fit.final_gradient_norm <= glm.GRADIENT_TOL) is expected
+        _, converged = fit_logistic_counts(design.values, a, np.ones((1, design.n)), np.zeros(2))
+        assert converged.tolist() == [expected]
 
 
 def test_logistic_deviance_path_is_monotone():

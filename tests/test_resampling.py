@@ -154,11 +154,13 @@ def test_redraw_keeps_the_first_successes_in_attempt_order():
     def fails(row):
         return row[0] == 0  # about one row in nine
 
-    def evaluate(idx):
-        failed = {r: "InestimableStratumError" for r in range(len(idx)) if fails(idx[r])}
-        return idx[:, :2].astype(float), failed
+    def chunk(idx):
+        return idx[:, :2].astype(float), np.asarray([fails(row) for row in idx])
 
-    values, failure_counts = draw_replicates(seed, n, n_replicates, evaluate, redraw=True)
+    def one(row):
+        raise InestimableStratumError("every row the chunk leaves fails")
+
+    values, failure_counts = draw_replicates(seed, n, n_replicates, chunk, one, redraw=True)
     kept, rejected, attempt = [], 0, 0
     while len(kept) < n_replicates:
         row = resample_index_matrix(seed, attempt, 1, n)[0]
@@ -170,6 +172,43 @@ def test_redraw_keeps_the_first_successes_in_attempt_order():
     assert rejected > 0
     assert failure_counts == {"InestimableStratumError": rejected}
     assert np.array_equal(values, np.asarray(kept, dtype=float))
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["nan", "redraw"])
+def test_rows_left_by_the_chunk_take_the_exact_statistic(redraw):
+    n, n_replicates, seed = 9, 40, 4
+
+    def chunk(idx):
+        return idx[:, :2].astype(float), idx[:, 0] <= 1
+
+    def one(row):
+        if row[0] == 0:  # about one row in nine fails; those led by 1 succeed
+            raise InestimableStratumError("no exact value")
+        return row[:2] + 100.0
+
+    values, failure_counts = draw_replicates(seed, n, n_replicates, chunk, one, redraw=redraw)
+    expected, rejected, repaired, attempt = [], 0, 0, 0
+    while len(expected) < n_replicates:
+        row = resample_index_matrix(seed, attempt, 1, n)[0]
+        attempt += 1
+        if row[0] == 0:
+            rejected += 1
+            if not redraw:
+                expected.append([np.nan, np.nan])
+        elif row[0] == 1:
+            repaired += 1
+            expected.append(row[:2] + 100.0)
+        else:
+            expected.append(row[:2])
+    assert rejected > 0 and repaired > 0
+    assert failure_counts == {"InestimableStratumError": rejected}
+    np.testing.assert_array_equal(values, np.asarray(expected, dtype=float))
+
+    def broken(row):
+        raise ValueError("a bug, not a failed replicate")
+
+    with pytest.raises(ValueError, match="a bug"):
+        draw_replicates(seed, n, n_replicates, chunk, broken, redraw=redraw)
 
 
 def test_point_estimate_errors_propagate():
