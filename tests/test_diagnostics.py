@@ -267,6 +267,25 @@ def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
     assert fits(20) == fits(1) == 4
 
 
+def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
+    """The batched fit may alias counts, which the test reads again after it."""
+    records = generate_trial(scenario("paper_like", n_subjects=120, seed=6))
+    fit = diagnostics.fit_logistic_counts
+    checked = []
+
+    def checking_fit(design, a, counts, start):
+        before = [np.array(arr, copy=True) for arr in (design, a, counts, start)]
+        result = fit(design, a, counts, start)
+        for arr, copy in zip((design, a, counts, start), before):
+            assert np.asarray(arr).tobytes() == copy.tobytes()
+        checked.append(counts.dtype == float)
+        return result
+
+    monkeypatch.setattr(diagnostics, "fit_logistic_counts", checking_fit)
+    assert independence_test(records, n_bootstrap=60, seed=2).n_rejected == 0
+    assert checked and all(checked)  # float counts reach the kernel as they are
+
+
 def test_crossover_effects_hand_values():
     records = [
         make_record(f"cf{i}", "CF", y=(float(i), 0.0)) for i in (1, 2, 3)

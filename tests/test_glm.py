@@ -5,6 +5,7 @@ equations); logistic references come from a coarse-to-fine grid search over
 the Bernoulli log-likelihood. Values are frozen here, not recomputed.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -291,6 +292,99 @@ def test_count_weighted_fits_leave_rank_deficient_resamples_to_fit_logistic():
     with pytest.raises(SingularDesignError):
         fit_logistic(DesignMatrix(design.names, design.values[idx]), a[idx])
     np.testing.assert_allclose(coef[1], start, rtol=1e-12)
+
+
+def _mixed_chunk():
+    """Ordinary resamples from a far start, with a constant and a rank-deficient row.
+
+    Rows halve their steps while others accept, and converge at different
+    iterations, so rows leave the working set mid-chunk.
+    """
+    rng = np.random.default_rng(11)
+    n = 50
+    x1 = rng.normal(0.0, 1.0, n)
+    x2 = rng.normal(2.0, 3.0, n)
+    a = (0.3 + 0.9 * x1 - 0.2 * x2 + rng.logistic(size=n) > 0).astype(float)
+    design = DesignMatrix.with_intercept(("x1", "x2"), [x1, x2]).values
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=40).astype(float)
+    counts[3] = 0.0
+    counts[3, a == 1.0] = 2.0  # constant response
+    counts[7] = 0.0
+    counts[7, :2] = 25.0  # two distinct rows: rank deficient
+    return design, a, counts, np.array([2.0, -3.0, 1.5])
+
+
+def _saturated_chunk():
+    """A start so steep that most weights p(1 - p) are exactly 0.
+
+    Only the rows at x = 0 and x = 0.02 carry Hessian weight. A resample
+    without x = 0.02 has a singular Hessian, and some rows stall: their
+    Newton step is so long that no halving improves the deviance.
+    """
+    x = np.array([-3.0, -2.0, -1.0, 0.0, 0.0, 0.02, 1.0, 2.0, 3.0, -2.5, 2.5, 1.5])
+    a = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    design = DesignMatrix.with_intercept(("x1",), [x]).values
+    rng = np.random.default_rng(5)
+    counts = rng.multinomial(len(x), np.full(len(x), 1.0 / len(x)), size=24).astype(float)
+    counts[:8, 5] = 0.0  # no x = 0.02 row
+    return design, a, counts, np.array([0.0, 60.0])
+
+
+def _separated_chunk():
+    """Data separated at x = 0, two members 1e-7 from the boundary.
+
+    The slope passes DIVERGENCE_NORM before their probabilities saturate;
+    other rows end in a numerically perfect fit or a singular Hessian.
+    """
+    x = np.array([-3.0, -2.0, -1e-7, 1e-7, 2.0, 3.0, -1.0, 1.0])
+    a = (x > 0).astype(float)
+    design = DesignMatrix.with_intercept(("x1",), [x]).values
+    rng = np.random.default_rng(9)
+    counts = rng.multinomial(len(x), np.full(len(x), 1.0 / len(x)), size=16).astype(float)
+    return design, a, counts, np.array([0.0, 1e5])
+
+
+# SHA-256 of coef.tobytes() and the converged mask, as the kernel produced
+# them before its working set was compacted. They pin every coefficient bit,
+# the unconverged rows' included; like the goldens under tests/data, they
+# hold for one BLAS build.
+PINNED_KERNEL_CASES = {
+    "mixed": (
+        _mixed_chunk, None,
+        "7252e13def3e3a10f090897c82f3ec5f3b3b6704c0f8e90c13afd0e0b6e4fbc1",
+        "1110111011111111111111111111111111111111",
+    ),
+    "saturated": (
+        _saturated_chunk, None,
+        "2d61eea782bd10b3cfa87fddb9a426da910d1d106a9c56cd1fdbbc7dfe8334ac",
+        "000000001001000101111010",
+    ),
+    "separated": (
+        _separated_chunk, None,
+        "ba49fc465c860ff45ded931e4630bf91bb564008255c72ca8fd6385360c280ed",
+        "0000000000000000",
+    ),
+    "iteration_cap": (
+        _mixed_chunk, 6,
+        "12383e23b96bf4b753d813300beb3bd36b6e283786fb44756ddaec8b6932793e",
+        "0000000010001000000000010010001000100000",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KERNEL_CASES))
+def test_count_weighted_fits_keep_their_bits(name, monkeypatch):
+    make, cap, coef_digest, converged_bits = PINNED_KERNEL_CASES[name]
+    if cap is not None:
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", cap)
+    args = make()
+    before = [arr.copy() for arr in args]
+    coef, converged = fit_logistic_counts(*args)
+    assert hashlib.sha256(coef.tobytes()).hexdigest() == coef_digest
+    assert "".join("1" if c else "0" for c in converged) == converged_bits
+    # the kernel reads its inputs only: callers reuse counts after the fit
+    for arr, copy in zip(args, before):
+        assert arr.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(LOGISTIC_ORACLE))
