@@ -442,8 +442,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """Argument type: an integer no smaller than minimum."""
+def _int_at_least(minimum: int, below: int | None = None) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than minimum, and under below if given."""
 
     def parse(text: str) -> int:
         try:
@@ -452,6 +452,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     return parse
@@ -474,6 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Principal causal effect estimation and crossover-based diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # resample streams are keyed by the seed's 64 bits, so a seed outside
+    # [0, 2**64) would repeat the resamples of one inside it
+    resample_seed = _int_at_least(0, below=2**64)
 
     # argument groups that several subcommands share
     report = argparse.ArgumentParser(add_help=False)
@@ -509,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
     )
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=resample_seed, default=0)
     est.add_argument("--ci", type=_ci_level, default=0.95)
     est.set_defaults(func=_cmd_estimate)
 
@@ -524,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dia.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
     dia.add_argument("--bootstrap", type=_int_at_least(1), default=500)
-    dia.add_argument("--seed", type=int, default=0)
+    dia.add_argument("--seed", type=resample_seed, default=0)
     dia.set_defaults(func=_cmd_diagnose)
 
     rep = sub.add_parser(

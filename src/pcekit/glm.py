@@ -295,11 +295,20 @@ def _probs_and_deviances(
 
     sign is 1 - 2a: -log p = log1p(e) + max(-eta, 0) for a = 1, and
     -log(1 - p) = log1p(e) + max(eta, 0) for a = 0, with e = exp(-|eta|).
+    The numerator of p is 1 where eta >= 0 and e elsewhere, which is
+    max(e, eta >= 0) because 0 <= e <= 1. eta is overwritten; a (1, n) eta
+    serves every row of counts.
     """
-    e = np.exp(-np.abs(eta))
-    p = np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
-    loss = np.log1p(e) + np.maximum(sign * eta, 0.0)
-    return p, 2.0 * np.sum(counts * loss, axis=1)
+    e = np.abs(eta)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.maximum(e, eta >= 0.0)
+    p /= 1.0 + e
+    loss = np.multiply(sign, eta, out=eta)
+    np.maximum(loss, 0.0, out=loss)
+    loss += np.log1p(e, out=e)
+    weighted = np.multiply(counts, loss, out=loss if loss.shape == counts.shape else None)
+    return p, 2.0 * np.sum(weighted, axis=1)
 
 
 def fit_logistic_counts(
@@ -318,14 +327,24 @@ def fit_logistic_counts(
     response, a rank-deficient resample, separation, a singular Hessian, a
     stall or the iteration cap. Refit those with ``fit_logistic`` for its
     exact verdict.
+
+    The rows still iterating form a working set: their counts (``counts``
+    itself while every row is in it), probabilities, coefficients and
+    deviances as compact arrays. They are gathered again only when a row
+    leaves, and when every row accepts its full Newton step the candidate
+    arrays become the working set without a copy. The inputs are only read.
+    A row's coefficients do not depend on which other rows share its chunk:
+    every elementwise operation runs in a fixed order (w = c * p, then
+    w *= 1 - p), each row's deviance is summed along its own contiguous
+    row, and each matrix product has as many rows as there are rows taking
+    that step, so BLAS takes the same path for the same data.
     """
     x = np.asarray(design, dtype=float)
     a = np.asarray(a, dtype=float)
-    counts = np.asarray(counts, dtype=float)
+    counts = np.ascontiguousarray(counts, dtype=float)
     b, n = counts.shape
     q = x.shape[1]
     sign = 1.0 - 2.0 * a
-    present = counts > 0.0
     # row i's outer product d_i d_i^T, flattened: counts @ outer sums them
     outer = (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
 
@@ -334,53 +353,67 @@ def fit_logistic_counts(
     both = (counts @ a > 0.0) & (counts @ (1.0 - a) > 0.0)
     gram_eigs = np.linalg.eigvalsh((counts @ outer).reshape(b, q, q))
     full_rank = gram_eigs[:, 0] > GRAM_RATIO_TOL * gram_eigs[:, -1]
-    active = both & full_rank
     converged = np.zeros(b, dtype=bool)
 
     start = np.asarray(start, dtype=float)
     beta = np.tile(start, (b, 1))
+    rows = np.flatnonzero(both & full_rank)
+    c = counts if rows.size == b else counts[rows]
+    coef = beta[rows]
     # every row starts at the same coefficients: one eta row serves them all
-    p, dev = _probs_and_deviances(sign, (x @ start)[None, :], counts)
-    p = np.repeat(p, b, axis=0)
+    p, dev = _probs_and_deviances(sign, (x @ start)[None, :], c)
+    p = np.repeat(p, rows.size, axis=0)
+
+    def keep(stay: np.ndarray) -> None:
+        """Write back the rows that leave the working set; gather the rest."""
+        nonlocal rows, c, p, coef, dev
+        beta[rows[~stay]] = coef[~stay]
+        rows, c, p, coef, dev = rows[stay], c[stay], p[stay], coef[stay], dev[stay]
+
     for it in range(MAX_ITERATIONS + 1):
-        rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        c, pr = counts[rows], p[rows]
-        resid = a - pr
+        resid = a - p
         grad = (c * resid) @ x
         small = np.max(np.abs(grad), axis=1) <= GRADIENT_TOL
         if small.any():
             # a numerically perfect fit certifies separation, not convergence
-            worst = np.max(np.where(present[rows[small]], np.abs(resid[small]), 0.0), axis=1)
+            worst = np.max(np.where(c[small] > 0.0, np.abs(resid[small]), 0.0), axis=1)
             converged[rows[small]] = worst >= PERFECT_FIT_TOL
-            active[rows[small]] = False
-            rows, grad, c, pr = rows[~small], grad[~small], c[~small], pr[~small]
+            keep(~small)
+            grad = grad[~small]
         if it == MAX_ITERATIONS or rows.size == 0:
             break  # iteration cap: rows still active stay unconverged
 
-        w = c * pr * (1.0 - pr)
+        w = c * p
+        w *= 1.0 - p
         delta, solved = _solve_stack((w @ outer).reshape(rows.size, q, q), grad)
-        active[rows[~solved]] = False
-        rows, delta = rows[solved], delta[solved]
+        if not solved.all():
+            keep(solved)
+            delta = delta[solved]
 
-        step = np.ones(rows.size)
-        pending = np.ones(rows.size, dtype=bool)
+        # line search: the rows in k try coefficients cand; every row still
+        # in k has failed as often as the others, so one step serves them
+        k = np.arange(rows.size)
+        cand, ck, step = coef + delta, c, 1.0
         for _ in range(30):
-            k = np.flatnonzero(pending)
-            r = rows[k]
-            cand = beta[r] + step[k, None] * delta[k]
-            p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, counts[r])
-            ok = dev_c <= dev[r] + 1e-12
-            beta[r[ok]], p[r[ok]], dev[r[ok]] = cand[ok], p_c[ok], dev_c[ok]
-            pending[k[ok]] = False
-            step[k[~ok]] *= 0.5
-            if not pending.any():
+            p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, ck)
+            ok = dev_c <= dev[k] + 1e-12
+            if k.size == rows.size and ok.all():
+                coef, p, dev, k = cand, p_c, dev_c, k[:0]
                 break
-        # stalled rows found no improving step along the Newton direction
-        active[rows[pending]] = False
-        moved = rows[~pending]
-        active[moved[np.max(np.abs(beta[moved]), axis=1) > DIVERGENCE_NORM]] = False
+            coef[k[ok]], p[k[ok]], dev[k[ok]] = cand[ok], p_c[ok], dev_c[ok]
+            k = k[~ok]
+            if k.size == 0:
+                break
+            step *= 0.5
+            cand, ck = coef[k] + step * delta[k], c[k]
+        # rows left in k stalled: no improving step along the Newton direction
+        leave = np.max(np.abs(coef), axis=1) > DIVERGENCE_NORM
+        leave[k] = True
+        if leave.any():
+            keep(~leave)
+    beta[rows] = coef
     return beta, converged
 
 

@@ -490,6 +490,12 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
         ["simulate", "--scenario", "paper_like", "--seed", "-1"],
         ["replicate", "--scenario", "paper_like", "--n", "1"],
         ["replicate", "--scenario", "paper_like", "--seed", "-1"],
+        # resample streams use the seed's 64 bits: these would alias 2**64 - 3,
+        # 5 and 2**64 - 1
+        ["estimate", "--input", "{input}", "--seed", "-3"],
+        ["estimate", "--input", "{input}", "--seed", str(2**64 + 5)],
+        ["diagnose", "--input", "{input}", "--seed", "-1"],
+        ["diagnose", "--input", "{input}", "--seed", str(2**64)],
     ],
 )
 def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
@@ -499,6 +505,17 @@ def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
     err = capsys.readouterr().err
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--input", "{input}", "--bootstrap", "5"],
+        ["diagnose", "--input", "{input}", "--checks", "independence", "--bootstrap", "5"],
+    ],
+)
+def test_the_largest_resample_seed_is_accepted(argv, trial_csv, capsys):
+    assert run([a.format(input=trial_csv) for a in argv] + ["--seed", str(2**64 - 1)]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "replicate"])
