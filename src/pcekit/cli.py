@@ -125,12 +125,14 @@ def _derive_adherence(rule: str, y: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(y), core.A_MISSING, hit).astype(np.int8)
 
 
-def _parse_covariates(arg: str | None) -> tuple[str, ...] | None:
-    if arg is None:
-        return None
+def _parse_covariates(arg: str) -> tuple[str, ...]:
+    """Argument type: comma-separated covariate names, or 'none' for no covariates."""
     if arg.strip().lower() == "none":
         return ()
-    return tuple(s.strip() for s in arg.split(",") if s.strip())
+    names = tuple(s.strip() for s in arg.split(",") if s.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"{arg!r} names no column; use 'none' for no covariates")
+    return names
 
 
 def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
@@ -166,9 +168,11 @@ def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
     out = args.out or str(_out_dir() / "trial.csv")
     truth_out = args.truth_out or str(Path(out).with_suffix("")) + "_truth.json"
+    if Path(out).resolve() == Path(truth_out).resolve():
+        raise ConfigError(f"--out and --truth-out both name {out}; write them to two files")
+    config = _load_config(args)
     # compute and render everything before writing either file
     truth = simulator.true_pce(config, args.oracle_n)
     records = simulator.generate_trial(config)
@@ -227,7 +231,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             n_replicates=args.bootstrap, seed=args.seed, ci_level=args.ci
         )
     table = estimators.estimate_pce_table(
-        cols, methods=methods, covariates=_parse_covariates(args.covariates), bootstrap_spec=spec
+        cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
     )
     doc, rows = [], []
     for r in table:
@@ -252,7 +256,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     for c in checks:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}; choose from {', '.join(CHECKS)} or all")
-    covariates = _parse_covariates(args.covariates)
     results: dict[str, dict] = {}
     notes: list[str] = []
 
@@ -269,13 +272,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         results["monotonicity"] = report.to_dict()
     if "ignorability" in checks:
         kept = completers("ignorability", CompleterRule.BOTH, "full")
-        results["ignorability"] = diagnostics.ignorability_regressions(kept, covariates).to_dict()
+        report = diagnostics.ignorability_regressions(kept, args.covariates)
+        results["ignorability"] = report.to_dict()
     if "independence" in checks:
         kept = completers("independence", CompleterRule.STRATUM_VAR, "adherence")
         report = diagnostics.independence_test(
             kept,
             method=estimators.ProbMethod(args.indep_method),
-            covariates=covariates,
+            covariates=args.covariates,
             n_bootstrap=args.bootstrap,
             seed=args.seed,
         )
@@ -370,7 +374,6 @@ def _diagnose_md(results: dict[str, dict], notes: list[str]) -> str:
 def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     methods = _methods(args.method)
-    covariates = _parse_covariates(args.covariates)
 
     sums: dict[tuple, dict[str, float]] = {
         (m.value, str(lab)): dict(n=0, bias=0.0, sq=0.0, cover=0.0, width=0.0, truth=0.0, est=0.0)
@@ -395,7 +398,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             if args.bootstrap > 0:
                 spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
             rows = estimators.estimate_pce_table(
-                cols, methods=methods, covariates=covariates, bootstrap_spec=spec
+                cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
             )
             for r in rows:
                 true_val = truth.row(r.stratum).pce
@@ -487,7 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dataset = argparse.ArgumentParser(add_help=False)
     dataset.add_argument("--input", required=True)
-    dataset.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
+    dataset.add_argument(
+        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
+    )
     dataset.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
 
     dgp = argparse.ArgumentParser(add_help=False)
@@ -537,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--replicates", type=_int_at_least(1), default=20)
     rep.add_argument("--method", choices=METHODS, default="both")
-    rep.add_argument("--covariates", help="comma-separated x_ columns, or 'none'")
+    rep.add_argument(
+        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
+    )
     rep.add_argument("--bootstrap", type=_int_at_least(0), default=0)
     rep.set_defaults(func=_cmd_replicate)
 

@@ -339,11 +339,12 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
 
 
 def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
-    """Read parallel-arm observations (one subject-arm row each)."""
+    """Read parallel-arm observations (one row per subject and arm)."""
     rows = _read_rows(path)
     names = _split_header(rows[0], _PARALLEL_HEAD, ("a", "y"))
     width = 2 + len(names) + 2
     obs: list[ParallelObservation] = []
+    seen: set[tuple[str, int]] = set()
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
@@ -353,6 +354,9 @@ def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
         t = _parse_int01(row[1], "treatment", i)
         if t is None:
             raise SchemaError(f"row {i}: treatment may not be missing")
+        if (sid, t) in seen:
+            raise SchemaError(f"row {i}: duplicate subject_id {sid!r} in arm {t}")
+        seen.add((sid, t))
         covs = tuple(
             _parse_float(tok, f"{names[j]}", i, allow_missing=False)  # type: ignore[misc]
             for j, tok in enumerate(row[2 : 2 + len(names)])

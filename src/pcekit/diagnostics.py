@@ -27,17 +27,17 @@ from .core import (
     as_columns,
     stratum_counts,
 )
-from .errors import (
-    BootstrapError,
-    DegenerateResponseError,
-    DiagnosticError,
-    InsufficientDataError,
+from .errors import BootstrapError, DiagnosticError, InsufficientDataError
+from .estimators import (
+    ProbMethod,
+    _cell_table,
+    _cond_indep_cells,
+    _prob_vector,
+    _selected_covariates,
 )
-from .estimators import ProbMethod, _cell_table, _prob_vector, _selected_covariates
 from .glm import (
     DesignMatrix,
     expit,
-    fit_logistic,
     fit_logistic_counts,
     fit_ols,
     intercept_design,
@@ -221,29 +221,6 @@ class IndependenceReport:
         }
 
 
-def _refit_cells(
-    design: DesignMatrix,
-    a0: np.ndarray,
-    a1: np.ndarray,
-    idx: np.ndarray,
-    warm: dict[int, np.ndarray],
-) -> np.ndarray:
-    """Cond-indep stratum cells of one resample, both arms refit by fit_logistic.
-
-    Raises DegenerateResponseError when a fit does not converge; fit_logistic
-    itself raises on a constant response or a rank-deficient resample.
-    """
-    xb = design.values[idx]
-    design_b = DesignMatrix(design.names, xb)
-    g = []
-    for arm, a in ((0, a0), (1, a1)):
-        fit = fit_logistic(design_b, a[idx].astype(float), start=warm[arm])
-        if not fit.converged:
-            raise DegenerateResponseError("resample fit did not converge")
-        g.append(expit(xb @ fit.coefficients))
-    return _cell_table(g[0], g[1]).mean(axis=0)
-
-
 def independence_test(
     data: Dataset,
     method: ProbMethod = ProbMethod.COND_INDEP,
@@ -262,9 +239,9 @@ def independence_test(
     aborts the test. Subjects need adherence in both periods.
 
     Each replicate is a row of multinomial counts over the subjects. Chunks
-    of rows are refit together by ``fit_logistic_counts``; the resampling
-    engine refits each row that does not fit cleanly alone, by
-    ``fit_logistic``, whose verdict decides whether the row is rejected.
+    of rows are refit together by ``fit_logistic_counts`` from the full-data
+    fits; the engine runs the full-data reconstruction, from the same starts,
+    on each row that does not fit cleanly, and its verdict rejects it or not.
     """
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
@@ -277,22 +254,20 @@ def independence_test(
 
     names, x = _selected_covariates(cols, covariates)
     obs_vec = _prob_vector(cols, ProbMethod.OBSERVED, None)
-    est_vec = _prob_vector(cols, method, names)
+    if method is ProbMethod.COND_INDEP:
+        est_vec, models = _cond_indep_cells(cols, names, (None, None))
+        warm = tuple(model.fit.coefficients for model in models)
+    else:
+        est_vec = _prob_vector(cols, method, names)
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
 
     a0 = cols.a[:, 0].astype(np.int64)
     a1 = cols.a[:, 1].astype(np.int64)
-    design = DesignMatrix(("intercept", *names), intercept_design(x))
+    design = intercept_design(x)
     # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
     cells = ((2 * a0 + a1)[:, None] == np.arange(len(JOINT_LABELS))).astype(float)
-
-    warm: dict[int, np.ndarray] = {}
-    if method is ProbMethod.COND_INDEP:
-        # _prob_vector above raised if these fits failed; they warm-start every refit
-        for arm, a_vec in ((0, a0), (1, a1)):
-            warm[arm] = fit_logistic(design, a_vec.astype(float)).coefficients
 
     def gaps(counts: np.ndarray, est_b: np.ndarray) -> np.ndarray:
         """Centered max and sum-of-squares gaps of resamples given as counts."""
@@ -304,15 +279,16 @@ def independence_test(
         if method is ProbMethod.INDEP:
             est_b = _cell_table(counts @ a0 / n, counts @ a1 / n)
             return gaps(counts, est_b), np.zeros(len(idx), dtype=bool)
-        beta0, ok0 = fit_logistic_counts(design.values, a0, counts, warm[0])
-        beta1, ok1 = fit_logistic_counts(design.values, a1, counts, warm[1])
-        g0 = expit(beta0 @ design.values.T)
-        g1 = expit(beta1 @ design.values.T)
+        beta0, ok0 = fit_logistic_counts(design, a0, counts, warm[0])
+        beta1, ok1 = fit_logistic_counts(design, a1, counts, warm[1])
+        g0 = expit(beta0 @ design.T)
+        g1 = expit(beta1 @ design.T)
         est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
         return gaps(counts, est_b), ~(ok0 & ok1)
 
     def one(row: np.ndarray) -> np.ndarray:
-        return gaps(resample_counts(row[None, :], n), _refit_cells(design, a0, a1, row, warm))[0]
+        est_b = _cond_indep_cells(cols.take(row), names, warm)[0]
+        return gaps(resample_counts(row[None, :], n), est_b)[0]
 
     try:
         null, rejected = draw_replicates(seed, n, n_bootstrap, chunk, one, redraw=True)

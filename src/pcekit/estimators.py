@@ -104,10 +104,12 @@ def _selected_covariates(
 
 
 def _fit_score(
-    x: np.ndarray, a: np.ndarray, names: tuple[str, ...], arm: int
+    x: np.ndarray, a: np.ndarray, names: tuple[str, ...], arm: int, start: np.ndarray | None = None
 ) -> PrincipalScoreModel:
-    """Fit Pr(A(arm)=1 | X) on covariate rows x and their observed 0/1 adherence a."""
-    fit = fit_logistic(DesignMatrix(("intercept", *names), intercept_design(x)), a.astype(float))
+    """Fit Pr(A(arm)=1 | X) on covariate rows x and their observed 0/1 adherence a,
+    from start, or from fit_logistic's zero start without one."""
+    design = DesignMatrix(("intercept", *names), intercept_design(x))
+    fit = fit_logistic(design, a.astype(float), start=start)
     return PrincipalScoreModel(arm=arm, fit=fit, covariate_names=names)
 
 
@@ -269,12 +271,14 @@ def _adherence_rows(cols: TrialColumns) -> np.ndarray:
 
 
 def _fit_both_arms(
-    cols: TrialColumns, observed: np.ndarray, covariates: Sequence[str] | None
+    cols: TrialColumns, observed: np.ndarray, covariates: Sequence[str] | None,
+    starts: Sequence[np.ndarray | None] = (None, None),
 ) -> tuple[tuple[PrincipalScoreModel, PrincipalScoreModel], np.ndarray]:
-    """Each arm's principal-score model, fit on its adherence-observed rows,
-    and the covariate values the models use."""
+    """Each arm's principal-score model, fit on its adherence-observed rows
+    from that arm's start, and the covariate values the models use."""
     names, x = _selected_covariates(cols, covariates)
-    m0, m1 = (_fit_score(x[observed[:, t]], cols.a[observed[:, t], t], names, t) for t in (0, 1))
+    m0, m1 = (_fit_score(x[rows], cols.a[rows, t], names, t, starts[t])
+              for t, rows in enumerate(observed.T))
     return (m0, m1), x
 
 
@@ -292,17 +296,24 @@ def _prob_vector(
     cols = as_columns(data)
     if method is ProbMethod.OBSERVED:
         return stratum_counts(cols) / len(cols)
-
-    observed = _adherence_rows(cols)
     if method is ProbMethod.INDEP:
+        observed = _adherence_rows(cols)
         p0 = float(np.mean(cols.a[observed[:, 0], 0]))
         p1 = float(np.mean(cols.a[observed[:, 1], 1]))
         return _cell_table(p0, p1)
+    return _cond_indep_cells(cols, covariates, (None, None))[0]
 
-    # conditional independence given X: average the product of per-arm scores;
+
+def _cond_indep_cells(
+    cols: TrialColumns, covariates: Sequence[str] | None, starts: Sequence[np.ndarray | None]
+) -> tuple[np.ndarray, tuple[PrincipalScoreModel, PrincipalScoreModel]]:
+    """Joint-cell probabilities under independence given X, in JOINT_LABELS
+    order, and the two principal-score models they average, each fit from its
+    arm's start: None for an estimate, the full-data fit for a resample's."""
+    (m0, m1), x = _fit_both_arms(cols, _adherence_rows(cols), covariates, starts)
     # each cell is summed as one contiguous row, in the order of a 1-D mean
-    (m0, m1), x = _fit_both_arms(cols, observed, covariates)
-    return np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
+    cells = np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
+    return cells, (m0, m1)
 
 
 def estimate_stratum_probs(

@@ -394,6 +394,19 @@ def test_replicate_oracle_error_cancels_the_rest_and_joins_its_threads(
     assert threading.active_count() == baseline
 
 
+@pytest.mark.parametrize("truth_name", ["same.csv", "sub/../same.csv"])
+def test_simulate_refuses_one_path_for_trial_and_truth(truth_name, tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    argv = ["simulate", "--scenario", "paper_like", "--n", 20, "--oracle-n", 10_000,
+            "--out", tmp_path / "same.csv", "--truth-out", tmp_path / truth_name]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out and --truth-out both name")
+    assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
+
+
 def test_replicate_reports_a_trial_error_before_its_truth_error(tmp_path, capsys):
     # trial 0's period-2 outcomes overflow, and so do the sums of its oracle
     path = tmp_path / "cfg.json"
@@ -496,6 +509,10 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
         ["estimate", "--input", "{input}", "--seed", str(2**64 + 5)],
         ["diagnose", "--input", "{input}", "--seed", "-1"],
         ["diagnose", "--input", "{input}", "--seed", str(2**64)],
+        # a list that names no column would silently fit intercept-only models
+        ["estimate", "--input", "{input}", "--covariates", ""],
+        ["diagnose", "--input", "{input}", "--covariates", ","],
+        ["replicate", "--scenario", "paper_like", "--covariates", " , "],
     ],
 )
 def test_bad_argument_values_exit_two(argv, trial_csv, capsys):

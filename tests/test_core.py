@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from pcekit.core import (
 from pcekit.errors import InsufficientDataError, MissingDataError, SchemaError
 
 from conftest import make_record
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_sequence_treatment_mapping():
@@ -252,6 +255,14 @@ def test_crossover_csv_rejects_duplicate_ids(tmp_path):
     path.write_text(f"{header}\n{row}\n{row}\n", encoding="utf-8")
     with pytest.raises(SchemaError, match="row 3.*duplicate"):
         load_crossover_csv(path)
+
+
+def test_parallel_csv_rejects_a_repeated_subject_arm_row(tmp_path):
+    lines = (DATA / "parallel_ps.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "dup.csv"
+    path.write_text("\n".join(lines + lines[1:3]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"row {len(lines) + 1}: duplicate subject_id 's001'"):
+        load_parallel_csv(path)
 
 
 def test_crossover_csv_rejects_bad_headers(tmp_path):

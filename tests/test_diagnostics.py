@@ -255,8 +255,9 @@ def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
         calls.append(1)
         return fit_logistic(*args, **kwargs)
 
+    # diagnostics fits only through estimators; patching it too counts any fit of its own
     for module in (diagnostics, estimators):
-        monkeypatch.setattr(module, "fit_logistic", counting_fit)
+        monkeypatch.setattr(module, "fit_logistic", counting_fit, raising=False)
 
     def fits(n_bootstrap):
         calls.clear()
@@ -264,7 +265,25 @@ def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
         assert rep.n_rejected == 0
         return len(calls)
 
-    assert fits(20) == fits(1) == 4
+    # one fit per arm: the full-data estimate's fits are the refits' warm starts
+    assert fits(20) == fits(1) == 2
+
+
+def test_independence_fallback_names_separation_as_the_estimate_bootstrap_does(monkeypatch):
+    """A resample whose refit separates counts as ConvergenceError, as in estimate's."""
+    records = load_crossover_csv(DATA / "sparse_refit.csv")
+    drawn = []
+    draw = diagnostics.draw_replicates
+
+    def recording_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(diagnostics, "draw_replicates", recording_draw)
+    rep = independence_test(records, n_bootstrap=60, seed=5)
+    _, failure_counts = drawn[0]
+    assert failure_counts == {"ConvergenceError": 5}
+    assert rep.n_rejected == 5
 
 
 def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
