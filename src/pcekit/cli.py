@@ -10,9 +10,9 @@ Every report, and simulate's truth table, is rendered by one function,
 (dicts sharing their keys) and markdown text. JSON is strict: keys are
 sorted, and a missing or non-finite number (NaN, +-inf) is `null`. CSV has
 one header row; a cell is quoted only when it holds a comma, a quote or a
-line break; a missing value or NaN is `NA`, and a float is written as its
-`repr`, which reads back to the same number. The markdown view rounds for
-reading.
+line break, and is written by `core.csv_cell`, the rule of the data files:
+a missing value or NaN is `NA`, and a float is its `repr`, which reads back
+to the same number. The markdown view rounds for reading.
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ def _finite_or_none(obj: object) -> object:
     return obj
 
 
-def _csv_cell(v: object) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return "NA"
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def _render(fmt: str, doc: object, rows: Sequence[dict], md: str) -> str:
     """One report as text: doc as JSON, rows (dicts sharing their keys) as
     CSV under a header of those keys, or md as it is."""
@@ -83,7 +77,7 @@ def _render(fmt: str, doc: object, rows: Sequence[dict], md: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])
-        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
+        writer.writerows([core.csv_cell(v) for v in row.values()] for row in rows)
         return buf.getvalue()
     return md + "\n"
 
@@ -115,13 +109,17 @@ _RULE_OPS = {">": np.greater, ">=": np.greater_equal, "<": np.less, "<=": np.les
 
 def _derive_adherence(rule: str, y: np.ndarray) -> np.ndarray:
     """Adherence from outcomes y by a threshold rule such as 'y>0'; missing
-    where y is."""
-    m = re.fullmatch(r"\s*y\s*(>=|<=|>|<)\s*(-?\d+(?:\.\d+)?)\s*", rule)
-    if m is None:
+    where y is. The threshold is any finite number float() reads."""
+    m = re.fullmatch(r"\s*y\s*(>=|<=|>|<)(.*)", rule, re.DOTALL)
+    try:
+        threshold = float(m.group(2)) if m else math.nan
+    except ValueError:
+        threshold = math.nan
+    if not math.isfinite(threshold):
         raise ConfigError(
             f"cannot parse adherence rule {rule!r}; expected like 'y>0' or 'y<=1.5'"
         )
-    hit = _RULE_OPS[m.group(1)](y, float(m.group(2)))
+    hit = _RULE_OPS[m.group(1)](y, threshold)
     return np.where(np.isnan(y), core.A_MISSING, hit).astype(np.int8)
 
 
@@ -375,10 +373,9 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     methods = _methods(args.method)
 
-    sums: dict[tuple, dict[str, float]] = {
-        (m.value, str(lab)): dict(n=0, bias=0.0, sq=0.0, cover=0.0, width=0.0, truth=0.0, est=0.0)
-        for m in methods
-        for lab in JOINT_LABELS
+    # (truth, estimate, interval) of each trial that scores a cell, in trial order
+    scored: dict[tuple[str, str], list[tuple[float, float, tuple | None]]] = {
+        (m.value, str(lab)): [] for m in methods for lab in JOINT_LABELS
     }
     cfgs = [dataclasses.replace(config, seed=config.seed + k) for k in range(args.replicates)]
     # the truths are drawn on worker threads, at most ORACLE_WORKERS ahead of
@@ -405,32 +402,25 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 # a stratum with no oracle members has no truth to score against
                 if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
                     continue
-                cell = sums[(r.method.value, str(r.stratum))]
-                cell["n"] += 1
-                cell["truth"] += true_val
-                cell["est"] += r.point
-                cell["bias"] += r.point - true_val
-                cell["sq"] += (r.point - true_val) ** 2
-                if r.ci is not None:
-                    cell["cover"] += float(r.ci[0] <= true_val <= r.ci[1])
-                    cell["width"] += r.ci[1] - r.ci[0]
+                scored[(r.method.value, str(r.stratum))].append((true_val, r.point, r.ci))
     finally:
         pool.shutdown(cancel_futures=True)
 
     agg = []
-    for (method, stratum), cell in sums.items():
-        n = int(cell["n"])
-        entry = {
-            "method": method,
-            "stratum": stratum,
-            "n_estimable": n,
-            "mean_truth": cell["truth"] / n if n else None,
-            "mean_estimate": cell["est"] / n if n else None,
-            "bias": cell["bias"] / n if n else None,
-            "rmse": math.sqrt(cell["sq"] / n) if n else None,
-            "coverage": cell["cover"] / n if n and args.bootstrap > 0 else None,
-            "mean_ci_width": cell["width"] / n if n and args.bootstrap > 0 else None,
-        }
+    for (method, stratum), cell in scored.items():
+        n = len(cell)
+        entry = dict(method=method, stratum=stratum, n_estimable=n, mean_truth=None,
+                     mean_estimate=None, bias=None, rmse=None, coverage=None, mean_ci_width=None)
+        if n:
+            true_vals, ests, cis = zip(*cell)
+            errors = [e - t for t, e in zip(true_vals, ests)]
+            entry.update(mean_truth=sum(true_vals) / n, mean_estimate=sum(ests) / n,
+                         bias=sum(errors) / n, rmse=math.sqrt(sum(d**2 for d in errors) / n))
+            if args.bootstrap > 0:  # every scored estimate then has an interval
+                entry.update(
+                    coverage=sum(lo <= t <= hi for t, (lo, hi) in zip(true_vals, cis)) / n,
+                    mean_ci_width=sum(hi - lo for lo, hi in cis) / n,
+                )
         agg.append(entry)
 
     shown = ("mean_truth", "mean_estimate", "bias", "rmse", "coverage")

@@ -186,16 +186,15 @@ def _parse_float(token: str, what: str, row: int, allow_missing: bool) -> float 
     return value
 
 
-def _format_value(v: float | int | str | None) -> str:
-    if v is None:
+def csv_cell(v: object) -> str:
+    """One CSV cell, in data files and reports alike: a missing value or NaN
+    is NA, a float its repr (which reads back to the same number), a bool 0
+    or 1, and anything else its str."""
+    if v is None or (isinstance(v, float) and math.isnan(v)):
         return MISSING_TOKEN
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):  # guard against accidental bools
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(int(v)) if isinstance(v, bool) else str(v)
 
 
 def _data_row(header: Sequence[str], values: Sequence) -> list[str]:
@@ -204,7 +203,7 @@ def _data_row(header: Sequence[str], values: Sequence) -> list[str]:
     for column, v in zip(header, values):
         if isinstance(v, float) and not math.isfinite(v):
             raise SchemaError(f"subject {values[0]!r}: {column}={v!r} is not a finite number")
-    return [_format_value(v) for v in values]
+    return [csv_cell(v) for v in values]
 
 
 def _split_header(

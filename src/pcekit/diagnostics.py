@@ -10,7 +10,7 @@ independence-based reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -122,17 +122,6 @@ class RegressionRow:
     adjusted_mean_a0: float
     adjusted_mean_a1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome_arm": self.outcome_arm,
-            "adherence_arm": self.adherence_arm,
-            "coefficient": self.coefficient,
-            "standard_error": self.standard_error,
-            "p_value": self.p_value,
-            "adjusted_mean_a0": self.adjusted_mean_a0,
-            "adjusted_mean_a1": self.adjusted_mean_a1,
-        }
-
 
 @dataclass(frozen=True)
 class IgnorabilityReport:
@@ -150,7 +139,7 @@ class IgnorabilityReport:
         raise KeyError((outcome_arm, adherence_arm))
 
     def to_dict(self) -> dict:
-        return {"n": self.n_subjects, "regressions": [r.to_dict() for r in self.rows]}
+        return {"n": self.n_subjects, "regressions": [asdict(r) for r in self.rows]}
 
 
 def ignorability_regressions(
@@ -315,6 +304,8 @@ def independence_test(
 class CrossoverEffectsReport:
     """Two-stage crossover analysis on period differences and sums."""
 
+    n_cf: int
+    n_ef: int
     treatment_effect: float
     treatment_t: float
     treatment_p: float
@@ -323,22 +314,9 @@ class CrossoverEffectsReport:
     period_p: float
     sequence_t: float
     sequence_p: float
-    n_cf: int
-    n_ef: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_cf": self.n_cf,
-            "n_ef": self.n_ef,
-            "treatment_effect": self.treatment_effect,
-            "treatment_t": self.treatment_t,
-            "treatment_p": self.treatment_p,
-            "period_effect": self.period_effect,
-            "period_t": self.period_t,
-            "period_p": self.period_p,
-            "sequence_t": self.sequence_t,
-            "sequence_p": self.sequence_p,
-        }
+        return asdict(self)
 
 
 def _pooled_t(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:

@@ -14,6 +14,7 @@ records or observations are adapters that validate and convert them.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -521,29 +522,18 @@ def estimate_pce_table(
         points = boot.points
 
     rows: list[EstimateSummary] = []
-    i = 0
-    for method in methods:
-        for stratum in JOINT_LABELS:
-            for quantity in QUANTITIES:
-                point = float(points[i])
-                inest = np.isnan(point)
-                note = "inestimable on this data" if inest else None
-                se = ci = n_eff = None
-                if boot is not None and not inest:
-                    se = float(boot.se[i])
-                    ci = (float(boot.ci[i, 0]), float(boot.ci[i, 1]))
-                    n_eff = int(boot.n_effective[i])
-                rows.append(
-                    EstimateSummary(
-                        stratum=stratum,
-                        quantity=quantity,
-                        method=method,
-                        point=point,
-                        se=se,
-                        ci=ci,
-                        n_effective=n_eff,
-                        note=note,
-                    )
-                )
-                i += 1
+    # the (method, stratum, quantity) order _table_layout flattens to
+    for i, (method, stratum, quantity) in enumerate(
+        itertools.product(methods, JOINT_LABELS, QUANTITIES)
+    ):
+        point = float(points[i])
+        inest = np.isnan(point)
+        note = "inestimable on this data" if inest else None
+        se = ci = n_eff = None
+        if boot is not None and not inest:
+            se = float(boot.se[i])
+            ci = (float(boot.ci[i, 0]), float(boot.ci[i, 1]))
+            n_eff = int(boot.n_effective[i])
+        rows.append(EstimateSummary(stratum=stratum, quantity=quantity, method=method,
+                                    point=point, se=se, ci=ci, n_effective=n_eff, note=note))
     return rows

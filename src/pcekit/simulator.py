@@ -286,15 +286,7 @@ class TruthTable:
             "oracle_n": self.oracle_n,
             "seed": self.seed,
             "strata": {
-                str(r.stratum): {
-                    "probability": r.probability,
-                    "prob_mc_se": r.prob_mc_se,
-                    "mu0": r.mu0,
-                    "mu1": r.mu1,
-                    "pce": r.pce,
-                    "pce_mc_se": r.pce_mc_se,
-                    "n_members": r.n_members,
-                }
+                str(r.stratum): {k: v for k, v in dataclasses.asdict(r).items() if k != "stratum"}
                 for r in self.rows
             },
         }

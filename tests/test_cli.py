@@ -152,8 +152,9 @@ def test_estimate_derive_rule(trial_csv, tmp_path, capsys):
         "--format", "json",
     ]) == 0
     capsys.readouterr()
-    assert run(["estimate", "--input", trial_csv, "--derive-a", "q>0"]) == 1
-    assert "cannot parse adherence rule" in capsys.readouterr().err
+    for rule in ("q>0", "y>nan"):
+        assert run(["estimate", "--input", trial_csv, "--derive-a", rule]) == 1
+        assert "cannot parse adherence rule" in capsys.readouterr().err
 
 
 def _write_derived_adherence(source, target, threshold):
@@ -175,6 +176,7 @@ def _write_derived_adherence(source, target, threshold):
     "command, stem, rule, threshold, args",
     [
         ("estimate", "parallel_ps", "y>17", 17.0, ["--method", "ps"]),
+        ("estimate", "parallel_ps", "y>1.7e1", 17.0, ["--method", "ps"]),
         ("estimate", "crossover_missing", "y>0", 0.0,
          ["--method", "both", "--bootstrap", "20", "--seed", "3"]),
         ("diagnose", "crossover_missing", "y>0", 0.0, ["--bootstrap", "40", "--seed", "3"]),
@@ -494,6 +496,7 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
     [
         ["estimate", "--input", "{input}", "--ci", "1.5"],
         ["estimate", "--input", "{input}", "--ci", "0"],
+        ["estimate", "--input", "{input}", "--ci", "abc"],
         ["estimate", "--input", "{input}", "--bootstrap", "-3"],
         ["diagnose", "--input", "{input}", "--bootstrap", "-1"],
         ["diagnose", "--input", "{input}", "--bootstrap", "0"],

@@ -157,6 +157,25 @@ def test_crossover_csv_rejects_bad_rows(tmp_path, row, message):
     assert "row 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("s1,1,1.0,1", "expected 5 cells"),
+        (",1,1.0,1,2.0", "empty subject_id"),
+        ("s1,,1.0,1,2.0", "treatment may not be missing"),
+        ("s1,NA,1.0,1,2.0", "treatment may not be missing"),
+        ("s1,2,1.0,1,2.0", "treatment"),
+        ("s1,1,1.0,2,2.0", "a="),
+    ],
+)
+def test_parallel_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"subject_id,treatment,x_base,a,y\n{row}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=message) as excinfo:
+        load_parallel_csv(path)
+    assert "row 2" in str(excinfo.value)
+
+
 @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
 @pytest.mark.parametrize("column", ["x_base", "y_p1", "y_p2"])
 def test_crossover_csv_rejects_non_finite_numbers(tmp_path, column, token):

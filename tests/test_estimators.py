@@ -364,6 +364,16 @@ def few_adherers() -> TrialColumns:
     return TrialColumns(cols.covariate_names, cols.x, a, y, cols.ef)
 
 
+def no_control_outcomes() -> TrialColumns:
+    """parallel_ps with every control-arm outcome missing: both scores still
+    fit, but arm 0 has no complete rows, so every ps cell is inestimable on
+    the full data and in each resample."""
+    cols = as_columns(load_parallel_csv(DATA / "parallel_ps.csv"))
+    y = cols.y.copy()
+    y[:, 0] = np.nan
+    return TrialColumns(cols.covariate_names, cols.x, cols.a, y, cols.ef)
+
+
 BOTH = (PceMethod.PS, PceMethod.DIRECT)
 # name -> (data, methods, covariates, replicates, seed); the first four are the
 # estimate goldens of test_golden.py with their arguments
@@ -379,6 +389,7 @@ BATCH_CASES = {
     # through the fallback) and a few others put most scores outside the band
     "separating": (lambda: load_crossover_csv(DATA / "sparse_refit.csv"), BOTH, None, 40, 4),
     "constant_response": (few_adherers, BOTH, (), 100, 0),
+    "no_control_outcomes": (no_control_outcomes, (PceMethod.PS,), None, 40, 6),
 }
 
 
@@ -427,7 +438,7 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
     has_se = ~np.isnan(ref_se)
     assert np.all(np.abs(new_se - ref_se)[has_se] <= 1e-10 * scale[has_se])
     good = ~np.isnan(ref)
-    worst = float(np.max(np.abs(new[good] - ref[good]) / np.abs(ref[good])))
+    worst = float(np.max(np.abs(new[good] - ref[good]) / np.abs(ref[good]), initial=0.0))
     print(f"{case}: largest relative replicate difference {worst:.1e}")
     if case == "sparse_stratum":  # direct S10: one subject, missed by 9 resamples
         assert new_neff[18:21] == [31, 31, 31]
@@ -435,6 +446,8 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
         assert ref_failures == {"ConvergenceError": 3} and ref_warnings
     if case == "constant_response":
         assert ref_failures == {"DegenerateResponseError": 2}
+    if case == "no_control_outcomes":
+        assert not good.any() and not ref_failures and not ref_warnings
 
 
 def test_estimate_bootstrap_refits_do_not_grow_with_replicates(monkeypatch):

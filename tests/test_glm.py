@@ -244,16 +244,10 @@ def test_logistic_warm_start_converges_fast():
     assert warm.coefficients == pytest.approx(cold.coefficients)
 
 
-def _resample_fit(design, a, row, start):
-    """fit_logistic on the resample a count row describes; None where it raises."""
-    idx = np.repeat(np.arange(design.n), row.astype(int))
-    try:
-        return fit_logistic(DesignMatrix(design.names, design.values[idx]), a[idx], start=start)
-    except (DegenerateResponseError, SingularDesignError):
-        return None
-
-
-def test_count_weighted_fits_match_per_resample_fits():
+def _resample_chunk():
+    """Resamples started from the full-data fit, with three rows fit_logistic
+    rejects or cannot converge on: a constant, a separated and a
+    rank-deficient one."""
     rng = np.random.default_rng(3)
     n = 60
     x = rng.normal(40.0, 20.0, n)
@@ -269,13 +263,7 @@ def test_count_weighted_fits_match_per_resample_fits():
     counts[9, np.flatnonzero(a == 1.0)[0]] = 30.0  # two distinct rows: separated
     counts[10] = 0.0
     counts[10, 0] = n  # one distinct row: rank deficient and constant
-    coef, converged = fit_logistic_counts(design.values, a, counts, start)
-    for r, row in enumerate(counts):
-        ref = _resample_fit(design, a, row, start)
-        assert converged[r] == (ref is not None and ref.converged), r
-        if converged[r]:
-            np.testing.assert_allclose(coef[r], ref.coefficients, rtol=1e-9, atol=1e-12)
-    assert converged[:8].all() and not converged[8:11].any()
+    return design.values, a, counts, start
 
 
 def test_count_weighted_fits_leave_rank_deficient_resamples_to_fit_logistic():
@@ -342,6 +330,31 @@ def _separated_chunk():
     rng = np.random.default_rng(9)
     counts = rng.multinomial(len(x), np.full(len(x), 1.0 / len(x)), size=16).astype(float)
     return design, a, counts, np.array([0.0, 1e5])
+
+
+def _resample_fit(values, a, row, start):
+    """fit_logistic on the resample a count row describes; None where it raises."""
+    idx = np.repeat(np.arange(len(a)), row.astype(int))
+    names = tuple(f"c{j}" for j in range(values.shape[1]))
+    try:
+        return fit_logistic(DesignMatrix(names, values[idx]), a[idx], start=start)
+    except (DegenerateResponseError, SingularDesignError):
+        return None
+
+
+def test_count_weighted_fits_match_per_resample_fits():
+    # the pinned chunks also take fit_logistic, from the chunk's start, out
+    # through its singular-Hessian, stalled and divergence-norm exits
+    for make in (_resample_chunk, _mixed_chunk, _saturated_chunk, _separated_chunk):
+        design, a, counts, start = make()
+        coef, converged = fit_logistic_counts(design, a, counts, start)
+        for r, row in enumerate(counts):
+            ref = _resample_fit(design, a, row, start)
+            assert converged[r] == (ref is not None and ref.converged), (make.__name__, r)
+            if converged[r]:
+                np.testing.assert_allclose(coef[r], ref.coefficients, rtol=1e-9, atol=1e-12)
+        if make is _resample_chunk:
+            assert converged[:8].all() and not converged[8:11].any()
 
 
 # SHA-256 of coef.tobytes() and the converged mask, as the kernel produced
