@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import betainc as scipy_betainc
+from scipy.special import betaincinv as scipy_betaincinv
 from scipy.special import expit as scipy_expit
 
 from pcekit import glm
@@ -167,6 +169,42 @@ def test_t_two_sided_p_vectorized():
     assert p.shape == (3,)
     assert p[0] == pytest.approx(p[1], abs=1e-15)
     assert p[2] == 1.0
+
+
+T_P_DOFS = (1, 2, 3, 5, 10, 30, 100, 157, 496, 1000, 5000, 20000)
+
+
+@pytest.mark.parametrize("dof", T_P_DOFS)
+def test_t_two_sided_p_matches_scipy_betainc(dof):
+    # 0, tiny t, then log-spaced out to where p reaches 1e-300; for dof 1 that
+    # t is past 1e154, where t^2 overflows and x = dof / (dof + t^2) is 0
+    x_end = scipy_betaincinv(dof / 2.0, 0.5, 1e-300)
+    t_end = math.sqrt(dof * (1.0 - x_end) / x_end) if x_end > 0.0 else 1e154
+    t = np.concatenate([[0.0, 1e-300, 1e-12, 1e-8, 1e-4], np.geomspace(1e-3, 1.05 * t_end, 3000)])
+    x = dof / (dof + t * t)
+    want = scipy_betainc(dof / 2.0, 0.5, x)
+    got = t_two_sided_p(t, dof)
+    checked = want >= 1e-300
+    assert want[checked].min() < (1e-150 if dof == 1 else 1e-290)
+    np.testing.assert_allclose(got[checked], want[checked], rtol=1e-12, atol=0.0)
+    assert np.all(got[~checked] < 2e-300)
+
+
+def test_t_two_sided_p_edges():
+    t = np.geomspace(1e-8, 1e3, 200)
+    for dof in T_P_DOFS:
+        assert t_two_sided_p(0.0, dof) == 1.0
+        assert t_two_sided_p(-0.0, dof) == 1.0
+        assert t_two_sided_p(math.inf, dof) == 0.0
+        assert t_two_sided_p(-math.inf, dof) == 0.0
+        assert math.isnan(t_two_sided_p(math.nan, dof))
+        assert np.array_equal(t_two_sided_p(t, dof), t_two_sided_p(-t, dof))
+    p = t_two_sided_p(np.asarray([[1.0, np.nan], [-np.inf, 0.0]]), 7)
+    assert p.shape == (2, 2)
+    assert math.isnan(p[0, 1]) and p[1, 0] == 0.0 and p[1, 1] == 1.0
+    for dof in (0, -1):
+        with pytest.raises(ValueError):
+            t_two_sided_p(1.0, dof)
 
 
 def test_expit_matches_scipy_without_warnings():
