@@ -187,7 +187,7 @@ def _t_tail(t: float, dof: int, a: float, scale: float) -> float:
         return 1.0
     front = scale * math.pow(x, a) * math.sqrt(y)
     # the fraction converges fast below the mean of Beta(a+1, b+1); past it,
-    # take the complement I_x(a, b) = 1 - I_y(b, a); p is above 0.08 there
+    # take the complement, which loses little since p is above 0.08 there
     if x <= (a + 1.0) / (a + 2.5):
         return front / _beta_fraction(a, 0.5, x, y)
     return 1.0 - front / _beta_fraction(0.5, a, y, x)
@@ -197,8 +197,11 @@ def t_two_sided_p(t: float | np.ndarray, dof: int) -> float | np.ndarray:
     """P(|T_dof| >= |t|) via the regularized incomplete beta identity.
 
     For T ~ t with dof degrees of freedom, the two-sided tail equals
-    I_x(dof/2, 1/2) evaluated at x = dof / (dof + t^2). Its relative error
-    at that x is about 1e-14 for every dof, down to p = 1e-300.
+    I_x(dof/2, 1/2) evaluated at x = dof / (dof + t^2). It is computed with
+    math alone, as in Numerical Recipes section 6.4: a front factor over a
+    continued fraction, or one minus the symmetric term I_{1-x}(1/2, dof/2)
+    past x = (a + 1) / (a + b + 2). Its relative error at that x is about
+    1e-14 for every dof, down to p = 1e-300.
     """
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
@@ -207,7 +210,7 @@ def t_two_sided_p(t: float | np.ndarray, dof: int) -> float | np.ndarray:
     scale = math.exp(_log_gamma_half_ratio(a)) / math.sqrt(math.pi)
     t_arr = np.asarray(t, dtype=float)
     p = np.array([_t_tail(v, dof, a, scale) for v in t_arr.ravel().tolist()], dtype=float)
-    return float(p[0]) if np.isscalar(t) or t_arr.ndim == 0 else p.reshape(t_arr.shape)
+    return float(p[0]) if t_arr.ndim == 0 else p.reshape(t_arr.shape)
 
 
 def _check_full_rank(design: DesignMatrix) -> None:
