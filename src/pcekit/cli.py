@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -28,7 +27,6 @@ import os
 import re
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -100,6 +98,8 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _config_digest(config: simulator.DgpConfig) -> str:
+    import hashlib  # loads OpenSSL; only simulate prints a digest
+
     blob = json.dumps(config.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -370,6 +370,9 @@ def _diagnose_md(results: dict[str, dict], notes: list[str]) -> str:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    # the pool brings logging, queue and traceback; no other command needs them
+    from concurrent.futures import ThreadPoolExecutor
+
     config = _load_config(args)
     methods = _methods(args.method)
 

@@ -9,11 +9,23 @@ a caller's exact statistic on each row the caller's batched kernel leaves.
 A replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
 failures the engine errors out.
+
+On Linux with more than one CPU the engine spreads the batched kernel's
+chunks over forked child processes. Since a chunk's values do not depend
+on where or in what order it is evaluated, the results are the same bytes
+as in one process; everything after the batched kernel stays in the
+calling process, in chunk order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -124,12 +136,105 @@ def exceedance_p(values: Sequence[float] | np.ndarray, observed: float) -> float
 # which bounds a chunk's memory whatever the replicate count is
 _CHUNK_ELEMENTS = 2**14
 
+Chunk = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# a warning a child recorded: (message, category, filename, lineno)
+_Caught = tuple[Warning, type, str, int]
+
+
+def _process_count(planned: int) -> int:
+    """Processes to evaluate ``planned`` chunks in, the caller's included.
+
+    One unless this is Linux with more than one CPU available and no other
+    Python thread is alive: forking a threaded process copies locks that
+    another thread may hold.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), planned))
+
+
+def _fork_share(chunk: Chunk, seed: int, n: int, share: list[tuple[int, int]]) -> tuple[int, int]:
+    """Fork a child that evaluates ``chunk`` on each (first replicate, count)
+    of ``share`` and pickles [(values, retry, warnings caught), ...] into a
+    pipe. Returns its pid and the pipe's read end.
+
+    The child always leaves by ``os._exit``, so it flushes none of the
+    parent's buffers and runs no exit handler; after any exception it exits
+    non-zero without a word, and the parent evaluates the share itself.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        results = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for first, count in share:
+                values, retry = chunk(resample_index_matrix(seed, first, count, n))
+                results.append((values, retry, [(w.message, w.category, w.filename, w.lineno)
+                                                for w in caught]))
+                caught.clear()
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(children: dict[int, tuple[int, int, list]], first: int) -> dict:
+    """Read and reap the child whose share starts at replicate ``first``.
+
+    Returns its results keyed by (first replicate, count); none if it did
+    not exit cleanly.
+    """
+    pid, fd, share = children[first]
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    del children[first]
+    os.close(fd)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return {}
+    return dict(zip(share, pickle.loads(data)))
+
+
+def _reissue(caught: list[_Caught]) -> None:
+    """Warn again, in this process, what a child's chunk warned.
+
+    Each warning goes through the name and registry of the module that
+    issued it, as ``warnings.warn`` would, so the active filters show it
+    once per location just as if the chunk had run here. The module's
+    globals are not passed: given them, CPython's ``warn_explicit`` asks the
+    module's loader for its source on every call, even for a warning the
+    registry then suppresses. The line shown is read by ``linecache``
+    either way.
+    """
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno,
+                               getattr(module, "__name__", None), registry)
+
 
 def draw_replicates(
     seed: int,
     n: int,
     n_replicates: int,
-    chunk: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    chunk: Chunk,
     one: Callable[[np.ndarray], np.ndarray],
     redraw: bool = False,
 ) -> tuple[np.ndarray, dict[str, int]]:
@@ -143,38 +248,87 @@ def draw_replicates(
     more rows than replicates still needed, so the rows drawn are those of
     a one-at-a-time loop. Returns the (n_replicates, m) values and the
     failures counted by name; more than 10% failures raise BootstrapError.
+
+    The chunks whose bounds no failure can move are planned up front: every
+    chunk, or with ``redraw`` each one that starts at least one full chunk
+    before ``n_replicates``. With P = min(CPUs available, planned chunks)
+    greater than one (see ``_process_count``), P - 1 forked children
+    evaluate ``chunk`` on contiguous shares of the later planned chunks, each
+    drawing its own index rows, while this process takes the first share.
+    Every chunk is then consumed here in order: ``one`` runs here on the
+    rows a chunk leaves, drawing only those rows, and warnings a child's
+    chunk raised are raised again here in their turn. A chunk a child did
+    not deliver is evaluated here, so an exception from ``chunk`` surfaces
+    here after the same chunks as in one process. Children still running
+    when this returns or raises are killed, and every child is reaped.
     """
     kept: list[np.ndarray] = []
     failure_counts: dict[str, int] = {}
     filled = 0
     attempt = 0
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
-    while filled < n_replicates:
-        count = min(rows_per_chunk, n_replicates - filled)
-        idx = resample_index_matrix(seed, attempt, count, n)
-        attempt += count
-        values, retry = chunk(idx)
-        failed: dict[int, str] = {}
-        for r in np.flatnonzero(retry).tolist():
+    stop = n_replicates - rows_per_chunk + 1 if redraw else n_replicates
+    plan = [(first, min(rows_per_chunk, n_replicates - first))
+            for first in range(0, stop, rows_per_chunk)]
+    procs = _process_count(len(plan))
+    # first replicate of each child's share -> (pid, pipe read end, share)
+    children: dict[int, tuple[int, int, list]] = {}
+    delivered: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[_Caught]]] = {}
+    try:
+        for p in range(1, procs):
+            share = plan[len(plan) * p // procs:len(plan) * (p + 1) // procs]
             try:
-                values[r] = one(idx[r])
-            except (PcekitError, ArithmeticError) as exc:
-                failed[r] = type(exc).__name__
-        for name in failed.values():
-            failure_counts[name] = failure_counts.get(name, 0) + 1
-        n_failures = sum(failure_counts.values())
-        if n_failures > 0.1 * n_replicates:
-            dominant = max(failure_counts, key=failure_counts.get)  # type: ignore[arg-type]
-            raise BootstrapError(
-                f"statistic failed on {n_failures} of the first {attempt} replicates "
-                f"(>10% of {n_replicates}); dominant failure: {dominant}"
-            )
-        if redraw:
-            values = np.delete(values, list(failed), axis=0)
-        else:
-            values[list(failed)] = np.nan
-        kept.append(values)
-        filled += len(values)
+                pid, fd = _fork_share(chunk, seed, n, share)
+            except OSError:  # no process or pipe to be had: the rest is evaluated here
+                break
+            children[share[0][0]] = (pid, fd, share)
+        while filled < n_replicates:
+            count = min(rows_per_chunk, n_replicates - filled)
+            if attempt in children:
+                delivered.update(_collect(children, attempt))
+            got = delivered.pop((attempt, count), None)
+            if got is None:
+                idx = resample_index_matrix(seed, attempt, count, n)
+                values, retry = chunk(idx)
+                row = idx.__getitem__
+            else:
+                values, retry, caught = got
+                _reissue(caught)
+                # draw only the rows left to one, a run of adjacent rows at a time
+                wanted = np.flatnonzero(retry)
+                rows: dict[int, np.ndarray] = {}
+                for run in np.split(wanted, np.flatnonzero(np.diff(wanted) > 1) + 1):
+                    if run.size:
+                        block = resample_index_matrix(seed, attempt + int(run[0]), run.size, n)
+                        rows.update(zip(run.tolist(), block))
+                row = rows.__getitem__
+            attempt += count
+            failed: dict[int, str] = {}
+            for r in np.flatnonzero(retry).tolist():
+                try:
+                    values[r] = one(row(r))
+                except (PcekitError, ArithmeticError) as exc:
+                    failed[r] = type(exc).__name__
+            for name in failed.values():
+                failure_counts[name] = failure_counts.get(name, 0) + 1
+            n_failures = sum(failure_counts.values())
+            if n_failures > 0.1 * n_replicates:
+                dominant = max(failure_counts, key=failure_counts.get)  # type: ignore[arg-type]
+                raise BootstrapError(
+                    f"statistic failed on {n_failures} of the first {attempt} replicates "
+                    f"(>10% of {n_replicates}); dominant failure: {dominant}"
+                )
+            if redraw:
+                values = np.delete(values, list(failed), axis=0)
+            else:
+                values[list(failed)] = np.nan
+            kept.append(values)
+            filled += len(values)
+    finally:
+        for pid, fd, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
     return np.concatenate(kept), failure_counts
 
 

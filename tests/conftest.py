@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -39,3 +40,16 @@ def no_leaked_threads():
               if t not in before and t.is_alive() and not t.daemon]
     if leaked:
         pytest.fail(f"test left non-daemon threads running: {', '.join(leaked)}")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves a child process behind, running or not reaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"test left a child process behind ({'exited, pid %d' % pid if pid else 'running'})")

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -332,6 +334,77 @@ def test_diagnose_rerun_byte_identical(tmp_path, trial_csv):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# The CLI in a fresh interpreter, with the resampling engine held to one
+# process ("one") or free to fork ("spread"); the last line of stdout is the
+# number of forks.
+ENGINE_SCRIPT = """
+import os, sys
+from pcekit import cli, resampling
+forks = []
+real_fork = os.fork
+def counting_fork():
+    forks.append(1)
+    return real_fork()
+os.fork = counting_fork
+if sys.argv[1] == "one":
+    resampling._process_count = lambda planned: 1
+code = cli.main(sys.argv[2:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+def run_engine(mode, argv, out):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ENGINE_SCRIPT, mode, *map(str, argv),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *stdout, forks = proc.stdout.splitlines()
+    return out.read_bytes(), stdout, proc.stderr, int(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the engine forks only on Linux with more than one CPU")
+@pytest.mark.parametrize("command", ["diagnose", "estimate"])
+def test_spread_resampling_writes_the_same_bytes_as_one_process(command, tmp_path):
+    if command == "diagnose":
+        records = generate_trial(scenario("paper_like", n_subjects=500, seed=6))
+        args = ["--checks", "independence", "--bootstrap", 1000, "--format", "json"]
+    else:
+        # covariates so spread that many resamples put most scores past the
+        # clipping band, so the chunk kernel warns
+        records = generate_trial(simulator.DgpConfig(
+            n_subjects=200, seed=2, sigma_x=8.0, beta=(1.0, 1.0), gamma=(0.0, 1.0)))
+        args = ["--method", "both", "--bootstrap", 300, "--format", "csv"]
+    write_crossover_csv(records, tmp_path / "trial.csv")
+    argv = [command, "--input", tmp_path / "trial.csv", "--seed", 7, *args]
+    out, stdout, stderr, forks = run_engine("one", argv, tmp_path / "one.out")
+    assert forks == 0
+    spread = run_engine("spread", argv, tmp_path / "spread.out")
+    assert spread[3] > 0
+    assert spread[0] == out
+    assert spread[2] == stderr
+    if command == "estimate":
+        assert stderr.count("principal scores are outside [0.001, 0.999]") > 10
+
+
+def test_replicate_bootstrap_never_forks(tmp_path, monkeypatch):
+    # the oracle threads are alive while each trial is bootstrapped, and a
+    # fork would copy locks they may hold
+    def no_fork():
+        raise AssertionError("forked while the oracle threads ran")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    # 1000 subjects make chunks of 16 rows, so 20 replicates plan two chunks
+    assert run([
+        "replicate", "--scenario", "paper_like", "--n", 1000, "--seed", 2,
+        "--replicates", 2, "--method", "ps", "--bootstrap", 20, "--oracle-n", 10_000,
+        "--out", tmp_path / "rep.json",
+    ]) == 0
 
 
 def test_replicate_small_run(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import itertools
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from pcekit import resampling
 from pcekit.errors import BootstrapError, InestimableStratumError
 from pcekit.resampling import (
     BootstrapSpec,
@@ -246,3 +249,134 @@ def test_vector_bootstrap_shares_index_streams_with_scalar():
     vector = bootstrap_vector(records, lambda s: np.asarray([float(np.mean(s))]), spec)
     assert scalar.se == pytest.approx(float(vector.se[0]), abs=1e-15)
     assert scalar.ci == (float(vector.ci[0, 0]), float(vector.ci[0, 1]))
+
+
+
+# The engine held to one process, and spread over three with two forked
+# children, on chunks of 4 rows of 9 subjects: 40 replicates make 10 chunks.
+N, ROWS = 9, 4
+
+
+@pytest.fixture
+def both_ways(monkeypatch):
+    """Run a thunk with the engine in one process, then in three."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the engine forks only where os.fork exists")
+    monkeypatch.setattr(resampling, "_CHUNK_ELEMENTS", N * ROWS)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    def run(thunk, processes):
+        forks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(os, "fork", counting_fork)
+            m.setattr(resampling, "_process_count", lambda planned: min(processes, planned))
+            result = thunk()
+        assert len(forks) == processes - 1
+        return result
+
+    return lambda thunk: (run(thunk, 1), run(thunk, 3))
+
+
+def chunk_values(idx):
+    return idx[:, :2] * 1.5, idx[:, 0] <= 1
+
+
+def one_value(row):
+    if row[0] == 0:  # about one row in nine fails
+        raise InestimableStratumError("no exact value")
+    return row[:2] + 100.0
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["nan", "redraw"])
+@pytest.mark.parametrize("n_replicates", [40, 37])
+def test_spread_engine_matches_one_process_bit_for_bit(both_ways, redraw, n_replicates):
+    # seed 20 fails replicates 25 and 27, in the planned chunks, and with
+    # redraw at 40 also 40 and 41, in the tail drawn after them; 37
+    # replicates end on a short chunk
+    alone, spread = both_ways(
+        lambda: draw_replicates(20, N, n_replicates, chunk_values, one_value, redraw=redraw))
+    tail = 2 if redraw and n_replicates == 40 else 0
+    assert alone[1] == {"InestimableStratumError": 2 + tail}
+    assert alone[1] == spread[1]
+    assert alone[0].shape == (n_replicates, 2)
+    assert alone[0].tobytes() == spread[0].tobytes()
+
+
+def test_spread_engine_aborts_with_the_same_message(both_ways):
+    def every_row(idx):
+        return np.zeros((len(idx), 2)), np.ones(len(idx), dtype=bool)
+
+    def one(row):
+        if 0 not in row[:3]:  # fails on about seven rows in ten
+            raise InestimableStratumError("no zero drawn")
+        return row[:2] * 1.0
+
+    def thunk():
+        with pytest.raises(BootstrapError) as info:
+            draw_replicates(3, N, 40, every_row, one, redraw=True)
+        return str(info.value)
+
+    alone, spread = both_ways(thunk)
+    assert alone == spread
+    assert "dominant failure: InestimableStratumError" in alone
+
+
+def test_spread_engine_raises_a_chunk_error_after_the_same_chunks(both_ways):
+    # replicate 28 leads the second chunk of the last child's share
+    bad = resample_index_matrix(5, 28, 1, N)[0]
+
+    def chunk(idx):
+        if np.array_equal(idx[0], bad):
+            raise ValueError("a bug in the kernel")
+        return chunk_values(idx)
+
+    def thunk():
+        seen = []
+
+        def one(row):
+            seen.append(row.tolist())
+            return row[:2] * 1.0
+
+        with pytest.raises(ValueError, match="a bug in the kernel"):
+            draw_replicates(5, N, 40, chunk, one)
+        return seen
+
+    alone, spread = both_ways(thunk)
+    assert alone == spread and alone
+
+
+def test_spread_engine_recomputes_the_chunks_of_a_child_that_dies(both_ways):
+    parent = os.getpid()
+
+    def chunk(idx):
+        if os.getpid() != parent:
+            os._exit(3)
+        return chunk_values(idx)
+
+    alone, spread = both_ways(lambda: draw_replicates(4, N, 40, chunk, one_value))
+    assert alone[1] == spread[1]
+    assert alone[0].tobytes() == spread[0].tobytes()
+
+
+@pytest.mark.parametrize("action", ["always", "default"])
+def test_spread_engine_warns_what_child_chunks_warn_in_order(both_ways, action):
+    def chunk(idx):
+        warnings.warn("every chunk warns this")
+        warnings.warn(f"chunk led by {idx[0].tolist()}", RuntimeWarning)
+        return chunk_values(idx)
+
+    def thunk():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            draw_replicates(4, N, 40, chunk, one_value)
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    alone, spread = both_ways(thunk)
+    assert alone == spread
+    # "default" shows a line once per message and location, as one process does
+    assert len(alone) == (20 if action == "always" else 11)
