@@ -380,3 +380,27 @@ def test_spread_engine_warns_what_child_chunks_warn_in_order(both_ways, action):
     assert alone == spread
     # "default" shows a line once per message and location, as one process does
     assert len(alone) == (20 if action == "always" else 11)
+
+
+def test_spread_engine_draws_only_the_rows_it_evaluates(both_ways, monkeypatch):
+    # each process draws the rows of the chunks it evaluates; for a child's
+    # chunk, this one draws only the rows left to one
+    drawn = []  # a child appends to its own copy
+    real = resample_index_matrix
+
+    def counting(seed, first, count, n):
+        drawn.append(count)
+        return real(seed, first, count, n)
+
+    monkeypatch.setattr(resampling, "resample_index_matrix", counting)
+
+    def thunk():
+        drawn.clear()
+        draw_replicates(20, N, 40, chunk_values, one_value)
+        return sum(drawn)
+
+    alone, spread = both_ways(thunk)
+    # the first share is chunks 0-2; children evaluate replicates 12-39
+    left = real(20, 12, 28, N)[:, 0] <= 1
+    assert alone == 40
+    assert spread == 12 + int(left.sum()) < 40
