@@ -13,6 +13,9 @@ one header row; a cell is quoted only when it holds a comma, a quote or a
 line break, and is written by `core.csv_cell`, the rule of the data files:
 a missing value or NaN is `NA`, and a float is its `repr`, which reads back
 to the same number. The markdown view rounds for reading.
+
+No command starts a thread. `replicate` draws its oracle truths, and the
+bootstraps their chunks, through `resampling.spread`, which may fork.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import math
 import os
 import re
 import sys
-from collections import deque
+from contextlib import closing
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,9 +43,6 @@ from .errors import ConfigError, PcekitError
 OUT_DIR_ENV = "PCEKIT_OUT_DIR"
 FORMATS = ("md", "csv", "json")
 METHODS = ("ps", "direct", "both")
-# threads drawing replicate's oracle truths beside the main thread; numpy's
-# draws and large array operations release the GIL, so the two overlap
-ORACLE_WORKERS = 2
 
 
 def _out_dir() -> Path:
@@ -370,9 +371,6 @@ def _diagnose_md(results: dict[str, dict], notes: list[str]) -> str:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    # the pool brings logging, queue and traceback; no other command needs them
-    from concurrent.futures import ThreadPoolExecutor
-
     config = _load_config(args)
     methods = _methods(args.method)
 
@@ -381,19 +379,13 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         (m.value, str(lab)): [] for m in methods for lab in JOINT_LABELS
     }
     cfgs = [dataclasses.replace(config, seed=config.seed + k) for k in range(args.replicates)]
-    # the truths are drawn on worker threads, at most ORACLE_WORKERS ahead of
-    # the trial in hand; each has its own seed and is consumed in trial order,
+    # each truth has its own seed and is taken in trial order after its trial,
     # so the output and the order in which errors surface match a serial loop
-    pool = ThreadPoolExecutor(max_workers=ORACLE_WORKERS)
-    try:
-        truths = deque(pool.submit(simulator.true_pce, c, args.oracle_n)
-                       for c in cfgs[:ORACLE_WORKERS])
-        for k, cfg in enumerate(cfgs):
+    truths = resampling.spread(partial(simulator.true_pce, oracle_n=args.oracle_n), cfgs)
+    with closing(truths):
+        for cfg in cfgs:
             cols = simulator.trial_columns(cfg)
-            truth = truths.popleft().result()
-            if k + ORACLE_WORKERS < len(cfgs):
-                truths.append(pool.submit(simulator.true_pce, cfgs[k + ORACLE_WORKERS],
-                                          args.oracle_n))
+            truth = next(truths)
             spec = None
             if args.bootstrap > 0:
                 spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
@@ -406,8 +398,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
                     continue
                 scored[(r.method.value, str(r.stratum))].append((true_val, r.point, r.ci))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
     agg = []
     for (method, stratum), cell in scored.items():

@@ -10,11 +10,11 @@ A replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
 failures the engine errors out.
 
-On Linux with more than one CPU the engine spreads the batched kernel's
-chunks over forked child processes. Since a chunk's values do not depend
-on where or in what order it is evaluated, the results are the same bytes
-as in one process; everything after the batched kernel stays in the
-calling process, in chunk order.
+``spread``, a lazy in-order map, is pcekit's one way to use more CPUs: on
+Linux it evaluates shares of its items in forked child processes. The
+engine runs its batched kernel's chunks through it, and ``replicate`` its
+oracle truths. An item's value does not depend on where it is evaluated,
+so the results are the same bytes as in one process.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import signal
 import sys
 import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +41,7 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -141,8 +143,8 @@ Chunk = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _Caught = tuple[Warning, type, str, int]
 
 
-def _process_count(planned: int) -> int:
-    """Processes to evaluate ``planned`` chunks in, the caller's included.
+def _process_count(items: int) -> int:
+    """Processes to evaluate ``items`` items in, the caller's included.
 
     One unless this is Linux with more than one CPU available and no other
     Python thread is alive: forking a threaded process copies locks that
@@ -152,13 +154,12 @@ def _process_count(planned: int) -> int:
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), planned))
+    return max(1, min(len(os.sched_getaffinity(0)), items))
 
 
-def _fork_share(chunk: Chunk, seed: int, n: int, share: list[tuple[int, int]]) -> tuple[int, int]:
-    """Fork a child that evaluates ``chunk`` on each (first replicate, count)
-    of ``share`` and pickles [(values, retry, warnings caught), ...] into a
-    pipe. Returns its pid and the pipe's read end.
+def _fork_share(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, int]:
+    """Fork a child that pickles [(fn(item), warnings caught), ...] for the
+    items of ``share`` into a pipe. Returns its pid and the pipe's read end.
 
     The child always leaves by ``os._exit``, so it flushes none of the
     parent's buffers and runs no exit handler; after any exception it exits
@@ -180,10 +181,10 @@ def _fork_share(chunk: Chunk, seed: int, n: int, share: list[tuple[int, int]]) -
         results = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for first, count in share:
-                values, retry = chunk(resample_index_matrix(seed, first, count, n))
-                results.append((values, retry, [(w.message, w.category, w.filename, w.lineno)
-                                                for w in caught]))
+            for item in share:
+                value = fn(item)
+                results.append((value, [(w.message, w.category, w.filename, w.lineno)
+                                        for w in caught]))
                 caught.clear()
         with open(write_fd, "wb") as pipe:
             pickle.dump(results, pipe, pickle.HIGHEST_PROTOCOL)
@@ -192,29 +193,29 @@ def _fork_share(chunk: Chunk, seed: int, n: int, share: list[tuple[int, int]]) -
         os._exit(status)
 
 
-def _collect(children: dict[int, tuple[int, int, list]], first: int) -> dict:
-    """Read and reap the child whose share starts at replicate ``first``.
+def _collect(children: dict[int, tuple[int, int]], first: int) -> list | None:
+    """Read and reap the child whose share starts at item ``first``.
 
-    Returns its results keyed by (first replicate, count); none if it did
-    not exit cleanly.
+    Returns its [(value, warnings caught), ...]; None if it did not exit
+    cleanly.
     """
-    pid, fd, share = children[first]
+    pid, fd = children[first]
     with open(fd, "rb", closefd=False) as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
     del children[first]
     os.close(fd)
     if os.waitstatus_to_exitcode(status) != 0:
-        return {}
-    return dict(zip(share, pickle.loads(data)))
+        return None
+    return pickle.loads(data)
 
 
 def _reissue(caught: list[_Caught]) -> None:
-    """Warn again, in this process, what a child's chunk warned.
+    """Warn again, in this process, what a child's item warned.
 
     Each warning goes through the name and registry of the module that
     issued it, as ``warnings.warn`` would, so the active filters show it
-    once per location just as if the chunk had run here. The module's
+    once per location just as if the item had run here. The module's
     globals are not passed: given them, CPython's ``warn_explicit`` asks the
     module's loader for its source on every call, even for a warning the
     registry then suppresses. The line shown is read by ``linecache``
@@ -228,6 +229,46 @@ def _reissue(caught: list[_Caught]) -> None:
         registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
         warnings.warn_explicit(message, category, filename, lineno,
                                getattr(module, "__name__", None), registry)
+
+
+def spread(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+    """Yield ``fn(item)`` for each of ``items`` in order, over every CPU.
+
+    With P = ``_process_count(len(items))`` above one, P - 1 forked children
+    evaluate contiguous shares of the later items. This process evaluates
+    the first share as its values are asked for, reads a child's pipe when
+    that child's share is reached and raises again the warnings its items
+    raised; a share a child did not deliver is evaluated here. Values,
+    warnings and exceptions thus come as in a serial loop, given an ``fn``
+    whose value does not depend on the process it runs in. Children still
+    running when the generator ends or is closed are killed, and all are
+    reaped: wrap it in ``contextlib.closing``, as garbage collection may
+    come late.
+    """
+    procs = _process_count(len(items))
+    bounds = [len(items) * p // procs for p in range(procs + 1)]
+    # first item of each child's share -> (pid, pipe read end)
+    children: dict[int, tuple[int, int]] = {}
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                children[lo] = _fork_share(fn, items[lo:hi])
+            except OSError:  # no process or pipe to be had: the rest is evaluated here
+                break
+        for lo, hi in zip(bounds, bounds[1:]):
+            delivered = _collect(children, lo) if lo in children else None
+            if delivered is None:
+                for item in items[lo:hi]:
+                    yield fn(item)
+            else:
+                for value, caught in delivered:
+                    _reissue(caught)
+                    yield value
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def draw_replicates(
@@ -251,16 +292,10 @@ def draw_replicates(
 
     The chunks whose bounds no failure can move are planned up front: every
     chunk, or with ``redraw`` each one that starts at least one full chunk
-    before ``n_replicates``. With P = min(CPUs available, planned chunks)
-    greater than one (see ``_process_count``), P - 1 forked children
-    evaluate ``chunk`` on contiguous shares of the later planned chunks, each
-    drawing its own index rows, while this process takes the first share.
-    Every chunk is then consumed here in order: ``one`` runs here on the
-    rows a chunk leaves, drawing only those rows, and warnings a child's
-    chunk raised are raised again here in their turn. A chunk a child did
-    not deliver is evaluated here, so an exception from ``chunk`` surfaces
-    here after the same chunks as in one process. Children still running
-    when this returns or raises are killed, and every child is reaped.
+    before ``n_replicates``. ``chunk`` runs on them through ``spread``,
+    which hands back with each chunk's values the rows it leaves; the rest
+    stays here, in chunk order: ``one`` on those rows, failure counts, the
+    10% stop and the redraw tail.
     """
     kept: list[np.ndarray] = []
     failure_counts: dict[str, int] = {}
@@ -268,45 +303,24 @@ def draw_replicates(
     attempt = 0
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     stop = n_replicates - rows_per_chunk + 1 if redraw else n_replicates
+
+    def evaluate(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx = resample_index_matrix(seed, *bounds, n)
+        values, retry = chunk(idx)
+        return values, retry, idx[retry]
+
     plan = [(first, min(rows_per_chunk, n_replicates - first))
             for first in range(0, stop, rows_per_chunk)]
-    procs = _process_count(len(plan))
-    # first replicate of each child's share -> (pid, pipe read end, share)
-    children: dict[int, tuple[int, int, list]] = {}
-    delivered: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, list[_Caught]]] = {}
-    try:
-        for p in range(1, procs):
-            share = plan[len(plan) * p // procs:len(plan) * (p + 1) // procs]
-            try:
-                pid, fd = _fork_share(chunk, seed, n, share)
-            except OSError:  # no process or pipe to be had: the rest is evaluated here
-                break
-            children[share[0][0]] = (pid, fd, share)
+    with closing(spread(evaluate, plan)) as planned:
         while filled < n_replicates:
             count = min(rows_per_chunk, n_replicates - filled)
-            if attempt in children:
-                delivered.update(_collect(children, attempt))
-            got = delivered.pop((attempt, count), None)
-            if got is None:
-                idx = resample_index_matrix(seed, attempt, count, n)
-                values, retry = chunk(idx)
-                row = idx.__getitem__
-            else:
-                values, retry, caught = got
-                _reissue(caught)
-                # draw only the rows left to one, a run of adjacent rows at a time
-                wanted = np.flatnonzero(retry)
-                rows: dict[int, np.ndarray] = {}
-                for run in np.split(wanted, np.flatnonzero(np.diff(wanted) > 1) + 1):
-                    if run.size:
-                        block = resample_index_matrix(seed, attempt + int(run[0]), run.size, n)
-                        rows.update(zip(run.tolist(), block))
-                row = rows.__getitem__
+            # below stop, a planned chunk starts at attempt and holds count rows
+            values, retry, left = next(planned) if attempt < stop else evaluate((attempt, count))
             attempt += count
             failed: dict[int, str] = {}
-            for r in np.flatnonzero(retry).tolist():
+            for r, row in zip(np.flatnonzero(retry).tolist(), left):
                 try:
-                    values[r] = one(row(r))
+                    values[r] = one(row)
                 except (PcekitError, ArithmeticError) as exc:
                     failed[r] = type(exc).__name__
             for name in failed.values():
@@ -324,11 +338,6 @@ def draw_replicates(
                 values[list(failed)] = np.nan
             kept.append(values)
             filled += len(values)
-    finally:
-        for pid, fd, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
     return np.concatenate(kept), failure_counts
 
 

@@ -5,14 +5,12 @@ import json
 import os
 import subprocess
 import sys
-import threading
-import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from pcekit import cli, simulator
+from pcekit import cli, resampling, simulator
 from pcekit.cli import main
 from pcekit.core import (
     ParallelObservation,
@@ -392,19 +390,29 @@ def test_spread_resampling_writes_the_same_bytes_as_one_process(command, tmp_pat
         assert stderr.count("principal scores are outside [0.001, 0.999]") > 10
 
 
-def test_replicate_bootstrap_never_forks(tmp_path, monkeypatch):
-    # the oracle threads are alive while each trial is bootstrapped, and a
-    # fork would copy locks they may hold
-    def no_fork():
-        raise AssertionError("forked while the oracle threads ran")
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="pcekit forks only on Linux with more than one CPU")
+def test_replicate_bootstrap_forks_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     # 1000 subjects make chunks of 16 rows, so 20 replicates plan two chunks
-    assert run([
-        "replicate", "--scenario", "paper_like", "--n", 1000, "--seed", 2,
-        "--replicates", 2, "--method", "ps", "--bootstrap", 20, "--oracle-n", 10_000,
-        "--out", tmp_path / "rep.json",
-    ]) == 0
+    argv = ["replicate", "--scenario", "paper_like", "--n", 1000, "--seed", 2,
+            "--replicates", 2, "--method", "ps", "--bootstrap", 20, "--oracle-n", 10_000,
+            "--format", "json"]
+    with monkeypatch.context() as m:
+        m.setattr(resampling, "_process_count", lambda items: 1)
+        assert run(argv + ["--out", tmp_path / "one.json"]) == 0
+    assert forks == []
+    assert run(argv + ["--out", tmp_path / "spread.json"]) == 0
+    # one child for the second truth, and one for each trial's second chunk
+    assert len(forks) == 3
+    assert (tmp_path / "spread.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
 def test_replicate_small_run(tmp_path, capsys):
@@ -425,48 +433,39 @@ def test_replicate_small_run(tmp_path, capsys):
         assert fields[7] == "NA"  # no bootstrap, so no coverage
 
 
-@pytest.mark.parametrize("workers", [cli.ORACLE_WORKERS, 4])
-def test_replicate_output_does_not_depend_on_oracle_threads(workers, tmp_path, monkeypatch):
+@pytest.mark.parametrize("processes", [2, 4])
+def test_replicate_output_does_not_depend_on_the_process_count(processes, tmp_path, monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("pcekit forks only where os.fork exists")
     argv = ["replicate", "--scenario", "a4p_violated", "--n", 60, "--seed", 4,
             "--replicates", 6, "--oracle-n", 10_000, "--format", "json"]
-    monkeypatch.setattr(cli, "ORACLE_WORKERS", 1)
-    assert run(argv + ["--out", tmp_path / "serial.json"]) == 0
-    # more workers than this host's cores, switching threads as often as it can
-    monkeypatch.setattr(cli, "ORACLE_WORKERS", workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run(argv + ["--out", tmp_path / "threaded.json"]) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    assert (tmp_path / "threaded.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+    monkeypatch.setattr(resampling, "_process_count", lambda items: 1)
+    assert run(argv + ["--out", tmp_path / "one.json"]) == 0
+    # more processes than this host may have CPUs
+    monkeypatch.setattr(resampling, "_process_count", lambda items: min(processes, items))
+    assert run(argv + ["--out", tmp_path / "spread.json"]) == 0
+    assert (tmp_path / "spread.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
-def test_replicate_oracle_error_cancels_the_rest_and_joins_its_threads(
-    tmp_path, monkeypatch, capsys
-):
+def test_replicate_oracle_error_stops_the_rest_and_leaves_no_child(tmp_path, monkeypatch, capsys):
     # near-monotone adherence leaves S10 one oracle member at seed 12, so the
     # truth of trial 0 of 50 is a ConfigError
     config = dataclasses.replace(scenario("monotone", seed=12), rho_strata=0.99)
     path = tmp_path / "near_monotone.json"
     path.write_text(json.dumps(config.to_dict()))
-    seeds = []
+    seeds = []  # a forked child appends to its own copy
     true_pce = simulator.true_pce
 
     def counted(cfg, oracle_n):
         seeds.append(cfg.seed)
-        if cfg.seed == 12:  # time for a worker to run ahead, if it may
-            time.sleep(0.2)
         return true_pce(cfg, oracle_n)
 
     monkeypatch.setattr(simulator, "true_pce", counted)
-    baseline = threading.active_count()
     assert run(["replicate", "--config", path, "--replicates", 50, "--oracle-n", 10_000]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "1 oracle member" in err
-    assert "Traceback" not in err
-    assert 12 in seeds and len(seeds) <= 3
-    assert threading.active_count() == baseline
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "1 oracle member" in err[0]
+    assert seeds == [12]
+    # the autouse no_leaked_processes fixture fails a child left behind
 
 
 @pytest.mark.parametrize("truth_name", ["same.csv", "sub/../same.csv"])

@@ -1,7 +1,9 @@
 import itertools
 import math
 import os
+import threading
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -383,8 +385,8 @@ def test_spread_engine_warns_what_child_chunks_warn_in_order(both_ways, action):
 
 
 def test_spread_engine_draws_only_the_rows_it_evaluates(both_ways, monkeypatch):
-    # each process draws the rows of the chunks it evaluates; for a child's
-    # chunk, this one draws only the rows left to one
+    # each process draws the rows of the chunks it evaluates; a child sends
+    # back, with its chunks' values, the rows they leave to one
     drawn = []  # a child appends to its own copy
     real = resample_index_matrix
 
@@ -401,6 +403,62 @@ def test_spread_engine_draws_only_the_rows_it_evaluates(both_ways, monkeypatch):
 
     alone, spread = both_ways(thunk)
     # the first share is chunks 0-2; children evaluate replicates 12-39
-    left = real(20, 12, 28, N)[:, 0] <= 1
     assert alone == 40
-    assert spread == 12 + int(left.sum()) < 40
+    assert spread == 12
+    assert (real(20, 12, 28, N)[:, 0] <= 1).any()  # rows were left to one there
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the engine forks only on Linux with more than one CPU")
+def test_engine_never_forks_beside_another_thread(monkeypatch):
+    # forking copies locks that the other thread may hold
+    monkeypatch.setattr(resampling, "_CHUNK_ELEMENTS", N * ROWS)
+
+    def no_fork():
+        raise AssertionError("forked while another thread ran")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        values, failure_counts = draw_replicates(20, N, 40, chunk_values, one_value)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert values.shape == (40, 2)
+    assert failure_counts == {"InestimableStratumError": 2}
+
+
+def square_and_warn(k):
+    warnings.warn(f"item {k}", RuntimeWarning)
+    return k * k
+
+
+def test_spread_yields_in_order_with_each_items_warnings(both_ways):
+    def thunk():
+        seen = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for value in resampling.spread(square_and_warn, range(10)):
+                seen.append((value, [(str(w.message), w.filename, w.lineno) for w in caught]))
+                caught.clear()
+        return seen
+
+    alone, spread = both_ways(thunk)
+    assert alone == spread
+    assert [value for value, _ in alone] == [k * k for k in range(10)]
+    assert [len(caught) for _, caught in alone] == [1] * 10
+
+
+def test_spread_leaves_no_child_when_its_consumer_raises(both_ways):
+    def thunk():
+        with pytest.raises(KeyError), warnings.catch_warnings(record=True):
+            with closing(resampling.spread(square_and_warn, range(10))) as values:
+                for value in values:
+                    raise KeyError(value)
+        with pytest.raises(ChildProcessError):  # none running, none left to reap
+            os.waitpid(-1, os.WNOHANG)
+
+    both_ways(thunk)
