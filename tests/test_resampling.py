@@ -449,7 +449,7 @@ def test_spread_yields_in_order_with_each_items_warnings(both_ways):
     alone, spread = both_ways(thunk)
     assert alone == spread
     assert [value for value, _ in alone] == [k * k for k in range(10)]
-    assert [len(caught) for _, caught in alone] == [1] * 10
+    assert [[w[0] for w in caught] for _, caught in alone] == [[f"item {k}"] for k in range(10)]
 
 
 def test_spread_leaves_no_child_when_its_consumer_raises(both_ways):
