@@ -14,14 +14,19 @@ line break, and is written by `core.csv_cell`, the rule of the data files:
 a missing value or NaN is `NA`, and a float is its `repr`, which reads back
 to the same number. The markdown view rounds for reading.
 
-No command starts a thread. `replicate` draws its oracle truths, and the
-bootstraps their chunks, through `resampling.spread`, which may fork.
+No command starts a thread. `replicate` runs its whole trials (draw,
+oracle truth, estimate and scoring) through `resampling.spread`, which may
+fork; a trial's bootstrap then stays in the process that runs the trial.
+`estimate` and `diagnose` spread their bootstrap chunks the same way.
+`main` has glibc's allocator keep freed memory in the process for reuse;
+pcekit used as a library leaves the allocator as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -30,7 +35,6 @@ import os
 import re
 import sys
 from contextlib import closing
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -374,30 +378,38 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     methods = _methods(args.method)
 
+    def trial(cfg: simulator.DgpConfig) -> list[tuple[tuple[str, str], tuple]]:
+        """One trial's scored cells, in row order: ((method, stratum),
+        (truth, estimate, interval)). Errors surface as in a serial loop:
+        the draw's, then the truth's, then the estimate's."""
+        cols = simulator.trial_columns(cfg)
+        truth = simulator.true_pce(cfg, oracle_n=args.oracle_n)
+        spec = None
+        if args.bootstrap > 0:
+            spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
+        rows = estimators.estimate_pce_table(
+            cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
+        )
+        cells = []
+        for r in rows:
+            true_val = truth.row(r.stratum).pce
+            # a stratum with no oracle members has no truth to score against
+            if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
+                continue
+            cells.append(((r.method.value, str(r.stratum)), (true_val, r.point, r.ci)))
+        return cells
+
     # (truth, estimate, interval) of each trial that scores a cell, in trial order
     scored: dict[tuple[str, str], list[tuple[float, float, tuple | None]]] = {
         (m.value, str(lab)): [] for m in methods for lab in JOINT_LABELS
     }
+    # each trial has its own seed and comes back in trial order, so the
+    # output and the order in which errors surface match a serial loop
     cfgs = [dataclasses.replace(config, seed=config.seed + k) for k in range(args.replicates)]
-    # each truth has its own seed and is taken in trial order after its trial,
-    # so the output and the order in which errors surface match a serial loop
-    truths = resampling.spread(partial(simulator.true_pce, oracle_n=args.oracle_n), cfgs)
-    with closing(truths):
-        for cfg in cfgs:
-            cols = simulator.trial_columns(cfg)
-            truth = next(truths)
-            spec = None
-            if args.bootstrap > 0:
-                spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
-            rows = estimators.estimate_pce_table(
-                cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
-            )
-            for r in rows:
-                true_val = truth.row(r.stratum).pce
-                # a stratum with no oracle members has no truth to score against
-                if r.quantity != "diff" or math.isnan(r.point) or math.isnan(true_val):
-                    continue
-                scored[(r.method.value, str(r.stratum))].append((true_val, r.point, r.ci))
+    with closing(resampling.spread(trial, cfgs)) as trials:
+        for cells in trials:
+            for key, cell in cells:
+                scored[key].append(cell)
 
     agg = []
     for (method, stratum), cell in scored.items():
@@ -534,7 +546,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters: M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays in the process for reuse.
+
+    By default glibc maps an array above 128 KiB on its own and unmaps it
+    when freed, and trims a free heap top, raising both thresholds only as
+    it sees such arrays freed; the arrays of a few MB that commands
+    allocate again and again are then faulted in afresh, page by page.
+    These values are glibc's 64-bit ceiling for its dynamic mmap threshold
+    and twice that for trimming, fixed from the start. Both are set, as
+    setting either turns the dynamic thresholds off. Without glibc's
+    mallopt nothing is done. Forked children inherit the setting.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to load, or not glibc's
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 * 2**20)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 2**20)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

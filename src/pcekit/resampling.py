@@ -13,8 +13,9 @@ failures the engine errors out.
 ``spread``, a lazy in-order map, is pcekit's one way to use more CPUs: on
 Linux it evaluates shares of its items in forked child processes. The
 engine runs its batched kernel's chunks through it, and ``replicate`` its
-oracle truths. An item's value does not depend on where it is evaluated,
-so the results are the same bytes as in one process.
+whole trials. A spread opened inside another stays in its process. An
+item's value does not depend on where it is evaluated, so the results are
+the same bytes as in one process.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ def _reissue(caught: list[_Caught]) -> None:
                                getattr(module, "__name__", None), registry)
 
 
+# spreads open in this process; a forked child inherits its parent's count
+_open_spreads = 0
+
+
 def spread(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     """Yield ``fn(item)`` for each of ``items`` in order, over every CPU.
 
@@ -244,8 +249,14 @@ def spread(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
     running when the generator ends or is closed are killed, and all are
     reaped: wrap it in ``contextlib.closing``, as garbage collection may
     come late.
+
+    A spread opened while another is open in the same process, by ``fn`` in
+    this process or in a child or by the consumer, stays in that process:
+    the outer spread already has every CPU busy.
     """
-    procs = _process_count(len(items))
+    global _open_spreads
+    procs = 1 if _open_spreads else _process_count(len(items))
+    _open_spreads += 1
     bounds = [len(items) * p // procs for p in range(procs + 1)]
     # first item of each child's share -> (pid, pipe read end)
     children: dict[int, tuple[int, int]] = {}
@@ -265,6 +276,7 @@ def spread(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
                     _reissue(caught)
                     yield value
     finally:
+        _open_spreads -= 1
         for pid, fd in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -410,9 +411,53 @@ def test_replicate_bootstrap_forks_and_writes_the_same_bytes(tmp_path, monkeypat
         assert run(argv + ["--out", tmp_path / "one.json"]) == 0
     assert forks == []
     assert run(argv + ["--out", tmp_path / "spread.json"]) == 0
-    # one child for the second truth, and one for each trial's second chunk
-    assert len(forks) == 3
+    # one child for the second trial; each trial's bootstrap stays in the
+    # process that runs the trial
+    assert len(forks) == 1
     assert (tmp_path / "spread.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+# Two runs of one replicate command in a fresh interpreter, in one process;
+# the last line of stdout is the minor page faults of the second run.
+FAULTS_SCRIPT = """
+import resource, sys
+from pcekit import cli, resampling
+resampling._process_count = lambda items: 1
+for run in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes glibc's malloc only")
+def test_cli_keeps_freed_memory_for_the_next_command(tmp_path):
+    # glibc's default thresholds hand the oracle's freed arrays back to the
+    # OS, and the next trial faults them in again: about 21,000 faults
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    argv = ["replicate", "--scenario", "a4p_violated", "--n", "300", "--replicates", "20",
+            "--format", "csv", "--out", str(tmp_path / "rep.csv")]
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 2000
+
+
+def no_c_library(name):
+    raise OSError("no C library here")
+
+
+# a C library without mallopt, as other than glibc's, or none to load
+@pytest.mark.parametrize("cdll", [lambda name: object(), no_c_library],
+                         ids=["no-mallopt", "no-libc"])
+def test_cli_runs_where_malloc_cannot_be_tuned(cdll, tmp_path, monkeypatch):
+    argv = ["replicate", "--scenario", "paper_like", "--n", 60, "--seed", 3,
+            "--replicates", 3, "--oracle-n", 10_000, "--format", "csv"]
+    assert run(argv + ["--out", tmp_path / "tuned.csv"]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run(argv + ["--out", tmp_path / "untuned.csv"]) == 0
+    assert (tmp_path / "untuned.csv").read_bytes() == (tmp_path / "tuned.csv").read_bytes()
 
 
 def test_replicate_small_run(tmp_path, capsys):

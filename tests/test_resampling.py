@@ -462,3 +462,50 @@ def test_spread_leaves_no_child_when_its_consumer_raises(both_ways):
             os.waitpid(-1, os.WNOHANG)
 
     both_ways(thunk)
+
+
+def square_with_pid(j):
+    return j * j, os.getpid()
+
+
+def squares_here(k):
+    """Squares of 0..k+2 from an inner spread, and whether this process made
+    them all."""
+    with closing(resampling.spread(square_with_pid, range(k + 3))) as inner:
+        values = list(inner)
+    return [v for v, _ in values], all(pid == os.getpid() for _, pid in values)
+
+
+def test_spread_inside_a_spread_stays_in_its_process(both_ways):
+    # both_ways counts the calling process's forks: P - 1, all the outer
+    # spread's; an inner spread in a child would fork from the child
+    alone, spread = both_ways(lambda: list(resampling.spread(squares_here, range(6))))
+    assert alone == spread
+    assert alone == [([j * j for j in range(k + 3)], True) for k in range(6)]
+
+
+def test_spread_forks_again_once_the_outer_spread_is_over(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("spread forks only where os.fork exists")
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(resampling, "_process_count", lambda items: min(3, items))
+    squares = [[j * j for j in range(k + 3)] for k in range(6)]
+    with closing(resampling.spread(squares_here, range(6))) as values:
+        assert [v for v, _ in values] == squares
+    assert len(forks) == 2
+    with pytest.raises(KeyError):
+        with closing(resampling.spread(squares_here, range(6))) as values:
+            for value in values:
+                # a spread the consumer opens stays in this process too
+                assert [v for v, _ in resampling.spread(square_with_pid, range(4))] == [0, 1, 4, 9]
+                raise KeyError(value)
+    assert len(forks) == 4
+    assert [v for v, _ in resampling.spread(square_with_pid, range(4))] == [0, 1, 4, 9]
+    assert len(forks) == 6
