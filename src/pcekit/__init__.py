@@ -20,6 +20,7 @@ from .core import (
     classify_strata,
     completer_filter,
     completer_mask,
+    load_columns,
     load_crossover_csv,
     load_parallel_csv,
     stratum_counts,

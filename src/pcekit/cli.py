@@ -159,9 +159,7 @@ def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
 
 
 def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
-    shape = core.data_shape(args.input)
-    load = core.load_crossover_csv if shape == "crossover" else core.load_parallel_csv
-    cols = core.as_columns(load(args.input))
+    cols = core.load_columns(args.input)
     if args.derive_a:
         cols = dataclasses.replace(cols, a=_derive_adherence(args.derive_a, cols.y))
     return cols

@@ -1,10 +1,10 @@
 """Data model and I/O for two-period crossover and parallel-arm trial data.
 
 A crossover subject contributes one row with both period observations; the
-treatment indicator is 0 for control and 1 for experimental. Missing values
-are represented as ``None`` in memory and as ``NA`` on disk (empty cells are
-accepted on read). Floats are written with ``repr`` so a write/read cycle is
-bit-exact.
+treatment indicator is 0 for control and 1 for experimental. A missing value
+is ``NA`` on disk (empty cells are accepted on read), ``None`` in a record,
+and NaN (outcome) or ``A_MISSING`` (adherence) in ``TrialColumns``. Floats
+are written with ``repr`` so a write/read cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -238,91 +238,96 @@ def decode_utf8(data: bytes, path: str | Path) -> str:
         ) from None
 
 
-def _csv_rows(path: str | Path) -> Iterator[list[str]]:
-    """The non-empty CSV rows of the file, each parsed when it is taken; a row
-    the csv module cannot parse is a SchemaError naming the file and line."""
+def _read_rows(path: str | Path, either_shape: bool = False) -> list[list[str]]:
+    """The file's non-empty CSV rows, read and decoded once; a row the csv
+    module cannot parse is a SchemaError naming the file and line. With
+    either_shape, a header of neither shape is refused before the rows below
+    it are parsed."""
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), path)
     reader = csv.reader(io.StringIO(text, newline=""))
+    rows = (row for row in reader if row)
     try:
-        yield from (row for row in reader if row)
+        header = next(rows, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file")
+        if either_shape and tuple(header[:2]) not in (_CROSSOVER_HEAD, _PARALLEL_HEAD):
+            raise SchemaError(f"{path}: unrecognized header; not a crossover or parallel file")
+        return [header, *rows]
     except csv.Error as exc:
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
-    rows = list(_csv_rows(path))
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    return rows
+def _row_id(row: Sequence[str], width: int, i: int) -> str:
+    """The subject id of data row i, once the row is checked to be as wide as the header."""
+    if len(row) != width:
+        raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
+    sid = row[0].strip()
+    if not sid:
+        raise SchemaError(f"row {i}: empty subject_id")
+    return sid
 
 
-def data_shape(path: str | Path) -> str:
-    """'crossover' or 'parallel', as the first two columns of the file's
-    header name; the loader of that shape checks the rest."""
-    head = tuple(next(_csv_rows(path), [])[:2])
-    if head == _CROSSOVER_HEAD:
-        return "crossover"
-    if head == _PARALLEL_HEAD:
-        return "parallel"
-    raise SchemaError(f"{path}: unrecognized header; not a crossover or parallel file")
+def _row_covariates(row: Sequence[str], names: tuple[str, ...], i: int) -> tuple[float, ...]:
+    """The covariates of data row i, in the cells after its first two."""
+    return tuple(_parse_float(tok, name, i, allow_missing=False)  # type: ignore[misc]
+                 for name, tok in zip(names, row[2:]))
 
 
-def load_crossover_csv(path: str | Path) -> list[SubjectRecord]:
-    """Read crossover records; schema and consistency problems name the row."""
-    rows = _read_rows(path)
+def _parse_crossover(rows: list[list[str]]) -> tuple[list[str], TrialColumns]:
+    """The subject ids and columns of a crossover file's rows; schema and
+    consistency problems name the row."""
     names = _split_header(rows[0], _CROSSOVER_HEAD, _CROSSOVER_FIXED_TAIL)
-    width = 2 + len(names) + len(_CROSSOVER_FIXED_TAIL)
-    records: list[SubjectRecord] = []
-    seen_ids: set[str] = set()
+    ids: dict[str, None] = {}  # in row order
+    x, ef, a_p, y_p = [], [], [], []
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise SchemaError(f"row {i}: empty subject_id")
-        if sid in seen_ids:
+        sid = _row_id(row, len(rows[0]), i)
+        if sid in ids:
             raise SchemaError(f"row {i}: duplicate subject_id {sid!r}")
-        seen_ids.add(sid)
+        ids[sid] = None
         seq_token = row[1].strip()
         try:
             seq = TreatmentSequence(seq_token)
         except ValueError as exc:
             raise SchemaError(f"row {i}: sequence={seq_token!r} not in {{CF,EF}}") from exc
-        covs = tuple(
-            _parse_float(tok, f"{names[j]}", i, allow_missing=False)  # type: ignore[misc]
-            for j, tok in enumerate(row[2 : 2 + len(names)])
-        )
+        x.append(_row_covariates(row, names, i))
         tail = row[2 + len(names) :]
-        t1 = _parse_int01(tail[0], "t_p1", i)
-        t2 = _parse_int01(tail[1], "t_p2", i)
-        if (t1, t2) != seq.treatments:
+        if (_parse_int01(tail[0], "t_p1", i), _parse_int01(tail[1], "t_p2", i)) != seq.treatments:
             raise SchemaError(
                 f"row {i}: treatments ({tail[0]},{tail[1]}) inconsistent with sequence {seq.value}"
             )
-        records.append(
-            SubjectRecord(
-                subject_id=sid,
-                covariate_names=names,
-                covariates=covs,  # type: ignore[arg-type]
-                sequence=seq,
-                a_p1=_parse_int01(tail[2], "a_p1", i),
-                a_p2=_parse_int01(tail[3], "a_p2", i),
-                y_p1=_parse_float(tail[4], "y_p1", i, allow_missing=True),
-                y_p2=_parse_float(tail[5], "y_p2", i, allow_missing=True),
-            )
-        )
-    return records
+        ef.append(seq is TreatmentSequence.EXPERIMENTAL_FIRST)
+        a_p.append([_sentinel_if_none(_parse_int01(tok, col, i))
+                    for tok, col in zip(tail[2:4], ("a_p1", "a_p2"))])
+        y_p.append([_nan_if_none(_parse_float(tok, col, i, allow_missing=True))
+                    for tok, col in zip(tail[4:], ("y_p1", "y_p2"))])
+    return list(ids), _period_columns(names, x, ef, a_p, y_p)
+
+
+def load_crossover_csv(path: str | Path) -> list[SubjectRecord]:
+    """Read crossover records; schema and consistency problems name the row."""
+    return crossover_records(*_parse_crossover(_read_rows(path)))
+
+
+def _covariate_names(data: Sequence[SubjectRecord | ParallelObservation]) -> tuple[str, ...]:
+    """The covariate columns that every record of non-empty data names."""
+    names = data[0].covariate_names
+    if any(rec.covariate_names != names for rec in data):
+        raise SchemaError("records disagree on covariate columns")
+    return names
+
+
+def _write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> None:
     if not records:
         raise ValueError("refusing to write an empty record list")
-    names = records[0].covariate_names
-    for rec in records:
-        if rec.covariate_names != names:
-            raise SchemaError("records disagree on covariate columns")
-    header = [*_CROSSOVER_HEAD, *names, *_CROSSOVER_FIXED_TAIL]
+    header = [*_CROSSOVER_HEAD, *_covariate_names(records), *_CROSSOVER_FIXED_TAIL]
     rows = [
         _data_row(
             header,
@@ -331,61 +336,52 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
         )
         for rec in records
     ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_rows(path, header, rows)
 
 
-def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
-    """Read parallel-arm observations (one row per subject and arm)."""
-    rows = _read_rows(path)
+def _parse_parallel(rows: list[list[str]]) -> list[ParallelObservation]:
+    """The observations of a parallel file's rows; schema problems name the row."""
     names = _split_header(rows[0], _PARALLEL_HEAD, ("a", "y"))
-    width = 2 + len(names) + 2
     obs: list[ParallelObservation] = []
     seen: set[tuple[str, int]] = set()
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
-        sid = row[0].strip()
-        if not sid:
-            raise SchemaError(f"row {i}: empty subject_id")
+        sid = _row_id(row, len(rows[0]), i)
         t = _parse_int01(row[1], "treatment", i)
         if t is None:
             raise SchemaError(f"row {i}: treatment may not be missing")
         if (sid, t) in seen:
             raise SchemaError(f"row {i}: duplicate subject_id {sid!r} in arm {t}")
         seen.add((sid, t))
-        covs = tuple(
-            _parse_float(tok, f"{names[j]}", i, allow_missing=False)  # type: ignore[misc]
-            for j, tok in enumerate(row[2 : 2 + len(names)])
-        )
-        obs.append(
-            ParallelObservation(
-                subject_id=sid,
-                covariate_names=names,
-                covariates=covs,  # type: ignore[arg-type]
-                t=t,
-                a=_parse_int01(row[-2], "a", i),
-                y=_parse_float(row[-1], "y", i, allow_missing=True),
-            )
-        )
+        obs.append(ParallelObservation(sid, names, _row_covariates(row, names, i), t,
+                                       _parse_int01(row[-2], "a", i),
+                                       _parse_float(row[-1], "y", i, allow_missing=True)))
     return obs
+
+
+def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
+    """Read parallel-arm observations (one row per subject and arm)."""
+    return _parse_parallel(_read_rows(path))
 
 
 def write_parallel_csv(obs: Sequence[ParallelObservation], path: str | Path) -> None:
     if not obs:
         raise ValueError("refusing to write an empty observation list")
-    names = obs[0].covariate_names
-    for o in obs:
-        if o.covariate_names != names:
-            raise SchemaError("observations disagree on covariate columns")
-    header = [*_PARALLEL_HEAD, *names, "a", "y"]
-    rows = [_data_row(header, [o.subject_id, o.t, *o.covariates, o.a, o.y]) for o in obs]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    header = [*_PARALLEL_HEAD, *_covariate_names(obs), "a", "y"]
+    _write_rows(path, header, [_data_row(header, [o.subject_id, o.t, *o.covariates, o.a, o.y])
+                               for o in obs])
+
+
+def load_columns(path: str | Path) -> TrialColumns:
+    """A crossover or parallel file, as the first two columns of its header
+    name, read once into columns; a file without data rows is an
+    InsufficientDataError."""
+    rows = _read_rows(path, either_shape=True)
+    if tuple(rows[0][:2]) == _PARALLEL_HEAD:
+        return as_columns(_parse_parallel(rows))
+    cols = _parse_crossover(rows)[1]
+    if not len(cols):
+        raise InsufficientDataError("no data")
+    return cols
 
 
 def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObservation]:
@@ -415,8 +411,8 @@ class TrialColumns:
     Columns of ``a`` and ``y`` are indexed by arm (0 control, 1 experimental),
     not by period. A parallel observation fills only its own arm; the other
     arm reads as missing. A crossover subject received arm t in period 2
-    exactly when ``ef != t``. Build with ``as_columns``, which validates;
-    ``take`` trusts its input.
+    exactly when ``ef != t``. Build with ``load_columns`` or ``as_columns``,
+    which validate; ``take`` trusts its input.
     """
 
     covariate_names: tuple[str, ...]
@@ -460,6 +456,36 @@ def _sentinel_if_none(v: int | None) -> int:
     return A_MISSING if v is None else v
 
 
+def by_period(ef: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n, 2) columns by arm as columns by period, or back: an
+    experimental-first row (``ef``) received arm 1 in period 1."""
+    return np.where(ef[:, None], values[:, ::-1], values)
+
+
+def _period_columns(names: tuple[str, ...], x: Sequence, ef: Sequence, a_p: Sequence,
+                    y_p: Sequence) -> TrialColumns:
+    """Columns of crossover rows from their covariates, experimental-first
+    flags, and adherence (A_MISSING if missing) and outcomes (NaN) by period."""
+    n, ef = len(ef), np.asarray(ef, dtype=bool)
+    a = by_period(ef, np.asarray(a_p, dtype=np.int8).reshape(n, 2))
+    y = by_period(ef, np.asarray(y_p, dtype=float).reshape(n, 2))
+    return TrialColumns(names, np.asarray(x, dtype=float).reshape(n, len(names)), a, y, ef)
+
+
+def crossover_records(ids: Sequence[str], cols: TrialColumns) -> list[SubjectRecord]:
+    """Crossover columns as records by period, the i-th named ids[i]."""
+    return [
+        SubjectRecord(sid, cols.covariate_names, tuple(x),
+                      TreatmentSequence.EXPERIMENTAL_FIRST if first
+                      else TreatmentSequence.CONTROL_FIRST,
+                      *(None if v == A_MISSING else v for v in a),
+                      *(None if math.isnan(v) else v for v in y))
+        for sid, x, first, a, y in zip(ids, cols.x.tolist(), cols.ef.tolist(),
+                                       by_period(cols.ef, cols.a).tolist(),
+                                       by_period(cols.ef, cols.y).tolist())
+    ]
+
+
 def as_columns(data: Dataset) -> TrialColumns:
     """Columns of crossover records or parallel observations (returned as is if columns).
 
@@ -473,36 +499,28 @@ def as_columns(data: Dataset) -> TrialColumns:
         raise InsufficientDataError("no data")
     crossover = isinstance(data[0], SubjectRecord)
     kind = SubjectRecord if crossover else ParallelObservation
-    names = data[0].covariate_names
-    for rec in data:
-        if not isinstance(rec, kind):
-            raise SchemaError("data mixes crossover records and parallel observations")
-        if rec.covariate_names != names:
-            raise SchemaError("records disagree on covariate columns")
+    if not all(isinstance(rec, kind) for rec in data):
+        raise SchemaError("data mixes crossover records and parallel observations")
+    names = _covariate_names(data)
     n = len(data)
     ids = [rec.subject_id for rec in data]
     x = np.asarray([rec.covariates for rec in data], dtype=float).reshape(n, len(names))
     _check_finite(x, np.ones(x.shape, dtype=bool), ids, names)
-    ef = None
     if crossover:
         y_p = np.asarray([[_nan_if_none(r.y_p1), _nan_if_none(r.y_p2)] for r in data])
         observed = np.asarray([[r.y_p1 is not None, r.y_p2 is not None] for r in data])
         _check_finite(y_p, observed, ids, ("y_p1", "y_p2"))
-        a_p = np.asarray([[_sentinel_if_none(r.a_p1), _sentinel_if_none(r.a_p2)] for r in data],
-                         dtype=np.int8)
-        # an experimental-first subject received arm 1 in period 1
-        ef = np.asarray([r.sequence is TreatmentSequence.EXPERIMENTAL_FIRST for r in data])
-        a = np.where(ef[:, None], a_p[:, ::-1], a_p)
-        y = np.where(ef[:, None], y_p[:, ::-1], y_p)
-    else:
-        rows, arm = np.arange(n), np.asarray([o.t for o in data])
-        y_own = np.asarray([[_nan_if_none(o.y)] for o in data])
-        _check_finite(y_own, np.asarray([[o.y is not None] for o in data]), ids, ("y",))
-        a = np.full((n, 2), A_MISSING, dtype=np.int8)
-        a[rows, arm] = [_sentinel_if_none(o.a) for o in data]
-        y = np.full((n, 2), np.nan)
-        y[rows, arm] = y_own[:, 0]
-    return TrialColumns(names, x, a, y, ef)
+        a_p = [[_sentinel_if_none(r.a_p1), _sentinel_if_none(r.a_p2)] for r in data]
+        ef = [r.sequence is TreatmentSequence.EXPERIMENTAL_FIRST for r in data]
+        return _period_columns(names, x, ef, a_p, y_p)
+    rows, arm = np.arange(n), np.asarray([o.t for o in data])
+    y_own = np.asarray([[_nan_if_none(o.y)] for o in data])
+    _check_finite(y_own, np.asarray([[o.y is not None] for o in data]), ids, ("y",))
+    a = np.full((n, 2), A_MISSING, dtype=np.int8)
+    a[rows, arm] = [_sentinel_if_none(o.a) for o in data]
+    y = np.full((n, 2), np.nan)
+    y[rows, arm] = y_own[:, 0]
+    return TrialColumns(names, x, a, y, None)
 
 
 def completer_mask(cols: TrialColumns, require: CompleterRule) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     TrialColumns,
     _require_completers,
     as_columns,
+    by_period,
     stratum_counts,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
@@ -342,8 +343,7 @@ def crossover_effects_test(data: Dataset) -> CrossoverEffectsReport:
     """
     cols = _crossover_columns(data)
     _require_completers(cols, CompleterRule.OUTCOME)
-    # outcomes by period: an experimental-first subject had arm 1 in period 1
-    y_p = np.where(cols.ef[:, None], cols.y[:, ::-1], cols.y)
+    y_p = by_period(cols.ef, cols.y)
     d, s = y_p[:, 0] - y_p[:, 1], y_p[:, 0] + y_p[:, 1]
     d_cf, d_ef = d[~cols.ef], d[cols.ef]
     s_cf, s_ef = s[~cols.ef], s[cols.ef]

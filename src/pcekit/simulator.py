@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JOINT_LABELS, StratumLabel, SubjectRecord, TreatmentSequence, TrialColumns
+from .core import JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns, crossover_records
 from .errors import ConfigError
 
 _TRIAL_STREAM = 0
@@ -232,27 +232,7 @@ def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     """One simulated trial as records: the draw of ``trial_columns``, by period."""
     cols = trial_columns(config)
     width = len(str(len(cols)))
-
-    def period_y(v: float) -> float | None:
-        return None if math.isnan(v) else float(v)
-
-    records: list[SubjectRecord] = []
-    for i, first in enumerate(cols.ef.tolist()):
-        seq = TreatmentSequence.EXPERIMENTAL_FIRST if first else TreatmentSequence.CONTROL_FIRST
-        t1, t2 = seq.treatments
-        records.append(
-            SubjectRecord(
-                subject_id=f"s{i + 1:0{width}d}",
-                covariate_names=cols.covariate_names,
-                covariates=(float(cols.x[i, 0]),),
-                sequence=seq,
-                a_p1=int(cols.a[i, t1]),
-                a_p2=int(cols.a[i, t2]),
-                y_p1=period_y(cols.y[i, t1]),
-                y_p2=period_y(cols.y[i, t2]),
-            )
-        )
-    return records
+    return crossover_records([f"s{i:0{width}d}" for i in range(1, len(cols) + 1)], cols)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from pcekit import cli, resampling, simulator
+from pcekit import cli, core, resampling, simulator
 from pcekit.cli import main
 from pcekit.core import (
     ParallelObservation,
     as_parallel,
+    decode_utf8,
     write_crossover_csv,
     write_parallel_csv,
 )
@@ -229,9 +230,34 @@ def test_usage_errors_exit_two(trial_csv):
 
 def test_unrecognized_header_is_a_data_error(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
-    junk.write_text("foo,bar\n1,2\n")
-    assert run(["estimate", "--input", junk]) == 1
-    assert "unrecognized header" in capsys.readouterr().err
+    # the header is judged before a later row the csv module cannot parse
+    for text in ("foo,bar\n1,2\n", f"foo,bar\n1,{'1' * 140_000}\n"):
+        junk.write_text(text)
+        assert run(["estimate", "--input", junk]) == 1
+        assert "unrecognized header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "diagnose"])
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_empty_input_is_a_data_error(command, text, tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    assert run([command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: empty file\n"
+
+
+def test_estimate_decodes_its_input_once(trial_csv, monkeypatch, capsys):
+    calls = []
+
+    def decode(data, path):
+        calls.append(path)
+        return decode_utf8(data, path)
+
+    monkeypatch.setattr(core, "decode_utf8", decode)
+    assert run(["estimate", "--input", trial_csv, "--method", "ps"]) == 0
+    assert calls == [trial_csv]
 
 
 @pytest.mark.parametrize("fixture", ["trial_csv", "parallel_csv"])

@@ -15,8 +15,11 @@ from pcekit.core import (
     TreatmentSequence,
     as_columns,
     as_parallel,
+    by_period,
     classify_strata,
     completer_filter,
+    crossover_records,
+    load_columns,
     load_crossover_csv,
     load_parallel_csv,
     write_crossover_csv,
@@ -329,3 +332,83 @@ def test_write_refuses_empty_and_mixed_columns(tmp_path):
     ]
     with pytest.raises(SchemaError, match="disagree"):
         write_crossover_csv(mixed, tmp_path / "x.csv")
+
+
+INPUT_FILES = sorted(p for p in DATA.glob("*.csv") if ".out." not in p.name and "truth" not in p.name)
+
+
+@pytest.mark.parametrize("path", INPUT_FILES, ids=lambda p: p.name)
+def test_load_columns_equals_the_columns_of_the_loaded_records(path):
+    header = path.read_text(encoding="utf-8").split(",", 2)[:2]
+    load = load_crossover_csv if header[1] == "sequence" else load_parallel_csv
+    got, want = load_columns(path), as_columns(load(path))
+    assert got.covariate_names == want.covariate_names
+    for field in ("x", "a", "y", "ef"):
+        g, w = getattr(got, field), getattr(want, field)
+        if w is None:
+            assert g is None, field
+            continue
+        # bitwise: NaN equals NaN, and 0.0 differs from -0.0
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field
+
+
+def test_input_files_cover_both_shapes():
+    shapes = {load_columns(path).crossover for path in INPUT_FILES}
+    assert len(INPUT_FILES) >= 6 and shapes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "header", ["subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2", "subject_id,treatment,a,y"]
+)
+def test_load_columns_refuses_a_header_without_rows(header, tmp_path):
+    path = tmp_path / "head.csv"
+    path.write_text(f"{header}\n\n", encoding="utf-8")
+    with pytest.raises(InsufficientDataError, match="^no data$"):
+        load_columns(path)
+
+
+CROSSOVER_HEADER = "subject_id,sequence,x_base,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2"
+
+
+@pytest.mark.parametrize(
+    "header,rows,message",
+    [
+        # a duplicate id is found before a bad covariate
+        (CROSSOVER_HEADER, ["s1,CF,1.0,0,1,1,0,1.0,2.0", "s1,CF,oops,0,1,1,0,1.0,2.0"],
+         "row 3: duplicate subject_id 's1'"),
+        # a bad sequence is found before a bad covariate
+        (CROSSOVER_HEADER, ["s1,XX,oops,0,1,1,0,1.0,2.0"], "row 2: sequence='XX' not in"),
+        # a wrong width is found before an empty id
+        (CROSSOVER_HEADER, [",CF,1.0,0,1,1,0,1.0"], "row 2: expected 9 cells, got 8"),
+        ("subject_id,treatment,x_base,a,y", [",1,1.0,1"], "row 2: expected 5 cells, got 4"),
+        # a missing treatment is found before a bad covariate
+        ("subject_id,treatment,x_base,a,y", ["s1,NA,oops,1,2.0"],
+         "row 2: treatment may not be missing"),
+        ("subject_id,treatment,x_base,a,y", ["s1,1,1.0,1,2.0", "s1,1,oops,1,2.0"],
+         "row 3: duplicate subject_id 's1' in arm 1"),
+    ],
+    ids=["dup-id+covariate", "sequence+covariate", "width+empty-id", "parallel-width+empty-id",
+         "parallel-treatment+covariate", "parallel-dup-id+covariate"],
+)
+def test_a_row_with_two_faults_reports_the_first(header, rows, message, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    load = load_crossover_csv if "sequence" in header else load_parallel_csv
+    for loader in (load, load_columns):
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            loader(path)
+
+
+def test_by_period_swaps_experimental_first_rows_and_undoes_itself():
+    ef = np.asarray([False, True])
+    values = np.asarray([[1, 2], [3, 4]])
+    assert by_period(ef, values).tolist() == [[1, 2], [4, 3]]
+    assert by_period(ef, by_period(ef, values)).tolist() == values.tolist()
+
+
+def test_crossover_records_invert_as_columns():
+    records = [
+        make_record("a", "CF", x=(1.5,), a=(1, None), y=(10.0, None)),
+        make_record("b", "EF", x=(-0.0,), a=(None, 0), y=(None, 2.5)),
+    ]
+    assert crossover_records(["a", "b"], as_columns(records)) == records
