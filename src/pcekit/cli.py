@@ -36,7 +36,7 @@ import re
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,6 +162,8 @@ def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
     cols = core.load_columns(args.input)
     if args.derive_a:
         cols = dataclasses.replace(cols, a=_derive_adherence(args.derive_a, cols.y))
+    # an unknown or repeated --covariates name fails whatever the route or check
+    estimators._selected_covariates(cols, args.covariates)
     return cols
 
 
@@ -199,14 +201,11 @@ def _methods(arg: str) -> list[estimators.PceMethod]:
 
 
 def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
-    """One row per stratum/method with the three quantities side by side."""
-    by_key: dict[tuple, dict[str, estimators.EstimateSummary]] = {}
-    for r in table:
-        by_key.setdefault((str(r.stratum), r.method.value), {})[r.quantity] = r
+    """One row per method/stratum with the three quantities side by side. The
+    table comes in (method, stratum, quantity) order, so each run of three
+    rows is one method/stratum's arm0, arm1 and diff."""
 
-    def cell(r: estimators.EstimateSummary | None) -> str:
-        if r is None:
-            return ""
+    def cell(r: estimators.EstimateSummary) -> str:
         if math.isnan(r.point):
             return "inestimable"
         text = _fmt_float(r.point, 3)
@@ -217,8 +216,8 @@ def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
     return _md_table(
         ["Stratum", "Method", "Mean (control)", "Mean (experimental)", "Difference"],
         [
-            [stratum, method, cell(q.get("arm0")), cell(q.get("arm1")), cell(q.get("diff"))]
-            for (stratum, method), q in by_key.items()
+            [str(arm0.stratum), arm0.method.value, cell(arm0), cell(arm1), cell(diff)]
+            for arm0, arm1, diff in zip(*[iter(table)] * len(estimators.QUANTITIES))
         ],
     )
 
@@ -248,53 +247,107 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- diagnose
 
-CHECKS = ("monotonicity", "ignorability", "independence", "effects")
+
+def _monotonicity_md(d: dict) -> str:
+    rows = [[lab, str(d["counts"][lab]), _fmt_float(d["proportions"][lab], 3)]
+            for lab in sorted(d["counts"])]
+    return _md_table(["Stratum", "Count", "Proportion"], rows) + "\n\n" + d["note"]
+
+
+def _ignorability_md(d: dict) -> str:
+    return _md_table(
+        ["Outcome arm", "Adherence arm", "Coef (SE)", "p", "Adj mean a=0", "Adj mean a=1"],
+        [
+            [str(r["outcome_arm"]), str(r["adherence_arm"]),
+             f"{_fmt_float(r['coefficient'], 2)} ({_fmt_float(r['standard_error'], 2)})",
+             _fmt_float(r["p_value"], 4), _fmt_float(r["adjusted_mean_a0"], 2),
+             _fmt_float(r["adjusted_mean_a1"], 2)]
+            for r in d["regressions"]
+        ],
+    )
+
+
+def _independence_md(d: dict) -> str:
+    rows = [[lab, _fmt_float(d["observed"][lab], 3), _fmt_float(d["estimated"][lab], 3)]
+            for lab in sorted(d["observed"])]
+    summary = (
+        f"max gap {_fmt_float(d['discrepancy'], 4)}, p = {_fmt_float(d['p_value'], 4)} "
+        f"(sum-of-squares p = {_fmt_float(d['secondary_p_value'], 4)}; "
+        f"{d['n_bootstrap']} resamples, {d['n_rejected']} rejected)"
+    )
+    return _md_table(["Stratum", "Observed", "Estimated"], rows) + "\n\n" + summary
+
+
+def _effects_md(d: dict) -> str:
+    return _md_table(
+        ["Effect", "Estimate", "t", "p"],
+        [
+            [label, _fmt_float(d[f"{key}_effect"], 3) if f"{key}_effect" in d else "",
+             _fmt_float(d[f"{key}_t"], 3), _fmt_float(d[f"{key}_p"], 4)]
+            for key, label in (("treatment", "treatment"), ("period", "period"),
+                               ("sequence", "sequence (carry-over)"))
+        ],
+    )
+
+
+class Check(NamedTuple):
+    """One diagnose check: the completers it runs on (named by noun in its
+    note), its runner and its markdown section, drawn from the report's dict."""
+
+    name: str
+    rule: CompleterRule
+    noun: str
+    run: Callable[[core.TrialColumns, argparse.Namespace], object]  # -> report with to_dict()
+    heading: str
+    body: Callable[[dict], str]
+
+
+# the checks in the order diagnose runs and reports them
+CHECKS = (
+    Check("monotonicity", CompleterRule.STRATUM_VAR, "adherence",
+          lambda kept, args: diagnostics.monotonicity_report(
+              kept, diagnostics.MonotonicityDirection(args.direction)),
+          "Monotonicity", _monotonicity_md),
+    Check("ignorability", CompleterRule.BOTH, "full",
+          lambda kept, args: diagnostics.ignorability_regressions(kept, args.covariates),
+          "Ignorability regressions", _ignorability_md),
+    Check("independence", CompleterRule.STRATUM_VAR, "adherence",
+          lambda kept, args: diagnostics.independence_test(
+              kept, method=estimators.ProbMethod(args.indep_method),
+              covariates=args.covariates, n_bootstrap=args.bootstrap, seed=args.seed),
+          "Cross-world independence", _independence_md),
+    Check("effects", CompleterRule.OUTCOME, "outcome",
+          lambda kept, args: diagnostics.crossover_effects_test(kept),
+          "Crossover effects", _effects_md),
+)
+CHECK_NAMES = tuple(c.name for c in CHECKS)
+
+
+def _parse_checks(arg: str) -> frozenset[str]:
+    """Argument type: comma-separated check names, or 'all'."""
+    names = frozenset(CHECK_NAMES if arg == "all" else (s.strip() for s in arg.split(",")))
+    unknown = sorted(names.difference(CHECK_NAMES))
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check {unknown[0]!r}; choose from {', '.join(CHECK_NAMES)} or all"
+        )
+    return names
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     cols = _load_dataset(args)
-    checks = CHECKS if args.checks == "all" else tuple(s.strip() for s in args.checks.split(","))
-    for c in checks:
-        if c not in CHECKS:
-            raise ConfigError(f"unknown check {c!r}; choose from {', '.join(CHECKS)} or all")
-    results: dict[str, dict] = {}
     notes: list[str] = []
-
-    def completers(check: str, rule: CompleterRule, what: str) -> core.TrialColumns:
-        kept = cols.take(core.completer_mask(cols, rule))
-        notes.append(f"{check}: {len(kept)}/{len(cols)} {what} completers")
-        return kept
-
-    if "monotonicity" in checks:
-        kept = completers("monotonicity", CompleterRule.STRATUM_VAR, "adherence")
-        report = diagnostics.monotonicity_report(
-            kept, diagnostics.MonotonicityDirection(args.direction)
-        )
-        results["monotonicity"] = report.to_dict()
-    if "ignorability" in checks:
-        kept = completers("ignorability", CompleterRule.BOTH, "full")
-        report = diagnostics.ignorability_regressions(kept, args.covariates)
-        results["ignorability"] = report.to_dict()
-    if "independence" in checks:
-        kept = completers("independence", CompleterRule.STRATUM_VAR, "adherence")
-        report = diagnostics.independence_test(
-            kept,
-            method=estimators.ProbMethod(args.indep_method),
-            covariates=args.covariates,
-            n_bootstrap=args.bootstrap,
-            seed=args.seed,
-        )
-        results["independence"] = report.to_dict()
-    if "effects" in checks:
-        kept = completers("effects", CompleterRule.OUTCOME, "outcome")
-        results["effects"] = diagnostics.crossover_effects_test(kept).to_dict()
-
-    rows = [
-        {"section": section, "key": key, "value": value}
-        for section, obj in results.items()
-        for key, value in _flat_items(obj)
-    ]
-    return _emit(args, {"notes": notes, "results": results}, rows, _diagnose_md(results, notes))
+    results: dict[str, dict] = {}
+    sections: list[str] = []
+    for check in (c for c in CHECKS if c.name in args.checks):
+        kept = cols.take(core.completer_mask(cols, check.rule))
+        notes.append(f"{check.name}: {len(kept)}/{len(cols)} {check.noun} completers")
+        results[check.name] = doc = check.run(kept, args).to_dict()
+        sections += [f"## {check.heading}", "", check.body(doc), ""]
+    rows = [{"section": name, "key": key, "value": value}
+            for name, doc in results.items() for key, value in _flat_items(doc)]
+    md = "\n".join([f"- {note}" for note in notes] + [""] + sections[:-1])
+    return _emit(args, {"notes": notes, "results": results}, rows, md)
 
 
 def _flat_items(obj: dict | list, prefix: str = ""):
@@ -307,73 +360,13 @@ def _flat_items(obj: dict | list, prefix: str = ""):
             yield f"{prefix}{k}", v
 
 
-def _diagnose_md(results: dict[str, dict], notes: list[str]) -> str:
-    parts = [f"- {note}" for note in notes] + [""]
-    if "monotonicity" in results:
-        d = results["monotonicity"]
-        table = _md_table(
-            ["Stratum", "Count", "Proportion"],
-            [
-                [lab, str(d["counts"][lab]), _fmt_float(d["proportions"][lab], 3)]
-                for lab in sorted(d["counts"])
-            ],
-        )
-        parts += ["## Monotonicity", "", table, "", d["note"], ""]
-    if "ignorability" in results:
-        table = _md_table(
-            ["Outcome arm", "Adherence arm", "Coef (SE)", "p", "Adj mean a=0", "Adj mean a=1"],
-            [
-                [
-                    str(r["outcome_arm"]),
-                    str(r["adherence_arm"]),
-                    f"{_fmt_float(r['coefficient'], 2)} ({_fmt_float(r['standard_error'], 2)})",
-                    _fmt_float(r["p_value"], 4),
-                    _fmt_float(r["adjusted_mean_a0"], 2),
-                    _fmt_float(r["adjusted_mean_a1"], 2),
-                ]
-                for r in results["ignorability"]["regressions"]
-            ],
-        )
-        parts += ["## Ignorability regressions", "", table, ""]
-    if "independence" in results:
-        d = results["independence"]
-        table = _md_table(
-            ["Stratum", "Observed", "Estimated"],
-            [
-                [lab, _fmt_float(d["observed"][lab], 3), _fmt_float(d["estimated"][lab], 3)]
-                for lab in sorted(d["observed"])
-            ],
-        )
-        summary = (
-            f"max gap {_fmt_float(d['discrepancy'], 4)}, p = {_fmt_float(d['p_value'], 4)} "
-            f"(sum-of-squares p = {_fmt_float(d['secondary_p_value'], 4)}; "
-            f"{d['n_bootstrap']} resamples, {d['n_rejected']} rejected)"
-        )
-        parts += ["## Cross-world independence", "", table, "", summary, ""]
-    if "effects" in results:
-        d = results["effects"]
-        table = _md_table(
-            ["Effect", "Estimate", "t", "p"],
-            [
-                [
-                    label,
-                    _fmt_float(d[f"{key}_effect"], 3) if f"{key}_effect" in d else "",
-                    _fmt_float(d[f"{key}_t"], 3),
-                    _fmt_float(d[f"{key}_p"], 4),
-                ]
-                for key, label in (("treatment", "treatment"), ("period", "period"),
-                                   ("sequence", "sequence (carry-over)"))
-            ],
-        )
-        parts += ["## Crossover effects", "", table, ""]
-    return "\n".join(parts[:-1])
-
-
 # ---------------------------------------------------------------- replicate
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.covariates is not None:  # the generator draws one covariate
+        estimators._covariate_index((config.covariate_name,), args.covariates)
     methods = _methods(args.method)
 
     def trial(cfg: simulator.DgpConfig) -> list[tuple[tuple[str, str], tuple]]:
@@ -519,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser(
         "diagnose", parents=[dataset, report], help="assumption checks on crossover data"
     )
-    dia.add_argument("--checks", default="all", help=f"comma list from {', '.join(CHECKS)}")
+    dia.add_argument(
+        "--checks", type=_parse_checks, default="all",
+        help=f"comma list from {', '.join(CHECK_NAMES)}, or all",
+    )
     dia.add_argument(
         "--direction",
         choices=[d.value for d in diagnostics.MonotonicityDirection],

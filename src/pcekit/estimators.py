@@ -85,10 +85,15 @@ class PrincipalScoreModel:
 
 
 def _covariate_index(available: tuple[str, ...], names: Sequence[str]) -> list[int]:
+    """Positions in available of the named covariates; a repeated or unknown name fails."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise PcekitError(f"covariate {name!r} is listed more than once in {names!r}")
     try:
         return [available.index(n) for n in names]
     except ValueError as exc:
-        raise PcekitError(f"unknown covariate among {tuple(names)!r}; have {available!r}") from exc
+        raise PcekitError(f"unknown covariate among {names!r}; have {available!r}") from exc
 
 
 def _selected_covariates(
@@ -97,11 +102,7 @@ def _selected_covariates(
     """Names and (n, len(names)) values of the covariates a model uses (default: all)."""
     if covariates is None:
         return cols.covariate_names, cols.x
-    names = tuple(covariates)
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise PcekitError(f"covariate {name!r} is listed more than once in {names!r}")
-    return names, cols.x[:, _covariate_index(cols.covariate_names, names)]
+    return tuple(covariates), cols.x[:, _covariate_index(cols.covariate_names, covariates)]
 
 
 def _fit_score(

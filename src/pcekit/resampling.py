@@ -429,7 +429,7 @@ def bootstrap_vector(
         spec.seed, n, b_total, chunk_statistic or every_row, one
     )
 
-    se = np.zeros(m)
+    se = np.full(m, np.nan)  # undefined below two replicates
     ci = np.zeros((m, 2))
     n_eff = np.zeros(m, dtype=int)
     for j in range(m):

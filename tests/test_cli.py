@@ -294,8 +294,24 @@ def test_diagnose_subset_checks(tmp_path, trial_csv, capsys):
     assert len(report["notes"]) == 2
     assert report["results"]["monotonicity"]["n"] <= 80
 
-    assert run(["diagnose", "--input", trial_csv, "--checks", "spelling"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["diagnose", "--input", trial_csv, "--checks", "spelling"])
+    assert exc.value.code == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_diagnose_reports_checks_in_table_order_once_each(trial_csv, capsys):
+    argv = ["diagnose", "--input", trial_csv, "--checks", "effects,monotonicity,effects"]
+    assert run([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [note.split(":")[0] for note in report["notes"]] == ["monotonicity", "effects"]
+    assert run([*argv, "--format", "csv"]) == 0
+    sections = [row["section"] for row in csv.DictReader(io.StringIO(capsys.readouterr().out))]
+    assert list(dict.fromkeys(sections)) == ["monotonicity", "effects"]
+    assert sections == sorted(sections, key=["monotonicity", "effects"].index)
+    assert run(argv) == 0
+    headings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("## ")]
+    assert headings == ["## Monotonicity", "## Crossover effects"]
 
 
 def test_diagnose_all_checks_markdown(trial_csv, capsys):
@@ -659,6 +675,9 @@ def test_parallel_round_trip_keeps_response_indicator(tmp_path):
         ["estimate", "--input", "{input}", "--covariates", ""],
         ["diagnose", "--input", "{input}", "--covariates", ","],
         ["replicate", "--scenario", "paper_like", "--covariates", " , "],
+        # a check name must be one of the table's, and not empty
+        ["diagnose", "--input", "{input}", "--checks", ""],
+        ["diagnose", "--input", "{input}", "--checks", "monotonicity,"],
     ],
 )
 def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
@@ -801,3 +820,33 @@ def test_repeated_covariate_is_a_data_error(argv, trial_csv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: covariate 'x_base' is listed more than once")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--method", "direct"],
+        ["diagnose", "--checks", "monotonicity"],
+        ["diagnose", "--checks", "effects"],
+        ["replicate", "--scenario", "paper_like", "--n", "40", "--replicates", "1",
+         "--oracle-n", "10000", "--method", "direct"],
+    ],
+)
+def test_unknown_covariate_fails_whatever_the_route_or_check(argv, trial_csv, capsys):
+    # these never fit on covariates, yet a name that is not a column is still an error
+    if argv[0] != "replicate":
+        argv = [*argv, "--input", trial_csv]
+    assert run([*argv, "--covariates", "x_nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown covariate among ('x_nope',); have ('x_base',)\n"
+
+
+def test_se_from_one_replicate_is_missing(trial_csv, capsys):
+    argv = ["estimate", "--input", trial_csv, "--method", "direct", "--bootstrap", 1]
+    assert run([*argv, "--format", "csv"]) == 0
+    rows = [r for r in csv.DictReader(io.StringIO(capsys.readouterr().out)) if r["point"] != "NA"]
+    assert rows and all(r["n_effective"] == "1" and r["se"] == "NA" for r in rows)
+    assert run([*argv, "--format", "json"]) == 0
+    doc = [r for r in json.loads(capsys.readouterr().out) if r["point"] is not None]
+    assert doc and all(r["n_effective"] == 1 and r["se"] is None for r in doc)

@@ -68,6 +68,20 @@ def test_engine_se_approaches_enumerated_sd():
     assert res.n_failures == 0
 
 
+def test_se_from_fewer_than_two_replicates_is_nan():
+    # one replicate, or none, has no spread to measure: the SE is undefined, not 0
+    res = bootstrap([1.0, 2.0, 3.0], lambda s: float(np.mean(s)), BootstrapSpec(1, seed=1))
+    assert res.n_effective == 1
+    assert math.isnan(res.se)
+    assert res.ci[0] == res.ci[1]
+    vec = bootstrap_vector(
+        [1.0, 2.0, 3.0], lambda s: np.asarray([np.mean(s), np.nan]), BootstrapSpec(5, seed=1)
+    )
+    assert list(vec.n_effective) == [5, 0]
+    assert not math.isnan(vec.se[0])
+    assert math.isnan(vec.se[1])
+
+
 def test_percentile_interval_nearest_rank():
     values = np.arange(1.0, 21.0)
     lo, hi = percentile_interval(values, 0.9)
