@@ -12,16 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import InsufficientDataError, MissingDataError, PcekitError, SchemaError
 
 MISSING_TOKEN = "NA"
+A_MISSING = -1  # adherence sentinel in TrialColumns.a
 
 _CROSSOVER_HEAD = ("subject_id", "sequence")
 _CROSSOVER_FIXED_TAIL = ("t_p1", "t_p2", "a_p1", "a_p2", "y_p1", "y_p2")
@@ -162,30 +165,6 @@ class StratumTable:
         return {lab: c / self.n_total for lab, c in self.counts.items()}
 
 
-def _parse_int01(token: str, what: str, row: int) -> int | None:
-    token = token.strip()
-    if token == "" or token == MISSING_TOKEN:
-        return None
-    if token in ("0", "1"):
-        return int(token)
-    raise SchemaError(f"row {row}: {what}={token!r} is not 0, 1, or missing")
-
-
-def _parse_float(token: str, what: str, row: int, allow_missing: bool) -> float | None:
-    token = token.strip()
-    if token == "" or token == MISSING_TOKEN:
-        if allow_missing:
-            return None
-        raise SchemaError(f"row {row}: {what} may not be missing")
-    try:
-        value = float(token)
-    except ValueError as exc:
-        raise SchemaError(f"row {row}: {what}={token!r} is not a number") from exc
-    if not math.isfinite(value):
-        raise SchemaError(f"row {row}: {what}={token!r} is not a finite number")
-    return value
-
-
 def csv_cell(v: object) -> str:
     """One CSV cell, in data files and reports alike: a missing value or NaN
     is NA, a float its repr (which reads back to the same number), a bool 0
@@ -258,50 +237,133 @@ def _read_rows(path: str | Path, either_shape: bool = False) -> list[list[str]]:
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _row_id(row: Sequence[str], width: int, i: int) -> str:
-    """The subject id of data row i, once the row is checked to be as wide as the header."""
-    if len(row) != width:
-        raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
-    sid = row[0].strip()
-    if not sid:
-        raise SchemaError(f"row {i}: empty subject_id")
-    return sid
+# A file's data rows are checked a column at a time. Each check notes a
+# fault, (data row index, message), at the first row it fails on, and the
+# file is refused for the earliest: of the faults on one row, the first
+# noted. Checks are noted in the order of a row's cells, so the message is
+# that of the first faulty row's first failing check.
+_Faults = list[tuple[int, str]]
+
+_BAD = 2  # the code of a token outside a coded column's codes
+_FLAGS = {"0": 0, "1": 1, "": A_MISSING, MISSING_TOKEN: A_MISSING}
+_SEQUENCES = {s.value: int(s is TreatmentSequence.EXPERIMENTAL_FIRST) for s in TreatmentSequence}
+_MISSING_TOKENS = frozenset(("", MISSING_TOKEN))
+_AS_NAN = dict.fromkeys(_MISSING_TOKENS, "nan")
 
 
-def _row_covariates(row: Sequence[str], names: tuple[str, ...], i: int) -> tuple[float, ...]:
-    """The covariates of data row i, in the cells after its first two."""
-    return tuple(_parse_float(tok, name, i, allow_missing=False)  # type: ignore[misc]
-                 for name, tok in zip(names, row[2:]))
+def _note(faults: _Faults, bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Note the first row where a column check fails (``bad``), with its message."""
+    if bad.any():
+        i = int(bad.argmax())
+        faults.append((i, message(i)))
+
+
+def _raise_first(faults: _Faults) -> None:
+    """Refuse the file for its first faulty row's first failing check."""
+    if faults:
+        i, message = min(faults, key=lambda fault: fault[0])
+        raise SchemaError(f"row {i + 2}: {message}")
+
+
+def _data_columns(rows: list[list[str]], faults: _Faults) -> tuple[list, list[list[str]]]:
+    """The data rows as columns, raw and with every cell stripped, up to
+    the first row whose width is not the header's, which is a fault."""
+    width, body = len(rows[0]), rows[1:]
+    widths = list(map(len, body))
+    if widths.count(width) != len(body):
+        w = next(i for i, k in enumerate(widths) if k != width)
+        faults.append((w, f"expected {width} cells, got {widths[w]}"))
+        body = body[:w]
+    raw = list(zip(*body)) or [()] * width
+    return raw, [list(map(str.strip, column)) for column in raw]
+
+
+def _ids(ids: list[str], faults: _Faults) -> None:
+    _note(faults, np.fromiter(map(operator.not_, ids), bool, len(ids)),
+          lambda i: "empty subject_id")
+
+
+def _repeats(keys: list) -> np.ndarray:
+    """(n,) mask of the rows whose key an earlier row has."""
+    repeated = np.zeros(len(keys), dtype=bool)
+    if len(set(keys)) < len(keys):
+        seen: set = set()
+        for i, key in enumerate(keys):
+            repeated[i] = key in seen
+            seen.add(key)
+    return repeated
+
+
+def _codes(tokens: list[str], codes: dict[str, int], faults: _Faults,
+           message: Callable[[str], str]) -> np.ndarray:
+    """(n,) int8 codes of a column of stripped tokens; a token without one is a fault."""
+    values = np.fromiter(map(codes.get, tokens, repeat(_BAD)), np.int8, len(tokens))
+    _note(faults, values == _BAD, lambda i: message(tokens[i]))
+    return values
+
+
+def _flags(tokens: list[str], what: str, faults: _Faults, required: bool = False) -> np.ndarray:
+    """(n,) int8 0/1 flags of a column of stripped tokens, A_MISSING where missing."""
+    flags = _codes(tokens, _FLAGS, faults, lambda t: f"{what}={t!r} is not 0, 1, or missing")
+    if required:
+        _note(faults, flags == A_MISSING, lambda i: f"{what} may not be missing")
+    return flags
+
+
+def _float_or_none(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _numbers(tokens: list[str], what: str, faults: _Faults, required: bool = False) -> np.ndarray:
+    """(n,) floats of a column of stripped tokens as Python's float() reads
+    them, NaN where missing; every other value must be a finite number."""
+    missing = np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), bool, len(tokens))
+    if required:
+        _note(faults, missing, lambda i: f"{what} may not be missing")
+    # a missing token reads as NaN, so None marks a token float() refuses
+    read = list(map(_float_or_none, map(_AS_NAN.get, tokens, tokens)))
+    if None in read:
+        i = read.index(None)
+        faults.append((i, f"{what}={tokens[i]!r} is not a number"))
+    # an unread token is NaN here too, but on its row the fault above comes first
+    values = np.array(read, dtype=float)
+    _note(faults, ~np.isfinite(values) & ~missing,
+          lambda i: f"{what}={tokens[i]!r} is not a finite number")
+    return values
+
+
+def _covariates(names: tuple[str, ...], columns: list[list[str]], n: int,
+                faults: _Faults) -> np.ndarray:
+    """(n, p) covariates from their columns of stripped tokens; none may be missing."""
+    x = np.empty((n, len(names)))
+    for j, (name, tokens) in enumerate(zip(names, columns)):
+        x[:, j] = _numbers(tokens, name, faults, required=True)
+    return x
 
 
 def _parse_crossover(rows: list[list[str]]) -> tuple[list[str], TrialColumns]:
     """The subject ids and columns of a crossover file's rows; schema and
     consistency problems name the row."""
     names = _split_header(rows[0], _CROSSOVER_HEAD, _CROSSOVER_FIXED_TAIL)
-    ids: dict[str, None] = {}  # in row order
-    x, ef, a_p, y_p = [], [], [], []
-    for i, row in enumerate(rows[1:], start=2):
-        sid = _row_id(row, len(rows[0]), i)
-        if sid in ids:
-            raise SchemaError(f"row {i}: duplicate subject_id {sid!r}")
-        ids[sid] = None
-        seq_token = row[1].strip()
-        try:
-            seq = TreatmentSequence(seq_token)
-        except ValueError as exc:
-            raise SchemaError(f"row {i}: sequence={seq_token!r} not in {{CF,EF}}") from exc
-        x.append(_row_covariates(row, names, i))
-        tail = row[2 + len(names) :]
-        if (_parse_int01(tail[0], "t_p1", i), _parse_int01(tail[1], "t_p2", i)) != seq.treatments:
-            raise SchemaError(
-                f"row {i}: treatments ({tail[0]},{tail[1]}) inconsistent with sequence {seq.value}"
-            )
-        ef.append(seq is TreatmentSequence.EXPERIMENTAL_FIRST)
-        a_p.append([_sentinel_if_none(_parse_int01(tok, col, i))
-                    for tok, col in zip(tail[2:4], ("a_p1", "a_p2"))])
-        y_p.append([_nan_if_none(_parse_float(tok, col, i, allow_missing=True))
-                    for tok, col in zip(tail[4:], ("y_p1", "y_p2"))])
-    return list(ids), _period_columns(names, x, ef, a_p, y_p)
+    faults: _Faults = []
+    raw, (ids, sequences, *cells) = _data_columns(rows, faults)
+    p = len(names)
+    _ids(ids, faults)
+    _note(faults, _repeats(ids), lambda i: f"duplicate subject_id {ids[i]!r}")
+    ef = _codes(sequences, _SEQUENCES, faults, lambda t: f"sequence={t!r} not in {{CF,EF}}")
+    x = _covariates(names, cells[:p], len(ids), faults)
+    t_p = [_flags(tokens, col, faults) for tokens, col in zip(cells[p:], ("t_p1", "t_p2"))]
+    # (t_p1, t_p2) is (0, 1) for CF, coded 0, and (1, 0) for EF, coded 1
+    _note(faults, (t_p[0] != ef) | (t_p[1] != 1 - ef),
+          lambda i: f"treatments ({raw[2 + p][i]},{raw[3 + p][i]}) inconsistent with "
+                    f"sequence {sequences[i]}")
+    a_p = [_flags(tokens, col, faults) for tokens, col in zip(cells[p + 2:], ("a_p1", "a_p2"))]
+    y_p = [_numbers(tokens, col, faults) for tokens, col in zip(cells[p + 4:], ("y_p1", "y_p2"))]
+    _raise_first(faults)
+    return ids, _period_columns(names, x, ef == 1, np.column_stack(a_p), np.column_stack(y_p))
 
 
 def load_crossover_csv(path: str | Path) -> list[SubjectRecord]:
@@ -339,28 +401,39 @@ def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> N
     _write_rows(path, header, rows)
 
 
-def _parse_parallel(rows: list[list[str]]) -> list[ParallelObservation]:
-    """The observations of a parallel file's rows; schema problems name the row."""
+def _parse_parallel(rows: list[list[str]]) -> tuple[list[str], np.ndarray, TrialColumns]:
+    """The subject ids, (n,) arms and columns of a parallel file's rows;
+    schema problems name the row."""
     names = _split_header(rows[0], _PARALLEL_HEAD, ("a", "y"))
-    obs: list[ParallelObservation] = []
-    seen: set[tuple[str, int]] = set()
-    for i, row in enumerate(rows[1:], start=2):
-        sid = _row_id(row, len(rows[0]), i)
-        t = _parse_int01(row[1], "treatment", i)
-        if t is None:
-            raise SchemaError(f"row {i}: treatment may not be missing")
-        if (sid, t) in seen:
-            raise SchemaError(f"row {i}: duplicate subject_id {sid!r} in arm {t}")
-        seen.add((sid, t))
-        obs.append(ParallelObservation(sid, names, _row_covariates(row, names, i), t,
-                                       _parse_int01(row[-2], "a", i),
-                                       _parse_float(row[-1], "y", i, allow_missing=True)))
-    return obs
+    faults: _Faults = []
+    _, (ids, arms, *cells) = _data_columns(rows, faults)
+    n = len(ids)
+    _ids(ids, faults)
+    t = _flags(arms, "treatment", faults, required=True)
+    _note(faults, _repeats(list(zip(ids, t.tolist()))),
+          lambda i: f"duplicate subject_id {ids[i]!r} in arm {t[i]}")
+    x = _covariates(names, cells[:-2], n, faults)
+    a_own = _flags(cells[-2], "a", faults)
+    y_own = _numbers(cells[-1], "y", faults)
+    _raise_first(faults)
+    own = (np.arange(n), t)
+    a = np.full((n, 2), A_MISSING, dtype=np.int8)
+    a[own] = a_own
+    y = np.full((n, 2), np.nan)
+    y[own] = y_own
+    return ids, t, TrialColumns(names, x, a, y, None)
 
 
 def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
     """Read parallel-arm observations (one row per subject and arm)."""
-    return _parse_parallel(_read_rows(path))
+    ids, t, cols = _parse_parallel(_read_rows(path))
+    own = (np.arange(len(ids)), t)
+    return [
+        ParallelObservation(sid, cols.covariate_names, tuple(x), arm,
+                            None if a == A_MISSING else a, None if math.isnan(y) else y)
+        for sid, x, arm, a, y in zip(ids, cols.x.tolist(), t.tolist(),
+                                     cols.a[own].tolist(), cols.y[own].tolist())
+    ]
 
 
 def write_parallel_csv(obs: Sequence[ParallelObservation], path: str | Path) -> None:
@@ -376,9 +449,8 @@ def load_columns(path: str | Path) -> TrialColumns:
     name, read once into columns; a file without data rows is an
     InsufficientDataError."""
     rows = _read_rows(path, either_shape=True)
-    if tuple(rows[0][:2]) == _PARALLEL_HEAD:
-        return as_columns(_parse_parallel(rows))
-    cols = _parse_crossover(rows)[1]
+    parse = _parse_parallel if tuple(rows[0][:2]) == _PARALLEL_HEAD else _parse_crossover
+    cols = parse(rows)[-1]
     if not len(cols):
         raise InsufficientDataError("no data")
     return cols
@@ -399,9 +471,6 @@ def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObserv
         )
         for rec in records
     ]
-
-
-A_MISSING = -1  # adherence sentinel in TrialColumns.a
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,6 +211,27 @@ class IndependenceReport:
         }
 
 
+def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """(b, 4) count-weighted sums over the n subjects of each resample's
+    stratum probabilities under independence, in JOINT_LABELS order, from
+    (b, n) counts and arm adherence probabilities.
+
+    Each cell's products are formed as ``_cell_table`` forms them and laid
+    out subject-major, (n, 4, b), so the sum runs down the outer axis and
+    adds the subjects one after another, exactly as a sum over the middle
+    axis of the (b, n, 4) product table does: the same bits, one resample
+    included. Summing along a contiguous axis instead adds pairwise and
+    moves the last bits.
+    """
+    c, h0, h1 = counts.T, g0.T, g1.T
+    u0, u1 = 1.0 - h0, 1.0 - h1
+    n, b = c.shape
+    terms = np.empty((n, len(JOINT_LABELS), b))
+    for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
+        np.multiply(c, p * q, out=terms[:, k])
+    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
+
+
 def independence_test(
     data: Dataset,
     method: ProbMethod = ProbMethod.COND_INDEP,
@@ -273,7 +294,7 @@ def independence_test(
         beta1, ok1 = fit_logistic_counts(design, a1, counts, warm[1])
         g0 = expit(beta0 @ design.T)
         g1 = expit(beta1 @ design.T)
-        est_b = np.sum(counts[:, :, None] * _cell_table(g0, g1), axis=1) / n
+        est_b = _cell_sums(counts, g0, g1) / n
         return gaps(counts, est_b), ~(ok0 & ok1)
 
     def one(row: np.ndarray) -> np.ndarray:

@@ -412,11 +412,12 @@ def fit_logistic_counts(
     deviances as compact arrays. They are gathered again only when a row
     leaves, and when every row accepts its full Newton step the candidate
     arrays become the working set without a copy. The inputs are only read.
-    A row's coefficients do not depend on which other rows share its chunk:
-    every elementwise operation runs in a fixed order (w = c * p, then
-    w *= 1 - p), each row's deviance is summed along its own contiguous
-    row, and each matrix product has as many rows as there are rows taking
-    that step, so BLAS takes the same path for the same data.
+    Every elementwise operation runs in a fixed order (w = c * p, then
+    w *= 1 - p) and each row's deviance is summed along its own contiguous
+    row, but a matrix product over more rows may take another BLAS path and
+    sum in another order. So a row's coefficients agree to rounding, not
+    always to the bit, whichever rows share its chunk; the same chunks give
+    the same bits in any process.
     """
     x = np.asarray(design, dtype=float)
     a = np.asarray(a, dtype=float)

@@ -1,10 +1,12 @@
 """Deterministic subject-level resampling with percentile intervals.
 
 Replicate index streams are derived from (seed, replicate_index) through a
-SplitMix64 mix, so any replicate can be regenerated in isolation and results
-are independent of evaluation order or chunking. Every resample, for the
-bootstrap and for the independence test alike, is drawn by one engine,
-``draw_replicates``, in chunks of one fixed budget of index draws. It runs
+SplitMix64 mix, so any replicate can be regenerated in isolation and drawn
+in any order. Every resample, for the bootstrap and for the independence
+test alike, is drawn by one engine, ``draw_replicates``, in chunks of one
+fixed budget of index draws. A batched fit's last bits can depend on which
+rows share its chunk, so the budget is part of the output: the same chunk
+plan gives the same bytes in any process, another budget may not. It runs
 a caller's exact statistic on each row the caller's batched kernel leaves.
 A replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
@@ -136,7 +138,8 @@ def exceedance_p(values: Sequence[float] | np.ndarray, observed: float) -> float
 
 
 # each chunk of index rows holds about this many (replicate, subject) draws,
-# which bounds a chunk's memory whatever the replicate count is
+# which bounds a chunk's memory whatever the replicate count is; another
+# budget regroups the batched fits and may move an output's last bits
 _CHUNK_ELEMENTS = 2**14
 
 Chunk = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]

@@ -34,7 +34,7 @@ from pcekit.errors import (
 )
 from pcekit.estimators import ProbMethod
 from pcekit.glm import DesignMatrix, fit_logistic, fit_ols
-from pcekit.resampling import exceedance_p, resample_index_matrix
+from pcekit.resampling import exceedance_p, resample_counts, resample_index_matrix
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
@@ -303,6 +303,25 @@ def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
     monkeypatch.setattr(diagnostics, "fit_logistic_counts", checking_fit)
     assert independence_test(records, n_bootstrap=60, seed=2).n_rejected == 0
     assert checked and all(checked)  # float counts reach the kernel as they are
+
+
+def test_cell_sums_keep_the_bits_of_the_product_table_sum():
+    rng = np.random.default_rng(23)
+    shapes = [(1, 5), (1, 9), (1, 501), (2, 7), (3, 1), (32, 500), (81, 200)]
+    shapes += [(int(rng.integers(1, 50)), int(rng.integers(1, 700))) for _ in range(40)]
+    pairwise_moves_bits = False
+    for b, n in shapes:
+        counts = resample_counts(rng.integers(0, n, size=(b, n)), n)
+        counts[:, rng.random(n) < 0.2] = 0.0  # subjects no resample draws
+        g0, g1 = expit(rng.normal(0.0, 2.0, size=(2, b, n)))
+        table = estimators._cell_table(g0, g1)
+        want = np.sum(counts[:, :, None] * table, axis=1)
+        got = diagnostics._cell_sums(counts, g0, g1)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (b, n)
+        pairwise = np.stack([(table[..., k] * counts).sum(axis=1) for k in range(4)], axis=-1)
+        pairwise_moves_bits |= pairwise.tobytes() != want.tobytes()
+    # the shapes tell an order-preserving sum from the faster pairwise one
+    assert pairwise_moves_bits
 
 
 def test_crossover_effects_hand_values():

@@ -395,6 +395,27 @@ def test_count_weighted_fits_match_per_resample_fits():
             assert converged[:8].all() and not converged[8:11].any()
 
 
+def test_count_weighted_fit_of_a_row_agrees_in_chunks_of_any_size():
+    """A row's fit agrees to rounding whichever rows share its chunk, but not
+    always to the bit: BLAS may sum a product over more rows in another
+    order. A fixed chunk plan gives the same bits in any process."""
+    rng = np.random.default_rng(17)
+    n = 200
+    x = rng.normal(41.3, 22.4, n)
+    a = (0.757 - 0.0219 * x + rng.normal(size=n) > 0).astype(float)
+    design = DesignMatrix.with_intercept(("x1",), [x]).values
+    counts = rng.multinomial(n, np.full(n, 1.0 / n), size=96).astype(float)
+    start = np.zeros(2)
+    whole, converged = fit_logistic_counts(design, a, counts, start)
+    assert converged.all()
+    for size in (1, 5, 32):
+        parts = [fit_logistic_counts(design, a, counts[i : i + size], start)
+                 for i in range(0, len(counts), size)]
+        assert np.concatenate([ok for _, ok in parts]).all()
+        np.testing.assert_allclose(np.concatenate([coef for coef, _ in parts]), whole,
+                                   rtol=1e-12, atol=0.0)
+
+
 # SHA-256 of coef.tobytes() and the converged mask, as the kernel produced
 # them before its working set was compacted. They pin every coefficient bit,
 # the unconverged rows' included; like the goldens under tests/data, they
