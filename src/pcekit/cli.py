@@ -410,8 +410,13 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         if n:
             true_vals, ests, cis = zip(*cell)
             errors = [e - t for t, e in zip(true_vals, ests)]
+            try:
+                ssq = sum(d**2 for d in errors)
+            except OverflowError:  # a float's ** raises where its * would give inf
+                raise ConfigError("squared estimate errors are not finite (overflow); "
+                                  "use smaller config values") from None
             entry.update(mean_truth=sum(true_vals) / n, mean_estimate=sum(ests) / n,
-                         bias=sum(errors) / n, rmse=math.sqrt(sum(d**2 for d in errors) / n))
+                         bias=sum(errors) / n, rmse=math.sqrt(ssq / n))
             if args.bootstrap > 0:  # every scored estimate then has an interval
                 entry.update(
                     coverage=sum(lo <= t <= hi for t, (lo, hi) in zip(true_vals, cis)) / n,

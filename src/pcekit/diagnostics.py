@@ -33,17 +33,11 @@ from .estimators import (
     ProbMethod,
     _cell_table,
     _cond_indep_cells,
+    _cond_indep_cells_counts,
     _prob_vector,
     _selected_covariates,
 )
-from .glm import (
-    DesignMatrix,
-    expit,
-    fit_logistic_counts,
-    fit_ols,
-    intercept_design,
-    t_two_sided_p,
-)
+from .glm import DesignMatrix, fit_ols, t_two_sided_p
 from .resampling import draw_replicates, exceedance_p, resample_counts
 
 
@@ -211,27 +205,6 @@ class IndependenceReport:
         }
 
 
-def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """(b, 4) count-weighted sums over the n subjects of each resample's
-    stratum probabilities under independence, in JOINT_LABELS order, from
-    (b, n) counts and arm adherence probabilities.
-
-    Each cell's products are formed as ``_cell_table`` forms them and laid
-    out subject-major, (n, 4, b), so the sum runs down the outer axis and
-    adds the subjects one after another, exactly as a sum over the middle
-    axis of the (b, n, 4) product table does: the same bits, one resample
-    included. Summing along a contiguous axis instead adds pairwise and
-    moves the last bits.
-    """
-    c, h0, h1 = counts.T, g0.T, g1.T
-    u0, u1 = 1.0 - h0, 1.0 - h1
-    n, b = c.shape
-    terms = np.empty((n, len(JOINT_LABELS), b))
-    for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
-        np.multiply(c, p * q, out=terms[:, k])
-    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
-
-
 def independence_test(
     data: Dataset,
     method: ProbMethod = ProbMethod.COND_INDEP,
@@ -250,9 +223,10 @@ def independence_test(
     aborts the test. Subjects need adherence in both periods.
 
     Each replicate is a row of multinomial counts over the subjects. Chunks
-    of rows are refit together by ``fit_logistic_counts`` from the full-data
-    fits; the engine runs the full-data reconstruction, from the same starts,
-    on each row that does not fit cleanly, and its verdict rejects it or not.
+    of rows are refit together by ``_cond_indep_cells_counts`` from the
+    full-data fits; the engine runs the full-data reconstruction, from the
+    same starts, on each row that does not fit cleanly, and its verdict
+    rejects it or not.
     """
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
@@ -274,11 +248,8 @@ def independence_test(
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
 
-    a0 = cols.a[:, 0].astype(np.int64)
-    a1 = cols.a[:, 1].astype(np.int64)
-    design = intercept_design(x)
     # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
-    cells = ((2 * a0 + a1)[:, None] == np.arange(len(JOINT_LABELS))).astype(float)
+    cells = np.eye(len(JOINT_LABELS))[2 * cols.a[:, 0] + cols.a[:, 1]]
 
     def gaps(counts: np.ndarray, est_b: np.ndarray) -> np.ndarray:
         """Centered max and sum-of-squares gaps of resamples given as counts."""
@@ -288,14 +259,10 @@ def independence_test(
     def chunk(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = resample_counts(idx, n)
         if method is ProbMethod.INDEP:
-            est_b = _cell_table(counts @ a0 / n, counts @ a1 / n)
+            est_b = _cell_table(*(counts @ cols.a / n).T)
             return gaps(counts, est_b), np.zeros(len(idx), dtype=bool)
-        beta0, ok0 = fit_logistic_counts(design, a0, counts, warm[0])
-        beta1, ok1 = fit_logistic_counts(design, a1, counts, warm[1])
-        g0 = expit(beta0 @ design.T)
-        g1 = expit(beta1 @ design.T)
-        est_b = _cell_sums(counts, g0, g1) / n
-        return gaps(counts, est_b), ~(ok0 & ok1)
+        est_b, clean = _cond_indep_cells_counts(x, cols.a, counts, warm)
+        return gaps(counts, est_b), ~clean
 
     def one(row: np.ndarray) -> np.ndarray:
         est_b = _cond_indep_cells(cols.take(row), names, warm)[0]
@@ -306,12 +273,10 @@ def independence_test(
     except BootstrapError as exc:
         raise DiagnosticError(f"{exc}; the data are too sparse for this test") from exc
 
-    observed = {lab: float(obs_vec[i]) for i, lab in enumerate(JOINT_LABELS)}
-    estimated = {lab: float(est_vec[i]) for i, lab in enumerate(JOINT_LABELS)}
     return IndependenceReport(
         method=method,
-        observed=observed,
-        estimated=estimated,
+        observed=dict(zip(JOINT_LABELS, obs_vec.tolist())),
+        estimated=dict(zip(JOINT_LABELS, est_vec.tolist())),
         discrepancy=d_obs,
         p_value=exceedance_p(null[:, 0], d_obs),
         secondary_discrepancy=ssq_obs,

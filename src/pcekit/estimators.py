@@ -291,6 +291,27 @@ def _cell_table(g0: np.ndarray | float, g1: np.ndarray | float) -> np.ndarray:
     return np.stack([(1.0 - g0) * (1.0 - g1), (1.0 - g0) * g1, g0 * (1.0 - g1), g0 * g1], axis=-1)
 
 
+def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """(b, 4) count-weighted sums over the n subjects of each resample's
+    stratum probabilities under independence, in JOINT_LABELS order, from
+    (b, n) counts and arm adherence probabilities.
+
+    Each cell's products are formed as ``_cell_table`` forms them and laid
+    out subject-major, (n, 4, b), so the sum runs down the outer axis and
+    adds the subjects one after another, exactly as a sum over the middle
+    axis of the (b, n, 4) product table does: the same bits, one resample
+    included. Summing along a contiguous axis instead adds pairwise and
+    moves the last bits.
+    """
+    c, h0, h1 = counts.T, g0.T, g1.T
+    u0, u1 = 1.0 - h0, 1.0 - h1
+    n, b = c.shape
+    terms = np.empty((n, len(JOINT_LABELS), b))
+    for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
+        np.multiply(c, p * q, out=terms[:, k])
+    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
+
+
 def _prob_vector(
     data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
 ) -> np.ndarray:
@@ -316,6 +337,20 @@ def _cond_indep_cells(
     # each cell is summed as one contiguous row, in the order of a 1-D mean
     cells = np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
     return cells, (m0, m1)
+
+
+def _cond_indep_cells_counts(
+    x: np.ndarray, a: np.ndarray, counts: np.ndarray, starts: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_cond_indep_cells`` of each resample in a chunk, given as (b, n)
+    counts over subjects with covariate values x and adherence a observed in
+    both arms: (b, 4) cells and a (b,) mask of the rows whose two refits
+    from starts converged cleanly (the others carry no usable cells)."""
+    design = intercept_design(x)
+    beta0, ok0 = fit_logistic_counts(design, a[:, 0], counts, starts[0])
+    beta1, ok1 = fit_logistic_counts(design, a[:, 1], counts, starts[1])
+    g0, g1 = expit(beta0 @ design.T), expit(beta1 @ design.T)
+    return _cell_sums(counts, g0, g1) / counts.shape[1], ok0 & ok1
 
 
 def estimate_stratum_probs(

@@ -577,6 +577,20 @@ def test_replicate_reports_a_trial_error_before_its_truth_error(tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: period-2 outcome draws are not finite")
 
 
+def test_replicate_reports_an_overflowing_squared_error_as_an_error(tmp_path, capsys):
+    # finite draws and estimates near 1e200 whose scored errors square past the float range
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_subjects": 30, "delta": [1e200, 1e200]}))
+    out = tmp_path / "rep.json"
+    argv = ["replicate", "--config", path, "--replicates", 2, "--oracle-n", 10_000, "--out", out]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: squared estimate errors are not finite")
+    assert not out.exists()
+
+
 def test_simulate_monotone_writes_empty_stratum_as_missing(tmp_path, capsys):
     """Monotone adherence leaves S10 without oracle members: probability 0, no means."""
     base = ["simulate", "--scenario", "monotone", "--n", 40, "--seed", 0, "--oracle-n", 10_000,

@@ -237,7 +237,7 @@ def test_independence_rows_left_by_the_batched_fit_are_refit_alone(monkeypatch):
         nulls.append(result[0])
         return result
 
-    monkeypatch.setattr(diagnostics, "fit_logistic_counts", leave_every_row)
+    monkeypatch.setattr(estimators, "fit_logistic_counts", leave_every_row)
     monkeypatch.setattr(diagnostics, "draw_replicates", recording_draw)
     rep = independence_test(records, n_bootstrap=40, seed=4)
     ref, d_null, ssq_null, rejected = one_at_a_time_null(records, 40, 4)
@@ -289,7 +289,7 @@ def test_independence_fallback_names_separation_as_the_estimate_bootstrap_does(m
 def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
     """The batched fit may alias counts, which the test reads again after it."""
     records = generate_trial(scenario("paper_like", n_subjects=120, seed=6))
-    fit = diagnostics.fit_logistic_counts
+    fit = estimators.fit_logistic_counts
     checked = []
 
     def checking_fit(design, a, counts, start):
@@ -300,7 +300,7 @@ def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
         checked.append(counts.dtype == float)
         return result
 
-    monkeypatch.setattr(diagnostics, "fit_logistic_counts", checking_fit)
+    monkeypatch.setattr(estimators, "fit_logistic_counts", checking_fit)
     assert independence_test(records, n_bootstrap=60, seed=2).n_rejected == 0
     assert checked and all(checked)  # float counts reach the kernel as they are
 
@@ -316,12 +316,27 @@ def test_cell_sums_keep_the_bits_of_the_product_table_sum():
         g0, g1 = expit(rng.normal(0.0, 2.0, size=(2, b, n)))
         table = estimators._cell_table(g0, g1)
         want = np.sum(counts[:, :, None] * table, axis=1)
-        got = diagnostics._cell_sums(counts, g0, g1)
+        got = estimators._cell_sums(counts, g0, g1)
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (b, n)
         pairwise = np.stack([(table[..., k] * counts).sum(axis=1) for k in range(4)], axis=-1)
         pairwise_moves_bits |= pairwise.tobytes() != want.tobytes()
     # the shapes tell an order-preserving sum from the faster pairwise one
     assert pairwise_moves_bits
+
+
+def test_cond_indep_cells_counts_on_the_full_data_is_cond_indep_cells():
+    """The resample form on one all-ones row is the full-data reconstruction."""
+    records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
+    cols = as_columns(completer_filter(records, CompleterRule.STRATUM_VAR))
+    models = estimators._cond_indep_cells(cols, None, (None, None))[1]
+    warm = tuple(model.fit.coefficients for model in models)
+    zero = np.zeros(cols.x.shape[1] + 1)
+    ones = np.ones((1, len(cols)))
+    for starts in ((zero, zero), warm):
+        want = estimators._cond_indep_cells(cols, None, starts)[0]
+        got, clean = estimators._cond_indep_cells_counts(cols.x, cols.a, ones, starts)
+        assert got.shape == (1, len(JOINT_LABELS)) and clean.tolist() == [True]
+        np.testing.assert_allclose(got[0], want, rtol=1e-12)
 
 
 def test_crossover_effects_hand_values():
