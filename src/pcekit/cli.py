@@ -18,8 +18,9 @@ No command starts a thread. `replicate` runs its whole trials (draw,
 oracle truth, estimate and scoring) through `resampling.spread`, which may
 fork; a trial's bootstrap then stays in the process that runs the trial.
 `estimate` and `diagnose` spread their bootstrap chunks the same way.
-`main` has glibc's allocator keep freed memory in the process for reuse;
-pcekit used as a library leaves the allocator as it is.
+`main` has glibc's allocator keep freed memory in the process for reuse,
+and makes a numpy overflow raise, which ends the command with one error
+line; pcekit used as a library leaves both as they are.
 """
 
 from __future__ import annotations
@@ -575,8 +576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (PcekitError, OSError) as exc:
+        with np.errstate(over="raise"):  # an overflow is an error, not an inf in a report
+            return args.func(args)
+    except (PcekitError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a size too large to allocate; numpy names it

@@ -407,21 +407,15 @@ def _parse_parallel(rows: list[list[str]]) -> tuple[list[str], np.ndarray, Trial
     names = _split_header(rows[0], _PARALLEL_HEAD, ("a", "y"))
     faults: _Faults = []
     _, (ids, arms, *cells) = _data_columns(rows, faults)
-    n = len(ids)
     _ids(ids, faults)
     t = _flags(arms, "treatment", faults, required=True)
     _note(faults, _repeats(list(zip(ids, t.tolist()))),
           lambda i: f"duplicate subject_id {ids[i]!r} in arm {t[i]}")
-    x = _covariates(names, cells[:-2], n, faults)
+    x = _covariates(names, cells[:-2], len(ids), faults)
     a_own = _flags(cells[-2], "a", faults)
     y_own = _numbers(cells[-1], "y", faults)
     _raise_first(faults)
-    own = (np.arange(n), t)
-    a = np.full((n, 2), A_MISSING, dtype=np.int8)
-    a[own] = a_own
-    y = np.full((n, 2), np.nan)
-    y[own] = y_own
-    return ids, t, TrialColumns(names, x, a, y, None)
+    return ids, t, _parallel_columns(names, x, t, a_own, y_own)
 
 
 def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
@@ -481,7 +475,8 @@ class TrialColumns:
     not by period. A parallel observation fills only its own arm; the other
     arm reads as missing. A crossover subject received arm t in period 2
     exactly when ``ef != t``. Build with ``load_columns`` or ``as_columns``,
-    which validate; ``take`` trusts its input.
+    which validate; ``take`` trusts its input. Outside ``take``, only the two
+    builders ``_period_columns`` and ``_parallel_columns`` construct one.
     """
 
     covariate_names: tuple[str, ...]
@@ -541,6 +536,19 @@ def _period_columns(names: tuple[str, ...], x: Sequence, ef: Sequence, a_p: Sequ
     return TrialColumns(names, np.asarray(x, dtype=float).reshape(n, len(names)), a, y, ef)
 
 
+def _parallel_columns(names: tuple[str, ...], x: np.ndarray, arm: Sequence, a_own: Sequence,
+                      y_own: Sequence) -> TrialColumns:
+    """Columns of parallel observations from their (n, p) covariates, arms,
+    and own-arm adherence (A_MISSING if missing) and outcomes (NaN)."""
+    n = len(arm)
+    own = (np.arange(n), arm)
+    a = np.full((n, 2), A_MISSING, dtype=np.int8)
+    a[own] = a_own
+    y = np.full((n, 2), np.nan)
+    y[own] = y_own
+    return TrialColumns(names, x, a, y, None)
+
+
 def crossover_records(ids: Sequence[str], cols: TrialColumns) -> list[SubjectRecord]:
     """Crossover columns as records by period, the i-th named ids[i]."""
     return [
@@ -582,14 +590,10 @@ def as_columns(data: Dataset) -> TrialColumns:
         a_p = [[_sentinel_if_none(r.a_p1), _sentinel_if_none(r.a_p2)] for r in data]
         ef = [r.sequence is TreatmentSequence.EXPERIMENTAL_FIRST for r in data]
         return _period_columns(names, x, ef, a_p, y_p)
-    rows, arm = np.arange(n), np.asarray([o.t for o in data])
     y_own = np.asarray([[_nan_if_none(o.y)] for o in data])
     _check_finite(y_own, np.asarray([[o.y is not None] for o in data]), ids, ("y",))
-    a = np.full((n, 2), A_MISSING, dtype=np.int8)
-    a[rows, arm] = [_sentinel_if_none(o.a) for o in data]
-    y = np.full((n, 2), np.nan)
-    y[rows, arm] = y_own[:, 0]
-    return TrialColumns(names, x, a, y, None)
+    return _parallel_columns(names, x, [o.t for o in data],
+                             [_sentinel_if_none(o.a) for o in data], y_own[:, 0])
 
 
 def completer_mask(cols: TrialColumns, require: CompleterRule) -> np.ndarray:

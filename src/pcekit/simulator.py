@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns, crossover_records
+from .core import (JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns, _period_columns,
+                   by_period, crossover_records)
 from .errors import ConfigError
 
 _TRIAL_STREAM = 0
@@ -215,17 +216,14 @@ def trial_columns(config: DgpConfig) -> TrialColumns:
 
     ef = np.zeros(n, dtype=bool)
     ef[perm[: (n + 1) // 2]] = True
+    y_p = by_period(ef, np.ascontiguousarray(y_pot.T))  # C order, as loaded columns are
     # the observed period-2 outcome; huge period or carry-over knobs overflow it
-    rows, first = np.arange(n), ef.astype(np.int64)
     with np.errstate(all="ignore"):
-        y_p2 = y_pot[1 - first, rows] + config.pi_period + config.lambda_carry * y_pot[first, rows]
-    _require_finite(y_p2, "period-2 outcome draws")
-
-    a = np.stack([code >> 1, code & 1], axis=1)
-    y = y_pot.T.copy()
-    y[rows, 1 - first] = y_p2
-    y[miss < np.asarray(config.missing_y_prob)] = np.nan
-    return TrialColumns((config.covariate_name,), x.reshape(n, 1), a, y, ef)
+        y_p[:, 1] = y_p[:, 1] + config.pi_period + config.lambda_carry * y_p[:, 0]
+    _require_finite(y_p[:, 1], "period-2 outcome draws")
+    y_p[by_period(ef, miss < np.asarray(config.missing_y_prob))] = np.nan
+    a_p = by_period(ef, np.stack([code >> 1, code & 1], axis=1))
+    return _period_columns((config.covariate_name,), x, ef, a_p, y_p)
 
 
 def generate_trial(config: DgpConfig) -> list[SubjectRecord]:

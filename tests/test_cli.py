@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcekit import cli, core, resampling, simulator
@@ -589,6 +590,44 @@ def test_replicate_reports_an_overflowing_squared_error_as_an_error(tmp_path, ca
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: squared estimate errors are not finite")
     assert not out.exists()
+
+
+@pytest.fixture
+def huge_trial_csv(tmp_path, capsys):
+    """A trial whose draws are all finite but whose outcomes are near 1e200."""
+    config, trial = tmp_path / "cfg.json", tmp_path / "huge.csv"
+    config.write_text(json.dumps({"n_subjects": 200, "delta": [1e200, 1e200]}))
+    assert run(["simulate", "--config", config, "--oracle-n", 10_000, "--out", trial]) == 0
+    capsys.readouterr()
+    return trial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--bootstrap", 20, "--format", "csv"],  # the bootstrap SE squares
+        ["diagnose", "--checks", "ignorability"],  # the OLS residual sum of squares
+    ],
+)
+def test_an_overflow_in_a_command_is_an_error(argv, huge_trial_csv, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--input", huge_trial_csv, "--out", out]) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: overflow encountered in ")
+    assert not out.exists()
+
+
+def test_main_leaves_numpy_error_handling_as_it_found_it(huge_trial_csv, capsys):
+    before = np.geterr()
+    assert run(["estimate", "--input", huge_trial_csv]) == 0
+    assert np.geterr() == before
+    assert run(["estimate", "--input", huge_trial_csv, "--bootstrap", 20]) == 1
+    assert np.geterr() == before
 
 
 def test_simulate_monotone_writes_empty_stratum_as_missing(tmp_path, capsys):
