@@ -6,8 +6,10 @@ in any order. Every resample, for the bootstrap and for the independence
 test alike, is drawn by one engine, ``draw_replicates``, in chunks of one
 fixed budget of index draws. A batched fit's last bits can depend on which
 rows share its chunk, so the budget is part of the output: the same chunk
-plan gives the same bytes in any process, another budget may not. It runs
-a caller's exact statistic on each row the caller's batched kernel leaves.
+plan gives the same bytes in any process, another budget may not. Both
+loops plan their chunks by one rule: every full chunk, and the short last
+one when every process would still hold a full chunk. The engine runs a
+caller's exact statistic on each row the caller's batched kernel leaves.
 A replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
 failures the engine errors out.
@@ -305,33 +307,36 @@ def draw_replicates(
     a one-at-a-time loop. Returns the (n_replicates, m) values and the
     failures counted by name; more than 10% failures raise BootstrapError.
 
-    The chunks whose bounds no failure can move are planned up front: every
-    chunk, or with ``redraw`` each one that starts at least one full chunk
-    before ``n_replicates``. ``chunk`` runs on them through ``spread``,
-    which hands back with each chunk's values the rows it leaves; the rest
-    stays here, in chunk order: ``one`` on those rows, failure counts, the
-    10% stop and the redraw tail.
+    The chunks of a run with no failure are planned up front: every full
+    chunk, and the short last one when each process's share would still
+    hold a full chunk. ``chunk`` runs on them through ``spread``, which
+    hands back with each chunk's values the rows it leaves. A planned chunk
+    is taken only when its bounds are the next chunk's; a redraw can only
+    lengthen the last chunk, which is then drawn here and its planned copy
+    dropped unread. The rest stays here, in chunk order: ``one`` on the
+    rows left, failure counts, the 10% stop and the redraws.
     """
     kept: list[np.ndarray] = []
     failure_counts: dict[str, int] = {}
     filled = 0
     attempt = 0
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
-    stop = n_replicates - rows_per_chunk + 1 if redraw else n_replicates
+    full, short = divmod(n_replicates, rows_per_chunk)
 
     def evaluate(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx = resample_index_matrix(seed, *bounds, n)
         values, retry = chunk(idx)
         return values, retry, idx[retry]
 
-    plan = [(first, min(rows_per_chunk, n_replicates - first))
-            for first in range(0, stop, rows_per_chunk)]
+    plan = [(k * rows_per_chunk, rows_per_chunk) for k in range(full)]
+    if short and full >= _process_count(full + 1):
+        plan.append((full * rows_per_chunk, short))
     with closing(spread(evaluate, plan)) as planned:
         while filled < n_replicates:
-            count = min(rows_per_chunk, n_replicates - filled)
-            # below stop, a planned chunk starts at attempt and holds count rows
-            values, retry, left = next(planned) if attempt < stop else evaluate((attempt, count))
-            attempt += count
+            bounds = (attempt, min(rows_per_chunk, n_replicates - filled))
+            taken = len(kept) < len(plan) and plan[len(kept)] == bounds
+            values, retry, left = next(planned) if taken else evaluate(bounds)
+            attempt += bounds[1]
             failed: dict[int, str] = {}
             for r, row in zip(np.flatnonzero(retry).tolist(), left):
                 try:

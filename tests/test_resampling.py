@@ -312,7 +312,7 @@ def one_value(row):
 @pytest.mark.parametrize("n_replicates", [40, 37])
 def test_spread_engine_matches_one_process_bit_for_bit(both_ways, redraw, n_replicates):
     # seed 20 fails replicates 25 and 27, in the planned chunks, and with
-    # redraw at 40 also 40 and 41, in the tail drawn after them; 37
+    # redraw at 40 also 40 and 41, in the chunks drawn after them; 37
     # replicates end on a short chunk
     alone, spread = both_ways(
         lambda: draw_replicates(20, N, n_replicates, chunk_values, one_value, redraw=redraw))
@@ -321,6 +321,75 @@ def test_spread_engine_matches_one_process_bit_for_bit(both_ways, redraw, n_repl
     assert alone[1] == spread[1]
     assert alone[0].shape == (n_replicates, 2)
     assert alone[0].tobytes() == spread[0].tobytes()
+
+
+@pytest.mark.parametrize("action", ["raises", "warns"])
+def test_spread_engine_drops_a_planned_last_chunk_that_redraws_lengthen(both_ways, action):
+    # 37 replicates plan nine full chunks and a 1-row last chunk, which the
+    # last child evaluates; seed 20's failures at replicates 25 and 27 make
+    # that chunk 3 rows long, so the planned copy is never read
+    planned_row = resample_index_matrix(20, 36, 1, N)
+
+    def chunk(idx):
+        if np.array_equal(idx, planned_row):
+            if action == "raises":
+                raise ValueError("the planned last chunk was read")
+            warnings.warn("the planned last chunk was read")
+        return chunk_values(idx)
+
+    def thunk():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, failure_counts = draw_replicates(20, N, 37, chunk, one_value, redraw=True)
+        return values, failure_counts, [str(w.message) for w in caught]
+
+    alone, spread = both_ways(thunk)
+    assert alone[1] == spread[1] == {"InestimableStratumError": 2}
+    assert alone[0].shape == (37, 2)
+    assert alone[0].tobytes() == spread[0].tobytes()
+    assert alone[2] == spread[2] == []
+
+
+def test_spread_engine_plans_the_short_last_chunk_of_a_redraw(both_ways, monkeypatch):
+    # with no failing row the redraw plan is the bootstrap's: this process
+    # draws its share, chunks 0-2, and the last child the 1-row last chunk
+    drawn = []  # a child appends to its own copy
+    real = resample_index_matrix
+
+    def counting(seed, first, count, n):
+        drawn.append((first, count))
+        return real(seed, first, count, n)
+
+    monkeypatch.setattr(resampling, "resample_index_matrix", counting)
+
+    def never_left(idx):
+        return idx[:, :2] * 1.5, np.zeros(len(idx), dtype=bool)
+
+    def thunk():
+        drawn.clear()
+        values, failure_counts = draw_replicates(20, N, 37, never_left, one_value, redraw=True)
+        assert failure_counts == {} and values.shape == (37, 2)
+        return list(drawn)
+
+    alone, spread = both_ways(thunk)
+    assert alone == [(first, ROWS) for first in range(0, 36, ROWS)] + [(36, 1)]
+    assert spread == [(0, ROWS), (4, ROWS), (8, ROWS)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the engine forks only on Linux with more than one CPU")
+@pytest.mark.parametrize("redraw", [False, True], ids=["nan", "redraw"])
+def test_engine_never_forks_for_a_short_last_chunk_alone(monkeypatch, redraw):
+    # one full chunk and a 3-row last one: a child would hold no full chunk
+    monkeypatch.setattr(resampling, "_CHUNK_ELEMENTS", N * ROWS)
+
+    def no_fork():
+        raise AssertionError("forked for a short last chunk")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    values, failure_counts = draw_replicates(20, N, ROWS + 3, chunk_values, one_value,
+                                             redraw=redraw)
+    assert values.shape == (ROWS + 3, 2)
 
 
 def test_spread_engine_aborts_with_the_same_message(both_ways):
