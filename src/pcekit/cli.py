@@ -47,7 +47,8 @@ from .errors import ConfigError, PcekitError
 
 OUT_DIR_ENV = "PCEKIT_OUT_DIR"
 FORMATS = ("md", "csv", "json")
-METHODS = ("ps", "direct", "both")
+# each --method value and the estimation routes it names: one, or every one
+METHODS = {**{m.value: (m,) for m in estimators.PceMethod}, "both": tuple(estimators.PceMethod)}
 
 
 def _out_dir() -> Path:
@@ -194,13 +195,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- estimate
 
 
-def _methods(arg: str) -> list[estimators.PceMethod]:
-    """The estimation routes a --method value names."""
-    if arg == "both":
-        return [estimators.PceMethod.PS, estimators.PceMethod.DIRECT]
-    return [estimators.PceMethod(arg)]
-
-
 def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
     """One row per method/stratum with the three quantities side by side. The
     table comes in (method, stratum, quantity) order, so each run of three
@@ -225,7 +219,7 @@ def _estimates_md(table: list[estimators.EstimateSummary]) -> str:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cols = _load_dataset(args)
-    methods = _methods(args.method)
+    methods = METHODS[args.method]
     spec = None
     if args.bootstrap > 0:
         spec = resampling.BootstrapSpec(
@@ -368,7 +362,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if args.covariates is not None:  # the generator draws one covariate
         estimators._covariate_index((config.covariate_name,), args.covariates)
-    methods = _methods(args.method)
+    methods = METHODS[args.method]
 
     def trial(cfg: simulator.DgpConfig) -> list[tuple[tuple[str, str], tuple]]:
         """One trial's scored cells, in row order: ((method, stratum),

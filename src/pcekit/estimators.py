@@ -3,7 +3,11 @@
 Two routes to stratum means: principal-score weighting, which reweights
 arm-t outcomes by the cross-arm adherence probability g_{1-t}(X) and so
 works on parallel-arm data, and direct stratification, which needs the
-joint stratum observed and so requires crossover records. Stratum
+joint stratum observed and so requires crossover records. ``_ROUTES``
+holds one entry per ``PceMethod``, in enum order: the route's full-data
+form, (cols, covariates) -> (4, 2) arm means per joint stratum, and its
+chunk form, (cols, covariates, (b, n) counts) -> the (b, 4, 2) means of
+each resample and a (b,) mask of the rows left to the full-data form. Stratum
 probabilities likewise come either from observed crossover proportions or
 from model-based reconstructions that assume the two potential adherences
 are independent (conditionally on X, or unconditionally).
@@ -408,7 +412,7 @@ def _ps_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarra
     return mu
 
 
-def _direct_cells(cols: TrialColumns) -> np.ndarray:
+def _direct_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarray:
     """(4, 2) arm means per joint stratum over full completers; NaN rows empty."""
     if not cols.crossover:
         raise PcekitError("direct stratification needs crossover data")
@@ -423,37 +427,18 @@ def _direct_cells(cols: TrialColumns) -> np.ndarray:
     return mu
 
 
-def _table_values(
-    data: Dataset, methods: Sequence[PceMethod], covariates: Sequence[str] | None
-) -> np.ndarray:
-    """All table cells in (method, stratum, quantity) order; NaN = inestimable."""
-    cols = as_columns(data)
-    cells: dict[PceMethod, np.ndarray] = {}
-    if PceMethod.PS in methods:
-        cells[PceMethod.PS] = _ps_cells(cols, covariates)
-    if PceMethod.DIRECT in methods:
-        cells[PceMethod.DIRECT] = _direct_cells(cols)
-    return _table_layout([cells[method] for method in methods])
-
-
-def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
-    """(..., 4, 2) arm means per method, flattened along the last axis in
-    (method, stratum, quantity) order, the quantities being arm0, arm1, diff."""
-    parts = [np.concatenate([mu, mu[..., 1:] - mu[..., :1]], axis=-1) for mu in cells]
-    return np.concatenate([p.reshape(*p.shape[:-2], -1) for p in parts], axis=-1)
-
-
 def _ps_cells_counts(
     cols: TrialColumns, covariates: Sequence[str] | None, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
 
     Both arms' scores are refit for all rows at once by
     ``fit_logistic_counts`` from fit_logistic's own zero start, so each row
-    takes the IRLS path of its one-at-a-time fit. Returns the (b, 4, 2) means,
-    a (b,) mask of the rows whose two fits converged cleanly (the others carry
-    no usable means) and each arm's (b, 2) count-weighted share of extreme
-    scores, NaN where the arm has no complete rows.
+    takes the IRLS path of its one-at-a-time fit. Returns the (b, 4, 2) means
+    and a (b,) mask of the rows whose two fits did not converge cleanly: they
+    carry no usable means and are left to ``_ps_cells``. The extreme-score
+    warning is raised here for the other rows, once per arm and replicate, as
+    ``_clip_scores`` would.
     """
     observed = cols.a != A_MISSING
     _, x = _selected_covariates(cols, covariates)
@@ -483,11 +468,16 @@ def _ps_cells_counts(
                 total = w.sum(axis=1)
                 mu[:, i, t] = np.where(total > 0.0, (w @ y) / total, np.nan)
     mu[np.isnan(mu).any(axis=2)] = np.nan  # a stratum needs both arms
-    return mu, clean, share
+    for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
+        _warn_if_extreme(float(share[r, t]), stacklevel=3)
+    return mu, ~clean
 
 
-def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> np.ndarray:
-    """``_direct_cells`` of each resample in a chunk, given as (b, n) counts: (b, 4, 2)."""
+def _direct_cells_counts(
+    cols: TrialColumns, covariates: Sequence[str] | None, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
+    (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``."""
     complete = completer_mask(cols, CompleterRule.BOTH)
     c, a, y = counts[:, complete], cols.a[complete], cols.y[complete]
     mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
@@ -495,7 +485,30 @@ def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> np.ndarray:
         for i, stratum in enumerate(JOINT_LABELS):
             mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
             mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
-    return mu
+    return mu, np.zeros(counts.shape[0], dtype=bool)
+
+
+# (full-data form, chunk form) of every route, in the order routes run in
+_ROUTES = {
+    PceMethod.PS: (_ps_cells, _ps_cells_counts),
+    PceMethod.DIRECT: (_direct_cells, _direct_cells_counts),
+}
+
+
+def _table_values(
+    data: Dataset, methods: Sequence[PceMethod], covariates: Sequence[str] | None
+) -> np.ndarray:
+    """All table cells in (method, stratum, quantity) order; NaN = inestimable."""
+    cols = as_columns(data)
+    cells = {m: form(cols, covariates) for m, (form, _) in _ROUTES.items() if m in methods}
+    return _table_layout([cells[method] for method in methods])
+
+
+def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
+    """(..., 4, 2) arm means per method, flattened along the last axis in
+    (method, stratum, quantity) order, the quantities being arm0, arm1, diff."""
+    parts = [np.concatenate([mu, mu[..., 1:] - mu[..., :1]], axis=-1) for mu in cells]
+    return np.concatenate([p.reshape(*p.shape[:-2], -1) for p in parts], axis=-1)
 
 
 def _table_chunk(
@@ -508,39 +521,31 @@ def _table_chunk(
 
     Each resample is a row of multinomial counts over the subjects, so every
     mean is a count-weighted sum. Returns the (b, m) values and a (b,) mask
-    of the rows left to ``_table_values``: those whose principal-score fits
-    did not converge cleanly. The extreme-score warning is raised here for
-    the other rows, once per arm and replicate, as ``_clip_scores`` would.
+    of the rows left to ``_table_values``: those any requested route leaves
+    to its full-data form. Routes run in table order.
     """
     counts = resample_counts(idx, len(cols))
-    b = counts.shape[0]
-    retry = np.zeros(b, dtype=bool)
-    cells: dict[PceMethod, np.ndarray] = {}
-    if PceMethod.PS in methods:
-        cells[PceMethod.PS], clean, share = _ps_cells_counts(cols, covariates, counts)
-        retry = ~clean
-        for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
-            _warn_if_extreme(float(share[r, t]), stacklevel=2)
-    if PceMethod.DIRECT in methods:
-        cells[PceMethod.DIRECT] = _direct_cells_counts(cols, counts)
-    return _table_layout([cells[method] for method in methods]), retry
+    runs = {m: form(cols, covariates, counts) for m, (_, form) in _ROUTES.items() if m in methods}
+    retry = np.logical_or.reduce([left for _, left in runs.values()])
+    return _table_layout([runs[method][0] for method in methods]), retry
 
 
 def estimate_pce_table(
     data: Dataset,
-    methods: Sequence[PceMethod] = (PceMethod.PS, PceMethod.DIRECT),
+    methods: Sequence[PceMethod | str] = tuple(PceMethod),
     covariates: Sequence[str] | None = None,
     bootstrap_spec: BootstrapSpec | None = None,
 ) -> list[EstimateSummary]:
     """Per-stratum arm means and treatment contrasts by the requested methods.
 
+    methods (default: every route) may be given by value, such as "ps".
     Crossover records support both methods; parallel observations support
     only principal-score weighting. Bootstrap resampling is at the subject
     level and refits all models inside each replicate; cells inestimable on
     the full data carry NaN points and a note instead of failing the table.
     """
     cols = as_columns(data)
-    methods = list(dict.fromkeys(methods))
+    methods = list(dict.fromkeys(map(PceMethod, methods)))
     if not methods:
         raise ValueError("at least one method required")
     boot = None

@@ -21,6 +21,7 @@ from pcekit.core import (
     write_crossover_csv,
     write_parallel_csv,
 )
+from pcekit.estimators import PceMethod
 from pcekit.simulator import generate_trial, scenario
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -501,6 +502,20 @@ def test_cli_runs_where_malloc_cannot_be_tuned(cdll, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     assert run(argv + ["--out", tmp_path / "untuned.csv"]) == 0
     assert (tmp_path / "untuned.csv").read_bytes() == (tmp_path / "tuned.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", [m.value for m in PceMethod] + ["both"])
+def test_every_method_value_runs_estimate_and_replicate(method, trial_csv, capsys):
+    names = [m.value for m in PceMethod] if method == "both" else [method]
+    assert run(["estimate", "--input", trial_csv, "--method", method, "--bootstrap", 20,
+                "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["method"] for r in rows] == [name for name in names for _ in range(12)]
+    assert run(["replicate", "--scenario", "paper_like", "--n", 60, "--seed", 2,
+                "--replicates", 2, "--method", method, "--oracle-n", 10_000,
+                "--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [c["method"] for c in cells] == [name for name in names for _ in range(4)]
 
 
 def test_replicate_small_run(tmp_path, capsys):

@@ -302,6 +302,38 @@ def test_pce_table_input_validation():
     assert len(rows) == 12
 
 
+def test_pce_table_takes_method_values():
+    records = generate_trial(scenario("paper_like", n_subjects=60, seed=1))
+    by_value = estimate_pce_table(records, methods=["ps", PceMethod.PS])
+    by_enum = estimate_pce_table(records, methods=(PceMethod.PS,))
+    assert [repr(r) for r in by_value] == [repr(r) for r in by_enum]
+    with pytest.raises(ValueError, match="'nope'"):
+        estimate_pce_table(records, methods=["ps", "nope"])
+
+
+def test_pce_table_lays_out_the_requested_order_and_runs_routes_in_table_order(monkeypatch):
+    records = generate_trial(scenario("paper_like", n_subjects=80, seed=3))
+    spec = BootstrapSpec(n_replicates=40, seed=2)
+    forward = estimate_pce_table(records, (PceMethod.PS, PceMethod.DIRECT), bootstrap_spec=spec)
+    assert list(estimators._ROUTES) == list(PceMethod)
+    ran = []
+
+    def recording(method, form):
+        def run(*args):
+            ran.append(method)
+            return form(*args)
+        return run
+
+    monkeypatch.setattr(estimators, "_ROUTES", {
+        m: tuple(recording(m, form) for form in forms) for m, forms in estimators._ROUTES.items()
+    })
+    monkeypatch.setattr(resampling, "_process_count", lambda items: 1)  # every chunk runs here
+    reverse = estimate_pce_table(records, (PceMethod.DIRECT, PceMethod.PS), bootstrap_spec=spec)
+    assert [repr(r) for r in reverse] == [repr(r) for r in forward[12:] + forward[:12]]
+    # the full-data table and at least one chunk, each route by route in table order
+    assert len(ran) >= 4 and ran == [PceMethod.PS, PceMethod.DIRECT] * (len(ran) // 2)
+
+
 def test_unknown_covariate_is_reported():
     records = generate_trial(scenario("paper_like", n_subjects=40, seed=2))
     with pytest.raises(PcekitError, match="x_nope"):
@@ -390,6 +422,9 @@ BATCH_CASES = {
     "separating": (lambda: load_crossover_csv(DATA / "sparse_refit.csv"), BOTH, None, 40, 4),
     "constant_response": (few_adherers, BOTH, (), 100, 0),
     "no_control_outcomes": (no_control_outcomes, (PceMethod.PS,), None, 40, 6),
+    # the direct chunk form on its own: one subject in S10, missed by some resamples
+    "direct_only": (lambda: load_crossover_csv(DATA / "sparse_stratum.csv"),
+                    (PceMethod.DIRECT,), None, 40, 8),
 }
 
 
