@@ -24,6 +24,7 @@ from .core import (
     load_crossover_csv,
     load_parallel_csv,
     stratum_counts,
+    write_columns,
     write_crossover_csv,
     write_parallel_csv,
 )

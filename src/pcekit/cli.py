@@ -179,14 +179,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--out and --truth-out both name {out}; write them to two files")
     config = _load_config(args)
     # compute and render everything before writing either file
-    truth = simulator.true_pce(config, args.oracle_n)
-    records = simulator.generate_trial(config)
-    doc = truth.to_dict()
+    doc = simulator.true_pce(config, args.oracle_n).to_dict()
+    cols = simulator.trial_columns(config)
     rows = [{"stratum": stratum, **cell} for stratum, cell in doc["strata"].items()]
     text = _render("csv" if truth_out.endswith(".csv") else "json", doc, rows, "")
-    core.write_crossover_csv(records, out)
-    Path(truth_out).write_text(text, encoding="utf-8")
-    print(f"wrote {out} ({len(records)} subjects)")
+    core.write_columns(simulator.subject_ids(config.n_subjects), cols, out)
+    try:
+        Path(truth_out).write_text(text, encoding="utf-8")
+    except OSError:  # write both files or neither
+        Path(out).unlink()
+        raise
+    print(f"wrote {out} ({len(cols)} subjects)")
     print(f"wrote {truth_out} (oracle_n={args.oracle_n})")
     print(f"seed {config.seed}  config {_config_digest(config)}")
     return 0

@@ -3,8 +3,10 @@
 A crossover subject contributes one row with both period observations; the
 treatment indicator is 0 for control and 1 for experimental. A missing value
 is ``NA`` on disk (empty cells are accepted on read), ``None`` in a record,
-and NaN (outcome) or ``A_MISSING`` (adherence) in ``TrialColumns``. Floats
-are written with ``repr`` so a write/read cycle is bit-exact.
+and NaN (outcome) or ``A_MISSING`` (adherence) in ``TrialColumns``. Files
+are read and written a column at a time, by ``load_columns`` and
+``write_columns``; the record loaders and writers are adapters over them.
+Floats are written with ``repr`` so a write/read cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -176,15 +178,6 @@ def csv_cell(v: object) -> str:
     return str(int(v)) if isinstance(v, bool) else str(v)
 
 
-def _data_row(header: Sequence[str], values: Sequence) -> list[str]:
-    """The cells of one written row, whose first value is the subject id. A
-    non-finite number would not load back, so it is refused here, by name."""
-    for column, v in zip(header, values):
-        if isinstance(v, float) and not math.isfinite(v):
-            raise SchemaError(f"subject {values[0]!r}: {column}={v!r} is not a finite number")
-    return [csv_cell(v) for v in values]
-
-
 def _split_header(
     header: Sequence[str], fixed_head: tuple[str, ...], fixed_tail: tuple[str, ...]
 ) -> tuple[str, ...]:
@@ -249,6 +242,7 @@ _FLAGS = {"0": 0, "1": 1, "": A_MISSING, MISSING_TOKEN: A_MISSING}
 _SEQUENCES = {s.value: int(s is TreatmentSequence.EXPERIMENTAL_FIRST) for s in TreatmentSequence}
 _MISSING_TOKENS = frozenset(("", MISSING_TOKEN))
 _AS_NAN = dict.fromkeys(_MISSING_TOKENS, "nan")
+_SEQUENCE_CELLS = {code: token for token, code in _SEQUENCES.items()}  # for write_columns
 
 
 def _note(faults: _Faults, bad: np.ndarray, message: Callable[[int], str]) -> None:
@@ -371,34 +365,10 @@ def load_crossover_csv(path: str | Path) -> list[SubjectRecord]:
     return crossover_records(*_parse_crossover(_read_rows(path)))
 
 
-def _covariate_names(data: Sequence[SubjectRecord | ParallelObservation]) -> tuple[str, ...]:
-    """The covariate columns that every record of non-empty data names."""
-    names = data[0].covariate_names
-    if any(rec.covariate_names != names for rec in data):
-        raise SchemaError("records disagree on covariate columns")
-    return names
-
-
-def _write_rows(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_crossover_csv(records: Sequence[SubjectRecord], path: str | Path) -> None:
     if not records:
         raise ValueError("refusing to write an empty record list")
-    header = [*_CROSSOVER_HEAD, *_covariate_names(records), *_CROSSOVER_FIXED_TAIL]
-    rows = [
-        _data_row(
-            header,
-            [rec.subject_id, rec.sequence.value, *rec.covariates,
-             rec.t_p1, rec.t_p2, rec.a_p1, rec.a_p2, rec.y_p1, rec.y_p2],
-        )
-        for rec in records
-    ]
-    _write_rows(path, header, rows)
+    write_columns([rec.subject_id for rec in records], as_columns(records), path)
 
 
 def _parse_parallel(rows: list[list[str]]) -> tuple[list[str], np.ndarray, TrialColumns]:
@@ -433,9 +403,7 @@ def load_parallel_csv(path: str | Path) -> list[ParallelObservation]:
 def write_parallel_csv(obs: Sequence[ParallelObservation], path: str | Path) -> None:
     if not obs:
         raise ValueError("refusing to write an empty observation list")
-    header = [*_PARALLEL_HEAD, *_covariate_names(obs), "a", "y"]
-    _write_rows(path, header, [_data_row(header, [o.subject_id, o.t, *o.covariates, o.a, o.y])
-                               for o in obs])
+    write_columns([o.subject_id for o in obs], as_columns(obs), path, [o.t for o in obs])
 
 
 def load_columns(path: str | Path) -> TrialColumns:
@@ -448,6 +416,34 @@ def load_columns(path: str | Path) -> TrialColumns:
     if not len(cols):
         raise InsufficientDataError("no data")
     return cols
+
+
+def write_columns(ids: Sequence[str], cols: TrialColumns, path: str | Path,
+                  arms: Sequence[int] | None = None) -> None:
+    """Write crossover columns by period, the i-th row named ids[i], or
+    parallel columns with the i-th observation in arm arms[i]. A non-finite
+    covariate or outcome would not load back, so it is refused, by subject
+    and column, before the file is opened."""
+    if len(ids) != len(cols) or cols.crossover == (arms is not None):
+        raise ValueError("write one id per row, and arms with parallel columns only")
+    if cols.crossover:
+        head, tail = _CROSSOVER_HEAD, _CROSSOVER_FIXED_TAIL
+        t_p1 = cols.ef.astype(np.int8)  # (t_p1, t_p2) is (0, 1) for CF and (1, 0) for EF
+        lead = list(map(_SEQUENCE_CELLS.get, t_p1.tolist()))
+        flags = np.column_stack([t_p1, 1 - t_p1, by_period(cols.ef, cols.a)])
+        y = by_period(cols.ef, cols.y)
+    else:
+        head, tail = _PARALLEL_HEAD, ("a", "y")
+        own = (np.arange(len(ids)), arms)
+        lead, flags, y = arms, cols.a[own][:, None], cols.y[own][:, None]
+    _check_finite(cols.x, True, ids, cols.covariate_names)
+    _check_finite(y, ~np.isnan(y), ids, tail[-y.shape[1]:])
+    flags = np.where(flags == A_MISSING, None, flags)  # csv_cell writes None and NaN as NA
+    columns = [*cols.x.T.tolist(), *flags.T.tolist(), *y.T.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*head, *cols.covariate_names, *tail])
+        writer.writerows(zip(ids, lead, *(map(csv_cell, column) for column in columns)))
 
 
 def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObservation]:
@@ -502,7 +498,7 @@ class TrialColumns:
 Dataset = Union[Sequence[SubjectRecord], Sequence[ParallelObservation], TrialColumns]
 
 
-def _check_finite(values: np.ndarray, observed: np.ndarray, ids: Sequence[str],
+def _check_finite(values: np.ndarray, observed: np.ndarray | bool, ids: Sequence[str],
                   columns: Sequence[str]) -> None:
     bad = observed & ~np.isfinite(values)
     if bad.any():
@@ -510,14 +506,6 @@ def _check_finite(values: np.ndarray, observed: np.ndarray, ids: Sequence[str],
         raise SchemaError(
             f"subject {ids[i]!r}: {columns[j]}={float(values[i, j])!r} is not a finite number"
         )
-
-
-def _nan_if_none(v: float | None) -> float:
-    return np.nan if v is None else float(v)
-
-
-def _sentinel_if_none(v: int | None) -> int:
-    return A_MISSING if v is None else v
 
 
 def by_period(ef: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -578,22 +566,24 @@ def as_columns(data: Dataset) -> TrialColumns:
     kind = SubjectRecord if crossover else ParallelObservation
     if not all(isinstance(rec, kind) for rec in data):
         raise SchemaError("data mixes crossover records and parallel observations")
-    names = _covariate_names(data)
-    n = len(data)
+    names = data[0].covariate_names
+    if any(rec.covariate_names != names for rec in data):
+        raise SchemaError("records disagree on covariate columns")
     ids = [rec.subject_id for rec in data]
-    x = np.asarray([rec.covariates for rec in data], dtype=float).reshape(n, len(names))
-    _check_finite(x, np.ones(x.shape, dtype=bool), ids, names)
+    x = np.asarray([rec.covariates for rec in data], dtype=float).reshape(len(data), len(names))
+    _check_finite(x, True, ids, names)
     if crossover:
-        y_p = np.asarray([[_nan_if_none(r.y_p1), _nan_if_none(r.y_p2)] for r in data])
-        observed = np.asarray([[r.y_p1 is not None, r.y_p2 is not None] for r in data])
-        _check_finite(y_p, observed, ids, ("y_p1", "y_p2"))
-        a_p = [[_sentinel_if_none(r.a_p1), _sentinel_if_none(r.a_p2)] for r in data]
+        a, y = [(r.a_p1, r.a_p2) for r in data], [(r.y_p1, r.y_p2) for r in data]
+    else:
+        a, y = [(o.a,) for o in data], [(o.y,) for o in data]
+    # None is missing: A_MISSING in a, NaN in y
+    a = np.where(np.equal(a, None), A_MISSING, a).astype(np.int8)
+    y_observed, y = np.not_equal(y, None), np.asarray(y, dtype=float)
+    _check_finite(y, y_observed, ids, ("y_p1", "y_p2") if crossover else ("y",))
+    if crossover:
         ef = [r.sequence is TreatmentSequence.EXPERIMENTAL_FIRST for r in data]
-        return _period_columns(names, x, ef, a_p, y_p)
-    y_own = np.asarray([[_nan_if_none(o.y)] for o in data])
-    _check_finite(y_own, np.asarray([[o.y is not None] for o in data]), ids, ("y",))
-    return _parallel_columns(names, x, [o.t for o in data],
-                             [_sentinel_if_none(o.a) for o in data], y_own[:, 0])
+        return _period_columns(names, x, ef, a, y)
+    return _parallel_columns(names, x, [o.t for o in data], a[:, 0], y[:, 0])
 
 
 def completer_mask(cols: TrialColumns, require: CompleterRule) -> np.ndarray:

@@ -538,14 +538,15 @@ def estimate_pce_table(
 ) -> list[EstimateSummary]:
     """Per-stratum arm means and treatment contrasts by the requested methods.
 
-    methods (default: every route) may be given by value, such as "ps".
+    methods (default: every route): one or several, by value ("ps") or member.
     Crossover records support both methods; parallel observations support
     only principal-score weighting. Bootstrap resampling is at the subject
     level and refits all models inside each replicate; cells inestimable on
     the full data carry NaN points and a note instead of failing the table.
     """
     cols = as_columns(data)
-    methods = list(dict.fromkeys(map(PceMethod, methods)))
+    lone = isinstance(methods, (str, PceMethod))  # one method, not a list of them
+    methods = list(dict.fromkeys(map(PceMethod, [methods] if lone else methods)))
     if not methods:
         raise ValueError("at least one method required")
     boot = None

@@ -226,11 +226,14 @@ def trial_columns(config: DgpConfig) -> TrialColumns:
     return _period_columns((config.covariate_name,), x, ef, a_p, y_p)
 
 
+def subject_ids(n: int) -> list[str]:
+    """The ids of a simulated trial's n subjects: s1 to sn, zero-padded to one width."""
+    return [f"s{i:0{len(str(n))}d}" for i in range(1, n + 1)]
+
+
 def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     """One simulated trial as records: the draw of ``trial_columns``, by period."""
-    cols = trial_columns(config)
-    width = len(str(len(cols)))
-    return crossover_records([f"s{i:0{width}d}" for i in range(1, len(cols) + 1)], cols)
+    return crossover_records(subject_ids(config.n_subjects), trial_columns(config))
 
 
 @dataclass(frozen=True)

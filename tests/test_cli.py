@@ -69,6 +69,37 @@ def test_simulate_writes_and_reruns_byte_identical(tmp_path, capsys):
     assert truth2.read_text().startswith("stratum,probability")
 
 
+def test_simulate_writes_its_columns_without_building_records(tmp_path, monkeypatch, capsys):
+    config = scenario("paper_like", n_subjects=50, seed=11)
+    want = tmp_path / "records.csv"
+    write_crossover_csv(generate_trial(config), want)
+
+    def no_records(*args):
+        raise AssertionError("simulate built records")
+
+    for module in (core, simulator):  # simulator binds the name at import
+        monkeypatch.setattr(module, "crossover_records", no_records)
+    out = tmp_path / "t.csv"
+    argv = ["simulate", "--scenario", "paper_like", "--n", 50, "--seed", 11, "--oracle-n", 10_000,
+            "--out", out]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_simulate_writes_no_trial_when_its_truth_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "d2").mkdir()
+    out = tmp_path / "d2" / "t.csv"
+    argv = ["simulate", "--scenario", "paper_like", "--n", 20, "--oracle-n", 10_000,
+            "--out", out, "--truth-out", tmp_path / "nodir" / "t.json"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_simulate_default_paths_use_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PCEKIT_OUT_DIR", str(tmp_path))
     assert run(["simulate", "--scenario", "paper_like", "--n", 30, "--oracle-n", 10_000]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -22,10 +23,12 @@ from pcekit.core import (
     load_columns,
     load_crossover_csv,
     load_parallel_csv,
+    write_columns,
     write_crossover_csv,
     write_parallel_csv,
 )
 from pcekit.errors import InsufficientDataError, MissingDataError, SchemaError
+from pcekit.simulator import scenario, scenario_names, subject_ids, trial_columns
 
 from conftest import make_record
 
@@ -202,38 +205,69 @@ def test_parallel_csv_rejects_non_finite_numbers(tmp_path, column, token):
         load_parallel_csv(path)
 
 
-NON_FINITE_RECORDS = pytest.mark.parametrize(
-    "record,message",
-    [
-        (make_record("s1", x=(math.nan,)), "subject 's1': x_base=nan"),
-        (make_record("s1", y=(math.inf, 1.0)), "subject 's1': y_p1=inf"),
-        (make_record("s1", y=(None, -math.inf)), "subject 's1': y_p2=-inf"),
-        (
-            ParallelObservation("p1", ("x_base",), (1.0,), t=1, a=0, y=math.nan),
-            "subject 'p1': y=nan",
-        ),
-    ],
-)
+NON_FINITE_RECORDS = [
+    (make_record("s1", x=(math.nan,)), "subject 's1': x_base=nan"),
+    (make_record("s1", y=(math.inf, 1.0)), "subject 's1': y_p1=inf"),
+    (make_record("s1", y=(None, -math.inf)), "subject 's1': y_p2=-inf"),
+    (
+        ParallelObservation("p1", ("x_base",), (1.0,), t=1, a=0, y=math.nan),
+        "subject 'p1': y=nan",
+    ),
+]
+
+# hand-built columns, as (ids, columns, arms): s1 is experimental-first, so
+# its arm-0 outcome is its period-2 one; a NaN outcome in columns is missing
+_CROSSOVER = as_columns([make_record("s0"), make_record("s1", "EF")])
+_PARALLEL = as_columns([ParallelObservation("p1", ("x_base",), (1.0,), t=1, a=0, y=1.0)])
+NON_FINITE_COLUMNS = [
+    ((["s0", "s1"], dataclasses.replace(_CROSSOVER, x=np.array([[1.0], [math.inf]])), None),
+     "subject 's1': x_base=inf"),
+    ((["s0", "s1"], dataclasses.replace(_CROSSOVER, x=np.array([[math.nan], [1.0]])), None),
+     "subject 's0': x_base=nan"),
+    ((["s0", "s1"], dataclasses.replace(_CROSSOVER, y=np.array([[10.0, 12.0], [-math.inf, 10.0]])),
+      None), "subject 's1': y_p2=-inf"),
+    ((["p1"], dataclasses.replace(_PARALLEL, y=np.array([[math.nan, math.inf]])), [1]),
+     "subject 'p1': y=inf"),
+]
 
 
-@NON_FINITE_RECORDS
+@pytest.mark.parametrize("record,message", NON_FINITE_RECORDS)
 def test_columns_reject_non_finite_numbers(record, message):
     data = [make_record("s0"), record] if isinstance(record, SubjectRecord) else [record]
     with pytest.raises(SchemaError, match=f"{message} is not a finite number"):
         as_columns(data)
 
 
-@NON_FINITE_RECORDS
+@pytest.mark.parametrize("record,message", NON_FINITE_RECORDS + NON_FINITE_COLUMNS)
 def test_writers_reject_non_finite_numbers(record, message, tmp_path):
     # a written nan or inf would not load back, so nothing is written
     path = tmp_path / "out.csv"
-    if isinstance(record, SubjectRecord):
-        write = write_crossover_csv
-        data = [make_record("s0"), record]
-    else:
-        write, data = write_parallel_csv, [record]
     with pytest.raises(SchemaError, match=f"{message} is not a finite number"):
-        write(data, path)
+        if isinstance(record, SubjectRecord):
+            write_crossover_csv([make_record("s0"), record], path)
+        elif isinstance(record, ParallelObservation):
+            write_parallel_csv([record], path)
+        else:
+            ids, cols, arms = record
+            write_columns(ids, cols, path, arms)
+    assert not path.exists()
+
+
+def test_record_writer_refuses_a_covariate_fault_before_an_earlier_outcome_fault(tmp_path):
+    # records are checked as as_columns checks them: every covariate, then the outcomes
+    records = [make_record("s0", y=(math.inf, 1.0)), make_record("s1", x=(math.nan,))]
+    path = tmp_path / "out.csv"
+    with pytest.raises(SchemaError, match="^subject 's1': x_base=nan is not a finite number"):
+        write_crossover_csv(records, path)
+    assert not path.exists()
+
+
+def test_write_columns_refuses_ids_or_arms_that_do_not_fit(tmp_path):
+    path = tmp_path / "out.csv"
+    for ids, cols, arms in [(["s0"], _CROSSOVER, None), (["s0", "s1"], _CROSSOVER, [0, 1]),
+                            (["p1"], _PARALLEL, None)]:
+        with pytest.raises(ValueError, match="one id per row"):
+            write_columns(ids, cols, path, arms)
     assert not path.exists()
 
 
@@ -337,11 +371,7 @@ def test_write_refuses_empty_and_mixed_columns(tmp_path):
 INPUT_FILES = sorted(p for p in DATA.glob("*.csv") if ".out." not in p.name and "truth" not in p.name)
 
 
-@pytest.mark.parametrize("path", INPUT_FILES, ids=lambda p: p.name)
-def test_load_columns_equals_the_columns_of_the_loaded_records(path):
-    header = path.read_text(encoding="utf-8").split(",", 2)[:2]
-    load = load_crossover_csv if header[1] == "sequence" else load_parallel_csv
-    got, want = load_columns(path), as_columns(load(path))
+def assert_same_columns(got, want):
     assert got.covariate_names == want.covariate_names
     for field in ("x", "a", "y", "ef"):
         g, w = getattr(got, field), getattr(want, field)
@@ -350,6 +380,44 @@ def test_load_columns_equals_the_columns_of_the_loaded_records(path):
             continue
         # bitwise: NaN equals NaN, and 0.0 differs from -0.0
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field
+
+
+@pytest.mark.parametrize("path", INPUT_FILES, ids=lambda p: p.name)
+def test_load_columns_equals_the_columns_of_the_loaded_records(path):
+    header = path.read_text(encoding="utf-8").split(",", 2)[:2]
+    load = load_crossover_csv if header[1] == "sequence" else load_parallel_csv
+    assert_same_columns(load_columns(path), as_columns(load(path)))
+
+
+@pytest.mark.parametrize("path", INPUT_FILES, ids=lambda p: p.name)
+def test_input_files_round_trip_through_the_record_writers_to_their_bytes(path, tmp_path):
+    if load_columns(path).crossover:
+        load, write = load_crossover_csv, write_crossover_csv
+    else:
+        load, write = load_parallel_csv, write_parallel_csv
+    out = tmp_path / path.name
+    write(load(path), out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_write_columns_round_trips_a_simulated_trial(name, tmp_path):
+    config = dataclasses.replace(scenario(name, n_subjects=60, seed=9), missing_y_prob=(0.2, 0.3))
+    cols = trial_columns(config)
+    assert np.isnan(cols.y).any()  # NA cells are written and read back
+    path = tmp_path / "trial.csv"
+    write_columns(subject_ids(len(cols)), cols, path)
+    assert_same_columns(load_columns(path), cols)
+
+
+def test_write_columns_round_trips_parallel_columns(tmp_path):
+    source = DATA / "parallel_ps.csv"
+    obs, cols = load_parallel_csv(source), load_columns(source)
+    assert any(o.a is None and o.y is None for o in obs)  # no observed cell: only arms gives its arm
+    path = tmp_path / "parallel.csv"
+    write_columns([o.subject_id for o in obs], cols, path, [o.t for o in obs])
+    assert_same_columns(load_columns(path), cols)
+    assert path.read_bytes() == source.read_bytes()
 
 
 def test_input_files_cover_both_shapes():

@@ -307,6 +307,9 @@ def test_pce_table_takes_method_values():
     by_value = estimate_pce_table(records, methods=["ps", PceMethod.PS])
     by_enum = estimate_pce_table(records, methods=(PceMethod.PS,))
     assert [repr(r) for r in by_value] == [repr(r) for r in by_enum]
+    for lone in ("ps", PceMethod.PS):  # one method alone is a list of one
+        by_lone = estimate_pce_table(records, methods=lone)
+        assert [repr(r) for r in by_lone] == [repr(r) for r in by_enum]
     with pytest.raises(ValueError, match="'nope'"):
         estimate_pce_table(records, methods=["ps", "nope"])
 

@@ -19,14 +19,13 @@ from pcekit.core import (
     _CROSSOVER_FIXED_TAIL,
     _CROSSOVER_HEAD,
     _PARALLEL_HEAD,
+    A_MISSING,
     MISSING_TOKEN,
     ParallelObservation,
     TreatmentSequence,
     TrialColumns,
-    _nan_if_none,
     _period_columns,
     _read_rows,
-    _sentinel_if_none,
     _split_header,
     as_columns,
     as_parallel,
@@ -43,6 +42,14 @@ from pcekit.simulator import generate_trial, scenario
 from test_cli_fuzz import BYTES, FUZZ, TOKENS, mutate_bytes, mutate_cells
 
 # ---- the row-wise reference ------------------------------------------------
+
+
+def _nan_if_none(v: float | None) -> float:
+    return math.nan if v is None else float(v)
+
+
+def _sentinel_if_none(v: int | None) -> int:
+    return A_MISSING if v is None else v
 
 
 def _parse_int01(token: str, what: str, row: int) -> int | None:
