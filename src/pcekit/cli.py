@@ -30,7 +30,6 @@ import csv
 import ctypes
 import dataclasses
 import io
-import json
 import math
 import os
 import re
@@ -76,6 +75,8 @@ def _render(fmt: str, doc: object, rows: Sequence[dict], md: str) -> str:
     """One report as text: doc as JSON, rows (dicts sharing their keys) as
     CSV under a header of those keys, or md as it is."""
     if fmt == "json":
+        import json  # only JSON reports and simulate's truth file need it
+
         text = json.dumps(_finite_or_none(doc), indent=2, sort_keys=True, allow_nan=False)
         return text + "\n"
     if fmt == "csv":
@@ -106,6 +107,7 @@ def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 def _config_digest(config: simulator.DgpConfig) -> str:
     import hashlib  # loads OpenSSL; only simulate prints a digest
+    import json
 
     blob = json.dumps(config.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -142,6 +144,8 @@ def _parse_covariates(arg: str) -> tuple[str, ...]:
 
 def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
     if args.config is not None:
+        import json
+
         with open(args.config, "rb") as fh:
             text = core.decode_utf8(fh.read(), args.config)
         try:

@@ -10,9 +10,8 @@ independence-based reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ class MonotonicityDirection(Enum):
         return (StratumLabel(0, 1), StratumLabel(1, 0))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     direction: MonotonicityDirection
     table: StratumTable
     violating_proportion: float
@@ -105,8 +103,7 @@ def monotonicity_report(
     )
 
 
-@dataclass(frozen=True)
-class RegressionRow:
+class RegressionRow(NamedTuple):
     """One outcome-on-adherence regression (covariate- and period-adjusted)."""
 
     outcome_arm: int
@@ -118,8 +115,7 @@ class RegressionRow:
     adjusted_mean_a1: float
 
 
-@dataclass(frozen=True)
-class IgnorabilityReport:
+class IgnorabilityReport(NamedTuple):
     """Own-arm rows gauge within-treatment ignorability, cross-arm rows the
     cross-world version; a significant cross-arm coefficient is the red flag
     for weighting-based estimation."""
@@ -134,7 +130,7 @@ class IgnorabilityReport:
         raise KeyError((outcome_arm, adherence_arm))
 
     def to_dict(self) -> dict:
-        return {"n": self.n_subjects, "regressions": [asdict(r) for r in self.rows]}
+        return {"n": self.n_subjects, "regressions": [r._asdict() for r in self.rows]}
 
 
 def ignorability_regressions(
@@ -177,8 +173,7 @@ def ignorability_regressions(
     return IgnorabilityReport(rows=tuple(rows), n_subjects=len(cols))
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     method: ProbMethod
     observed: dict[StratumLabel, float]
     estimated: dict[StratumLabel, float]
@@ -287,8 +282,7 @@ def independence_test(
     )
 
 
-@dataclass(frozen=True)
-class CrossoverEffectsReport:
+class CrossoverEffectsReport(NamedTuple):
     """Two-stage crossover analysis on period differences and sums."""
 
     n_cf: int
@@ -303,7 +297,7 @@ class CrossoverEffectsReport:
     sequence_p: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _pooled_t(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:

@@ -22,7 +22,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,8 +376,7 @@ def estimate_stratum_probs(
 QUANTITIES = ("arm0", "arm1", "diff")
 
 
-@dataclass(frozen=True)
-class EstimateSummary:
+class EstimateSummary(NamedTuple):
     stratum: StratumLabel
     quantity: str  # arm0 | arm1 | diff
     method: PceMethod

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def intercept_design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     names: tuple[str, ...]
     coefficients: np.ndarray
     standard_errors: np.ndarray
@@ -100,8 +99,7 @@ class OlsFit:
         return float(self.coefficients[self.names.index(name)])
 
 
-@dataclass(frozen=True)
-class LogisticFit:
+class LogisticFit(NamedTuple):
     names: tuple[str, ...]
     coefficients: np.ndarray
     converged: bool

@@ -33,7 +33,7 @@ import threading
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class BootstrapSpec:
             raise ValueError("ci_level must be strictly between 0 and 1")
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     point: float
     se: float
     ci: tuple[float, float]
@@ -384,8 +383,7 @@ def bootstrap(
     )
 
 
-@dataclass(frozen=True)
-class VectorBootstrapResult:
+class VectorBootstrapResult(NamedTuple):
     """Component-wise bootstrap summaries sharing one set of resamples."""
 
     points: np.ndarray

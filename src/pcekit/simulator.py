@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,8 +237,7 @@ def generate_trial(config: DgpConfig) -> list[SubjectRecord]:
     return crossover_records(subject_ids(config.n_subjects), trial_columns(config))
 
 
-@dataclass(frozen=True)
-class TruthRow:
+class TruthRow(NamedTuple):
     stratum: StratumLabel
     probability: float
     prob_mc_se: float
@@ -248,8 +248,7 @@ class TruthRow:
     n_members: int
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(NamedTuple):
     """Monte Carlo ground truth for a config, from an independent oracle draw."""
 
     rows: tuple[TruthRow, ...]
@@ -267,7 +266,7 @@ class TruthTable:
             "oracle_n": self.oracle_n,
             "seed": self.seed,
             "strata": {
-                str(r.stratum): {k: v for k, v in dataclasses.asdict(r).items() if k != "stratum"}
+                str(r.stratum): {k: v for k, v in r._asdict().items() if k != "stratum"}
                 for r in self.rows
             },
         }
@@ -285,7 +284,7 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     if oracle_n < MIN_ORACLE_N:
         raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
     rng = _stream(config.seed, _ORACLE_STREAM)
-    _, code, y = _draw_population(config, rng, oracle_n)
+    code, y = _draw_population(config, rng, oracle_n)[1:]  # the covariates go before the sort
     # stratum members as contiguous slices, each in draw order, so every sum
     # adds the same elements in the same order as a boolean mask would
     counts = np.bincount(code, minlength=len(JOINT_LABELS))

@@ -1,9 +1,11 @@
-"""No command loads scipy, and the everyday commands load no OpenSSL or thread pool.
+"""No command loads scipy, and the everyday commands load no OpenSSL, thread
+pool or JSON codec.
 
 pcekit needs numpy only: importing scipy.special would take longer than
 most commands and add about 20 MB of resident memory. ``hashlib`` (which
-loads OpenSSL) and ``concurrent.futures`` (which brings logging, queue and
-traceback) are imported only by the commands that use them. Each case runs
+loads OpenSSL), ``concurrent.futures`` (which brings logging, queue and
+traceback) and ``json`` are imported only by the commands that use them:
+every CLI process pays for what ``import pcekit.cli`` loads. Each case runs
 in a fresh interpreter and reports the exit code and the watched modules
 loaded.
 """
@@ -20,8 +22,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
 # with no arguments: import the CLI, then every other pcekit module too
+# json is watched, so the script imports it for its report only after the snapshot
 SCRIPT = """
-import importlib, json, pkgutil, sys
+import importlib, pkgutil, sys
 import pcekit, pcekit.cli
 if len(sys.argv) > 1:
     code = pcekit.cli.main(sys.argv[1:])
@@ -29,9 +32,10 @@ else:
     code = 0
     for module in pkgutil.iter_modules(pcekit.__path__):
         importlib.import_module("pcekit." + module.name)
-watched = ("scipy", "hashlib", "concurrent")
-print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules
-                                                 if m.split(".")[0] in watched)}))
+watched = ("scipy", "hashlib", "concurrent", "json")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in watched)
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 
@@ -88,6 +92,27 @@ def test_command_runs_without_loading_scipy(argv, tmp_path):
     ],
     ids=["import", "estimate", "diagnose-all"],
 )
-@pytest.mark.parametrize("package", ["hashlib", "concurrent"])
+@pytest.mark.parametrize("package", ["hashlib", "concurrent", "json"])
 def test_everyday_commands_load_no_openssl_or_thread_pool(argv, package, tmp_path):
     assert loaded_modules([str(a).format(tmp=tmp_path) for a in argv], package) == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "writes_json"),
+    [
+        (["estimate", "--input", DATA / "crossover_missing.csv", "--format", "csv",
+          "--out", "{tmp}/estimate.csv"], False),
+        (["replicate", "--scenario", "paper_like", "--n", "60", "--replicates", "2",
+          "--out", "{tmp}/replicate.md"], False),
+        (["replicate", "--scenario", "paper_like", "--n", "60", "--replicates", "2",
+          "--format", "csv", "--out", "{tmp}/replicate.csv"], False),
+        (["diagnose", "--input", DATA / "crossover_missing.csv", "--checks", "effects",
+          "--format", "json", "--out", "{tmp}/diagnose.json"], True),
+        (["simulate", "--scenario", "paper_like", "--out", "{tmp}/trial.csv",
+          "--truth-out", "{tmp}/truth.json"], True),
+    ],
+    ids=["estimate-csv", "replicate-md", "replicate-csv", "diagnose-json", "simulate"],
+)
+def test_json_is_loaded_only_to_write_json(argv, writes_json, tmp_path):
+    loaded = loaded_modules([str(a).format(tmp=tmp_path) for a in argv], "json")
+    assert ("json" in loaded) == writes_json, loaded
