@@ -21,6 +21,14 @@ fork; a trial's bootstrap then stays in the process that runs the trial.
 `main` has glibc's allocator keep freed memory in the process for reuse,
 and makes a numpy overflow raise, which ends the command with one error
 line; pcekit used as a library leaves both as they are.
+
+Each command loads only the modules it runs, since a fresh process
+compiles every module it imports. `import pcekit.cli` loads `core`,
+`errors`, `estimators`, `glm` and `resampling`, which `estimate` runs on;
+`diagnose` loads `diagnostics` too, and `simulate` and `replicate` load
+`simulator`. The parser names all four commands but builds the arguments
+of the one on the command line alone, as their choices come from
+`diagnostics` and `simulator`.
 """
 
 from __future__ import annotations
@@ -36,13 +44,17 @@ import re
 import sys
 from contextlib import closing
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import core, diagnostics, estimators, resampling, simulator
+from . import core, estimators, resampling
 from .core import CompleterRule, JOINT_LABELS
 from .errors import ConfigError, PcekitError
+
+if TYPE_CHECKING:
+    from . import simulator
 
 OUT_DIR_ENV = "PCEKIT_OUT_DIR"
 FORMATS = ("md", "csv", "json")
@@ -143,6 +155,8 @@ def _parse_covariates(arg: str) -> tuple[str, ...]:
 
 
 def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
+    from . import simulator
+
     if args.config is not None:
         import json
 
@@ -177,6 +191,8 @@ def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulator
+
     out = args.out or str(_out_dir() / "trial.csv")
     truth_out = args.truth_out or str(Path(out).with_suffix("")) + "_truth.json"
     if Path(out).resolve() == Path(truth_out).resolve():
@@ -299,7 +315,8 @@ class Check(NamedTuple):
     name: str
     rule: CompleterRule
     noun: str
-    run: Callable[[core.TrialColumns, argparse.Namespace], object]  # -> report with to_dict()
+    # (the diagnostics module, completers, args) -> report with to_dict()
+    run: Callable[[ModuleType, core.TrialColumns, argparse.Namespace], object]
     heading: str
     body: Callable[[dict], str]
 
@@ -307,19 +324,19 @@ class Check(NamedTuple):
 # the checks in the order diagnose runs and reports them
 CHECKS = (
     Check("monotonicity", CompleterRule.STRATUM_VAR, "adherence",
-          lambda kept, args: diagnostics.monotonicity_report(
-              kept, diagnostics.MonotonicityDirection(args.direction)),
+          lambda diag, kept, args: diag.monotonicity_report(
+              kept, diag.MonotonicityDirection(args.direction)),
           "Monotonicity", _monotonicity_md),
     Check("ignorability", CompleterRule.BOTH, "full",
-          lambda kept, args: diagnostics.ignorability_regressions(kept, args.covariates),
+          lambda diag, kept, args: diag.ignorability_regressions(kept, args.covariates),
           "Ignorability regressions", _ignorability_md),
     Check("independence", CompleterRule.STRATUM_VAR, "adherence",
-          lambda kept, args: diagnostics.independence_test(
+          lambda diag, kept, args: diag.independence_test(
               kept, method=estimators.ProbMethod(args.indep_method),
               covariates=args.covariates, n_bootstrap=args.bootstrap, seed=args.seed),
           "Cross-world independence", _independence_md),
     Check("effects", CompleterRule.OUTCOME, "outcome",
-          lambda kept, args: diagnostics.crossover_effects_test(kept),
+          lambda diag, kept, args: diag.crossover_effects_test(kept),
           "Crossover effects", _effects_md),
 )
 CHECK_NAMES = tuple(c.name for c in CHECKS)
@@ -337,6 +354,8 @@ def _parse_checks(arg: str) -> frozenset[str]:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    from . import diagnostics
+
     cols = _load_dataset(args)
     notes: list[str] = []
     results: dict[str, dict] = {}
@@ -344,7 +363,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     for check in (c for c in CHECKS if c.name in args.checks):
         kept = cols.take(core.completer_mask(cols, check.rule))
         notes.append(f"{check.name}: {len(kept)}/{len(cols)} {check.noun} completers")
-        results[check.name] = doc = check.run(kept, args).to_dict()
+        results[check.name] = doc = check.run(diagnostics, kept, args).to_dict()
         sections += [f"## {check.heading}", "", check.body(doc), ""]
     rows = [{"section": name, "key": key, "value": value}
             for name, doc in results.items() for key, value in _flat_items(doc)]
@@ -366,6 +385,8 @@ def _flat_items(obj: dict | list, prefix: str = ""):
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
+    from . import simulator
+
     config = _load_config(args)
     if args.covariates is not None:  # the generator draws one covariate
         estimators._covariate_index((config.covariate_name,), args.covariates)
@@ -466,84 +487,122 @@ def _ci_level(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# resample streams are keyed by the seed's 64 bits, so a seed outside
+# [0, 2**64) would repeat the resamples of one inside it
+_resample_seed = _int_at_least(0, below=2**64)
+
+
+# argument groups that several commands share
+
+
+def _report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=FORMATS, default="md")
+    p.add_argument("--out", help="report path (default: stdout)")
+
+
+def _dataset_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True)
+    p.add_argument(
+        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
+    )
+    p.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
+
+
+def _dgp_args(p: argparse.ArgumentParser) -> None:
+    from . import simulator
+
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--scenario", choices=simulator.scenario_names())
+    src.add_argument("--config", help="JSON file of generator settings")
+    p.add_argument(
+        "--n", type=_int_at_least(simulator.MIN_SUBJECTS), help="override the subject count"
+    )
+    p.add_argument("--seed", type=_int_at_least(0), help="override the seed")
+    p.add_argument("--oracle-n", type=_int_at_least(simulator.MIN_ORACLE_N), default=100_000)
+
+
+# each command's own arguments, after the shared groups it takes
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    _dgp_args(p)
+    p.add_argument("--out", help="dataset CSV path (default $PCEKIT_OUT_DIR/trial.csv)")
+    p.add_argument("--truth-out", help="truth table path (.json or .csv)")
+
+
+def _estimate_args(p: argparse.ArgumentParser) -> None:
+    _dataset_args(p)
+    _report_args(p)
+    p.add_argument("--method", choices=METHODS, default="both")
+    p.add_argument(
+        "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
+    )
+    p.add_argument("--seed", type=_resample_seed, default=0)
+    p.add_argument("--ci", type=_ci_level, default=0.95)
+
+
+def _diagnose_args(p: argparse.ArgumentParser) -> None:
+    from . import diagnostics
+
+    _dataset_args(p)
+    _report_args(p)
+    p.add_argument(
+        "--checks", type=_parse_checks, default="all",
+        help=f"comma list from {', '.join(CHECK_NAMES)}, or all",
+    )
+    p.add_argument(
+        "--direction",
+        choices=[d.value for d in diagnostics.MonotonicityDirection],
+        default="increasing",
+    )
+    p.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
+    p.add_argument("--bootstrap", type=_int_at_least(1), default=500)
+    p.add_argument("--seed", type=_resample_seed, default=0)
+
+
+def _replicate_args(p: argparse.ArgumentParser) -> None:
+    _dgp_args(p)
+    _report_args(p)
+    p.add_argument("--replicates", type=_int_at_least(1), default=20)
+    p.add_argument("--method", choices=METHODS, default="both")
+    p.add_argument(
+        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
+    )
+    p.add_argument("--bootstrap", type=_int_at_least(0), default=0)
+
+
+class Command(NamedTuple):
+    """One subcommand: its help line, its argument builder and its runner."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+COMMANDS = {
+    "simulate": Command("generate a synthetic crossover trial plus its truth",
+                        _simulate_args, _cmd_simulate),
+    "estimate": Command("per-stratum means and treatment contrasts",
+                        _estimate_args, _cmd_estimate),
+    "diagnose": Command("assumption checks on crossover data", _diagnose_args, _cmd_diagnose),
+    "replicate": Command("repeated simulate+estimate against the truth",
+                         _replicate_args, _cmd_replicate),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command's name and help line, and of the
+    arguments of ``command`` alone: building the others would load modules
+    that command never runs."""
     parser = argparse.ArgumentParser(
         prog="pcekit",
         description="Principal causal effect estimation and crossover-based diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # resample streams are keyed by the seed's 64 bits, so a seed outside
-    # [0, 2**64) would repeat the resamples of one inside it
-    resample_seed = _int_at_least(0, below=2**64)
-
-    # argument groups that several subcommands share
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--format", choices=FORMATS, default="md")
-    report.add_argument("--out", help="report path (default: stdout)")
-
-    dataset = argparse.ArgumentParser(add_help=False)
-    dataset.add_argument("--input", required=True)
-    dataset.add_argument(
-        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
-    )
-    dataset.add_argument("--derive-a", help="adherence from outcomes, e.g. 'y>0'")
-
-    dgp = argparse.ArgumentParser(add_help=False)
-    src = dgp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--scenario", choices=simulator.scenario_names())
-    src.add_argument("--config", help="JSON file of generator settings")
-    dgp.add_argument(
-        "--n", type=_int_at_least(simulator.MIN_SUBJECTS), help="override the subject count"
-    )
-    dgp.add_argument("--seed", type=_int_at_least(0), help="override the seed")
-    dgp.add_argument("--oracle-n", type=_int_at_least(simulator.MIN_ORACLE_N), default=100_000)
-
-    sim = sub.add_parser(
-        "simulate", parents=[dgp], help="generate a synthetic crossover trial plus its truth"
-    )
-    sim.add_argument("--out", help="dataset CSV path (default $PCEKIT_OUT_DIR/trial.csv)")
-    sim.add_argument("--truth-out", help="truth table path (.json or .csv)")
-    sim.set_defaults(func=_cmd_simulate)
-
-    est = sub.add_parser(
-        "estimate", parents=[dataset, report], help="per-stratum means and treatment contrasts"
-    )
-    est.add_argument("--method", choices=METHODS, default="both")
-    est.add_argument(
-        "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
-    )
-    est.add_argument("--seed", type=resample_seed, default=0)
-    est.add_argument("--ci", type=_ci_level, default=0.95)
-    est.set_defaults(func=_cmd_estimate)
-
-    dia = sub.add_parser(
-        "diagnose", parents=[dataset, report], help="assumption checks on crossover data"
-    )
-    dia.add_argument(
-        "--checks", type=_parse_checks, default="all",
-        help=f"comma list from {', '.join(CHECK_NAMES)}, or all",
-    )
-    dia.add_argument(
-        "--direction",
-        choices=[d.value for d in diagnostics.MonotonicityDirection],
-        default="increasing",
-    )
-    dia.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
-    dia.add_argument("--bootstrap", type=_int_at_least(1), default=500)
-    dia.add_argument("--seed", type=resample_seed, default=0)
-    dia.set_defaults(func=_cmd_diagnose)
-
-    rep = sub.add_parser(
-        "replicate", parents=[dgp, report], help="repeated simulate+estimate against the truth"
-    )
-    rep.add_argument("--replicates", type=_int_at_least(1), default=20)
-    rep.add_argument("--method", choices=METHODS, default="both")
-    rep.add_argument(
-        "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
-    )
-    rep.add_argument("--bootstrap", type=_int_at_least(0), default=0)
-    rep.set_defaults(func=_cmd_replicate)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if name == command:
+            cmd.add_arguments(p)
     return parser
 
 
@@ -574,11 +633,13 @@ def _keep_freed_memory() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first argument that is not an option, as the
+    # top-level parser has no option that takes a value
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         with np.errstate(over="raise"):  # an overflow is an error, not an inf in a report
-            return args.func(args)
+            return COMMANDS[args.command].run(args)
     except (PcekitError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import signal
 import sys
 import threading
 import warnings
@@ -281,6 +280,8 @@ def spread(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
                     yield value
     finally:
         _open_spreads -= 1
+        if children:  # closed early: kill the children still running
+            import signal
         for pid, fd in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -1,5 +1,6 @@
 """Write the frozen inputs and the frozen outputs of every command that
-test_golden.py compares.
+test_golden.py compares, and the help and usage-error text that
+test_cli_text.py compares.
 
 Run from the repository root, only when an output change is intended:
 
@@ -22,6 +23,7 @@ from pcekit.simulator import generate_trial, scenario
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
+from test_cli_text import TEXT_CASES, TEXT_DIR, cli_text  # noqa: E402
 from test_golden import (  # noqa: E402
     CASES,
     DIAGNOSE_CASES,
@@ -90,6 +92,14 @@ def write_outputs() -> None:
             sys.exit("simulate failed")
 
 
+def write_cli_text() -> None:
+    TEXT_DIR.mkdir(exist_ok=True)
+    for name, argv in TEXT_CASES.items():
+        code, out, err = cli_text(argv)
+        (TEXT_DIR / f"{name}.txt").write_text(out if code == 0 else err, encoding="utf-8")
+
+
 if __name__ == "__main__":
     write_inputs()
     write_outputs()
+    write_cli_text()

@@ -1,13 +1,14 @@
-"""No command loads scipy, and the everyday commands load no OpenSSL, thread
-pool or JSON codec.
+"""No command loads scipy; the everyday commands load no OpenSSL, thread
+pool, JSON codec or signal module; and each command loads only the pcekit
+modules it runs.
 
 pcekit needs numpy only: importing scipy.special would take longer than
 most commands and add about 20 MB of resident memory. ``hashlib`` (which
 loads OpenSSL), ``concurrent.futures`` (which brings logging, queue and
-traceback) and ``json`` are imported only by the commands that use them:
-every CLI process pays for what ``import pcekit.cli`` loads. Each case runs
-in a fresh interpreter and reports the exit code and the watched modules
-loaded.
+traceback), ``json`` and ``signal`` are imported only by the commands that
+use them: every CLI process pays for what ``import pcekit.cli`` loads, and
+compiles every pcekit module it imports. Each case runs in a fresh
+interpreter and reports the exit code and the watched modules loaded.
 """
 
 import json
@@ -21,18 +22,21 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
-# with no arguments: import the CLI, then every other pcekit module too
+# the arguments are a pcekit command to run, or one mode: "package" imports
+# pcekit alone, "cli" pcekit.cli, and "all" pcekit.cli and every other module;
 # json is watched, so the script imports it for its report only after the snapshot
 SCRIPT = """
 import importlib, pkgutil, sys
-import pcekit, pcekit.cli
-if len(sys.argv) > 1:
-    code = pcekit.cli.main(sys.argv[1:])
-else:
-    code = 0
+import pcekit
+code = 0
+if sys.argv[1:] != ["package"]:
+    import pcekit.cli
+if sys.argv[1:] == ["all"]:
     for module in pkgutil.iter_modules(pcekit.__path__):
         importlib.import_module("pcekit." + module.name)
-watched = ("scipy", "hashlib", "concurrent", "json")
+elif sys.argv[1] not in ("package", "cli"):
+    code = pcekit.cli.main(sys.argv[1:])
+watched = ("scipy", "hashlib", "concurrent", "json", "signal", "pcekit")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in watched)
 import json
 print(json.dumps({"code": code, "loaded": loaded}))
@@ -57,7 +61,7 @@ def loaded_scipy(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        [],
+        ["all"],
         ["estimate", "--input", DATA / "crossover_missing.csv", "--method", "both",
          "--bootstrap", "20", "--out", "{tmp}/estimate.md"],
         ["simulate", "--scenario", "paper_like", "--out", "{tmp}/trial.csv",
@@ -84,7 +88,7 @@ def test_command_runs_without_loading_scipy(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        [],
+        ["all"],
         ["estimate", "--input", DATA / "crossover_missing.csv", "--method", "both",
          "--bootstrap", "20", "--out", "{tmp}/estimate.md"],
         ["diagnose", "--input", DATA / "crossover_missing.csv", "--checks", "all",
@@ -92,7 +96,7 @@ def test_command_runs_without_loading_scipy(argv, tmp_path):
     ],
     ids=["import", "estimate", "diagnose-all"],
 )
-@pytest.mark.parametrize("package", ["hashlib", "concurrent", "json"])
+@pytest.mark.parametrize("package", ["hashlib", "concurrent", "json", "signal"])
 def test_everyday_commands_load_no_openssl_or_thread_pool(argv, package, tmp_path):
     assert loaded_modules([str(a).format(tmp=tmp_path) for a in argv], package) == []
 
@@ -116,3 +120,32 @@ def test_everyday_commands_load_no_openssl_or_thread_pool(argv, package, tmp_pat
 def test_json_is_loaded_only_to_write_json(argv, writes_json, tmp_path):
     loaded = loaded_modules([str(a).format(tmp=tmp_path) for a in argv], "json")
     assert ("json" in loaded) == writes_json, loaded
+
+
+# every command loads these; a command loads the rest only if it runs them
+COMMON = ["pcekit", "pcekit.cli", "pcekit.core", "pcekit.errors", "pcekit.estimators",
+          "pcekit.glm", "pcekit.resampling"]
+
+
+def test_bare_import_loads_no_submodule():
+    assert loaded_modules(["package"], "pcekit") == ["pcekit"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "runs"),
+    [
+        (["cli"], []),
+        (["estimate", "--input", DATA / "crossover_missing.csv", "--bootstrap", "20",
+          "--out", "{tmp}/estimate.md"], []),
+        (["diagnose", "--input", DATA / "crossover_missing.csv", "--checks", "all",
+          "--bootstrap", "20", "--out", "{tmp}/diagnose.md"], ["pcekit.diagnostics"]),
+        (["simulate", "--scenario", "paper_like", "--out", "{tmp}/trial.csv",
+          "--truth-out", "{tmp}/truth.json"], ["pcekit.simulator"]),
+        (["replicate", "--scenario", "paper_like", "--n", "60", "--replicates", "2",
+          "--out", "{tmp}/replicate.md"], ["pcekit.simulator"]),
+    ],
+    ids=["import-cli", "estimate", "diagnose", "simulate", "replicate"],
+)
+def test_command_loads_only_the_modules_it_runs(argv, runs, tmp_path):
+    loaded = loaded_modules([str(a).format(tmp=tmp_path) for a in argv], "pcekit")
+    assert loaded == sorted(COMMON + runs)
