@@ -324,16 +324,14 @@ class Check(NamedTuple):
 # the checks in the order diagnose runs and reports them
 CHECKS = (
     Check("monotonicity", CompleterRule.STRATUM_VAR, "adherence",
-          lambda diag, kept, args: diag.monotonicity_report(
-              kept, diag.MonotonicityDirection(args.direction)),
+          lambda diag, kept, args: diag.monotonicity_report(kept, args.direction),
           "Monotonicity", _monotonicity_md),
     Check("ignorability", CompleterRule.BOTH, "full",
           lambda diag, kept, args: diag.ignorability_regressions(kept, args.covariates),
           "Ignorability regressions", _ignorability_md),
     Check("independence", CompleterRule.STRATUM_VAR, "adherence",
           lambda diag, kept, args: diag.independence_test(
-              kept, method=estimators.ProbMethod(args.indep_method),
-              covariates=args.covariates, n_bootstrap=args.bootstrap, seed=args.seed),
+              kept, args.indep_method, args.covariates, args.bootstrap, args.seed),
           "Cross-world independence", _independence_md),
     Check("effects", CompleterRule.OUTCOME, "outcome",
           lambda diag, kept, args: diag.crossover_effects_test(kept),
@@ -555,7 +553,8 @@ def _diagnose_args(p: argparse.ArgumentParser) -> None:
         choices=[d.value for d in diagnostics.MonotonicityDirection],
         default="increasing",
     )
-    p.add_argument("--indep-method", choices=("cond-indep", "indep"), default="cond-indep")
+    p.add_argument("--indep-method", default="cond-indep",
+                   choices=[m.value for m in estimators._RECONSTRUCTIONS])
     p.add_argument("--bootstrap", type=_int_at_least(1), default=500)
     p.add_argument("--seed", type=_resample_seed, default=0)
 

@@ -58,7 +58,10 @@ class CompleterRule(Enum):
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """One crossover subject: covariates plus both period observations."""
+    """One crossover subject: covariates plus both period observations.
+
+    sequence may be given by value ("EF") or member; the member is stored.
+    """
 
     subject_id: str
     covariate_names: tuple[str, ...]
@@ -75,6 +78,12 @@ class SubjectRecord:
                 f"subject {self.subject_id!r}: {len(self.covariate_names)} covariate "
                 f"names but {len(self.covariates)} values"
             )
+        try:
+            object.__setattr__(self, "sequence", TreatmentSequence(self.sequence))
+        except ValueError:
+            raise SchemaError(
+                f"subject {self.subject_id!r}: sequence={self.sequence!r} not in {{CF,EF}}"
+            ) from None
         for a, col in ((self.a_p1, "a_p1"), (self.a_p2, "a_p2")):
             if a is not None and a not in (0, 1):
                 raise SchemaError(f"subject {self.subject_id!r}: {col}={a!r} not in {{0,1}}")
@@ -586,8 +595,10 @@ def as_columns(data: Dataset) -> TrialColumns:
     return _parallel_columns(names, x, [o.t for o in data], a[:, 0], y[:, 0])
 
 
-def completer_mask(cols: TrialColumns, require: CompleterRule) -> np.ndarray:
-    """(n,) mask of the rows with the required fields observed in both arms."""
+def completer_mask(cols: TrialColumns, require: CompleterRule | str) -> np.ndarray:
+    """(n,) mask of the rows with the required fields observed in both arms,
+    by a ``CompleterRule`` given by value ("outcome") or member."""
+    require = CompleterRule(require)
     has_y = ~np.isnan(cols.y).any(axis=1)
     has_a = (cols.a != A_MISSING).all(axis=1)
     if require is CompleterRule.OUTCOME:
@@ -609,9 +620,11 @@ def _require_completers(cols: TrialColumns, require: CompleterRule) -> None:
 
 
 def completer_filter(
-    records: Sequence[SubjectRecord], require: CompleterRule
+    records: Sequence[SubjectRecord], require: CompleterRule | str
 ) -> list[SubjectRecord]:
-    """Keep subjects with the required fields observed in both periods."""
+    """Keep subjects with the required fields observed in both periods, by a
+    ``CompleterRule`` given by value or member."""
+    require = CompleterRule(require)
     records = list(records)
     if not records:
         return []

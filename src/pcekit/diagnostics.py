@@ -5,7 +5,10 @@ principal-score estimators rest on become testable: monotonicity shows up
 as an (almost) empty stratum cell, within-arm and cross-world ignorability
 as adherence coefficients in outcome regressions, and cross-world
 independence as agreement between observed stratum proportions and their
-independence-based reconstruction.
+independence-based reconstruction. The reconstructions live in one table,
+``estimators._RECONSTRUCTIONS``; the independence test runs the entry of its
+method, the full-data form on the data and on rows the chunk form leaves,
+and the chunk form on batches of resamples.
 """
 
 from __future__ import annotations
@@ -28,14 +31,7 @@ from .core import (
     stratum_counts,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
-from .estimators import (
-    ProbMethod,
-    _cell_table,
-    _cond_indep_cells,
-    _cond_indep_cells_counts,
-    _prob_vector,
-    _selected_covariates,
-)
+from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector, _selected_covariates
 from .glm import DesignMatrix, fit_ols, t_two_sided_p
 from .resampling import draw_replicates, exceedance_p, resample_counts
 
@@ -82,12 +78,15 @@ class MonotonicityReport(NamedTuple):
 
 
 def monotonicity_report(
-    data: Dataset, direction: MonotonicityDirection = MonotonicityDirection.INCREASING
+    data: Dataset, direction: MonotonicityDirection | str = MonotonicityDirection.INCREASING
 ) -> MonotonicityReport:
     """Tabulate strata and the share of subjects in cells monotonicity forbids.
 
-    Subjects need adherence in both periods (stratum-variable completers).
+    direction is a ``MonotonicityDirection``, by value ("decreasing") or
+    member. Subjects need adherence in both periods (stratum-variable
+    completers).
     """
+    direction = MonotonicityDirection(direction)
     counts = stratum_counts(_crossover_columns(data))
     table = StratumTable(dict(zip(JOINT_LABELS, counts.tolist())), int(counts.sum()))
     forbidden = direction.forbidden
@@ -201,11 +200,8 @@ class IndependenceReport(NamedTuple):
 
 
 def independence_test(
-    data: Dataset,
-    method: ProbMethod = ProbMethod.COND_INDEP,
-    covariates: Sequence[str] | None = None,
-    n_bootstrap: int = 500,
-    seed: int = 0,
+    data: Dataset, method: ProbMethod | str = ProbMethod.COND_INDEP,
+    covariates: Sequence[str] | None = None, n_bootstrap: int = 500, seed: int = 0,
 ) -> IndependenceReport:
     """Bootstrap test of observed stratum proportions against an
     independence-based reconstruction.
@@ -217,12 +213,15 @@ def independence_test(
     model cannot be refit are rejected and redrawn; more than 10% rejections
     aborts the test. Subjects need adherence in both periods.
 
-    Each replicate is a row of multinomial counts over the subjects. Chunks
-    of rows are refit together by ``_cond_indep_cells_counts`` from the
-    full-data fits; the engine runs the full-data reconstruction, from the
-    same starts, on each row that does not fit cleanly, and its verdict
-    rejects it or not.
+    method is a model-based ``ProbMethod``, by value ("indep") or member;
+    its entry in ``estimators._RECONSTRUCTIONS`` holds a full-data form and a
+    chunk form. Each replicate is a row of multinomial counts over the
+    subjects. Chunks of rows go to the chunk form, which refits them together
+    from the starts the full-data form returned on the data; the engine runs
+    the full-data form, from the same starts, on each row the chunk form
+    leaves, and its verdict rejects the row or not.
     """
+    method = ProbMethod(method)
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
     if n_bootstrap < 1:
@@ -234,11 +233,8 @@ def independence_test(
 
     names, x = _selected_covariates(cols, covariates)
     obs_vec = _prob_vector(cols, ProbMethod.OBSERVED, None)
-    if method is ProbMethod.COND_INDEP:
-        est_vec, models = _cond_indep_cells(cols, names, (None, None))
-        warm = tuple(model.fit.coefficients for model in models)
-    else:
-        est_vec = _prob_vector(cols, method, names)
+    full, batch = _RECONSTRUCTIONS[method]
+    est_vec, warm = full(cols, names, (None, None))
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
@@ -253,14 +249,11 @@ def independence_test(
 
     def chunk(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = resample_counts(idx, n)
-        if method is ProbMethod.INDEP:
-            est_b = _cell_table(*(counts @ cols.a / n).T)
-            return gaps(counts, est_b), np.zeros(len(idx), dtype=bool)
-        est_b, clean = _cond_indep_cells_counts(x, cols.a, counts, warm)
-        return gaps(counts, est_b), ~clean
+        est_b, left = batch(x, cols.a, counts, warm)
+        return gaps(counts, est_b), left
 
     def one(row: np.ndarray) -> np.ndarray:
-        est_b = _cond_indep_cells(cols.take(row), names, warm)[0]
+        est_b = full(cols.take(row), names, warm)[0]
         return gaps(resample_counts(row[None, :], n), est_b)[0]
 
     try:

@@ -8,9 +8,14 @@ holds one entry per ``PceMethod``, in enum order: the route's full-data
 form, (cols, covariates) -> (4, 2) arm means per joint stratum, and its
 chunk form, (cols, covariates, (b, n) counts) -> the (b, 4, 2) means of
 each resample and a (b,) mask of the rows left to the full-data form. Stratum
-probabilities likewise come either from observed crossover proportions or
-from model-based reconstructions that assume the two potential adherences
-are independent (conditionally on X, or unconditionally).
+probabilities come either from observed crossover proportions or from a
+model-based reconstruction that takes the two potential adherences as
+independent, conditionally on X or unconditionally. ``_RECONSTRUCTIONS``
+holds one entry per model-based ``ProbMethod``, in enum order: its full-data
+form, (cols, covariates, starts) -> the (4,) cell probabilities and the starts
+a resample's refit takes, and its chunk form, (x, a, (b, n) counts, starts) ->
+the (b, 4) cells of each resample and a (b,) mask of the rows left to the
+full-data form.
 
 Every estimate is computed on ``TrialColumns``; the functions that take
 records or observations are adapters that validate and convert them.
@@ -316,31 +321,17 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
 
 
-def _prob_vector(
-    data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
-) -> np.ndarray:
-    """Joint-cell probabilities in JOINT_LABELS order."""
-    cols = as_columns(data)
-    if method is ProbMethod.OBSERVED:
-        return stratum_counts(cols) / len(cols)
-    if method is ProbMethod.INDEP:
-        observed = _adherence_rows(cols)
-        p0 = float(np.mean(cols.a[observed[:, 0], 0]))
-        p1 = float(np.mean(cols.a[observed[:, 1], 1]))
-        return _cell_table(p0, p1)
-    return _cond_indep_cells(cols, covariates, (None, None))[0]
-
-
 def _cond_indep_cells(
     cols: TrialColumns, covariates: Sequence[str] | None, starts: Sequence[np.ndarray | None]
-) -> tuple[np.ndarray, tuple[PrincipalScoreModel, PrincipalScoreModel]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Joint-cell probabilities under independence given X, in JOINT_LABELS
-    order, and the two principal-score models they average, each fit from its
-    arm's start: None for an estimate, the full-data fit for a resample's."""
+    order, and the coefficients of the two principal-score models they
+    average, each fit from its arm's start: None for an estimate, the
+    full-data fit for a resample's."""
     (m0, m1), x = _fit_both_arms(cols, _adherence_rows(cols), covariates, starts)
     # each cell is summed as one contiguous row, in the order of a 1-D mean
     cells = np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
-    return cells, (m0, m1)
+    return cells, (m0.fit.coefficients, m1.fit.coefficients)
 
 
 def _cond_indep_cells_counts(
@@ -348,28 +339,65 @@ def _cond_indep_cells_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_cond_indep_cells`` of each resample in a chunk, given as (b, n)
     counts over subjects with covariate values x and adherence a observed in
-    both arms: (b, 4) cells and a (b,) mask of the rows whose two refits
-    from starts converged cleanly (the others carry no usable cells)."""
+    both arms: (b, 4) cells and a (b,) mask of the rows whose two refits from
+    starts did not converge cleanly (they carry no usable cells and are left
+    to ``_cond_indep_cells``)."""
     design = intercept_design(x)
     beta0, ok0 = fit_logistic_counts(design, a[:, 0], counts, starts[0])
     beta1, ok1 = fit_logistic_counts(design, a[:, 1], counts, starts[1])
     g0, g1 = expit(beta0 @ design.T), expit(beta1 @ design.T)
-    return _cell_sums(counts, g0, g1) / counts.shape[1], ok0 & ok1
+    return _cell_sums(counts, g0, g1) / counts.shape[1], ~(ok0 & ok1)
+
+
+def _indep_cells(
+    cols: TrialColumns, covariates: Sequence[str] | None, starts: Sequence
+) -> tuple[np.ndarray, Sequence]:
+    """Joint-cell probabilities under unconditional independence, in
+    JOINT_LABELS order, from each arm's adherence rate over its observed
+    rows; no model is fit, so covariates go unused and starts pass through."""
+    p0, p1 = (np.mean(cols.a[rows, t]) for t, rows in enumerate(_adherence_rows(cols).T))
+    return _cell_table(p0, p1), starts
+
+
+def _indep_cells_counts(
+    x: np.ndarray, a: np.ndarray, counts: np.ndarray, starts: Sequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_indep_cells`` of each resample in a chunk, given as (b, n) counts
+    over subjects with adherence a observed in both arms: (b, 4) cells, and a
+    (b,) mask that leaves no row to ``_indep_cells``. The rates are whole
+    counts over n, so a row of ones gives ``_indep_cells``'s bits."""
+    return _cell_table(*(counts @ a / counts.shape[1]).T), np.zeros(counts.shape[0], dtype=bool)
+
+
+# (full-data form, chunk form) of every model-based reconstruction, in enum order
+_RECONSTRUCTIONS = {
+    ProbMethod.COND_INDEP: (_cond_indep_cells, _cond_indep_cells_counts),
+    ProbMethod.INDEP: (_indep_cells, _indep_cells_counts),
+}
+
+
+def _prob_vector(
+    data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
+) -> np.ndarray:
+    """Joint-cell probabilities in JOINT_LABELS order."""
+    cols = as_columns(data)
+    if method is ProbMethod.OBSERVED:
+        return stratum_counts(cols) / len(cols)
+    return _RECONSTRUCTIONS[method][0](cols, covariates, (None, None))[0]
 
 
 def estimate_stratum_probs(
-    data: Dataset,
-    method: ProbMethod,
-    covariates: Sequence[str] | None = None,
+    data: Dataset, method: ProbMethod | str, covariates: Sequence[str] | None = None
 ) -> StratumProbEstimate:
-    """Joint stratum probabilities by the requested method.
+    """Joint stratum probabilities by the requested method, by value
+    ("indep") or member.
 
     Observed proportions need crossover completers (adherence in both
     periods); the model-based methods work on either data shape.
     """
+    method = ProbMethod(method)
     cols = as_columns(data)
-    vec = _prob_vector(cols, method, covariates)
-    probs = {lab: float(vec[i]) for i, lab in enumerate(JOINT_LABELS)}
+    probs = dict(zip(JOINT_LABELS, _prob_vector(cols, method, covariates).tolist()))
     return StratumProbEstimate(method=method, probs=probs, n=len(cols))
 
 

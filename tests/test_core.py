@@ -19,6 +19,7 @@ from pcekit.core import (
     by_period,
     classify_strata,
     completer_filter,
+    completer_mask,
     crossover_records,
     load_columns,
     load_crossover_csv,
@@ -81,6 +82,27 @@ def test_stratum_table_proportions():
         StratumTable(counts=counts, n_total=11)
 
 
+def parallel_obs(**changes):
+    fields = dict(subject_id="p1", covariate_names=("x_base",), covariates=(1.0,), t=0, a=1, y=2.0)
+    return ParallelObservation(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parallel_obs(t=2), SchemaError, r"subject 'p1': t=2 not in \{0,1\}"),
+    (lambda: parallel_obs(a=2), SchemaError, r"subject 'p1': a=2 not in \{0,1\}"),
+    (lambda: parallel_obs(covariates=()), SchemaError,
+     "subject 'p1': 1 covariate names but 0 values"),
+    (lambda: StratumTable({StratumLabel(0, 0): 1}, 1), ValueError,
+     "counts must cover exactly the four joint strata"),
+    (lambda: StratumTable(dict.fromkeys(JOINT_LABELS, 0), 0), InsufficientDataError,
+     "cannot tabulate strata with no classified subjects"),
+], ids=["observation-arm", "observation-adherence", "observation-covariates",
+        "table-keys", "table-empty"])
+def test_observation_and_table_validation(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_classify_strata_uses_arm_coordinates():
     # same (a_p1, a_p2) lands in different strata depending on the sequence
     records = [
@@ -111,6 +133,41 @@ def test_completer_filter_rules():
     assert completer_filter(records, CompleterRule.OUTCOME) == [full, no_a]
     assert completer_filter(records, CompleterRule.STRATUM_VAR) == [full, no_y]
     assert completer_filter(records, CompleterRule.BOTH) == [full]
+
+
+def test_completer_filter_of_no_records_is_empty():
+    assert completer_filter([], CompleterRule.BOTH) == []
+
+
+def test_completer_rules_take_values():
+    path = DATA / "crossover_missing.csv"
+    cols, records = load_columns(path), load_crossover_csv(path)
+    for rule in CompleterRule:
+        assert completer_mask(cols, rule.value).tolist() == completer_mask(cols, rule).tolist()
+        assert completer_filter(records, rule.value) == completer_filter(records, rule)
+    assert int(completer_mask(cols, "outcome").sum()) == 96
+    assert int(completer_mask(cols, "both").sum()) == 79
+    with pytest.raises(ValueError, match="'bogus'"):
+        completer_mask(cols, "bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        completer_filter(records, "bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        completer_filter([], "bogus")
+
+
+def test_record_sequence_takes_values_and_refuses_others():
+    def record(sequence):
+        return SubjectRecord("s1", ("x_base",), (1.0,), sequence, 1, 0, 10.0, 12.0)
+
+    by_value = record("EF")
+    assert by_value.sequence is TreatmentSequence.EXPERIMENTAL_FIRST
+    assert by_value == record(TreatmentSequence.EXPERIMENTAL_FIRST)
+    # experimental first: arm 1 is period 1
+    assert as_columns([by_value]).a.tolist() == [[0, 1]]
+    assert as_columns([record("CF")]).a.tolist() == [[1, 0]]
+    for bad in ("XX", "ef", None, 1):
+        with pytest.raises(SchemaError, match=r"subject 's1': sequence=.* not in \{CF,EF\}"):
+            record(bad)
 
 
 def test_as_parallel_projection():
@@ -334,6 +391,14 @@ def test_crossover_csv_rejects_bad_headers(tmp_path):
         load_crossover_csv(path)
 
 
+def test_csv_rejects_duplicate_covariate_columns(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("subject_id,sequence,x_a,x_a,t_p1,t_p2,a_p1,a_p2,y_p1,y_p2\n"
+                    "s1,CF,1.0,2.0,0,1,1,0,1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="duplicate covariate columns in header"):
+        load_crossover_csv(path)
+
+
 def test_crossover_csv_rejects_an_over_long_cell(tmp_path):
     # the csv module refuses a field past its limit of 131072 characters
     path = tmp_path / "long.csv"
@@ -355,6 +420,12 @@ def test_missing_tokens_accept_na_and_blank(tmp_path):
 def test_joint_labels_cover_the_grid():
     assert len(JOINT_LABELS) == 4
     assert {(lab.a0, lab.a1) for lab in JOINT_LABELS} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_parallel_writer_refuses_an_empty_list(tmp_path):
+    with pytest.raises(ValueError, match="refusing to write an empty observation list"):
+        write_parallel_csv([], tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_refuses_empty_and_mixed_columns(tmp_path):

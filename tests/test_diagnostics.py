@@ -68,6 +68,16 @@ def test_monotonicity_directions():
     assert d["violating_proportion"] == 1 / 8
 
 
+def test_monotonicity_takes_direction_values():
+    records = eight_records()
+    for direction in MonotonicityDirection:
+        want = monotonicity_report(records, direction)
+        assert monotonicity_report(records, direction.value) == want
+        assert want.direction is direction
+    with pytest.raises(ValueError, match="'sideways'"):
+        monotonicity_report(records, "sideways")
+
+
 def test_monotonicity_needs_classified_records():
     with pytest.raises(MissingDataError):
         monotonicity_report([make_record("a", a=(None, 1))])
@@ -324,19 +334,58 @@ def test_cell_sums_keep_the_bits_of_the_product_table_sum():
     assert pairwise_moves_bits
 
 
-def test_cond_indep_cells_counts_on_the_full_data_is_cond_indep_cells():
-    """The resample form on one all-ones row is the full-data reconstruction."""
+@pytest.mark.parametrize("method", list(estimators._RECONSTRUCTIONS), ids=lambda m: m.value)
+def test_reconstruction_chunk_form_on_the_full_data_is_its_full_data_form(method):
+    """Each reconstruction's chunk form on one all-ones row is its full-data
+    form: cond-indep to rounding, as the batched fit agrees with the exact
+    one, and indep bit for bit, as its rates are whole counts over n."""
+    full, chunk = estimators._RECONSTRUCTIONS[method]
     records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
     cols = as_columns(completer_filter(records, CompleterRule.STRATUM_VAR))
-    models = estimators._cond_indep_cells(cols, None, (None, None))[1]
-    warm = tuple(model.fit.coefficients for model in models)
+    warm = full(cols, None, (None, None))[1]
     zero = np.zeros(cols.x.shape[1] + 1)
     ones = np.ones((1, len(cols)))
     for starts in ((zero, zero), warm):
-        want = estimators._cond_indep_cells(cols, None, starts)[0]
-        got, clean = estimators._cond_indep_cells_counts(cols.x, cols.a, ones, starts)
-        assert got.shape == (1, len(JOINT_LABELS)) and clean.tolist() == [True]
-        np.testing.assert_allclose(got[0], want, rtol=1e-12)
+        want = full(cols, None, starts)[0]
+        got, left = chunk(cols.x, cols.a, ones, starts)
+        assert got.shape == (1, len(JOINT_LABELS)) and left.tolist() == [False]
+        if method is ProbMethod.INDEP:
+            assert got[0].tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got[0], want, rtol=1e-12)
+
+
+def test_independence_rows_left_by_the_indep_chunk_form_are_refit_alone(monkeypatch):
+    """A row indep's chunk form leaves is refit by its full-data form, to the same bits."""
+    records = completer_filter(generate_trial(scenario("paper_like", n_subjects=150, seed=5)),
+                               CompleterRule.STRATUM_VAR)
+    want = independence_test(records, ProbMethod.INDEP, n_bootstrap=80, seed=3)
+    full, chunk = estimators._RECONSTRUCTIONS[ProbMethod.INDEP]
+    calls = []
+
+    def counting_full(cols, covariates, starts):
+        calls.append(len(cols))
+        return full(cols, covariates, starts)
+
+    def leave_every_row(x, a, counts, starts):
+        return chunk(x, a, counts, starts)[0], np.ones(len(counts), dtype=bool)
+
+    monkeypatch.setitem(estimators._RECONSTRUCTIONS, ProbMethod.INDEP,
+                        (counting_full, leave_every_row))
+    got = independence_test(records, ProbMethod.INDEP, n_bootstrap=80, seed=3)
+    assert len(calls) == 1 + 80  # the estimate, then every replicate alone
+    assert got == want  # p-values included, to the bit
+
+
+def test_independence_test_takes_method_values():
+    records = completer_filter(generate_trial(scenario("paper_like", n_subjects=120, seed=4)),
+                               CompleterRule.STRATUM_VAR)
+    for method in estimators._RECONSTRUCTIONS:
+        want = independence_test(records, method, n_bootstrap=40, seed=1)
+        assert independence_test(records, method.value, n_bootstrap=40, seed=1) == want
+        assert want.method is method
+    with pytest.raises(ValueError, match="'bogus'"):
+        independence_test(records, "bogus", n_bootstrap=40)
 
 
 def test_crossover_effects_hand_values():

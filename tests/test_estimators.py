@@ -39,7 +39,7 @@ from pcekit.estimators import (
     fit_principal_score,
     principal_scores,
 )
-from pcekit.glm import LogisticFit, fit_logistic
+from pcekit.glm import DesignMatrix, LogisticFit, fit_logistic
 from pcekit.resampling import BootstrapSpec, bootstrap_vector
 from pcekit.simulator import generate_trial, scenario
 
@@ -118,6 +118,35 @@ def test_hayden_mu_validation():
         estimate_mu_hayden(own, arm0_model, StratumLabel(1, 1))
     with pytest.raises(InestimableStratumError):
         estimate_mu_hayden(own, model, StratumLabel(0, 0))
+
+
+def converged_fit():
+    return fit_logistic(DesignMatrix.intercept_only(2), np.asarray([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: PrincipalScoreModel(arm=2, fit=converged_fit(), covariate_names=()), ValueError,
+     "arm must be 0 or 1, got 2"),
+    (lambda: estimate_mu_hayden([], saturated_cross_model(), StratumLabel(1, 1)),
+     InsufficientDataError, "no observations"),
+    (lambda: estimate_mu_hayden([obs("a", 0, 1, y=1.0), obs("b", 1, 1, y=2.0)],
+                                saturated_cross_model(), StratumLabel(1, 1)),
+     ValueError, "observations must all come from one arm"),
+    (lambda: estimate_mu_direct([make_record("a")], StratumLabel(1, 1), 2), ValueError,
+     "treatment arm must be 0 or 1, got 2"),
+    (lambda: estimate_mu_direct([], StratumLabel(1, 1), 0), InestimableStratumError,
+     "no subjects observed in stratum S11"),
+    (lambda: estimate_mu_direct([make_record("a", y=(None, 2.0))], StratumLabel(1, 1), 0),
+     MissingDataError, "subject 'a' missing arm-0 outcome"),
+    (lambda: StratumProbEstimate(ProbMethod.INDEP, {StratumLabel(0, 0): 1.0}, 1), ValueError,
+     "probs must cover exactly the four joint strata"),
+    (lambda: estimate_stratum_probs([obs("a", 0, 1), obs("b", 0, 0)], ProbMethod.INDEP),
+     InsufficientDataError, "need adherence observations in both arms"),
+], ids=["score-model-arm", "hayden-empty", "hayden-mixed-arms", "direct-arm", "direct-empty",
+        "direct-missing-outcome", "prob-estimate-keys", "probs-one-arm-unobserved"])
+def test_estimator_validation(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
 
 
 def test_constant_score_hayden_equals_stratified_mean_exactly():
@@ -230,6 +259,19 @@ def test_intercept_only_cond_indep_matches_indep():
     indep = estimate_stratum_probs(records, ProbMethod.INDEP)
     for lab in JOINT_LABELS:
         assert cond.probs[lab] == pytest.approx(indep.probs[lab], abs=1e-8)
+
+
+def test_stratum_probs_take_method_values():
+    records = generate_trial(scenario("paper_like", n_subjects=120, seed=4))
+    kept = core.completer_filter(records, core.CompleterRule.STRATUM_VAR)
+    for method in ProbMethod:
+        want = estimate_stratum_probs(kept, method)
+        assert estimate_stratum_probs(kept, method.value) == want
+        assert want.method is method
+    # the reconstructions differ on these data, so a value cannot pass for another
+    assert estimate_stratum_probs(kept, "indep") != estimate_stratum_probs(kept, "cond-indep")
+    with pytest.raises(ValueError, match="'bogus'"):
+        estimate_stratum_probs(kept, "bogus")
 
 
 def test_stratum_prob_estimate_validates_total():

@@ -506,3 +506,46 @@ def test_design_matrix_validation():
         DesignMatrix(("a",), np.asarray([[np.nan]]))
     with pytest.raises(ValueError):
         DesignMatrix.with_intercept((), [])
+
+
+def _near_rank_one():
+    """A huge first column and a second one just off it: rank 1 to matrix_rank,
+    yet the second column is not within tolerance of its predecessor."""
+    near = np.ones(10)
+    near[-1] += 1e-5
+    return DesignMatrix(("scaled", "near"), np.column_stack([1e12 * np.ones(10), near]))
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: DesignMatrix(("a",), np.ones(3)), ValueError, "design values must be a 2-D array"),
+    (lambda: DesignMatrix(("a",), np.ones((3, 2))), ValueError, "1 column names for 2 columns"),
+    (lambda: fit_ols(DesignMatrix(("zero", "x"), np.column_stack([np.zeros(5), np.arange(5.0)])),
+                     np.arange(5.0)),
+     SingularDesignError, "design column 'zero' is all zeros"),
+    (lambda: fit_ols(_near_rank_one(), np.arange(10.0)), SingularDesignError,
+     "design is rank deficient near column 'near'"),
+    (lambda: fit_ols(_design([[1, 0], [1, 1], [1, 2]]), np.zeros(2)), ValueError,
+     "y must be a length-3 vector"),
+    (lambda: fit_ols(_design([[1, 0], [1, 1], [1, 2]]), np.asarray([0.0, np.inf, 1.0])),
+     ValueError, "y contains non-finite values"),
+    (lambda: fit_logistic(_design([[1, 0], [1, 1], [1, 2]]), np.zeros((3, 1))), ValueError,
+     "a must be a length-3 vector"),
+    (lambda: fit_logistic(_design([[1, 0], [1, 1], [1, 2]]), np.asarray([0.0, 0.5, 1.0])),
+     ValueError, "a must be binary 0/1"),
+    (lambda: fit_logistic(_design([[1, 0], [1, 1], [1, 2]]), np.asarray([0.0, 1.0, 0.0]),
+                          start=np.zeros(3)),
+     ValueError, r"start must have shape \(2,\)"),
+], ids=["design-shape", "design-names", "rank-zero-column", "rank-borderline", "ols-y-shape",
+        "ols-y-finite", "logistic-a-shape", "logistic-a-binary", "logistic-start-shape"])
+def test_design_and_fit_validation(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
+
+
+def test_logistic_coef_lookup_by_name():
+    x = np.asarray([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+    fit = fit_logistic(DesignMatrix.with_intercept(("x1",), [x]), np.asarray([0, 1, 0, 1, 1, 0.0]))
+    assert fit.coef("intercept") == float(fit.coefficients[0])
+    assert fit.coef("x1") == float(fit.coefficients[1])
+    with pytest.raises(ValueError, match="not in tuple"):
+        fit.coef("x9")

@@ -31,6 +31,11 @@ def test_index_streams_are_replicate_addressable():
     assert np.array_equal(shifted[1], batch[5])
 
 
+def test_no_replicates_is_an_empty_index_matrix():
+    idx = resample_index_matrix(seed=3, first_replicate=0, n_replicates=0, n=7)
+    assert (idx.shape, idx.dtype) == ((0, 7), np.int64)
+
+
 def test_index_streams_vary_with_seed_and_replicate():
     a = resample_index_matrix(1, 0, 1, 50)[0]
     assert not np.array_equal(a, resample_index_matrix(2, 0, 1, 50)[0])

@@ -277,3 +277,11 @@ def test_config_dict_round_trip():
     ]:
         with pytest.raises(ConfigError, match=message):
             DgpConfig.from_dict(bad)
+
+
+def test_truth_table_row_of_a_missing_stratum_is_a_key_error():
+    row = TruthRow(StratumLabel(0, 0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10)
+    table = TruthTable(rows=(row,), oracle_n=10, seed=0)
+    assert table.row(StratumLabel(0, 0)) is row
+    with pytest.raises(KeyError, match="S01"):
+        table.row(StratumLabel(0, 1))
