@@ -36,6 +36,12 @@ from .glm import DesignMatrix, fit_ols, t_two_sided_p
 from .resampling import draw_replicates, exceedance_p, resample_counts
 
 
+# index draws per chunk of the independence test's resamples: twice the
+# bootstrap's, which halves its batched fits and their fixed cost per call;
+# the test reports counts over the replicates, so their last bits are not output
+_INDEP_CHUNK_ELEMENTS = 2**15
+
+
 def _crossover_columns(data: Dataset) -> TrialColumns:
     """Records or columns as columns; every check needs crossover subjects."""
     cols = as_columns(data)
@@ -216,10 +222,11 @@ def independence_test(
     method is a model-based ``ProbMethod``, by value ("indep") or member;
     its entry in ``estimators._RECONSTRUCTIONS`` holds a full-data form and a
     chunk form. Each replicate is a row of multinomial counts over the
-    subjects. Chunks of rows go to the chunk form, which refits them together
-    from the starts the full-data form returned on the data; the engine runs
-    the full-data form, from the same starts, on each row the chunk form
-    leaves, and its verdict rejects the row or not.
+    subjects. Chunks of rows, ``_INDEP_CHUNK_ELEMENTS`` index draws each,
+    go to the chunk form, which refits them together from the starts the
+    full-data form returned on the data; the engine runs the full-data
+    form, from the same starts, on each row the chunk form leaves, and its
+    verdict rejects the row or not.
     """
     method = ProbMethod(method)
     if method is ProbMethod.OBSERVED:
@@ -257,7 +264,8 @@ def independence_test(
         return gaps(resample_counts(row[None, :], n), est_b)[0]
 
     try:
-        null, rejected = draw_replicates(seed, n, n_bootstrap, chunk, one, redraw=True)
+        null, rejected = draw_replicates(seed, n, n_bootstrap, chunk, one, redraw=True,
+                                         elements=_INDEP_CHUNK_ELEMENTS)
     except BootstrapError as exc:
         raise DiagnosticError(f"{exc}; the data are too sparse for this test") from exc
 

@@ -266,6 +266,7 @@ class StratumProbEstimate:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "method", ProbMethod(self.method))
         if set(self.probs) != set(JOINT_LABELS):
             raise ValueError("probs must cover exactly the four joint strata")
         total = sum(self.probs.values())
@@ -317,7 +318,9 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     n, b = c.shape
     terms = np.empty((n, len(JOINT_LABELS), b))
     for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
-        np.multiply(c, p * q, out=terms[:, k])
+        # c * (p * q), with no temporary: a product's bits do not depend on its order
+        np.multiply(p, q, out=terms[:, k])
+        terms[:, k] *= c
     return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
 
 
@@ -393,10 +396,12 @@ def estimate_stratum_probs(
     ("indep") or member.
 
     Observed proportions need crossover completers (adherence in both
-    periods); the model-based methods work on either data shape.
+    periods); the model-based methods work on either data shape. The
+    covariate names are checked whether or not the method uses them.
     """
     method = ProbMethod(method)
     cols = as_columns(data)
+    _selected_covariates(cols, covariates)
     probs = dict(zip(JOINT_LABELS, _prob_vector(cols, method, covariates).tolist()))
     return StratumProbEstimate(method=method, probs=probs, n=len(cols))
 
@@ -570,8 +575,10 @@ def estimate_pce_table(
     only principal-score weighting. Bootstrap resampling is at the subject
     level and refits all models inside each replicate; cells inestimable on
     the full data carry NaN points and a note instead of failing the table.
+    The covariate names are checked whether or not a route uses them.
     """
     cols = as_columns(data)
+    _selected_covariates(cols, covariates)
     lone = isinstance(methods, (str, PceMethod))  # one method, not a list of them
     methods = list(dict.fromkeys(map(PceMethod, [methods] if lone else methods)))
     if not methods:

@@ -385,7 +385,7 @@ def _probs_and_deviances(
     np.maximum(loss, 0.0, out=loss)
     loss += np.log1p(e, out=e)
     weighted = np.multiply(counts, loss, out=loss if loss.shape == counts.shape else None)
-    return p, 2.0 * np.sum(weighted, axis=1)
+    return p, 2.0 * weighted.sum(axis=1)
 
 
 def fit_logistic_counts(
@@ -453,10 +453,10 @@ def fit_logistic_counts(
             break
         resid = a - p
         grad = (c * resid) @ x
-        small = np.max(np.abs(grad), axis=1) <= GRADIENT_TOL
+        small = np.abs(grad).max(axis=1) <= GRADIENT_TOL
         if small.any():
             # a numerically perfect fit certifies separation, not convergence
-            worst = np.max(np.where(c[small] > 0.0, np.abs(resid[small]), 0.0), axis=1)
+            worst = np.where(c[small] > 0.0, np.abs(resid[small]), 0.0).max(axis=1)
             converged[rows[small]] = worst >= PERFECT_FIT_TOL
             keep(~small)
             grad = grad[~small]
@@ -466,39 +466,46 @@ def fit_logistic_counts(
         w = c * p
         w *= 1.0 - p
         delta, solved = _solve_stack((w @ outer).reshape(rows.size, q, q), grad)
-        if not solved.all():
+        if solved is not None:
             keep(solved)
             delta = delta[solved]
 
-        # line search: the rows in k try coefficients cand; every row still
-        # in k has failed as often as the others, so one step serves them
-        k = np.arange(rows.size)
-        cand, ck, step = coef + delta, c, 1.0
-        for _ in range(30):
-            p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, ck)
-            ok = dev_c <= dev[k] + 1e-12
-            if k.size == rows.size and ok.all():
-                coef, p, dev, k = cand, p_c, dev_c, k[:0]
-                break
-            coef[k[ok]], p[k[ok]], dev[k[ok]] = cand[ok], p_c[ok], dev_c[ok]
-            k = k[~ok]
-            if k.size == 0:
-                break
-            step *= 0.5
-            cand, ck = coef[k] + step * delta[k], c[k]
-        # rows left in k stalled: no improving step along the Newton direction
-        leave = np.max(np.abs(coef), axis=1) > DIVERGENCE_NORM
-        leave[k] = True
+        # line search: every row tries its full Newton step. When each one
+        # accepts it, the candidate arrays become the working set; otherwise
+        # the rows in k that reject it halve their step together, up to 29
+        # times, since every row still in k has failed as often as the others
+        cand = coef + delta
+        p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, c)
+        ok = dev_c <= dev + 1e-12
+        k = None
+        if ok.all():
+            coef, p, dev = cand, p_c, dev_c
+        else:
+            coef[ok], p[ok], dev[ok] = cand[ok], p_c[ok], dev_c[ok]
+            k, step = np.flatnonzero(~ok), 1.0
+            for _ in range(29):
+                step *= 0.5
+                cand = coef[k] + step * delta[k]
+                p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, c[k])
+                ok = dev_c <= dev[k] + 1e-12
+                coef[k[ok]], p[k[ok]], dev[k[ok]] = cand[ok], p_c[ok], dev_c[ok]
+                k = k[~ok]
+                if k.size == 0:
+                    break
+        leave = np.abs(coef).max(axis=1) > DIVERGENCE_NORM
+        if k is not None and k.size:
+            leave[k] = True  # stalled: no improving step along the Newton direction
         if leave.any():
             keep(~leave)
     beta[rows] = coef
     return beta, converged
 
 
-def _solve_stack(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps for a (k, q, q) stack of Hessians, and which of them solved."""
+def _solve_stack(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Newton steps for a (k, q, q) stack of Hessians, and a mask of those
+    that solved: None when every one did."""
     try:
-        return np.linalg.solve(hess, grad[..., None])[..., 0], np.ones(len(hess), dtype=bool)
+        return np.linalg.solve(hess, grad[..., None])[..., 0], None
     except np.linalg.LinAlgError:
         pass  # one singular matrix fails the stack: solve row by row
     delta = np.zeros_like(grad)

@@ -3,13 +3,18 @@
 Replicate index streams are derived from (seed, replicate_index) through a
 SplitMix64 mix, so any replicate can be regenerated in isolation and drawn
 in any order. Every resample, for the bootstrap and for the independence
-test alike, is drawn by one engine, ``draw_replicates``, in chunks of one
-fixed budget of index draws. A batched fit's last bits can depend on which
-rows share its chunk, so the budget is part of the output: the same chunk
-plan gives the same bytes in any process, another budget may not. Both
-loops plan their chunks by one rule: every full chunk, and the short last
-one when every process would still hold a full chunk. The engine runs a
-caller's exact statistic on each row the caller's batched kernel leaves.
+test alike, is drawn by one engine, ``draw_replicates``, in chunks of a
+fixed budget of index draws that its caller picks. A batched fit's last
+bits can depend on which rows share its chunk, so where replicate values
+are the output the budget is part of it: the same chunk plan gives the same
+bytes in any process, another budget may not. The bootstrap reports its
+replicates' spread and percentiles and keeps ``_CHUNK_ELEMENTS``, 2^14
+draws. The independence test reports only how many replicates reach the
+observed gap, which a last bit moves only at a tie to rounding, and takes
+2^15 draws: half as many batched fits. Both loops plan their chunks by one
+rule: every full chunk, and the short last one when every process would
+still hold a full chunk. The engine runs a caller's exact statistic on each
+row the caller's batched kernel leaves.
 A replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
 failures the engine errors out.
@@ -48,31 +53,40 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    z = (z + _GOLDEN).astype(_U64)
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array (wrapping
+    arithmetic); z already holds its input plus the golden gamma."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, _U64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
 
 def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n: int) -> np.ndarray:
     """Index rows for replicates [first, first + count) of an n-item resample.
 
     Row b depends only on (seed, b, n): stream key = mix(seed + (b+1)*phi),
-    draw j = mix(key + (j+1)*phi), index = floor(top53(draw) / 2^53 * n).
+    draw j = mix(key + (j+1)*phi), index = floor(top53(draw) / 2^53 * n),
+    where mix(z) is SplitMix64's finalizer applied to z + phi.
     """
     if n <= 0:
         raise ValueError("cannot resample an empty collection")
     if n_replicates <= 0:
         return np.empty((0, n), dtype=np.int64)
     with np.errstate(over="ignore"):
-        b = np.arange(first_replicate, first_replicate + n_replicates, dtype=_U64)
-        keys = _splitmix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) + (b + _U64(1)) * _GOLDEN)
-        j = (np.arange(1, n + 1, dtype=_U64)) * _GOLDEN
-        draws = _splitmix64(keys[:, None] + j[None, :])
-    u = (draws >> _U64(11)).astype(np.float64) * (2.0**-53)
-    return np.minimum((u * n).astype(np.int64), n - 1)
+        # uint64 sums wrap, so each mix's own + phi folds into the multiple
+        # of phi: (k + 1) * phi + phi = (k + 2) * phi
+        b = np.arange(first_replicate + 2, first_replicate + n_replicates + 2, dtype=_U64)
+        keys = _mix(_U64(seed & 0xFFFFFFFFFFFFFFFF) + b * _GOLDEN)
+        z = _mix(keys[:, None] + np.arange(2, n + 2, dtype=_U64) * _GOLDEN)
+    # top53 * 2^-53 is exact, so scaling by n * 2^-53 rounds as (top53 * 2^-53) * n
+    u = np.right_shift(z, _U64(11), out=z).astype(np.float64)
+    u *= n * 2.0**-53
+    return np.minimum(u.astype(np.int64), n - 1)
 
 
 def resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
@@ -137,9 +151,10 @@ def exceedance_p(values: Sequence[float] | np.ndarray, observed: float) -> float
     return (int(np.sum(arr >= observed)) + 1) / (arr.size + 1)
 
 
-# each chunk of index rows holds about this many (replicate, subject) draws,
-# which bounds a chunk's memory whatever the replicate count is; another
-# budget regroups the batched fits and may move an output's last bits
+# each chunk of index rows holds about this many (replicate, subject) draws
+# unless the caller gives its own budget; it bounds a chunk's memory
+# whatever the replicate count is. Another budget regroups the batched fits
+# and may move the last bits of a bootstrap's replicates, which are its output
 _CHUNK_ELEMENTS = 2**14
 
 Chunk = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -295,17 +310,24 @@ def draw_replicates(
     chunk: Chunk,
     one: Callable[[np.ndarray], np.ndarray],
     redraw: bool = False,
+    elements: int | None = None,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Evaluate a statistic on ``n_replicates`` resamples of n subjects.
 
-    Index rows are drawn in chunks by ``resample_index_matrix``. ``chunk``
-    maps a (b, n) chunk of rows to (b, m) values and a (b,) mask of rows it
-    leaves to ``one``, the exact (m,) values of one index row. A row fails
-    where ``one`` raises a package error or ArithmeticError; it stays NaN,
-    or with ``redraw`` is replaced by the next stream. A chunk never holds
-    more rows than replicates still needed, so the rows drawn are those of
-    a one-at-a-time loop. Returns the (n_replicates, m) values and the
-    failures counted by name; more than 10% failures raise BootstrapError.
+    Index rows are drawn by ``resample_index_matrix`` in chunks of
+    ``elements // n`` rows, at least one; ``elements`` is None for
+    ``_CHUNK_ELEMENTS``, read at call time. A batched fit's last bits can
+    depend on which rows share its chunk, so the budget is part of any
+    output that shows a replicate's value, as the bootstrap's spread and
+    percentiles do; a caller that publishes only counts over the replicates
+    may pick the budget for speed. ``chunk`` maps a (b, n) chunk of rows to
+    (b, m) values and a (b,) mask of rows it leaves to ``one``, the exact
+    (m,) values of one index row. A row fails where ``one`` raises a
+    package error or ArithmeticError; it stays NaN, or with ``redraw`` is
+    replaced by the next stream. A chunk never holds more rows than
+    replicates still needed, so the rows drawn are those of a one-at-a-time
+    loop. Returns the (n_replicates, m) values and the failures counted by
+    name; more than 10% failures raise BootstrapError.
 
     The chunks of a run with no failure are planned up front: every full
     chunk, and the short last one when each process's share would still
@@ -320,7 +342,7 @@ def draw_replicates(
     failure_counts: dict[str, int] = {}
     filled = 0
     attempt = 0
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
+    rows_per_chunk = max(1, (_CHUNK_ELEMENTS if elements is None else elements) // n)
     full, short = divmod(n_replicates, rows_per_chunk)
 
     def evaluate(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import pytest
 
 from scipy.special import expit
 
-from pcekit import core, diagnostics, estimators
+from pcekit import core, diagnostics, estimators, resampling
 from pcekit.core import (
     JOINT_LABELS,
     CompleterRule,
@@ -32,9 +32,14 @@ from pcekit.errors import (
     PcekitError,
     SingularDesignError,
 )
-from pcekit.estimators import ProbMethod
+from pcekit.estimators import ProbMethod, estimate_pce_table
 from pcekit.glm import DesignMatrix, fit_logistic, fit_ols
-from pcekit.resampling import exceedance_p, resample_counts, resample_index_matrix
+from pcekit.resampling import (
+    BootstrapSpec,
+    exceedance_p,
+    resample_counts,
+    resample_index_matrix,
+)
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
@@ -277,6 +282,44 @@ def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
 
     # one fit per arm: the full-data estimate's fits are the refits' warm starts
     assert fits(20) == fits(1) == 2
+
+
+@pytest.mark.parametrize("case", ["cond-indep", "indep", "sparse"])
+def test_independence_report_does_not_depend_on_the_chunk_budget(case, monkeypatch):
+    """The test publishes counts over its replicates, not their values, so
+    its own chunk budget gives the report the bootstrap's budget gives."""
+    if case == "sparse":  # about one resample in ten is redrawn
+        records, method, n_bootstrap = load_crossover_csv(DATA / "sparse_refit.csv"), "cond-indep", 2000
+    else:
+        records = generate_trial(scenario("a4p_violated", n_subjects=500, seed=1))
+        method, n_bootstrap = case, 300
+    own = independence_test(records, method, n_bootstrap=n_bootstrap, seed=3)
+    assert diagnostics._INDEP_CHUNK_ELEMENTS == 2 * resampling._CHUNK_ELEMENTS
+    monkeypatch.setattr(diagnostics, "_INDEP_CHUNK_ELEMENTS", resampling._CHUNK_ELEMENTS)
+    assert independence_test(records, method, n_bootstrap=n_bootstrap, seed=3) == own
+    assert (own.n_rejected > 0) == (case == "sparse")
+
+
+def test_each_resampling_loop_draws_chunks_of_its_own_budget(monkeypatch):
+    """The bootstrap keeps 2^14 index draws per chunk, 81 rows at n = 200;
+    the independence test takes 2^15, 65 rows at n = 500."""
+    drawn = []
+    real = resampling.resample_index_matrix
+
+    def spy(seed, first, count, n):
+        drawn.append((n, count))
+        return real(seed, first, count, n)
+
+    monkeypatch.setattr(resampling, "resample_index_matrix", spy)
+    # a forked child's draws would not be seen here
+    monkeypatch.setattr(resampling, "_process_count", lambda items: 1)
+    small = generate_trial(scenario("paper_like", n_subjects=200, seed=1))
+    estimate_pce_table(small, bootstrap_spec=BootstrapSpec(n_replicates=200, seed=1))
+    assert drawn == [(200, 81), (200, 81), (200, 38)]
+    drawn.clear()
+    large = generate_trial(scenario("a4p_violated", n_subjects=500, seed=1))
+    assert independence_test(large, n_bootstrap=150, seed=1).n_rejected == 0
+    assert drawn == [(500, 65), (500, 65), (500, 20)]
 
 
 def test_independence_fallback_names_separation_as_the_estimate_bootstrap_does(monkeypatch):

@@ -280,6 +280,13 @@ def test_stratum_prob_estimate_validates_total():
         StratumProbEstimate(method=ProbMethod.INDEP, probs=bad, n=10)
 
 
+def test_stratum_prob_estimate_takes_a_method_by_value_only_if_valid():
+    even = dict.fromkeys(JOINT_LABELS, 0.25)
+    assert StratumProbEstimate(method="indep", probs=even, n=4).method is ProbMethod.INDEP
+    with pytest.raises(ValueError, match="'bogus'"):
+        StratumProbEstimate(method="bogus", probs=even, n=4)
+
+
 def test_pce_table_shape_and_order():
     records = generate_trial(scenario("paper_like", n_subjects=120, seed=3))
     rows = estimate_pce_table(records)
@@ -383,6 +390,24 @@ def test_unknown_covariate_is_reported():
     records = generate_trial(scenario("paper_like", n_subjects=40, seed=2))
     with pytest.raises(PcekitError, match="x_nope"):
         estimate_pce_table(records, covariates=("x_nope",))
+
+
+@pytest.mark.parametrize("covariates, message", [
+    (("x_nope",), "unknown covariate"),
+    (("x_base", "x_base"), "listed more than once"),
+], ids=["unknown", "repeated"])
+@pytest.mark.parametrize("run", [
+    *(lambda data, cov, m=m: estimate_pce_table(data, methods=m, covariates=cov)
+      for m in PceMethod),
+    *(lambda data, cov, m=m: estimate_stratum_probs(data, m, covariates=cov)
+      for m in ProbMethod),
+], ids=[f"table-{m.value}" for m in PceMethod] + [f"probs-{m.value}" for m in ProbMethod])
+def test_covariate_names_are_checked_whatever_the_route(run, covariates, message):
+    # the routes and methods that fit no model check the names too, as the CLI does
+    records = generate_trial(scenario("paper_like", n_subjects=80, seed=2))
+    kept = core.completer_filter(records, core.CompleterRule.STRATUM_VAR)
+    with pytest.raises(PcekitError, match=message):
+        run(kept, covariates)
 
 
 def test_estimate_summary_is_plain_data():

@@ -53,6 +53,38 @@ def test_indices_stay_in_range():
         resample_index_matrix(0, 0, 1, 0)
 
 
+def _reference_index_rows(seed, first, count, n):
+    """The index formula in Python integers, one draw at a time."""
+    mask, phi = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def splitmix64(z):
+        z = (z + phi) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    rows = []
+    for b in range(first, first + count):
+        key = splitmix64((seed + (b + 1) * phi) & mask)
+        draws = (splitmix64((key + (j + 1) * phi) & mask) for j in range(n))
+        rows.append([min(int((d >> 11) * 2.0**-53 * n), n - 1) for d in draws])
+    return rows
+
+
+def test_index_rows_follow_the_formula_draw_by_draw():
+    rng = np.random.default_rng(11)
+    cases = [(2**64 - 1, 0, 3, 1), (2**64 - 2, 5, 2, 97), (-1, 0, 2, 40), (0, 2**40, 2, 33)]
+    for _ in range(150):
+        seed = int(rng.integers(0, 2**63)) + int(rng.integers(0, 2)) * 2**63
+        n = 1 if rng.random() < 0.1 else int(rng.integers(1, 300))
+        cases.append((seed, int(rng.integers(0, 10**6)), int(rng.integers(1, 4)), n))
+    for seed, first, count, n in cases:
+        idx = resample_index_matrix(seed, first, count, n)
+        assert idx.dtype == np.int64
+        assert idx.tolist() == _reference_index_rows(seed & (2**64 - 1), first, count, n), \
+            (seed, first, count, n)
+
+
 def test_exhaustive_enumeration_of_three_point_mean():
     data = [0.0, 1.0, 2.0]
     means = [
