@@ -309,31 +309,35 @@ def _effects_md(d: dict) -> str:
 
 
 class Check(NamedTuple):
-    """One diagnose check: the completers it runs on (named by noun in its
-    note), its runner and its markdown section, drawn from the report's dict."""
+    """One diagnose check: the completers it runs on (named in its note by
+    ``NOUNS``), its runner and its markdown section, drawn from the
+    report's dict."""
 
     name: str
     rule: CompleterRule
-    noun: str
     # (the diagnostics module, completers, args) -> report with to_dict()
     run: Callable[[ModuleType, core.TrialColumns, argparse.Namespace], object]
     heading: str
     body: Callable[[dict], str]
 
 
+# each completer rule as a diagnose note names it
+NOUNS = {CompleterRule.STRATUM_VAR: "adherence", CompleterRule.BOTH: "full",
+         CompleterRule.OUTCOME: "outcome"}
+
 # the checks in the order diagnose runs and reports them
 CHECKS = (
-    Check("monotonicity", CompleterRule.STRATUM_VAR, "adherence",
+    Check("monotonicity", CompleterRule.STRATUM_VAR,
           lambda diag, kept, args: diag.monotonicity_report(kept, args.direction),
           "Monotonicity", _monotonicity_md),
-    Check("ignorability", CompleterRule.BOTH, "full",
+    Check("ignorability", CompleterRule.BOTH,
           lambda diag, kept, args: diag.ignorability_regressions(kept, args.covariates),
           "Ignorability regressions", _ignorability_md),
-    Check("independence", CompleterRule.STRATUM_VAR, "adherence",
+    Check("independence", CompleterRule.STRATUM_VAR,
           lambda diag, kept, args: diag.independence_test(
               kept, args.indep_method, args.covariates, args.bootstrap, args.seed),
           "Cross-world independence", _independence_md),
-    Check("effects", CompleterRule.OUTCOME, "outcome",
+    Check("effects", CompleterRule.OUTCOME,
           lambda diag, kept, args: diag.crossover_effects_test(kept),
           "Crossover effects", _effects_md),
 )
@@ -360,7 +364,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     sections: list[str] = []
     for check in (c for c in CHECKS if c.name in args.checks):
         kept = cols.take(core.completer_mask(cols, check.rule))
-        notes.append(f"{check.name}: {len(kept)}/{len(cols)} {check.noun} completers")
+        notes.append(f"{check.name}: {len(kept)}/{len(cols)} {NOUNS[check.rule]} completers")
         results[check.name] = doc = check.run(diagnostics, kept, args).to_dict()
         sections += [f"## {check.heading}", "", check.body(doc), ""]
     rows = [{"section": name, "key": key, "value": value}

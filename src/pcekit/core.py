@@ -632,8 +632,14 @@ def completer_filter(
     return [rec for rec, k in zip(records, keep.tolist()) if k]
 
 
+def stratum_codes(a: np.ndarray) -> np.ndarray:
+    """(n,) joint-stratum codes of (n, 2) 0/1 adherence by arm, observed in
+    both arms: 2*A(0) + A(1), the stratum's index in JOINT_LABELS."""
+    return 2 * a[:, 0] + a[:, 1]
+
+
 def stratum_counts(cols: TrialColumns) -> np.ndarray:
-    """Subjects per joint stratum, in JOINT_LABELS order (cell index 2*A(0) + A(1)).
+    """Subjects per joint stratum, in JOINT_LABELS order: the tally of ``stratum_codes``.
 
     Needs crossover rows with adherence observed in both arms; take
     ``completer_mask(cols, CompleterRule.STRATUM_VAR)`` first if not.
@@ -641,10 +647,10 @@ def stratum_counts(cols: TrialColumns) -> np.ndarray:
     if not cols.crossover:
         raise PcekitError("stratum counts need crossover data")
     _require_completers(cols, CompleterRule.STRATUM_VAR)
-    return np.bincount(2 * cols.a[:, 0] + cols.a[:, 1], minlength=len(JOINT_LABELS))
+    return np.bincount(stratum_codes(cols.a), minlength=len(JOINT_LABELS))
 
 
-def classify_strata(records: Sequence[SubjectRecord]) -> StratumTable:
+def classify_strata(records: Dataset) -> StratumTable:
     """Tabulate joint strata from crossover adherence in both arms."""
     counts = stratum_counts(as_columns(records))
     return StratumTable(dict(zip(JOINT_LABELS, counts.tolist())), int(counts.sum()))

@@ -28,7 +28,8 @@ from .core import (
     _require_completers,
     as_columns,
     by_period,
-    stratum_counts,
+    classify_strata,
+    stratum_codes,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
 from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector, _selected_covariates
@@ -93,8 +94,7 @@ def monotonicity_report(
     completers).
     """
     direction = MonotonicityDirection(direction)
-    counts = stratum_counts(_crossover_columns(data))
-    table = StratumTable(dict(zip(JOINT_LABELS, counts.tolist())), int(counts.sum()))
+    table = classify_strata(_crossover_columns(data))
     forbidden = direction.forbidden
     violating = sum(table.counts[lab] for lab in forbidden)
     prop = violating / table.n_total
@@ -247,7 +247,7 @@ def independence_test(
     ssq_obs = float(np.sum(gap0**2))
 
     # cell membership as (n, 4) indicators, so counts @ cells tallies a resample
-    cells = np.eye(len(JOINT_LABELS))[2 * cols.a[:, 0] + cols.a[:, 1]]
+    cells = np.eye(len(JOINT_LABELS))[stratum_codes(cols.a)]
 
     def gaps(counts: np.ndarray, est_b: np.ndarray) -> np.ndarray:
         """Centered max and sum-of-squares gaps of resamples given as counts."""

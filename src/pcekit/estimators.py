@@ -18,7 +18,9 @@ the (b, 4) cells of each resample and a (b,) mask of the rows left to the
 full-data form.
 
 Every estimate is computed on ``TrialColumns``; the functions that take
-records or observations are adapters that validate and convert them.
+records or observations are adapters that validate and convert them. Both
+forms of a route mark an empty stratum cell, one with no subjects or no
+weight, with NaN; only the record adapters raise ``InestimableStratumError``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .core import (
     TrialColumns,
     as_columns,
     completer_mask,
+    stratum_codes,
     stratum_counts,
 )
 from .errors import (
@@ -108,9 +111,12 @@ def _covariate_index(available: tuple[str, ...], names: Sequence[str]) -> list[i
 def _selected_covariates(
     cols: TrialColumns, covariates: Sequence[str] | None
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Names and (n, len(names)) values of the covariates a model uses (default: all)."""
+    """Names and (n, len(names)) values of the covariates a model uses
+    (default: all); names given as one string or not as a collection fail."""
     if covariates is None:
         return cols.covariate_names, cols.x
+    if isinstance(covariates, (str, bytes)) or not isinstance(covariates, Iterable):
+        raise PcekitError(f"covariates must be a collection of names, not {covariates!r}")
     return tuple(covariates), cols.x[:, _covariate_index(cols.covariate_names, covariates)]
 
 
@@ -198,20 +204,24 @@ def estimate_mu_hayden(
         raise ValueError(f"cross_model is for arm {cross_model.arm}; need arm {1 - arm}")
     cols = as_columns(obs)
     g = _clip_scores(principal_scores(cross_model, cols))
-    return _hayden_mean(cols.a[:, arm], cols.y[:, arm], g, stratum, arm)
+    mu = _hayden_mean(cols.a[:, arm], cols.y[:, arm], g, stratum, arm)
+    if np.isnan(mu):
+        raise InestimableStratumError(
+            f"no weight in stratum {stratum} for arm {arm}: no subjects with "
+            f"a={stratum.a0 if arm == 0 else stratum.a1}"
+        )
+    return mu
 
 
 def _hayden_mean(
     a: np.ndarray, y: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
 ) -> float:
-    """Weighted mean of one arm's outcomes y, with _hayden_weights."""
+    """Weighted mean of one arm's outcomes y, with _hayden_weights; NaN when
+    no subject has the stratum's own-arm adherence, so the weight is zero."""
     w = _hayden_weights(a, g, stratum, arm)
     total = float(np.sum(w))
     if total <= 0.0:
-        raise InestimableStratumError(
-            f"no weight in stratum {stratum} for arm {arm}: no subjects with "
-            f"a={stratum.a0 if arm == 0 else stratum.a1}"
-        )
+        return float("nan")
     return float(np.sum(w * y) / total)
 
 
@@ -241,22 +251,16 @@ def estimate_mu_direct(
             f"subject {records[missing_a[0]].subject_id!r} missing adherence; "
             "filter to completers first"
         )
-    in_stratum = (cols.a[:, 0] == stratum.a0) & (cols.a[:, 1] == stratum.a1)
+    in_stratum = stratum_codes(cols.a) == JOINT_LABELS.index(stratum)
     missing_y = np.flatnonzero(in_stratum & np.isnan(cols.y[:, t]))
     if missing_y.size:
         raise MissingDataError(
             f"subject {records[missing_y[0]].subject_id!r} missing arm-{t} outcome; "
             "filter to completers first"
         )
-    return _direct_means(cols.a, cols.y, stratum)[t]
-
-
-def _direct_means(a: np.ndarray, y: np.ndarray, stratum: StratumLabel) -> tuple[float, float]:
-    """Arm-0 and arm-1 outcome means over the rows of a (n, 2) in the stratum."""
-    mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
-    if not mask.any():
+    if not in_stratum.any():
         raise InestimableStratumError(f"no subjects observed in stratum {stratum}")
-    return float(np.mean(y[mask, 0])), float(np.mean(y[mask, 1]))
+    return float(np.mean(cols.y[in_stratum, t]))
 
 
 @dataclass(frozen=True)
@@ -435,11 +439,7 @@ def _ps_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarra
             continue
         g = _clip_scores(_scores(models[1 - t], x[use]))
         a, y = cols.a[use, t], cols.y[use, t]
-        for i, stratum in enumerate(JOINT_LABELS):
-            try:
-                mu[i, t] = _hayden_mean(a, y, g, stratum, t)
-            except InestimableStratumError:
-                pass
+        mu[:, t] = [_hayden_mean(a, y, g, stratum, t) for stratum in JOINT_LABELS]
     mu[np.isnan(mu).any(axis=1)] = np.nan  # a stratum needs both arms
     return mu
 
@@ -449,13 +449,12 @@ def _direct_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.nd
     if not cols.crossover:
         raise PcekitError("direct stratification needs crossover data")
     complete = completer_mask(cols, CompleterRule.BOTH)
-    a, y = cols.a[complete], cols.y[complete]
+    codes, y = stratum_codes(cols.a[complete]), cols.y[complete]
     mu = np.full((len(JOINT_LABELS), 2), np.nan)
-    for i, stratum in enumerate(JOINT_LABELS):
-        try:
-            mu[i] = _direct_means(a, y, stratum)
-        except InestimableStratumError:
-            pass
+    for i in range(len(JOINT_LABELS)):
+        mask = codes == i
+        if mask.any():
+            mu[i] = np.mean(y[mask, 0]), np.mean(y[mask, 1])
     return mu
 
 
@@ -511,11 +510,11 @@ def _direct_cells_counts(
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
     (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``."""
     complete = completer_mask(cols, CompleterRule.BOTH)
-    c, a, y = counts[:, complete], cols.a[complete], cols.y[complete]
+    c, codes, y = counts[:, complete], stratum_codes(cols.a[complete]), cols.y[complete]
     mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
     with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN
-        for i, stratum in enumerate(JOINT_LABELS):
-            mask = (a[:, 0] == stratum.a0) & (a[:, 1] == stratum.a1)
+        for i in range(len(JOINT_LABELS)):
+            mask = codes == i
             mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
     return mu, np.zeros(counts.shape[0], dtype=bool)
 
@@ -579,7 +578,8 @@ def estimate_pce_table(
     """
     cols = as_columns(data)
     _selected_covariates(cols, covariates)
-    lone = isinstance(methods, (str, PceMethod))  # one method, not a list of them
+    # one method, not a collection of them; PceMethod refuses a value it does not name
+    lone = isinstance(methods, (str, bytes, PceMethod)) or not isinstance(methods, Iterable)
     methods = list(dict.fromkeys(map(PceMethod, [methods] if lone else methods)))
     if not methods:
         raise ValueError("at least one method required")

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns, _period_columns,
-                   by_period, crossover_records)
+from .core import (_COVARIATE_PREFIX, JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns,
+                   _period_columns, by_period, crossover_records, stratum_codes)
 from .errors import ConfigError
 
 _TRIAL_STREAM = 0
@@ -85,8 +85,8 @@ class DgpConfig:
         for name in ("rho_within", "rho_cross", "rho_strata"):
             if abs(getattr(self, name)) > 1.0:
                 raise ConfigError(f"{name} must lie in [-1, 1]")
-        if not self.covariate_name.startswith("x_"):
-            raise ConfigError("covariate_name must carry the x_ column prefix")
+        if not self.covariate_name.startswith(_COVARIATE_PREFIX):
+            raise ConfigError(f"covariate_name must carry the {_COVARIATE_PREFIX} column prefix")
         low = float(np.min(np.linalg.eigvalsh(self.correlation_matrix())))
         if low < -1e-9:
             raise ConfigError(
@@ -150,38 +150,40 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
 def _draw_population(
     config: DgpConfig, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariates (n,), stratum codes (n,) and potential outcomes (2, n).
+    """Covariates (n,), potential adherence (n, 2) as int8 0/1 by arm, and
+    potential outcomes (2, n).
 
-    A stratum code is ``2*A(0) + A(1)``, the index of the stratum in
-    ``JOINT_LABELS``. The covariates are drawn whole, then the noise rows in
-    chunks of the same stream. The noise factor is computed once per call,
-    as ``multivariate_normal(method="eigh")`` computes it on every call:
-    ``u * sqrt(|s|)`` from ``eigh`` of the correlation matrix. Each chunk is
-    its standard normals times the factor's transpose, the product numpy
-    takes, and an even split never leaves a 1-row chunk, whose product takes
-    another BLAS path. The same factor, the same products and the same stream
-    order make every n draw the same bits as one ``multivariate_normal``
-    call; numpy's add of the zero mean could only turn a noise value of
-    exactly -0.0 into +0.0. The chunks reuse one set of buffers, and the
-    latents and outcomes are formed in place; floating-point sums and
-    products commute, so ``(x*beta + eta) + eps`` has the bits of
-    ``eta + beta*x + eps``. Finite but huge knobs can overflow; that is a
-    ConfigError, not a warning followed by inf or NaN draws."""
+    Every subject's adherence is drawn in both arms, so ``stratum_codes``
+    gives each one's joint stratum. The covariates are drawn whole, then the
+    noise rows in chunks of the same stream. The noise factor is computed
+    once per call, as ``multivariate_normal(method="eigh")`` computes it on
+    every call: ``u * sqrt(|s|)`` from ``eigh`` of the correlation matrix.
+    Each chunk is its standard normals times the factor's transpose, the
+    product numpy takes, and an even split never leaves a 1-row chunk, whose
+    product takes another BLAS path. The same factor, the same products and
+    the same stream order make every n draw the same bits as one
+    ``multivariate_normal`` call; numpy's add of the zero mean could only
+    turn a noise value of exactly -0.0 into +0.0. The chunks reuse one set
+    of buffers, and the latents, adherence and outcomes are formed in place;
+    floating-point sums and products commute, so ``(x*beta + eta) + eps``
+    has the bits of ``eta + beta*x + eps``. Finite but huge knobs can
+    overflow; that is a ConfigError, not a warning followed by inf or NaN
+    draws."""
     s, u = np.linalg.eigh(config.correlation_matrix())
     factor_t = (u * np.sqrt(np.abs(s))).T
-    code = np.zeros(n, dtype=np.int8)
+    a = np.empty((n, 2), dtype=np.int8)
     y = np.empty((2, n))
     k = -(-n // _NOISE_CHUNK)
     bounds = [i * n // k for i in range(k + 1)]
     rows = -(-n // k)  # the even split's largest chunk
     z_buf, eps_buf = np.empty((rows, 4)), np.empty((rows, 4))
-    tmp_buf, up_buf = np.empty(rows), np.empty(rows, dtype=bool)
+    tmp_buf = np.empty(rows)
     with np.errstate(all="ignore"):
         x = config.mu_x + config.sigma_x * rng.standard_normal(n)
         _require_finite(x, "covariate draws")
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             z, eps = z_buf[: hi - lo], eps_buf[: hi - lo]
-            tmp, up = tmp_buf[: hi - lo], up_buf[: hi - lo]
+            tmp = tmp_buf[: hi - lo]
             rng.standard_normal(out=z)
             np.matmul(z, factor_t, out=eps)
             xc = x[lo:hi]
@@ -190,12 +192,12 @@ def _draw_population(
                 latent += config.eta[t]
                 latent += eps[:, t]
                 _require_finite(latent, "adherence latent draws")
-                code[lo:hi] += np.greater(latent, 0.0, out=up).view(np.int8) << (1 - t)
+                np.greater(latent, 0.0, out=a[lo:hi, t])
                 y_t = np.multiply(xc, config.delta[t], out=y[t, lo:hi])
                 y_t += config.gamma[t]
                 y_t += np.multiply(eps[:, 2 + t], config.sigma[t], out=tmp)
     _require_finite(y, "outcome draws")
-    return x, code, y
+    return x, a, y
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -211,7 +213,7 @@ def trial_columns(config: DgpConfig) -> TrialColumns:
     when that value is masked."""
     n = config.n_subjects
     rng = _stream(config.seed, _TRIAL_STREAM)
-    x, code, y_pot = _draw_population(config, rng, n)
+    x, a, y_pot = _draw_population(config, rng, n)
     perm = rng.permutation(n)
     miss = rng.random((n, 2))
 
@@ -223,8 +225,7 @@ def trial_columns(config: DgpConfig) -> TrialColumns:
         y_p[:, 1] = y_p[:, 1] + config.pi_period + config.lambda_carry * y_p[:, 0]
     _require_finite(y_p[:, 1], "period-2 outcome draws")
     y_p[by_period(ef, miss < np.asarray(config.missing_y_prob))] = np.nan
-    a_p = by_period(ef, np.stack([code >> 1, code & 1], axis=1))
-    return _period_columns((config.covariate_name,), x, ef, a_p, y_p)
+    return _period_columns((config.covariate_name,), x, ef, by_period(ef, a), y_p)
 
 
 def subject_ids(n: int) -> list[str]:
@@ -276,22 +277,24 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     """Stratum probabilities and PCEs from a fresh oracle draw.
 
     The oracle stream is separate from the trial stream under the same seed,
-    so the truth is independent of any generated trial of that config. A
+    so the truth is independent of any generated trial of that config. The
+    members are sorted by ``stratum_codes`` of their potential adherence. A
     stratum with no oracle members, such as S10 under monotone adherence,
-    gets probability 0 and NaN means and PCE; one with a single member has
-    no Monte Carlo SE and is an error.
+    gets probability 0, and NaN marks its means and PCE; one with a single
+    member has no Monte Carlo SE and is an error.
     """
     if oracle_n < MIN_ORACLE_N:
         raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
     rng = _stream(config.seed, _ORACLE_STREAM)
-    code, y = _draw_population(config, rng, oracle_n)[1:]  # the covariates go before the sort
+    a, y = _draw_population(config, rng, oracle_n)[1:]  # the covariates go before the sort
     # stratum members as contiguous slices, each in draw order, so every sum
     # adds the same elements in the same order as a boolean mask would
+    code = stratum_codes(a)
     counts = np.bincount(code, minlength=len(JOINT_LABELS))
     order = np.argsort(code, kind="stable")
     for t in (0, 1):
         y[t] = y[t, order]
-    del code, order
+    del a, code, order
     rows = []
     lo = 0
     with np.errstate(all="ignore"):  # differences and sums of huge outcomes overflow

@@ -24,6 +24,7 @@ from pcekit.core import (
     load_columns,
     load_crossover_csv,
     load_parallel_csv,
+    stratum_codes,
     write_columns,
     write_crossover_csv,
     write_parallel_csv,
@@ -115,6 +116,12 @@ def test_classify_strata_uses_arm_coordinates():
     assert table.counts[StratumLabel(0, 1)] == 1
     assert table.counts[StratumLabel(1, 1)] == 1
     assert table.counts[StratumLabel(0, 0)] == 0
+
+
+def test_stratum_codes_index_joint_labels_in_order():
+    a = np.array([[lab.a0, lab.a1] for lab in JOINT_LABELS], dtype=np.int8)
+    assert stratum_codes(a).tolist() == [0, 1, 2, 3]
+    assert [JOINT_LABELS[c] for c in stratum_codes(a[::-1])] == list(JOINT_LABELS[::-1])
 
 
 def test_classify_strata_rejects_missing_adherence():

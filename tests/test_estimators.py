@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -116,7 +117,8 @@ def test_hayden_mu_validation():
     with pytest.raises(ValueError, match="cross_model"):
         arm0_model = fit_principal_score([obs("a", 0, 0), obs("b", 0, 1)], covariates=())
         estimate_mu_hayden(own, arm0_model, StratumLabel(1, 1))
-    with pytest.raises(InestimableStratumError):
+    with pytest.raises(InestimableStratumError,
+                       match="no weight in stratum S00 for arm 0: no subjects with a=0"):
         estimate_mu_hayden(own, model, StratumLabel(0, 0))
 
 
@@ -204,7 +206,7 @@ def test_direct_mu_is_group_mean():
     # S11 members are a and b; arm-0 outcomes are 10.0 (a) and 40.0 (b)
     assert estimate_mu_direct(records, StratumLabel(1, 1), 0) == 25.0
     assert estimate_mu_direct(records, StratumLabel(1, 1), 1) == 25.0
-    with pytest.raises(InestimableStratumError):
+    with pytest.raises(InestimableStratumError, match="no subjects observed in stratum S10"):
         estimate_mu_direct(records, StratumLabel(1, 0), 0)
     with pytest.raises(MissingDataError):
         estimate_mu_direct([make_record("d", a=(None, 1))], StratumLabel(1, 1), 0)
@@ -361,6 +363,10 @@ def test_pce_table_takes_method_values():
         assert [repr(r) for r in by_lone] == [repr(r) for r in by_enum]
     with pytest.raises(ValueError, match="'nope'"):
         estimate_pce_table(records, methods=["ps", "nope"])
+    # a value of no collection's type is one method, and PceMethod names it
+    for bad in (None, 5, b"ps"):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a valid PceMethod")):
+            estimate_pce_table(records, methods=bad)
 
 
 def test_pce_table_lays_out_the_requested_order_and_runs_routes_in_table_order(monkeypatch):
@@ -395,7 +401,10 @@ def test_unknown_covariate_is_reported():
 @pytest.mark.parametrize("covariates, message", [
     (("x_nope",), "unknown covariate"),
     (("x_base", "x_base"), "listed more than once"),
-], ids=["unknown", "repeated"])
+    (5, "collection of names, not 5"),
+    ("x_base", "collection of names, not 'x_base'"),
+    (b"x_base", "collection of names, not b'x_base'"),
+], ids=["unknown", "repeated", "int", "str", "bytes"])
 @pytest.mark.parametrize("run", [
     *(lambda data, cov, m=m: estimate_pce_table(data, methods=m, covariates=cov)
       for m in PceMethod),
