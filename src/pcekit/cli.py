@@ -183,8 +183,7 @@ def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
     if args.derive_a:
         cols = dataclasses.replace(cols, a=_derive_adherence(args.derive_a, cols.y))
     # an unknown or repeated --covariates name fails whatever the route or check
-    estimators._selected_covariates(cols, args.covariates)
-    return cols
+    return cols.select(args.covariates)
 
 
 # ---------------------------------------------------------------- simulate
@@ -248,9 +247,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         spec = resampling.BootstrapSpec(
             n_replicates=args.bootstrap, seed=args.seed, ci_level=args.ci
         )
-    table = estimators.estimate_pce_table(
-        cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
-    )
+    table = estimators.estimate_pce_table(cols, methods=methods, bootstrap_spec=spec)
     doc, rows = [], []
     for r in table:
         head = {"stratum": str(r.stratum), "method": r.method.value, "quantity": r.quantity,
@@ -331,11 +328,11 @@ CHECKS = (
           lambda diag, kept, args: diag.monotonicity_report(kept, args.direction),
           "Monotonicity", _monotonicity_md),
     Check("ignorability", CompleterRule.BOTH,
-          lambda diag, kept, args: diag.ignorability_regressions(kept, args.covariates),
+          lambda diag, kept, args: diag.ignorability_regressions(kept),
           "Ignorability regressions", _ignorability_md),
     Check("independence", CompleterRule.STRATUM_VAR,
           lambda diag, kept, args: diag.independence_test(
-              kept, args.indep_method, args.covariates, args.bootstrap, args.seed),
+              kept, args.indep_method, n_bootstrap=args.bootstrap, seed=args.seed),
           "Cross-world independence", _independence_md),
     Check("effects", CompleterRule.OUTCOME,
           lambda diag, kept, args: diag.crossover_effects_test(kept),
@@ -391,7 +388,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     if args.covariates is not None:  # the generator draws one covariate
-        estimators._covariate_index((config.covariate_name,), args.covariates)
+        core.covariate_index((config.covariate_name,), args.covariates)
     methods = METHODS[args.method]
 
     def trial(cfg: simulator.DgpConfig) -> list[tuple[tuple[str, str], tuple]]:
@@ -401,8 +398,8 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         cols = simulator.trial_columns(cfg)
         truth = simulator.true_pce(cfg, oracle_n=args.oracle_n)
         spec = None
-        if args.bootstrap > 0:
-            spec = resampling.BootstrapSpec(n_replicates=args.bootstrap, seed=cfg.seed)
+        if args.bootstrap > 0:  # resamples are keyed by the trial seed's 64 bits
+            spec = resampling.BootstrapSpec(args.bootstrap, cfg.seed % resampling.SEED_LIMIT)
         rows = estimators.estimate_pce_table(
             cols, methods=methods, covariates=args.covariates, bootstrap_spec=spec
         )
@@ -489,9 +486,7 @@ def _ci_level(text: str) -> float:
     return value
 
 
-# resample streams are keyed by the seed's 64 bits, so a seed outside
-# [0, 2**64) would repeat the resamples of one inside it
-_resample_seed = _int_at_least(0, below=2**64)
+_resample_seed = _int_at_least(0, below=resampling.SEED_LIMIT)
 
 
 # argument groups that several commands share

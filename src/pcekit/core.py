@@ -15,11 +15,11 @@ import csv
 import io
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -482,6 +482,8 @@ class TrialColumns:
     exactly when ``ef != t``. Build with ``load_columns`` or ``as_columns``,
     which validate; ``take`` trusts its input. Outside ``take``, only the two
     builders ``_period_columns`` and ``_parallel_columns`` construct one.
+    The covariates a model uses are chosen once, with ``select``; every
+    estimate then reads ``x`` and ``covariate_names`` as they are.
     """
 
     covariate_names: tuple[str, ...]
@@ -503,8 +505,34 @@ class TrialColumns:
         ef = None if self.ef is None else self.ef[idx]
         return TrialColumns(self.covariate_names, self.x[idx], self.a[idx], self.y[idx], ef)
 
+    def select(self, covariates: Iterable[str] | None) -> "TrialColumns":
+        """The same rows with only the named covariate columns, in the order
+        named; itself for None, which means every covariate. The names are
+        checked by ``covariate_index``."""
+        if covariates is None:
+            return self
+        idx = covariate_index(self.covariate_names, covariates)
+        names = tuple(self.covariate_names[i] for i in idx)
+        return replace(self, covariate_names=names, x=self.x[:, idx])
+
 
 Dataset = Union[Sequence[SubjectRecord], Sequence[ParallelObservation], TrialColumns]
+
+
+def covariate_index(available: tuple[str, ...], names: Iterable[str]) -> list[int]:
+    """Positions in available of the named covariates, the names read once;
+    names given as one string or not as a collection, a repeated name or an
+    unknown one fail."""
+    if isinstance(names, (str, bytes)) or not isinstance(names, Iterable):
+        raise PcekitError(f"covariates must be a collection of names, not {names!r}")
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise PcekitError(f"covariate {name!r} is listed more than once in {names!r}")
+    try:
+        return [available.index(n) for n in names]
+    except ValueError as exc:
+        raise PcekitError(f"unknown covariate among {names!r}; have {available!r}") from exc
 
 
 def _check_finite(values: np.ndarray, observed: np.ndarray | bool, ids: Sequence[str],

@@ -32,9 +32,9 @@ from .core import (
     stratum_codes,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
-from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector, _selected_covariates
+from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector
 from .glm import DesignMatrix, fit_ols, t_two_sided_p
-from .resampling import draw_replicates, exceedance_p, resample_counts
+from .resampling import SEED_LIMIT, check_integer, draw_replicates, exceedance_p, resample_counts
 
 
 # index draws per chunk of the independence test's resamples: twice the
@@ -148,7 +148,8 @@ def ignorability_regressions(
     """
     cols = _crossover_columns(data)
     _require_completers(cols, CompleterRule.BOTH)
-    names, x = _selected_covariates(cols, covariates)
+    cols = cols.select(covariates)
+    names, x = cols.covariate_names, cols.x
     # contiguous copies: fit_ols on a strided column view differs in the last bits
     y = {t: np.ascontiguousarray(cols.y[:, t]) for t in (0, 1)}
     a = {t: cols.a[:, t].astype(float) for t in (0, 1)}
@@ -231,17 +232,17 @@ def independence_test(
     method = ProbMethod(method)
     if method is ProbMethod.OBSERVED:
         raise ValueError("compare against a model-based method, not the observed table")
-    if n_bootstrap < 1:
-        raise ValueError("n_bootstrap must be at least 1")
+    check_integer("n_bootstrap", n_bootstrap, 1)
+    check_integer("seed", seed, 0, SEED_LIMIT)
     cols = _crossover_columns(data)
     n = len(cols)
     if n < 4:
         raise InsufficientDataError("too few subjects for the independence test")
 
-    names, x = _selected_covariates(cols, covariates)
-    obs_vec = _prob_vector(cols, ProbMethod.OBSERVED, None)
+    cols = cols.select(covariates)
+    obs_vec = _prob_vector(cols, ProbMethod.OBSERVED)
     full, batch = _RECONSTRUCTIONS[method]
-    est_vec, warm = full(cols, names, (None, None))
+    est_vec, warm = full(cols, (None, None))
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
@@ -256,11 +257,11 @@ def independence_test(
 
     def chunk(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = resample_counts(idx, n)
-        est_b, left = batch(x, cols.a, counts, warm)
+        est_b, left = batch(cols, counts, warm)
         return gaps(counts, est_b), left
 
     def one(row: np.ndarray) -> np.ndarray:
-        est_b = full(cols.take(row), names, warm)[0]
+        est_b = full(cols.take(row), warm)[0]
         return gaps(resample_counts(row[None, :], n), est_b)[0]
 
     try:

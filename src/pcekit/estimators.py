@@ -3,22 +3,25 @@
 Two routes to stratum means: principal-score weighting, which reweights
 arm-t outcomes by the cross-arm adherence probability g_{1-t}(X) and so
 works on parallel-arm data, and direct stratification, which needs the
-joint stratum observed and so requires crossover records. ``_ROUTES``
-holds one entry per ``PceMethod``, in enum order: the route's full-data
-form, (cols, covariates) -> (4, 2) arm means per joint stratum, and its
-chunk form, (cols, covariates, (b, n) counts) -> the (b, 4, 2) means of
-each resample and a (b,) mask of the rows left to the full-data form. Stratum
+joint stratum observed and so requires crossover records. Stratum
 probabilities come either from observed crossover proportions or from a
 model-based reconstruction that takes the two potential adherences as
-independent, conditionally on X or unconditionally. ``_RECONSTRUCTIONS``
-holds one entry per model-based ``ProbMethod``, in enum order: its full-data
-form, (cols, covariates, starts) -> the (4,) cell probabilities and the starts
-a resample's refit takes, and its chunk form, (x, a, (b, n) counts, starts) ->
-the (b, 4) cells of each resample and a (b,) mask of the rows left to the
-full-data form.
+independent, conditionally on X or unconditionally.
+
+Two tables hold the forms, in enum order and with one calling convention.
+``_ROUTES`` holds one entry per ``PceMethod``: the route's full-data form,
+(cols) -> (4, 2) arm means per joint stratum, and its chunk form,
+(cols, (b, n) counts) -> the (b, 4, 2) means of each resample and a (b,)
+mask of the rows left to the full-data form. ``_RECONSTRUCTIONS`` holds one
+entry per model-based ``ProbMethod``: its full-data form, (cols, starts) ->
+the (4,) cell probabilities and the starts a resample's refit takes, and its
+chunk form, (cols, (b, n) counts, starts) -> the (b, 4) cells of each
+resample and a (b,) mask of the rows left to the full-data form.
 
 Every estimate is computed on ``TrialColumns``; the functions that take
-records or observations are adapters that validate and convert them. Both
+records or observations are adapters that validate and convert them. The
+public functions choose the covariates once, with ``TrialColumns.select``,
+so every form fits on all the covariates of the columns it is given. Both
 forms of a route mark an empty stratum cell, one with no subjects or no
 weight, with NaN; only the record adapters raise ``InestimableStratumError``.
 """
@@ -96,30 +99,6 @@ class PrincipalScoreModel:
             raise ConvergenceError(f"principal-score fit for arm {self.arm} did not converge ({detail})")
 
 
-def _covariate_index(available: tuple[str, ...], names: Sequence[str]) -> list[int]:
-    """Positions in available of the named covariates; a repeated or unknown name fails."""
-    names = tuple(names)
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise PcekitError(f"covariate {name!r} is listed more than once in {names!r}")
-    try:
-        return [available.index(n) for n in names]
-    except ValueError as exc:
-        raise PcekitError(f"unknown covariate among {names!r}; have {available!r}") from exc
-
-
-def _selected_covariates(
-    cols: TrialColumns, covariates: Sequence[str] | None
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Names and (n, len(names)) values of the covariates a model uses
-    (default: all); names given as one string or not as a collection fail."""
-    if covariates is None:
-        return cols.covariate_names, cols.x
-    if isinstance(covariates, (str, bytes)) or not isinstance(covariates, Iterable):
-        raise PcekitError(f"covariates must be a collection of names, not {covariates!r}")
-    return tuple(covariates), cols.x[:, _covariate_index(cols.covariate_names, covariates)]
-
-
 def _fit_score(
     x: np.ndarray, a: np.ndarray, names: tuple[str, ...], arm: int, start: np.ndarray | None = None
 ) -> PrincipalScoreModel:
@@ -149,15 +128,13 @@ def fit_principal_score(
             raise MissingDataError(
                 f"subject {o.subject_id!r} has missing adherence; drop a-missing rows first"
             )
-    cols = as_columns(obs)
-    names, x = _selected_covariates(cols, covariates)
-    return _fit_score(x, cols.a[:, arm], names, arm)
+    cols = as_columns(obs).select(covariates)
+    return _fit_score(cols.x, cols.a[:, arm], cols.covariate_names, arm)
 
 
 def principal_scores(model: PrincipalScoreModel, subjects: Dataset) -> np.ndarray:
     """Predicted adherence probabilities for subjects' covariates, unclipped."""
-    _, x = _selected_covariates(as_columns(subjects), model.covariate_names)
-    return _scores(model, x)
+    return _scores(model, as_columns(subjects).select(model.covariate_names).x)
 
 
 def _extreme(g: np.ndarray) -> np.ndarray:
@@ -287,15 +264,13 @@ def _adherence_rows(cols: TrialColumns) -> np.ndarray:
 
 
 def _fit_both_arms(
-    cols: TrialColumns, observed: np.ndarray, covariates: Sequence[str] | None,
-    starts: Sequence[np.ndarray | None] = (None, None),
-) -> tuple[tuple[PrincipalScoreModel, PrincipalScoreModel], np.ndarray]:
+    cols: TrialColumns, observed: np.ndarray, starts: Sequence[np.ndarray | None] = (None, None)
+) -> tuple[PrincipalScoreModel, PrincipalScoreModel]:
     """Each arm's principal-score model, fit on its adherence-observed rows
-    from that arm's start, and the covariate values the models use."""
-    names, x = _selected_covariates(cols, covariates)
-    m0, m1 = (_fit_score(x[rows], cols.a[rows, t], names, t, starts[t])
+    from that arm's start."""
+    m0, m1 = (_fit_score(cols.x[rows], cols.a[rows, t], cols.covariate_names, t, starts[t])
               for t, rows in enumerate(observed.T))
-    return (m0, m1), x
+    return m0, m1
 
 
 def _cell_table(g0: np.ndarray | float, g1: np.ndarray | float) -> np.ndarray:
@@ -329,36 +304,34 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
 
 
 def _cond_indep_cells(
-    cols: TrialColumns, covariates: Sequence[str] | None, starts: Sequence[np.ndarray | None]
+    cols: TrialColumns, starts: Sequence[np.ndarray | None]
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Joint-cell probabilities under independence given X, in JOINT_LABELS
     order, and the coefficients of the two principal-score models they
     average, each fit from its arm's start: None for an estimate, the
     full-data fit for a resample's."""
-    (m0, m1), x = _fit_both_arms(cols, _adherence_rows(cols), covariates, starts)
+    m0, m1 = _fit_both_arms(cols, _adherence_rows(cols), starts)
     # each cell is summed as one contiguous row, in the order of a 1-D mean
-    cells = np.ascontiguousarray(_cell_table(_scores(m0, x), _scores(m1, x)).T).mean(axis=1)
-    return cells, (m0.fit.coefficients, m1.fit.coefficients)
+    cells = np.ascontiguousarray(_cell_table(_scores(m0, cols.x), _scores(m1, cols.x)).T)
+    return cells.mean(axis=1), (m0.fit.coefficients, m1.fit.coefficients)
 
 
 def _cond_indep_cells_counts(
-    x: np.ndarray, a: np.ndarray, counts: np.ndarray, starts: Sequence[np.ndarray]
+    cols: TrialColumns, counts: np.ndarray, starts: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_cond_indep_cells`` of each resample in a chunk, given as (b, n)
-    counts over subjects with covariate values x and adherence a observed in
-    both arms: (b, 4) cells and a (b,) mask of the rows whose two refits from
-    starts did not converge cleanly (they carry no usable cells and are left
-    to ``_cond_indep_cells``)."""
-    design = intercept_design(x)
-    beta0, ok0 = fit_logistic_counts(design, a[:, 0], counts, starts[0])
-    beta1, ok1 = fit_logistic_counts(design, a[:, 1], counts, starts[1])
+    counts over subjects with adherence observed in both arms: (b, 4) cells
+    and a (b,) mask of the rows whose two refits from starts did not
+    converge cleanly (they carry no usable cells and are left to
+    ``_cond_indep_cells``)."""
+    design = intercept_design(cols.x)
+    beta0, ok0 = fit_logistic_counts(design, cols.a[:, 0], counts, starts[0])
+    beta1, ok1 = fit_logistic_counts(design, cols.a[:, 1], counts, starts[1])
     g0, g1 = expit(beta0 @ design.T), expit(beta1 @ design.T)
     return _cell_sums(counts, g0, g1) / counts.shape[1], ~(ok0 & ok1)
 
 
-def _indep_cells(
-    cols: TrialColumns, covariates: Sequence[str] | None, starts: Sequence
-) -> tuple[np.ndarray, Sequence]:
+def _indep_cells(cols: TrialColumns, starts: Sequence) -> tuple[np.ndarray, Sequence]:
     """Joint-cell probabilities under unconditional independence, in
     JOINT_LABELS order, from each arm's adherence rate over its observed
     rows; no model is fit, so covariates go unused and starts pass through."""
@@ -367,13 +340,14 @@ def _indep_cells(
 
 
 def _indep_cells_counts(
-    x: np.ndarray, a: np.ndarray, counts: np.ndarray, starts: Sequence
+    cols: TrialColumns, counts: np.ndarray, starts: Sequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_indep_cells`` of each resample in a chunk, given as (b, n) counts
-    over subjects with adherence a observed in both arms: (b, 4) cells, and a
+    over subjects with adherence observed in both arms: (b, 4) cells, and a
     (b,) mask that leaves no row to ``_indep_cells``. The rates are whole
     counts over n, so a row of ones gives ``_indep_cells``'s bits."""
-    return _cell_table(*(counts @ a / counts.shape[1]).T), np.zeros(counts.shape[0], dtype=bool)
+    rates = counts @ cols.a / counts.shape[1]
+    return _cell_table(*rates.T), np.zeros(counts.shape[0], dtype=bool)
 
 
 # (full-data form, chunk form) of every model-based reconstruction, in enum order
@@ -383,14 +357,11 @@ _RECONSTRUCTIONS = {
 }
 
 
-def _prob_vector(
-    data: Dataset, method: ProbMethod, covariates: Sequence[str] | None
-) -> np.ndarray:
+def _prob_vector(cols: TrialColumns, method: ProbMethod) -> np.ndarray:
     """Joint-cell probabilities in JOINT_LABELS order."""
-    cols = as_columns(data)
     if method is ProbMethod.OBSERVED:
         return stratum_counts(cols) / len(cols)
-    return _RECONSTRUCTIONS[method][0](cols, covariates, (None, None))[0]
+    return _RECONSTRUCTIONS[method][0](cols, (None, None))[0]
 
 
 def estimate_stratum_probs(
@@ -404,9 +375,8 @@ def estimate_stratum_probs(
     covariate names are checked whether or not the method uses them.
     """
     method = ProbMethod(method)
-    cols = as_columns(data)
-    _selected_covariates(cols, covariates)
-    probs = dict(zip(JOINT_LABELS, _prob_vector(cols, method, covariates).tolist()))
+    cols = as_columns(data).select(covariates)
+    probs = dict(zip(JOINT_LABELS, _prob_vector(cols, method).tolist()))
     return StratumProbEstimate(method=method, probs=probs, n=len(cols))
 
 
@@ -424,27 +394,27 @@ class EstimateSummary(NamedTuple):
     note: str | None = None
 
 
-def _ps_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarray:
+def _ps_cells(cols: TrialColumns) -> np.ndarray:
     """(4, 2) principal-score-weighted arm means per joint stratum; NaN rows inestimable.
 
     Each arm's outcomes are weighted by the other arm's score, computed once
     for that arm's complete rows (adherence and outcome observed).
     """
     observed = _adherence_rows(cols)
-    models, x = _fit_both_arms(cols, observed, covariates)
+    models = _fit_both_arms(cols, observed)
     mu = np.full((len(JOINT_LABELS), 2), np.nan)
     for t in (0, 1):
         use = observed[:, t] & ~np.isnan(cols.y[:, t])
         if not use.any():
             continue
-        g = _clip_scores(_scores(models[1 - t], x[use]))
+        g = _clip_scores(_scores(models[1 - t], cols.x[use]))
         a, y = cols.a[use, t], cols.y[use, t]
         mu[:, t] = [_hayden_mean(a, y, g, stratum, t) for stratum in JOINT_LABELS]
     mu[np.isnan(mu).any(axis=1)] = np.nan  # a stratum needs both arms
     return mu
 
 
-def _direct_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.ndarray:
+def _direct_cells(cols: TrialColumns) -> np.ndarray:
     """(4, 2) arm means per joint stratum over full completers; NaN rows empty."""
     if not cols.crossover:
         raise PcekitError("direct stratification needs crossover data")
@@ -458,9 +428,7 @@ def _direct_cells(cols: TrialColumns, covariates: Sequence[str] | None) -> np.nd
     return mu
 
 
-def _ps_cells_counts(
-    cols: TrialColumns, covariates: Sequence[str] | None, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
 
     Both arms' scores are refit for all rows at once by
@@ -472,8 +440,7 @@ def _ps_cells_counts(
     ``_clip_scores`` would.
     """
     observed = cols.a != A_MISSING
-    _, x = _selected_covariates(cols, covariates)
-    design = intercept_design(x)
+    design = intercept_design(cols.x)
     b = counts.shape[0]
     clean = np.ones(b, dtype=bool)
     beta = []
@@ -504,9 +471,7 @@ def _ps_cells_counts(
     return mu, ~clean
 
 
-def _direct_cells_counts(
-    cols: TrialColumns, covariates: Sequence[str] | None, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
     (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``."""
     complete = completer_mask(cols, CompleterRule.BOTH)
@@ -526,12 +491,9 @@ _ROUTES = {
 }
 
 
-def _table_values(
-    data: Dataset, methods: Sequence[PceMethod], covariates: Sequence[str] | None
-) -> np.ndarray:
+def _table_values(cols: TrialColumns, methods: Sequence[PceMethod]) -> np.ndarray:
     """All table cells in (method, stratum, quantity) order; NaN = inestimable."""
-    cols = as_columns(data)
-    cells = {m: form(cols, covariates) for m, (form, _) in _ROUTES.items() if m in methods}
+    cells = {m: form(cols) for m, (form, _) in _ROUTES.items() if m in methods}
     return _table_layout([cells[method] for method in methods])
 
 
@@ -543,10 +505,7 @@ def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _table_chunk(
-    cols: TrialColumns,
-    methods: Sequence[PceMethod],
-    covariates: Sequence[str] | None,
-    idx: np.ndarray,
+    cols: TrialColumns, methods: Sequence[PceMethod], idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_table_values`` of a chunk of resamples, given as (b, n) index rows.
 
@@ -556,7 +515,7 @@ def _table_chunk(
     to its full-data form. Routes run in table order.
     """
     counts = resample_counts(idx, len(cols))
-    runs = {m: form(cols, covariates, counts) for m, (_, form) in _ROUTES.items() if m in methods}
+    runs = {m: form(cols, counts) for m, (_, form) in _ROUTES.items() if m in methods}
     retry = np.logical_or.reduce([left for _, left in runs.values()])
     return _table_layout([runs[method][0] for method in methods]), retry
 
@@ -576,8 +535,7 @@ def estimate_pce_table(
     the full data carry NaN points and a note instead of failing the table.
     The covariate names are checked whether or not a route uses them.
     """
-    cols = as_columns(data)
-    _selected_covariates(cols, covariates)
+    cols = as_columns(data).select(covariates)
     # one method, not a collection of them; PceMethod refuses a value it does not name
     lone = isinstance(methods, (str, bytes, PceMethod)) or not isinstance(methods, Iterable)
     methods = list(dict.fromkeys(map(PceMethod, [methods] if lone else methods)))
@@ -585,15 +543,15 @@ def estimate_pce_table(
         raise ValueError("at least one method required")
     boot = None
     if bootstrap_spec is None:
-        points = _table_values(cols, methods, covariates)
+        points = _table_values(cols, methods)
     else:
         # the bootstrap's own point is the full-data table; replicates are
         # evaluated a chunk at a time, with _table_values for rows left over
         boot = bootstrap_vector(
             cols,
-            lambda sample: _table_values(sample, methods, covariates),
+            lambda sample: _table_values(sample, methods),
             bootstrap_spec,
-            lambda idx: _table_chunk(cols, methods, covariates, idx),
+            lambda idx: _table_chunk(cols, methods, idx),
         )
         points = boot.points
 

@@ -30,6 +30,7 @@ the same bytes as in one process.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import sys
@@ -51,6 +52,21 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# resample streams are keyed by the seed's 64 bits, so a seed outside
+# [0, SEED_LIMIT) would repeat the resamples of one inside it
+SEED_LIMIT = 2**64
+
+
+def check_integer(name: str, value: object, low: int, limit: float = math.inf) -> None:
+    """Refuse, by name and value, anything but an integer in [low, limit)."""
+    try:
+        ok = low <= operator.index(value) < limit
+    except TypeError:
+        ok = False
+    if not ok:
+        below = f" and below {limit}" if limit < math.inf else ""
+        raise ValueError(f"{name} must be an integer of at least {low}{below}, not {value!r}")
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -107,8 +123,8 @@ class BootstrapSpec:
     ci_level: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.n_replicates < 1:
-            raise ValueError("n_replicates must be at least 1")
+        check_integer("n_replicates", self.n_replicates, 1)
+        check_integer("seed", self.seed, 0, SEED_LIMIT)
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be strictly between 0 and 1")
 

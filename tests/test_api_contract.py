@@ -1,4 +1,4 @@
-"""The library API's contract for the values that name a choice.
+"""The library API's contract for the values that name a choice, count or seed.
 
 Every function in ``pcekit.__all__`` that takes ``covariates``, ``method``,
 ``methods``, ``direction`` or ``require`` refuses an unknown, repeated or
@@ -6,15 +6,22 @@ wrongly typed value with a ``PcekitError`` or ``ValueError`` whose message
 holds the repr of the value or of an offending element. It never accepts
 such a value silently, and never fails with a ``TypeError``,
 ``AttributeError`` or ``NameError``. The one accepted case is a repeated
-method, which collapses by design. Examples are derandomized, so every run
-of the suite tries the same inputs.
+method, which collapses by design. ``BootstrapSpec`` and
+``independence_test`` refuse a replicate count that is not an integer of
+at least 1 and a seed that is not an integer in [0, 2**64) the same way.
+Covariate names are read once, so a one-shot iterator of them gives what
+the list gives. Examples are derandomized, so every run of the suite tries
+the same inputs.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcekit import (
+    BootstrapSpec,
     CompleterRule,
     MonotonicityDirection,
     PceMethod,
@@ -64,11 +71,17 @@ COVARIATE_VALUES = st.one_of(NON_NAMES.filter(lambda v: v is not None), NAMES,
                              _refused_names(COVARIATES, repeats_refused=True))
 METHODS_VALUES = st.one_of(NON_NAMES, NAMES.filter(lambda s: s not in PCE_METHODS),
                            _refused_names(PCE_METHODS, repeats_refused=False))
+# values that are no integer, and integers below a count's range, [1, ...), or
+# outside a seed's, [0, 2**64)
+NON_INTEGERS = st.one_of(st.floats(), st.none(), st.binary(max_size=4), NAMES,
+                         st.lists(st.integers(), max_size=2))
+COUNT_VALUES = st.one_of(NON_INTEGERS, st.integers(max_value=0))
+SEED_VALUES = st.one_of(NON_INTEGERS, st.integers(max_value=-1), st.integers(min_value=2**64))
 PROB_METHODS = tuple(m.value for m in ProbMethod)
 DIRECTIONS = tuple(d.value for d in MonotonicityDirection)
 RULES = tuple(r.value for r in CompleterRule)
 
-# (call, strategy of values it must refuse, the names it knows)
+# (call, strategy of values it must refuse, the names it knows, if any)
 CASES = {
     "estimate_pce_table-covariates": (
         lambda v: estimate_pce_table(COLS, covariates=v), COVARIATE_VALUES, COVARIATES),
@@ -84,6 +97,10 @@ CASES = {
     "independence_test-method": (
         lambda v: independence_test(COLS, method=v, n_bootstrap=8),
         _values_of_one(PROB_METHODS), PROB_METHODS),
+    "independence_test-n_bootstrap": (
+        lambda v: independence_test(COLS, n_bootstrap=v), COUNT_VALUES, ()),
+    "independence_test-seed": (
+        lambda v: independence_test(COLS, n_bootstrap=8, seed=v), SEED_VALUES, ()),
     "independence_test-covariates": (
         lambda v: independence_test(COLS, covariates=v, n_bootstrap=8), COVARIATE_VALUES,
         COVARIATES),
@@ -94,6 +111,9 @@ CASES = {
     "completer_mask-require": (lambda v: completer_mask(COLS, v), _values_of_one(RULES), RULES),
     "completer_filter-require": (
         lambda v: completer_filter(RECORDS, v), _values_of_one(RULES), RULES),
+    "BootstrapSpec-n_replicates": (
+        lambda v: BootstrapSpec(n_replicates=v, seed=0), COUNT_VALUES, ()),
+    "BootstrapSpec-seed": (lambda v: BootstrapSpec(n_replicates=1, seed=v), SEED_VALUES, ()),
 }
 
 
@@ -113,3 +133,11 @@ def test_a_value_that_names_no_choice_is_refused_by_name(call, values, valid, da
         call(value)
     message = str(info.value)
     assert any(repr(v) in message for v in _offenders(value, valid)), message
+
+
+COVARIATE_CALLS = {key: call for key, (call, _, _) in CASES.items() if key.endswith("-covariates")}
+
+
+@pytest.mark.parametrize("call", COVARIATE_CALLS.values(), ids=COVARIATE_CALLS.keys())
+def test_covariate_names_are_read_once(call):
+    assert pickle.dumps(call(iter(COVARIATES))) == pickle.dumps(call(list(COVARIATES)))

@@ -567,6 +567,16 @@ def test_replicate_small_run(tmp_path, capsys):
         assert fields[7] == "NA"  # no bootstrap, so no coverage
 
 
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64])
+def test_replicate_bootstraps_trials_whose_seed_passes_the_resample_range(seed, capsys):
+    # trial seeds seed and seed + 1 reach 2**64; their resamples wrap to its 64 bits
+    assert run(["replicate", "--scenario", "paper_like", "--n", 60, "--seed", seed,
+                "--replicates", 2, "--method", "ps", "--bootstrap", 1,
+                "--oracle-n", 10_000, "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("method,stratum,n_estimable") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("processes", [2, 4])
 def test_replicate_output_does_not_depend_on_the_process_count(processes, tmp_path, monkeypatch):
     if not hasattr(os, "fork"):

@@ -36,4 +36,34 @@ def test_code_lines_counts_lines_that_hold_code():
 def test_counts_cover_every_module_of_the_working_tree():
     counts = code_lines.counts_at(None)
     assert set(counts) == {p.name for p in code_lines.SRC.glob("*.py")}
-    assert all(n > 0 for n in counts.values())
+    assert all(0 < code <= lines for code, lines in counts.values())
+
+
+def test_physical_lines_count_newlines_as_wc_does():
+    assert code_lines.physical_lines(SOURCE) == 17
+    assert code_lines.physical_lines("") == 0
+    assert code_lines.physical_lines("no newline at the end") == 0
+
+
+def test_main_prints_code_and_physical_lines_with_and_without_a_revision(monkeypatch, capsys):
+    tree = {p.name: p.read_text(encoding="utf-8") for p in code_lines.SRC.glob("*.py")}
+
+    calls = []
+
+    def git_serving_the_tree(*args):  # the revision's files are the tree's
+        calls.append(args)
+        if args[0] == "ls-tree":
+            return "\n".join(sorted(tree)) + "\n"
+        return tree[args[1].rsplit("/", 1)[1]]
+
+    monkeypatch.setattr(code_lines, "_git", git_serving_the_tree)
+    code = str(sum(map(code_lines.code_lines, tree.values())))
+    lines = str(sum(text.count("\n") for text in tree.values()))
+    assert code_lines.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].split() == [code, lines, "total"] and len(out) == 1 + len(tree) + 1
+    assert code_lines.main(["REV"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].split() == [code, code, "+0", lines, lines, "+0", "total"]
+    assert out[1].split() == ["REV", "tree", "change"] * 2 and len(out) == 2 + len(tree) + 1
+    assert len(calls) == 1 + len(tree)  # one listing, then each module read once

@@ -358,6 +358,37 @@ def test_columns_index_by_arm_with_sentinels():
     assert math.isnan(par.y[0, 0]) and par.y[0, 1] == 20.0
 
 
+def _three_covariate_columns(crossover):
+    names = ("x_a", "x_b", "x_c")
+    records = [make_record(f"s{i}", "CF" if i % 3 else "EF", x=(i, 0.5 * i, -1.0 - i),
+                           a=(i % 2, None if i == 4 else 1), y=(float(i), 2.0 * i),
+                           covariate_names=names) for i in range(6)]
+    return as_columns(records if crossover else as_parallel(records, 1) + as_parallel(records, 0))
+
+
+def test_select_narrows_the_covariates_in_the_order_named():
+    cols = _three_covariate_columns(crossover=True)
+    assert cols.select(None) is cols
+    chosen = cols.select(iter(["x_c", "x_a"]))  # names are read once
+    assert chosen.covariate_names == ("x_c", "x_a")
+    assert chosen.x.tobytes() == cols.x[:, [2, 0]].tobytes()
+    assert chosen.a is cols.a and chosen.y is cols.y and chosen.ef is cols.ef
+    assert cols.select([]).x.shape == (len(cols), 0)
+
+
+@pytest.mark.parametrize("crossover", [True, False], ids=["crossover", "parallel"])
+def test_select_and_take_commute(crossover):
+    cols = _three_covariate_columns(crossover)
+    row = np.asarray([3, 0, 3, len(cols) - 1, 1, 1])
+    for a, b in ((cols.select(["x_b", "x_a"]).take(row), cols.take(row).select(["x_b", "x_a"])),
+                 (cols.select(()).take(row), cols.take(row).select(()))):
+        assert a.covariate_names == b.covariate_names and a.crossover == crossover
+        for field in ("x", "a", "y") + (("ef",) if crossover else ()):
+            left, right = getattr(a, field), getattr(b, field)
+            assert (left.shape, left.dtype, left.tobytes()) == (right.shape, right.dtype,
+                                                                  right.tobytes()), field
+
+
 def test_columns_reject_mixed_and_empty_data():
     with pytest.raises(InsufficientDataError):
         as_columns([])

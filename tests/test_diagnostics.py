@@ -385,12 +385,12 @@ def test_reconstruction_chunk_form_on_the_full_data_is_its_full_data_form(method
     full, chunk = estimators._RECONSTRUCTIONS[method]
     records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
     cols = as_columns(completer_filter(records, CompleterRule.STRATUM_VAR))
-    warm = full(cols, None, (None, None))[1]
+    warm = full(cols, (None, None))[1]
     zero = np.zeros(cols.x.shape[1] + 1)
     ones = np.ones((1, len(cols)))
     for starts in ((zero, zero), warm):
-        want = full(cols, None, starts)[0]
-        got, left = chunk(cols.x, cols.a, ones, starts)
+        want = full(cols, starts)[0]
+        got, left = chunk(cols, ones, starts)
         assert got.shape == (1, len(JOINT_LABELS)) and left.tolist() == [False]
         if method is ProbMethod.INDEP:
             assert got[0].tobytes() == want.tobytes()
@@ -406,12 +406,12 @@ def test_independence_rows_left_by_the_indep_chunk_form_are_refit_alone(monkeypa
     full, chunk = estimators._RECONSTRUCTIONS[ProbMethod.INDEP]
     calls = []
 
-    def counting_full(cols, covariates, starts):
+    def counting_full(cols, starts):
         calls.append(len(cols))
-        return full(cols, covariates, starts)
+        return full(cols, starts)
 
-    def leave_every_row(x, a, counts, starts):
-        return chunk(x, a, counts, starts)[0], np.ones(len(counts), dtype=bool)
+    def leave_every_row(cols, counts, starts):
+        return chunk(cols, counts, starts)[0], np.ones(len(counts), dtype=bool)
 
     monkeypatch.setitem(estimators._RECONSTRUCTIONS, ProbMethod.INDEP,
                         (counting_full, leave_every_row))

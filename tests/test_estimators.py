@@ -531,7 +531,7 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
                            [r.n_effective for r in rows])
             else:
                 res = bootstrap_vector(
-                    cols, lambda s: estimators._table_values(s, methods, covariates), spec
+                    cols.select(covariates), lambda s: estimators._table_values(s, methods), spec
                 )
                 summary = (np.where(np.isnan(res.points), np.nan, res.se),
                            [None if np.isnan(p) else int(k)
