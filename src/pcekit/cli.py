@@ -2,8 +2,8 @@
 
 All randomness in a command flows from one --seed, so a rerun with the same
 arguments and inputs produces byte-identical output files. Exit codes: 0 on
-success, 1 for data, estimation or file errors, 2 for usage errors (argument
-values are checked by the parser). Neither error code prints a traceback.
+success, 1 for data, estimation or file errors, 2 for usage errors (the parser
+checks each value by the library's rule). Neither error code prints a traceback.
 
 Every report, and simulate's truth table, is rendered by one function,
 `_render`, from three views of the same result: a JSON document, CSV rows
@@ -37,6 +37,7 @@ import argparse
 import csv
 import ctypes
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -170,12 +171,8 @@ def _load_config(args: argparse.Namespace) -> simulator.DgpConfig:
             raise ConfigError(f"{args.config}: {exc}") from None
     else:
         config = simulator.scenario(args.scenario)
-    updates: dict = {}
-    if args.n is not None:
-        updates["n_subjects"] = args.n
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(config, **updates) if updates else config
+    updates = {k: v for k, v in (("n_subjects", args.n), ("seed", args.seed)) if v is not None}
+    return dataclasses.replace(config, **updates)
 
 
 def _load_dataset(args: argparse.Namespace) -> core.TrialColumns:
@@ -458,35 +455,29 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _int_at_least(minimum: int, below: int | None = None) -> Callable[[str], int]:
-    """Argument type: an integer no smaller than minimum, and under below if given."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if below is not None and value >= below:
-            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
-        return value
-
-    return parse
-
-
-def _ci_level(text: str) -> float:
-    """Argument type: a confidence level strictly between 0 and 1."""
+def _checked(read: Callable[[str], object], check: Callable[..., None], name: str,
+             bounds: tuple, text: str) -> object:
+    """Argument type, all but ``text`` bound by ``functools.partial``: text read
+    by ``read`` (int or float), or as it is where it cannot be, is the value of the
+    library's ``check(name, value, *bounds)``, whose ValueError is the usage error."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
+        value = read(text)
+    except ValueError:  # the check refuses the text by name
+        value = text
+    try:
+        check(name, value, *bounds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
-_resample_seed = _int_at_least(0, below=resampling.SEED_LIMIT)
+def _integer(name: str, *bounds: float) -> Callable[[str], object]:
+    """Argument type: an integer that ``resampling.check_integer`` takes."""
+    return functools.partial(_checked, int, resampling.check_integer, name, bounds)
+
+
+_ci_level = functools.partial(_checked, float, resampling.check_level, "ci_level", ())
+_resample_seed = _integer("seed", 0, resampling.SEED_LIMIT)
 
 
 # argument groups that several commands share
@@ -511,11 +502,11 @@ def _dgp_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--scenario", choices=simulator.scenario_names())
     src.add_argument("--config", help="JSON file of generator settings")
-    p.add_argument(
-        "--n", type=_int_at_least(simulator.MIN_SUBJECTS), help="override the subject count"
-    )
-    p.add_argument("--seed", type=_int_at_least(0), help="override the seed")
-    p.add_argument("--oracle-n", type=_int_at_least(simulator.MIN_ORACLE_N), default=100_000)
+    p.add_argument("--n", type=_integer("n_subjects", simulator.MIN_SUBJECTS, simulator.SIZE_LIMIT),
+                   help="override the subject count")
+    p.add_argument("--seed", type=_integer("seed", 0), help="override the seed")
+    p.add_argument("--oracle-n", default=100_000,
+                   type=_integer("oracle_n", simulator.MIN_ORACLE_N, simulator.SIZE_LIMIT))
 
 
 # each command's own arguments, after the shared groups it takes
@@ -532,7 +523,7 @@ def _estimate_args(p: argparse.ArgumentParser) -> None:
     _report_args(p)
     p.add_argument("--method", choices=METHODS, default="both")
     p.add_argument(
-        "--bootstrap", type=_int_at_least(0), default=0, help="replicates (0 = no CIs)"
+        "--bootstrap", type=_integer("n_replicates", 0), default=0, help="replicates (0 = no CIs)"
     )
     p.add_argument("--seed", type=_resample_seed, default=0)
     p.add_argument("--ci", type=_ci_level, default=0.95)
@@ -554,19 +545,19 @@ def _diagnose_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--indep-method", default="cond-indep",
                    choices=[m.value for m in estimators._RECONSTRUCTIONS])
-    p.add_argument("--bootstrap", type=_int_at_least(1), default=500)
+    p.add_argument("--bootstrap", type=_integer("n_bootstrap", 1), default=500)
     p.add_argument("--seed", type=_resample_seed, default=0)
 
 
 def _replicate_args(p: argparse.ArgumentParser) -> None:
     _dgp_args(p)
     _report_args(p)
-    p.add_argument("--replicates", type=_int_at_least(1), default=20)
+    p.add_argument("--replicates", type=_integer("replicates", 1), default=20)
     p.add_argument("--method", choices=METHODS, default="both")
     p.add_argument(
         "--covariates", type=_parse_covariates, help="comma-separated x_ columns, or 'none'"
     )
-    p.add_argument("--bootstrap", type=_int_at_least(0), default=0)
+    p.add_argument("--bootstrap", type=_integer("n_replicates", 0), default=0)
 
 
 class Command(NamedTuple):

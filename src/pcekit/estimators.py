@@ -114,20 +114,26 @@ def _scores(model: PrincipalScoreModel, x: np.ndarray) -> np.ndarray:
     return predict_probs(model.fit, intercept_design(x))
 
 
+def _one_arm(obs: Sequence[ParallelObservation], need_y: bool) -> int:
+    """The arm all of obs come from; each needs its adherence, and with need_y its outcome."""
+    if not obs:
+        raise InsufficientDataError("no observations")
+    arm = obs[0].t
+    for o in obs:
+        if o.t != arm:
+            raise ValueError("observations must all come from one arm")
+        if o.a is None or (need_y and o.y is None):
+            what = "adherence" if o.a is None else "outcome"
+            raise MissingDataError(f"subject {o.subject_id!r} missing {what}; "
+                                   "filter to the arm's completers first")
+    return arm
+
+
 def fit_principal_score(
     obs: Sequence[ParallelObservation], covariates: Sequence[str] | None = None
 ) -> PrincipalScoreModel:
     """Fit Pr(A(t)=1 | X) on one arm's observations (adherence must be observed)."""
-    if not obs:
-        raise InsufficientDataError("no observations to fit a principal score on")
-    arm = obs[0].t
-    for o in obs:
-        if o.t != arm:
-            raise ValueError("principal-score observations must all come from one arm")
-        if o.a is None:
-            raise MissingDataError(
-                f"subject {o.subject_id!r} has missing adherence; drop a-missing rows first"
-            )
+    arm = _one_arm(obs, need_y=False)
     cols = as_columns(obs).select(covariates)
     return _fit_score(cols.x, cols.a[:, arm], cols.covariate_names, arm)
 
@@ -167,16 +173,7 @@ def estimate_mu_hayden(
     own-arm adherence value are weighted by the cross-arm score raised to
     the stratum's other coordinate: g^c (1-g)^(1-c).
     """
-    if not obs:
-        raise InsufficientDataError("no observations")
-    arm = obs[0].t
-    for o in obs:
-        if o.t != arm:
-            raise ValueError("observations must all come from one arm")
-        if o.a is None or o.y is None:
-            raise MissingDataError(
-                f"subject {o.subject_id!r} missing a or y; filter to arm completers first"
-            )
+    arm = _one_arm(obs, need_y=True)
     if cross_model.arm != 1 - arm:
         raise ValueError(f"cross_model is for arm {cross_model.arm}; need arm {1 - arm}")
     cols = as_columns(obs)

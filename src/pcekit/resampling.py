@@ -30,6 +30,7 @@ the same bytes as in one process.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import pickle
@@ -58,15 +59,31 @@ R = TypeVar("R")
 SEED_LIMIT = 2**64
 
 
-def check_integer(name: str, value: object, low: int, limit: float = math.inf) -> None:
-    """Refuse, by name and value, anything but an integer in [low, limit)."""
+def check_integer(name: str, value: object, low: int, limit: float = math.inf,
+                  error: type[Exception] = ValueError) -> None:
+    """Refuse, by name and value, as an ``error``, all but an integer in [low, limit)."""
     try:
-        ok = low <= operator.index(value) < limit
+        ok = not isinstance(value, bool) and low <= operator.index(value) < limit
     except TypeError:
         ok = False
     if not ok:
         below = f" and below {limit}" if limit < math.inf else ""
-        raise ValueError(f"{name} must be an integer of at least {low}{below}, not {value!r}")
+        raise error(f"{name} must be an integer of at least {low}{below}, not {value!r}")
+
+
+def finite_real(value: object) -> bool:
+    """Whether value is a finite real number; a bool, a string or None is none."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def check_level(name: str, value: object) -> None:
+    """Refuse, by name and value, anything but a real number strictly between 0 and 1."""
+    if not (finite_real(value) and 0.0 < value < 1.0):
+        raise ValueError(f"{name} must be a number strictly between 0 and 1, not {value!r}")
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -125,8 +142,7 @@ class BootstrapSpec:
     def __post_init__(self) -> None:
         check_integer("n_replicates", self.n_replicates, 1)
         check_integer("seed", self.seed, 0, SEED_LIMIT)
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must be strictly between 0 and 1")
+        check_level("ci_level", self.ci_level)
 
 
 class BootstrapResult(NamedTuple):
@@ -147,6 +163,7 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 
 def percentile_interval(values: np.ndarray, ci_level: float) -> tuple[float, float]:
     """Nearest-rank percentile interval over estimable replicate values."""
+    check_level("ci_level", ci_level)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("no values to take percentiles of")

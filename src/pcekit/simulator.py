@@ -20,7 +20,6 @@ outcomes the truth table is computed from.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,12 +28,15 @@ import numpy as np
 from .core import (_COVARIATE_PREFIX, JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns,
                    _period_columns, by_period, crossover_records, stratum_codes)
 from .errors import ConfigError
+from .resampling import check_integer, finite_real
 
 _TRIAL_STREAM = 0
 _ORACLE_STREAM = 1
 
 MIN_SUBJECTS = 2
 MIN_ORACLE_N = 10_000
+# n_subjects and oracle_n stay below it: numpy describes no (2, n) float64 array of 2**63 bytes
+SIZE_LIMIT = 2**63 // 16
 # most noise rows per chunk; n rows are split into equal chunks
 _NOISE_CHUNK = 8192
 
@@ -67,16 +69,14 @@ class DgpConfig:
     covariate_name: str = "x_base"
 
     def __post_init__(self) -> None:
-        if self.n_subjects < MIN_SUBJECTS:
-            raise ConfigError(f"n_subjects must be at least {MIN_SUBJECTS}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        check_integer("n_subjects", self.n_subjects, MIN_SUBJECTS, SIZE_LIMIT, error=ConfigError)
+        check_integer("seed", self.seed, 0, error=ConfigError)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type != "int" and not _is_kind(value, f.type):
+                raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, not {value!r}")
         if self.sigma_x <= 0:
             raise ConfigError("sigma_x must be positive")
-        for name in ("eta", "beta", "gamma", "delta", "sigma", "missing_y_prob"):
-            pair = getattr(self, name)
-            if len(pair) != 2:
-                raise ConfigError(f"{name} must be a (control, experimental) pair")
         if min(self.sigma) <= 0:
             raise ConfigError("outcome noise scales must be positive")
         for p in self.missing_y_prob:
@@ -112,35 +112,31 @@ class DgpConfig:
 
     @classmethod
     def from_dict(cls, d: object) -> "DgpConfig":
-        """A config from a decoded JSON object. Keys and value types are
-        checked here; value ranges are checked on construction."""
+        """A config from a decoded JSON object, lists as pairs; construction checks the values."""
         if not isinstance(d, dict):
             raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
-        kinds = {f.name: f.type for f in dataclasses.fields(cls)}  # annotation strings
-        for k, v in d.items():
-            if k not in kinds:
+        for k in d:
+            if k not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown config key {k!r}")
-            if not _is_kind(v, kinds[k]):
-                raise ConfigError(f"config key {k!r} must be {kinds[k]}, got {v!r}")
         if "n_subjects" not in d:
             raise ConfigError("config lacks the key 'n_subjects'")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+# how a refusal names the values each DgpConfig annotation but int admits
+_KINDS = {"float": "a finite number", "str": "a string",
+          "tuple[float, float]": "a (control, experimental) pair of finite numbers"}
+
+
 def _is_kind(v: object, kind: str) -> bool:
-    """Whether a decoded JSON value fits a DgpConfig annotation; floats must be finite."""
+    """Whether v fits a DgpConfig annotation other than int: a str, a finite
+    real number, or a pair of them as a list, tuple or array."""
     if kind == "str":
         return isinstance(v, str)
     if kind == "tuple[float, float]":
-        return isinstance(v, list) and all(_is_kind(e, "float") for e in v)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    if kind == "int":
-        return isinstance(v, int)
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
+        return (isinstance(v, (list, tuple, np.ndarray)) and getattr(v, "ndim", 1) == 1
+                and len(v) == 2 and all(map(finite_real, v)))
+    return finite_real(v)
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -283,8 +279,7 @@ def true_pce(config: DgpConfig, oracle_n: int = 100_000) -> TruthTable:
     gets probability 0, and NaN marks its means and PCE; one with a single
     member has no Monte Carlo SE and is an error.
     """
-    if oracle_n < MIN_ORACLE_N:
-        raise ConfigError(f"oracle_n must be at least {MIN_ORACLE_N}")
+    check_integer("oracle_n", oracle_n, MIN_ORACLE_N, SIZE_LIMIT, error=ConfigError)
     rng = _stream(config.seed, _ORACLE_STREAM)
     a, y = _draw_population(config, rng, oracle_n)[1:]  # the covariates go before the sort
     # stratum members as contiguous slices, each in draw order, so every sum

@@ -1,4 +1,4 @@
-"""The library API's contract for the values that name a choice, count or seed.
+"""The library API's contract for the values that name a choice, count, seed or level.
 
 Every function in ``pcekit.__all__`` that takes ``covariates``, ``method``,
 ``methods``, ``direction`` or ``require`` refuses an unknown, repeated or
@@ -8,14 +8,18 @@ such a value silently, and never fails with a ``TypeError``,
 ``AttributeError`` or ``NameError``. The one accepted case is a repeated
 method, which collapses by design. ``BootstrapSpec`` and
 ``independence_test`` refuse a replicate count that is not an integer of
-at least 1 and a seed that is not an integer in [0, 2**64) the same way.
-Covariate names are read once, so a one-shot iterator of them gives what
-the list gives. Examples are derandomized, so every run of the suite tries
-the same inputs.
+at least 1 and a seed that is not an integer in [0, 2**64) the same way;
+``BootstrapSpec`` and ``percentile_interval`` refuse a ``ci_level`` that is
+not a real number strictly between 0 and 1. ``DgpConfig``, ``scenario``
+and ``true_pce`` refuse a subject count, seed or oracle size outside the
+generator's range, sizes numpy cannot describe included. Covariate names
+are read once, so a one-shot iterator of them gives what the list gives.
+Examples are derandomized, so every run of the suite tries the same inputs.
 """
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +40,11 @@ from pcekit import (
     ignorability_regressions,
     independence_test,
     monotonicity_report,
+    percentile_interval,
 )
 from pcekit.errors import PcekitError
-from pcekit.simulator import generate_trial, scenario
+from pcekit.simulator import (MIN_ORACLE_N, SIZE_LIMIT, DgpConfig, generate_trial, scenario,
+                              true_pce)
 
 CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -77,6 +83,20 @@ NON_INTEGERS = st.one_of(st.floats(), st.none(), st.binary(max_size=4), NAMES,
                          st.lists(st.integers(), max_size=2))
 COUNT_VALUES = st.one_of(NON_INTEGERS, st.integers(max_value=0))
 SEED_VALUES = st.one_of(NON_INTEGERS, st.integers(max_value=-1), st.integers(min_value=2**64))
+# the generator's counts and seed: [2, SIZE_LIMIT) subjects, [MIN_ORACLE_N,
+# SIZE_LIMIT) oracle draws and a seed of at least 0, none of them a float or text
+SUBJECT_VALUES = st.one_of(NON_INTEGERS, st.sampled_from([50.0, "50", True]),
+                           st.integers(max_value=1), st.integers(min_value=SIZE_LIMIT))
+ORACLE_VALUES = st.one_of(NON_INTEGERS, st.sampled_from([100_000.0, "100000"]),
+                          st.integers(max_value=MIN_ORACLE_N - 1),
+                          st.integers(min_value=SIZE_LIMIT))
+GENERATOR_SEED_VALUES = st.one_of(NON_INTEGERS, st.just(1.5), st.integers(max_value=-1))
+# levels: anything but a real number strictly between 0 and 1
+LEVEL_VALUES = st.one_of(st.none(), st.booleans(), st.binary(max_size=4), NAMES,
+                         st.sampled_from(["0.9", 1.5, -1.0, 0.0, 1.0]), st.integers(),
+                         st.lists(st.floats(), max_size=2),
+                         st.floats().filter(lambda v: not 0.0 < v < 1.0))
+CONFIG = DgpConfig(n_subjects=2)
 PROB_METHODS = tuple(m.value for m in ProbMethod)
 DIRECTIONS = tuple(d.value for d in MonotonicityDirection)
 RULES = tuple(r.value for r in CompleterRule)
@@ -114,6 +134,16 @@ CASES = {
     "BootstrapSpec-n_replicates": (
         lambda v: BootstrapSpec(n_replicates=v, seed=0), COUNT_VALUES, ()),
     "BootstrapSpec-seed": (lambda v: BootstrapSpec(n_replicates=1, seed=v), SEED_VALUES, ()),
+    "BootstrapSpec-ci_level": (
+        lambda v: BootstrapSpec(n_replicates=1, seed=0, ci_level=v), LEVEL_VALUES, ()),
+    "percentile_interval-ci_level": (
+        lambda v: percentile_interval(np.arange(10.0), v), LEVEL_VALUES, ()),
+    "DgpConfig-n_subjects": (lambda v: DgpConfig(n_subjects=v), SUBJECT_VALUES, ()),
+    "DgpConfig-seed": (lambda v: DgpConfig(n_subjects=2, seed=v), GENERATOR_SEED_VALUES, ()),
+    # None keeps the preset's count
+    "scenario-n_subjects": (lambda v: scenario("paper_like", n_subjects=v),
+                            SUBJECT_VALUES.filter(lambda v: v is not None), ()),
+    "true_pce-oracle_n": (lambda v: true_pce(CONFIG, v), ORACLE_VALUES, ()),
 }
 
 

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcekit import cli, core, resampling, simulator
+from pcekit import cli, core, diagnostics, resampling, simulator
 from pcekit.cli import main
 from pcekit.core import (
     ParallelObservation,
@@ -21,8 +23,9 @@ from pcekit.core import (
     write_crossover_csv,
     write_parallel_csv,
 )
+from pcekit.errors import PcekitError
 from pcekit.estimators import PceMethod
-from pcekit.simulator import generate_trial, scenario
+from pcekit.simulator import MIN_ORACLE_N, generate_trial, scenario
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -129,7 +132,7 @@ def test_simulate_from_config_file(tmp_path, capsys):
     [
         ('{"n_subjects": 40', "not valid JSON"),
         ("[1,2]", "a config must be a JSON object, not list"),
-        ('{"n_subjects": "x"}', "config key 'n_subjects' must be int, got 'x'"),
+        ('{"n_subjects": "x"}', "n_subjects must be an integer of at least 2"),
         ("[" * 100_000, "not valid JSON"),
     ],
 )
@@ -798,6 +801,88 @@ def test_bad_argument_values_exit_two(argv, trial_csv, capsys):
     assert "Traceback" not in err
 
 
+class Drew(Exception):
+    """A draw was reached: the call's own checks had passed."""
+
+
+def _drew(*args, **kwargs):
+    raise Drew
+
+
+AGREE_COLS = core.as_columns(generate_trial(scenario("paper_like", n_subjects=60, seed=1)))
+# the library call each checked option's value feeds, as the command makes it
+# (a bootstrap count of 0 makes none); a draw it reaches raises Drew
+FEEDS = {
+    **{(command, option): feed for command in ("simulate", "replicate") for option, feed in (
+        ("--n", lambda v: simulator.DgpConfig(n_subjects=v)),
+        ("--seed", lambda v: simulator.DgpConfig(n_subjects=2, seed=v)),
+        ("--oracle-n", lambda v: simulator.true_pce(simulator.DgpConfig(n_subjects=2), v)),
+    )},
+    ("estimate", "--bootstrap"): lambda v: v == 0 or resampling.BootstrapSpec(v, 0),
+    ("estimate", "--seed"): lambda v: resampling.BootstrapSpec(1, v),
+    ("estimate", "--ci"): lambda v: resampling.BootstrapSpec(1, 0, v),
+    ("diagnose", "--bootstrap"): lambda v: diagnostics.independence_test(AGREE_COLS,
+                                                                         n_bootstrap=v),
+    ("diagnose", "--seed"): lambda v: diagnostics.independence_test(AGREE_COLS, n_bootstrap=1,
+                                                                    seed=v),
+    ("replicate", "--bootstrap"): lambda v: v == 0 or resampling.BootstrapSpec(v, 0),
+    # the number of trials, which replicate runs itself
+    ("replicate", "--replicates"): None,
+}
+REQUIRED = {"simulate": ["--scenario", "paper_like"], "replicate": ["--scenario", "paper_like"],
+            "estimate": ["--input", "in.csv"], "diagnose": ["--input", "in.csv"]}
+
+
+def _boundary_cases():
+    """(command, option, text, read, accepted) at each bound of each option
+    whose value a library check reads, found by walking each command's parser:
+    the bound itself is accepted and the value just past it refused."""
+    for command in cli.COMMANDS:
+        sub = next(a for a in cli.build_parser(command)._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[command]
+        for action in sub._actions:
+            if getattr(action.type, "func", None) is not cli._checked:
+                continue
+            read, check, _, bounds = action.type.args
+            if check is resampling.check_level:
+                pairs = [(math.nextafter(0.0, 1.0), 0.0), (math.nextafter(1.0, 0.0), 1.0)]
+            else:
+                low, limit = (*bounds, math.inf)[:2]
+                pairs = [(low, low - 1)] + ([(limit - 1, limit)] if limit < math.inf else [])
+            option = action.option_strings[0]
+            for inside, outside in pairs:
+                for value, accepted in ((inside, True), (outside, False)):
+                    yield pytest.param(command, option, repr(value), read, accepted,
+                                       id=f"{command} {option} {value!r}")
+
+
+@pytest.mark.parametrize("command, option, text, read, accepted", _boundary_cases())
+def test_parser_and_library_agree_at_each_bound(command, option, text, read, accepted,
+                                                 monkeypatch, capsys):
+    assert (command, option) in FEEDS, f"{command} {option} has no entry in FEEDS"
+    feed = FEEDS[command, option]
+    monkeypatch.setattr(simulator, "_draw_population", _drew)
+    parser = cli.build_parser(command)
+    argv = [command, *REQUIRED[command], option, text]
+    if accepted:
+        parser.parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+    if feed is None:
+        return
+    try:
+        feed(read(text))
+    except Drew:
+        pass
+    except (PcekitError, ValueError):
+        assert not accepted, f"{command} {option} {text}: only the parser takes it"
+        return
+    assert accepted, f"{command} {option} {text}: only the library takes it"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -813,8 +898,9 @@ def test_the_largest_resample_seed_is_accepted(argv, trial_csv, capsys):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"n_subjects": 1}, "n_subjects must be at least 2"),
-        ({"n_subjects": 20, "seed": -1}, "seed must be non-negative"),
+        ({"n_subjects": 1}, "n_subjects must be an integer of at least 2"),
+        pytest.param({"n_subjects": 20, "seed": -1}, "seed must be an integer of at least 0, not -1",
+                     id="config1-seed must be non-negative"),
     ],
 )
 def test_out_of_range_config_values_are_data_errors(command, config, message, tmp_path, capsys):
@@ -834,15 +920,49 @@ def test_small_oracle_n_exits_two_before_any_draw(command, tmp_path, monkeypatch
 
     for name in ("generate_trial", "trial_columns", "true_pce"):
         monkeypatch.setattr(simulator, name, fail)
-    argv = [command, "--scenario", "paper_like", "--oracle-n", simulator.MIN_ORACLE_N - 1,
+    argv = [command, "--scenario", "paper_like", "--oracle-n", MIN_ORACLE_N - 1,
             "--out", tmp_path / "out.csv"]
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --oracle-n: must be at least {simulator.MIN_ORACLE_N}" in err
+    assert f"argument --oracle-n: oracle_n must be an integer of at least {MIN_ORACLE_N}" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# sizes numpy cannot describe: n = 2**62 subjects' (2, n) float64 outcomes
+# would hold 2**66 bytes
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--scenario", "paper_like", "--n", 10**30], 2),
+        (["simulate", "--scenario", "paper_like", "--n", 2**62], 2),
+        (["replicate", "--scenario", "paper_like", "--n", 10**30], 2),
+        (["simulate", "--scenario", "paper_like", "--oracle-n", 10**30], 2),
+        (["simulate", "--config", "{config}"], 1),
+        (["replicate", "--config", "{config}"], 1),
+    ],
+)
+def test_undescribable_sizes_are_refused_before_any_draw(argv, code, tmp_path, monkeypatch,
+                                                         capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("drew a trial or a truth before the sizes were checked")
+
+    for name in ("generate_trial", "trial_columns", "true_pce"):
+        monkeypatch.setattr(simulator, name, fail)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n_subjects": 10**30}))
+    argv = [str(a).format(config=config) for a in argv] + ["--out", tmp_path / "out.csv"]
+    try:
+        got = run(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert "must be an integer of at least" in err and f"below {simulator.SIZE_LIMIT}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ from pcekit.simulator import (
         (dict(n_subjects=10, rho_within=1.5), "rho_within"),
         (dict(n_subjects=10, covariate_name="base"), "x_ column prefix"),
         (dict(n_subjects=10, rho_within=0.8, rho_cross=0.8), "semidefinite"),
+        # each field's type is checked on construction, as from_dict's JSON is
+        (dict(n_subjects=50.0), "n_subjects must be an integer of at least 2 .*, not 50.0"),
+        (dict(n_subjects="50"), "n_subjects must be an integer of at least 2 .*, not '50'"),
+        (dict(n_subjects=10**30), f"below {simulator.SIZE_LIMIT}, not {10**30}"),
+        (dict(n_subjects=10, seed=1.5), "seed must be an integer of at least 0, not 1.5"),
+        (dict(n_subjects=10, covariate_name=3), "covariate_name must be a string, not 3"),
+        (dict(n_subjects=10, rho_within=math.nan), "rho_within must be a finite number, not nan"),
+        (dict(n_subjects=10, mu_x=math.nan), "mu_x must be a finite number, not nan"),
+        (dict(n_subjects=10, sigma_x=math.nan), "sigma_x must be a finite number, not nan"),
+        (dict(n_subjects=10, eta=(0.0, True)), r"eta must be a \(control, experimental\) pair"),
     ],
 )
 def test_config_rejects_bad_knobs(kwargs, text):
@@ -266,14 +277,21 @@ def test_config_dict_round_trip():
     assert DgpConfig.from_dict(d) == cfg
     with pytest.raises(ConfigError, match="unknown config key"):
         DgpConfig.from_dict({**d, "bogus": 1})
+    # numpy scalars and list or array pairs are kept as given and draw the same trial
+    plain = DgpConfig(n_subjects=40, seed=3, sigma_x=2.0, eta=(0.5, -0.5), beta=(0.0, 0.25))
+    given = DgpConfig(n_subjects=np.int64(40), seed=np.uint8(3), sigma_x=np.float32(2.0),
+                      eta=[np.float32(0.5), -0.5], beta=np.array([0.0, 0.25]))
+    assert given.eta == [0.5, -0.5] and isinstance(given.beta, np.ndarray)
+    assert pickle.dumps(trial_columns(given)) == pickle.dumps(trial_columns(plain))
+    assert true_pce(given, MIN_ORACLE_N) == true_pce(plain, MIN_ORACLE_N)
     for bad, message in [
         ({}, "lacks the key 'n_subjects'"),
-        ({**d, "n_subjects": 40.0}, "'n_subjects' must be int"),
-        ({**d, "mu_x": float("nan")}, "'mu_x' must be float"),
-        ({**d, "mu_x": 10**400}, "'mu_x' must be float"),
-        ({**d, "eta": [0.5, "x"]}, "'eta' must be tuple"),
-        ({**d, "covariate_name": 3}, "'covariate_name' must be str"),
-        ({**d, "seed": -1}, "seed must be non-negative"),
+        ({**d, "n_subjects": 40.0}, "n_subjects must be an integer of at least 2"),
+        ({**d, "mu_x": float("nan")}, "mu_x must be a finite number, not nan"),
+        ({**d, "mu_x": 10**400}, "mu_x must be a finite number"),
+        ({**d, "eta": [0.5, "x"]}, r"eta must be a \(control, experimental\) pair"),
+        ({**d, "covariate_name": 3}, "covariate_name must be a string, not 3"),
+        ({**d, "seed": -1}, "seed must be an integer of at least 0, not -1"),
     ]:
         with pytest.raises(ConfigError, match=message):
             DgpConfig.from_dict(bad)
