@@ -40,7 +40,14 @@ from pcekit.estimators import (
     fit_principal_score,
     principal_scores,
 )
-from pcekit.glm import DesignMatrix, LogisticFit, fit_logistic
+from pcekit.glm import (
+    DesignMatrix,
+    LogisticFit,
+    expit,
+    fit_logistic,
+    fit_logistic_counts,
+    intercept_design,
+)
 from pcekit.resampling import BootstrapSpec, bootstrap_vector
 from pcekit.simulator import generate_trial, scenario
 
@@ -562,6 +569,85 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
         assert ref_failures == {"DegenerateResponseError": 2}
     if case == "no_control_outcomes":
         assert not good.any() and not ref_failures and not ref_warnings
+
+
+def reference_ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``estimators._ps_cells_counts`` as a loop over the strata: per arm and
+    stratum, one weighted (b, n) array, its row sums and one ``w @ y``."""
+    observed = cols.a != core.A_MISSING
+    design = intercept_design(cols.x)
+    b = counts.shape[0]
+    clean = np.ones(b, dtype=bool)
+    beta = []
+    for t in (0, 1):
+        rows = observed[:, t]
+        coef, ok = fit_logistic_counts(
+            design[rows], cols.a[rows, t], counts[:, rows], start=np.zeros(design.shape[1])
+        )
+        beta.append(coef)
+        clean &= ok
+    mu = np.empty((b, len(JOINT_LABELS), 2))
+    share = np.empty((b, 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for t in (0, 1):
+            use = observed[:, t] & ~np.isnan(cols.y[:, t])
+            c = counts[:, use]
+            g = expit(beta[1 - t] @ design[use].T)
+            share[:, t] = (c * estimators._extreme(g)).sum(axis=1) / c.sum(axis=1)
+            g = np.clip(g, estimators.SCORE_CLIP, 1.0 - estimators.SCORE_CLIP)
+            a, y = cols.a[use, t], cols.y[use, t]
+            for i, stratum in enumerate(JOINT_LABELS):
+                w = c * estimators._hayden_weights(a, g, stratum, t)
+                total = w.sum(axis=1)
+                mu[:, i, t] = np.where(total > 0.0, (w @ y) / total, np.nan)
+    mu[np.isnan(mu).any(axis=2)] = np.nan
+    for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
+        estimators._warn_if_extreme(float(share[r, t]), stacklevel=2)
+    return mu, ~clean
+
+
+def reference_direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``estimators._direct_cells_counts`` as a loop over the strata: per
+    stratum, a gather of its columns, one product and one row sum."""
+    complete = core.completer_mask(cols, core.CompleterRule.BOTH)
+    c, codes, y = counts[:, complete], core.stratum_codes(cols.a[complete]), cols.y[complete]
+    mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
+    with np.errstate(invalid="ignore"):
+        for i in range(len(JOINT_LABELS)):
+            mask = codes == i
+            mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
+    return mu, np.zeros(counts.shape[0], dtype=bool)
+
+
+REFERENCE_CHUNK_FORMS = {
+    PceMethod.PS: reference_ps_cells_counts,
+    PceMethod.DIRECT: reference_direct_cells_counts,
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_route_chunk_forms_match_their_per_stratum_reference(case):
+    """Each route's chunk form against its per-stratum loop, on every resample
+    of the case and on its first resample alone: the same rows left, the same
+    NaN cells and warnings, and means within 1e-12 relative (the sums run in
+    another order)."""
+    load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
+    cols = as_columns(load()).select(covariates)
+    idx = resampling.resample_index_matrix(seed, 0, n_replicates, len(cols))
+    counts = resampling.resample_counts(idx, len(cols))
+    for method in methods:
+        for block in (counts, counts[:1]):
+            results = []
+            for form in (estimators._ROUTES[method][1], REFERENCE_CHUNK_FORMS[method]):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    mu, left = form(cols, block.copy())
+                results.append((mu, left, [str(w.message) for w in caught]))
+            (new, new_left, new_warnings), (ref, ref_left, ref_warnings) = results
+            np.testing.assert_array_equal(new_left, ref_left)
+            assert new_warnings == ref_warnings
+            np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+            np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0.0)
 
 
 def test_estimate_bootstrap_refits_do_not_grow_with_replicates(monkeypatch):
