@@ -435,6 +435,12 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
     carry no usable means and are left to ``_ps_cells``. The extreme-score
     warning is raised here for the other rows, once per arm and replicate, as
     ``_clip_scores`` would.
+
+    Each arm's four strata come from one product: the count-weighted cross
+    scores, c(1-g) and c g, times the (n', 4) table [1{a=0}, 1{a=0} y,
+    1{a=1}, 1{a=1} y] of its complete rows. Stratum (own, cross) reads its
+    weight total and weighted outcome sum from row block ``cross``,
+    columns 2 own and 2 own + 1, as ``_hayden_weights`` picks g or 1-g.
     """
     observed = cols.a != A_MISSING
     design = intercept_design(cols.x)
@@ -450,18 +456,25 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
         clean &= ok
     mu = np.empty((b, len(JOINT_LABELS), 2))
     share = np.empty((b, 2))
+    codes = np.arange(len(JOINT_LABELS))
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with no weight read NaN
         for t in (0, 1):
             use = observed[:, t] & ~np.isnan(cols.y[:, t])
             c = counts[:, use]
             g = expit(beta[1 - t] @ design[use].T)
             share[:, t] = (c * _extreme(g)).sum(axis=1) / c.sum(axis=1)
-            g = np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP)
-            a, y = cols.a[use, t], cols.y[use, t]
-            for i, stratum in enumerate(JOINT_LABELS):
-                w = c * _hayden_weights(a, g, stratum, t)
-                total = w.sum(axis=1)
-                mu[:, i, t] = np.where(total > 0.0, (w @ y) / total, np.nan)
+            np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP, out=g)
+            w = np.empty((2, b, c.shape[1]))  # by the cross-arm coordinate
+            np.subtract(1.0, g, out=w[0])
+            w[0] *= c
+            np.multiply(c, g, out=w[1])
+            own = np.eye(2)[cols.a[use, t]]
+            table = np.stack([own, own * cols.y[use, t, None]], axis=2).reshape(-1, 4)
+            sums = (w.reshape(2 * b, -1) @ table).reshape(2, b, 4)
+            # a stratum's code is 2 A(0) + A(1); arm t's own coordinate is A(t)
+            own, cross = (codes >> 1, codes & 1) if t == 0 else (codes & 1, codes >> 1)
+            total = sums[cross, :, 2 * own].T
+            mu[:, :, t] = np.where(total > 0.0, sums[cross, :, 2 * own + 1].T / total, np.nan)
     mu[np.isnan(mu).any(axis=2)] = np.nan  # a stratum needs both arms
     for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
         _warn_if_extreme(float(share[r, t]), stacklevel=3)
@@ -470,14 +483,18 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
 
 def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
-    (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``."""
+    (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``.
+
+    One product gives every stratum's count and both arms' outcome sums:
+    the counts of the full completers times their (n', 12) table
+    [onehot, onehot y0, onehot y1] of one-hot stratum codes."""
     complete = completer_mask(cols, CompleterRule.BOTH)
-    c, codes, y = counts[:, complete], stratum_codes(cols.a[complete]), cols.y[complete]
-    mu = np.empty((counts.shape[0], len(JOINT_LABELS), 2))
+    onehot = np.eye(len(JOINT_LABELS))[stratum_codes(cols.a[complete])]
+    y = cols.y[complete]
+    sums = counts[:, complete] @ np.hstack([onehot, onehot * y[:, :1], onehot * y[:, 1:]])
+    total, by_arm = sums[:, :4], sums[:, 4:].reshape(-1, 2, len(JOINT_LABELS))
     with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN
-        for i in range(len(JOINT_LABELS)):
-            mask = codes == i
-            mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
+        mu = by_arm.transpose(0, 2, 1) / total[:, :, None]
     return mu, np.zeros(counts.shape[0], dtype=bool)
 
 

@@ -3,19 +3,16 @@
 Replicate index streams are derived from (seed, replicate_index) through a
 SplitMix64 mix, so any replicate can be regenerated in isolation and drawn
 in any order. Every resample, for the bootstrap and for the independence
-test alike, is drawn by one engine, ``draw_replicates``, in chunks of a
-fixed budget of index draws that its caller picks. A batched fit's last
-bits can depend on which rows share its chunk, so where replicate values
-are the output the budget is part of it: the same chunk plan gives the same
-bytes in any process, another budget may not. The bootstrap reports its
-replicates' spread and percentiles and keeps ``_CHUNK_ELEMENTS``, 2^14
-draws. The independence test reports only how many replicates reach the
-observed gap, which a last bit moves only at a tie to rounding, and takes
-2^15 draws: half as many batched fits. Both loops plan their chunks by one
-rule: every full chunk, and the short last one when every process would
-still hold a full chunk. The engine runs a caller's exact statistic on each
-row the caller's batched kernel leaves.
-A replicate that statistic fails on is counted by exception name, then kept
+test alike, is drawn by one engine, ``draw_replicates``, in chunks of one
+fixed budget of index draws, ``_CHUNK_ELEMENTS`` (2^15): 163 replicates per
+chunk at n = 200, 65 at n = 500. A batched fit's last bits can depend on
+which rows share its chunk, so the budget is part of the bootstrap's
+output: the same chunk plan gives the same bytes in any process, another
+budget may not. Both loops plan their chunks by one rule: every full
+chunk, and the short last one when every process would still hold a full
+chunk; a plan of one chunk runs in the calling process. The engine runs a
+caller's exact statistic on each row the caller's batched kernel leaves. A
+replicate that statistic fails on is counted by exception name, then kept
 as NaN (the bootstrap) or redrawn (the independence test). Past 10%
 failures the engine errors out.
 
@@ -184,11 +181,11 @@ def exceedance_p(values: Sequence[float] | np.ndarray, observed: float) -> float
     return (int(np.sum(arr >= observed)) + 1) / (arr.size + 1)
 
 
-# each chunk of index rows holds about this many (replicate, subject) draws
-# unless the caller gives its own budget; it bounds a chunk's memory
-# whatever the replicate count is. Another budget regroups the batched fits
-# and may move the last bits of a bootstrap's replicates, which are its output
-_CHUNK_ELEMENTS = 2**14
+# each chunk of index rows holds about this many (replicate, subject) draws;
+# it bounds a chunk's memory whatever the replicate count is. Another budget
+# regroups the batched fits and may move the last bits of a bootstrap's
+# replicates, which are its output
+_CHUNK_ELEMENTS = 2**15
 
 Chunk = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # a warning a child recorded: (message, category, filename, lineno)
@@ -343,17 +340,14 @@ def draw_replicates(
     chunk: Chunk,
     one: Callable[[np.ndarray], np.ndarray],
     redraw: bool = False,
-    elements: int | None = None,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Evaluate a statistic on ``n_replicates`` resamples of n subjects.
 
     Index rows are drawn by ``resample_index_matrix`` in chunks of
-    ``elements // n`` rows, at least one; ``elements`` is None for
-    ``_CHUNK_ELEMENTS``, read at call time. A batched fit's last bits can
-    depend on which rows share its chunk, so the budget is part of any
-    output that shows a replicate's value, as the bootstrap's spread and
-    percentiles do; a caller that publishes only counts over the replicates
-    may pick the budget for speed. ``chunk`` maps a (b, n) chunk of rows to
+    ``_CHUNK_ELEMENTS // n`` rows, at least one, with the budget read at
+    call time. A batched fit's last bits can depend on which rows share its
+    chunk, so the budget is part of any output that shows a replicate's
+    value, as the bootstrap's spread and percentiles do. ``chunk`` maps a (b, n) chunk of rows to
     (b, m) values and a (b,) mask of rows it leaves to ``one``, the exact
     (m,) values of one index row. A row fails where ``one`` raises a
     package error or ArithmeticError; it stays NaN, or with ``redraw`` is
@@ -375,7 +369,7 @@ def draw_replicates(
     failure_counts: dict[str, int] = {}
     filled = 0
     attempt = 0
-    rows_per_chunk = max(1, (_CHUNK_ELEMENTS if elements is None else elements) // n)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n)
     full, short = divmod(n_replicates, rows_per_chunk)
 
     def evaluate(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -456,7 +456,8 @@ def test_spread_resampling_writes_the_same_bytes_as_one_process(command, tmp_pat
         # clipping band, so the chunk kernel warns
         records = generate_trial(simulator.DgpConfig(
             n_subjects=200, seed=2, sigma_x=8.0, beta=(1.0, 1.0), gamma=(0.0, 1.0)))
-        args = ["--method", "both", "--bootstrap", 300, "--format", "csv"]
+        # 500 replicates plan four chunks (163 rows each and 11), so the engine forks
+        args = ["--method", "both", "--bootstrap", 500, "--format", "csv"]
     write_crossover_csv(records, tmp_path / "trial.csv")
     argv = [command, "--input", tmp_path / "trial.csv", "--seed", 7, *args]
     out, stdout, stderr, forks = run_engine("one", argv, tmp_path / "one.out")
@@ -480,7 +481,7 @@ def test_replicate_bootstrap_forks_and_writes_the_same_bytes(tmp_path, monkeypat
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    # 1000 subjects make chunks of 16 rows, so 20 replicates plan two chunks
+    # 1000 subjects make chunks of 32 rows, so 20 replicates are one short chunk
     argv = ["replicate", "--scenario", "paper_like", "--n", 1000, "--seed", 2,
             "--replicates", 2, "--method", "ps", "--bootstrap", 20, "--oracle-n", 10_000,
             "--format", "json"]

@@ -287,22 +287,22 @@ def test_independence_refits_do_not_grow_with_replicates(monkeypatch):
 @pytest.mark.parametrize("case", ["cond-indep", "indep", "sparse"])
 def test_independence_report_does_not_depend_on_the_chunk_budget(case, monkeypatch):
     """The test publishes counts over its replicates, not their values, so
-    its own chunk budget gives the report the bootstrap's budget gives."""
+    half the chunk budget gives the same report."""
     if case == "sparse":  # about one resample in ten is redrawn
         records, method, n_bootstrap = load_crossover_csv(DATA / "sparse_refit.csv"), "cond-indep", 2000
     else:
         records = generate_trial(scenario("a4p_violated", n_subjects=500, seed=1))
         method, n_bootstrap = case, 300
     own = independence_test(records, method, n_bootstrap=n_bootstrap, seed=3)
-    assert diagnostics._INDEP_CHUNK_ELEMENTS == 2 * resampling._CHUNK_ELEMENTS
-    monkeypatch.setattr(diagnostics, "_INDEP_CHUNK_ELEMENTS", resampling._CHUNK_ELEMENTS)
+    assert resampling._CHUNK_ELEMENTS == 2**15
+    monkeypatch.setattr(resampling, "_CHUNK_ELEMENTS", 2**14)
     assert independence_test(records, method, n_bootstrap=n_bootstrap, seed=3) == own
     assert (own.n_rejected > 0) == (case == "sparse")
 
 
-def test_each_resampling_loop_draws_chunks_of_its_own_budget(monkeypatch):
-    """The bootstrap keeps 2^14 index draws per chunk, 81 rows at n = 200;
-    the independence test takes 2^15, 65 rows at n = 500."""
+def test_both_resampling_loops_draw_chunks_of_one_budget(monkeypatch):
+    """Both loops take 2^15 index draws per chunk: 163 rows at n = 200 for
+    the bootstrap, 65 rows at n = 500 for the independence test."""
     drawn = []
     real = resampling.resample_index_matrix
 
@@ -315,7 +315,7 @@ def test_each_resampling_loop_draws_chunks_of_its_own_budget(monkeypatch):
     monkeypatch.setattr(resampling, "_process_count", lambda items: 1)
     small = generate_trial(scenario("paper_like", n_subjects=200, seed=1))
     estimate_pce_table(small, bootstrap_spec=BootstrapSpec(n_replicates=200, seed=1))
-    assert drawn == [(200, 81), (200, 81), (200, 38)]
+    assert drawn == [(200, 163), (200, 37)]
     drawn.clear()
     large = generate_trial(scenario("a4p_violated", n_subjects=500, seed=1))
     assert independence_test(large, n_bootstrap=150, seed=1).n_rejected == 0
