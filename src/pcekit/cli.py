@@ -472,8 +472,8 @@ def _checked(read: Callable[[str], object], check: Callable[..., None], name: st
 
 
 def _integer(name: str, *bounds: float) -> Callable[[str], object]:
-    """Argument type: an integer that ``resampling.check_integer`` takes."""
-    return functools.partial(_checked, int, resampling.check_integer, name, bounds)
+    """Argument type: an integer that ``core.check_integer`` takes."""
+    return functools.partial(_checked, int, core.check_integer, name, bounds)
 
 
 _ci_level = functools.partial(_checked, float, resampling.check_level, "ci_level", ())

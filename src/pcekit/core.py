@@ -34,6 +34,18 @@ _PARALLEL_HEAD = ("subject_id", "treatment")
 _COVARIATE_PREFIX = "x_"
 
 
+def check_integer(name: str, value: object, low: int, limit: float = math.inf,
+                  error: type[Exception] = ValueError) -> None:
+    """Refuse, by name and value, as an ``error``, all but an integer in [low, limit)."""
+    try:
+        ok = not isinstance(value, bool) and low <= operator.index(value) < limit
+    except TypeError:
+        ok = False
+    if not ok:
+        below = f" and below {limit}" if limit < math.inf else ""
+        raise error(f"{name} must be an integer of at least {low}{below}, not {value!r}")
+
+
 class TreatmentSequence(Enum):
     """Randomized period order: control-first (CF) or experimental-first (EF)."""
 
@@ -98,8 +110,7 @@ class SubjectRecord:
 
     def period_of_arm(self, t: int) -> int:
         """Period (1 or 2) in which treatment arm t was received."""
-        if t not in (0, 1):
-            raise ValueError(f"treatment arm must be 0 or 1, got {t!r}")
+        check_integer("t", t, 0, 2)
         return 1 if self.t_p1 == t else 2
 
     def a_for_arm(self, t: int) -> int | None:
@@ -121,8 +132,7 @@ class ParallelObservation:
     y: float | None
 
     def __post_init__(self) -> None:
-        if self.t not in (0, 1):
-            raise SchemaError(f"subject {self.subject_id!r}: t={self.t!r} not in {{0,1}}")
+        check_integer(f"subject {self.subject_id!r}: t", self.t, 0, 2, error=SchemaError)
         if self.a is not None and self.a not in (0, 1):
             raise SchemaError(f"subject {self.subject_id!r}: a={self.a!r} not in {{0,1}}")
         if len(self.covariate_names) != len(self.covariates):
@@ -457,8 +467,7 @@ def write_columns(ids: Sequence[str], cols: TrialColumns, path: str | Path,
 
 def as_parallel(records: Sequence[SubjectRecord], t: int) -> list[ParallelObservation]:
     """Project each subject's arm-t period into a parallel observation."""
-    if t not in (0, 1):
-        raise ValueError(f"treatment arm must be 0 or 1, got {t!r}")
+    check_integer("t", t, 0, 2)
     return [
         ParallelObservation(
             subject_id=rec.subject_id,

@@ -28,13 +28,14 @@ from .core import (
     _require_completers,
     as_columns,
     by_period,
+    check_integer,
     classify_strata,
     stratum_codes,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
 from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector
 from .glm import DesignMatrix, fit_ols, t_two_sided_p
-from .resampling import SEED_LIMIT, check_integer, draw_replicates, exceedance_p, resample_counts
+from .resampling import SEED_LIMIT, draw_replicates, exceedance_p, resample_counts
 
 
 def _crossover_columns(data: Dataset) -> TrialColumns:

@@ -46,6 +46,7 @@ from .core import (
     SubjectRecord,
     TrialColumns,
     as_columns,
+    check_integer,
     completer_mask,
     stratum_codes,
     stratum_counts,
@@ -92,8 +93,7 @@ class PrincipalScoreModel:
     covariate_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {self.arm!r}")
+        check_integer("arm", self.arm, 0, 2)
         if not self.fit.converged:
             detail = "separation detected" if self.fit.diverged else "iteration cap reached"
             raise ConvergenceError(f"principal-score fit for arm {self.arm} did not converge ({detail})")
@@ -213,8 +213,7 @@ def estimate_mu_direct(
     records: Sequence[SubjectRecord], stratum: StratumLabel, t: int
 ) -> float:
     """Plain mean of arm-t outcomes among subjects observed in the stratum."""
-    if t not in (0, 1):
-        raise ValueError(f"treatment arm must be 0 or 1, got {t!r}")
+    check_integer("t", t, 0, 2)
     records = list(records)
     if not records:
         raise InestimableStratumError(f"no subjects observed in stratum {stratum}")

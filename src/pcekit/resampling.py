@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .core import TrialColumns
+from .core import TrialColumns, check_integer
 from .errors import BootstrapError, PcekitError
 
 _U64 = np.uint64
@@ -54,18 +54,6 @@ R = TypeVar("R")
 # resample streams are keyed by the seed's 64 bits, so a seed outside
 # [0, SEED_LIMIT) would repeat the resamples of one inside it
 SEED_LIMIT = 2**64
-
-
-def check_integer(name: str, value: object, low: int, limit: float = math.inf,
-                  error: type[Exception] = ValueError) -> None:
-    """Refuse, by name and value, as an ``error``, all but an integer in [low, limit)."""
-    try:
-        ok = not isinstance(value, bool) and low <= operator.index(value) < limit
-    except TypeError:
-        ok = False
-    if not ok:
-        below = f" and below {limit}" if limit < math.inf else ""
-        raise error(f"{name} must be an integer of at least {low}{below}, not {value!r}")
 
 
 def finite_real(value: object) -> bool:

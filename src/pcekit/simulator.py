@@ -26,9 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (_COVARIATE_PREFIX, JOINT_LABELS, StratumLabel, SubjectRecord, TrialColumns,
-                   _period_columns, by_period, crossover_records, stratum_codes)
+                   _period_columns, by_period, check_integer, crossover_records, stratum_codes)
 from .errors import ConfigError
-from .resampling import check_integer, finite_real
+from .resampling import finite_real
 
 _TRIAL_STREAM = 0
 _ORACLE_STREAM = 1
@@ -45,7 +45,8 @@ _NOISE_CHUNK = 8192
 class DgpConfig:
     """Data-generating process for a two-period, two-treatment crossover.
 
-    Per-arm pairs are ordered (control, experimental). The adherence latent
+    Per-arm pairs are ordered (control, experimental), given as a list,
+    tuple or 1-d array and stored as a tuple. The adherence latent
     for arm t is eta[t] + beta[t]*x + noise; the potential outcome is
     gamma[t] + delta[t]*x + sigma[t]*noise. The observed period-2 outcome
     adds pi_period plus lambda_carry times the period-1 outcome.
@@ -75,6 +76,9 @@ class DgpConfig:
             value = getattr(self, f.name)
             if f.type != "int" and not _is_kind(value, f.type):
                 raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, not {value!r}")
+            if f.type == "tuple[float, float]":  # so configs compare, hash and serialise alike
+                pair = value.tolist() if isinstance(value, np.ndarray) else value
+                object.__setattr__(self, f.name, tuple(pair))
         if self.sigma_x <= 0:
             raise ConfigError("sigma_x must be positive")
         if min(self.sigma) <= 0:
@@ -112,7 +116,7 @@ class DgpConfig:
 
     @classmethod
     def from_dict(cls, d: object) -> "DgpConfig":
-        """A config from a decoded JSON object, lists as pairs; construction checks the values."""
+        """A config from a decoded JSON object; construction checks the values."""
         if not isinstance(d, dict):
             raise ConfigError(f"a config must be a JSON object, not {type(d).__name__}")
         for k in d:
@@ -120,7 +124,7 @@ class DgpConfig:
                 raise ConfigError(f"unknown config key {k!r}")
         if "n_subjects" not in d:
             raise ConfigError("config lacks the key 'n_subjects'")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+        return cls(**d)
 
 
 # how a refusal names the values each DgpConfig annotation but int admits

@@ -10,7 +10,10 @@ method, which collapses by design. ``BootstrapSpec`` and
 ``independence_test`` refuse a replicate count that is not an integer of
 at least 1 and a seed that is not an integer in [0, 2**64) the same way;
 ``BootstrapSpec`` and ``percentile_interval`` refuse a ``ci_level`` that is
-not a real number strictly between 0 and 1. ``DgpConfig``, ``scenario``
+not a real number strictly between 0 and 1. ``as_parallel``,
+``ParallelObservation``, ``SubjectRecord.period_of_arm``,
+``estimate_mu_direct`` and ``PrincipalScoreModel`` refuse an arm that is
+not the integer 0 or 1, a float or bool included. ``DgpConfig``, ``scenario``
 and ``true_pce`` refuse a subject count, seed or oracle size outside the
 generator's range, sizes numpy cannot describe included. Covariate names
 are read once, so a one-shot iterator of them gives what the list gives.
@@ -25,15 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcekit import (
+    JOINT_LABELS,
     BootstrapSpec,
     CompleterRule,
     MonotonicityDirection,
+    ParallelObservation,
     PceMethod,
+    PrincipalScoreModel,
     ProbMethod,
     as_columns,
     as_parallel,
     completer_filter,
     completer_mask,
+    estimate_mu_direct,
     estimate_pce_table,
     estimate_stratum_probs,
     fit_principal_score,
@@ -96,6 +103,10 @@ LEVEL_VALUES = st.one_of(st.none(), st.booleans(), st.binary(max_size=4), NAMES,
                          st.sampled_from(["0.9", 1.5, -1.0, 0.0, 1.0]), st.integers(),
                          st.lists(st.floats(), max_size=2),
                          st.floats().filter(lambda v: not 0.0 < v < 1.0))
+# arms: anything but the integer 0 or 1, floats and bools that equal one included
+ARM_VALUES = st.one_of(NON_INTEGERS, st.sampled_from([0.0, 1.0, True, False]),
+                       st.integers(max_value=-1), st.integers(min_value=2))
+SCORE_FIT = fit_principal_score(ARM0).fit
 CONFIG = DgpConfig(n_subjects=2)
 PROB_METHODS = tuple(m.value for m in ProbMethod)
 DIRECTIONS = tuple(d.value for d in MonotonicityDirection)
@@ -144,6 +155,14 @@ CASES = {
     "scenario-n_subjects": (lambda v: scenario("paper_like", n_subjects=v),
                             SUBJECT_VALUES.filter(lambda v: v is not None), ()),
     "true_pce-oracle_n": (lambda v: true_pce(CONFIG, v), ORACLE_VALUES, ()),
+    "as_parallel-t": (lambda v: as_parallel(RECORDS, v), ARM_VALUES, ()),
+    "ParallelObservation-t": (
+        lambda v: ParallelObservation("s1", (), (), v, 1, 0.0), ARM_VALUES, ()),
+    "period_of_arm-t": (lambda v: RECORDS[0].period_of_arm(v), ARM_VALUES, ()),
+    "estimate_mu_direct-t": (
+        lambda v: estimate_mu_direct(RECORDS, JOINT_LABELS[3], v), ARM_VALUES, ()),
+    "PrincipalScoreModel-arm": (
+        lambda v: PrincipalScoreModel(v, SCORE_FIT, COVARIATES), ARM_VALUES, ()),
 }
 
 

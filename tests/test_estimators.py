@@ -135,14 +135,14 @@ def converged_fit():
 
 @pytest.mark.parametrize("run, error, message", [
     (lambda: PrincipalScoreModel(arm=2, fit=converged_fit(), covariate_names=()), ValueError,
-     "arm must be 0 or 1, got 2"),
+     "arm must be an integer of at least 0 and below 2, not 2"),
     (lambda: estimate_mu_hayden([], saturated_cross_model(), StratumLabel(1, 1)),
      InsufficientDataError, "no observations"),
     (lambda: estimate_mu_hayden([obs("a", 0, 1, y=1.0), obs("b", 1, 1, y=2.0)],
                                 saturated_cross_model(), StratumLabel(1, 1)),
      ValueError, "observations must all come from one arm"),
     (lambda: estimate_mu_direct([make_record("a")], StratumLabel(1, 1), 2), ValueError,
-     "treatment arm must be 0 or 1, got 2"),
+     "t must be an integer of at least 0 and below 2, not 2"),
     (lambda: estimate_mu_direct([], StratumLabel(1, 1), 0), InestimableStratumError,
      "no subjects observed in stratum S11"),
     (lambda: estimate_mu_direct([make_record("a", y=(None, 2.0))], StratumLabel(1, 1), 0),

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pcekit.core import JOINT_LABELS, StratumLabel, TreatmentSequence, as_columns
-from pcekit import simulator
+from pcekit import cli, simulator
 from pcekit.errors import ConfigError
 from pcekit.simulator import (
     MIN_ORACLE_N,
@@ -277,11 +278,11 @@ def test_config_dict_round_trip():
     assert DgpConfig.from_dict(d) == cfg
     with pytest.raises(ConfigError, match="unknown config key"):
         DgpConfig.from_dict({**d, "bogus": 1})
-    # numpy scalars and list or array pairs are kept as given and draw the same trial
+    # numpy scalars and list or array pairs draw the same trial; pairs are stored as tuples
     plain = DgpConfig(n_subjects=40, seed=3, sigma_x=2.0, eta=(0.5, -0.5), beta=(0.0, 0.25))
     given = DgpConfig(n_subjects=np.int64(40), seed=np.uint8(3), sigma_x=np.float32(2.0),
                       eta=[np.float32(0.5), -0.5], beta=np.array([0.0, 0.25]))
-    assert given.eta == [0.5, -0.5] and isinstance(given.beta, np.ndarray)
+    assert given.eta == (0.5, -0.5) and given.beta == (0.0, 0.25)
     assert pickle.dumps(trial_columns(given)) == pickle.dumps(trial_columns(plain))
     assert true_pce(given, MIN_ORACLE_N) == true_pce(plain, MIN_ORACLE_N)
     for bad, message in [
@@ -295,6 +296,23 @@ def test_config_dict_round_trip():
     ]:
         with pytest.raises(ConfigError, match=message):
             DgpConfig.from_dict(bad)
+
+
+def test_config_pairs_are_stored_as_tuples():
+    """A pair given as a list, tuple or array is stored as a tuple, so the
+    configs compare, hash and serialise alike; one given as a list or tuple
+    keeps the to_dict and digest it had when pairs were stored as given."""
+    plain = DgpConfig(n_subjects=2, eta=(0.5, -0.5), sigma=(2.0, 1.5))
+    for make in (list, tuple, np.array):
+        cfg = DgpConfig(n_subjects=2, eta=make([0.5, -0.5]), sigma=make([2.0, 1.5]))
+        assert type(cfg.eta) is tuple and cfg.eta == (0.5, -0.5)
+        assert cfg == plain and hash(cfg) == hash(plain)
+        assert json.dumps(cfg.to_dict()) == json.dumps(plain.to_dict())
+    for make in (list, tuple):
+        cfg = DgpConfig(n_subjects=2, eta=make([1, 0.25]), sigma=make([2, 1.5]))
+        d = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert '"eta": [1, 0.25]' in d and '"sigma": [2, 1.5]' in d
+        assert cli._config_digest(cfg) == "01b46165fa7a"
 
 
 def test_truth_table_row_of_a_missing_stratum_is_a_key_error():
