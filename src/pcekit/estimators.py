@@ -203,7 +203,7 @@ def _hayden_weights(
     a: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
 ) -> np.ndarray:
     """Weights 1{a = own coordinate} times g or 1-g, as the stratum's cross-arm
-    coordinate is 1 or 0; g may carry leading axes over a's."""
+    coordinate is 1 or 0."""
     own_coord = stratum.a0 if arm == 0 else stratum.a1
     cross_coord = stratum.a1 if arm == 0 else stratum.a0
     return (a == own_coord) * (g if cross_coord == 1 else 1.0 - g)
@@ -467,8 +467,8 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
             np.subtract(1.0, g, out=w[0])
             w[0] *= c
             np.multiply(c, g, out=w[1])
-            own = np.eye(2)[cols.a[use, t]]
-            table = np.stack([own, own * cols.y[use, t, None]], axis=2).reshape(-1, 4)
+            onehot = np.eye(2)[cols.a[use, t]]  # 1{a=0}, 1{a=1}
+            table = np.stack([onehot, onehot * cols.y[use, t, None]], axis=2).reshape(-1, 4)
             sums = (w.reshape(2 * b, -1) @ table).reshape(2, b, 4)
             # a stratum's code is 2 A(0) + A(1); arm t's own coordinate is A(t)
             own, cross = (codes >> 1, codes & 1) if t == 0 else (codes & 1, codes >> 1)
@@ -491,9 +491,10 @@ def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.nda
     onehot = np.eye(len(JOINT_LABELS))[stratum_codes(cols.a[complete])]
     y = cols.y[complete]
     sums = counts[:, complete] @ np.hstack([onehot, onehot * y[:, :1], onehot * y[:, 1:]])
-    total, by_arm = sums[:, :4], sums[:, 4:].reshape(-1, 2, len(JOINT_LABELS))
+    # (b, 4, 3): each stratum's count, then its outcome sum in arm 0 and arm 1
+    sums = sums.reshape(-1, 3, len(JOINT_LABELS)).transpose(0, 2, 1)
     with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN
-        mu = by_arm.transpose(0, 2, 1) / total[:, :, None]
+        mu = sums[:, :, 1:] / sums[:, :, :1]
     return mu, np.zeros(counts.shape[0], dtype=bool)
 
 

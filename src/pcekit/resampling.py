@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 import pickle
 import sys
@@ -335,8 +334,8 @@ def draw_replicates(
     ``_CHUNK_ELEMENTS // n`` rows, at least one, with the budget read at
     call time. A batched fit's last bits can depend on which rows share its
     chunk, so the budget is part of any output that shows a replicate's
-    value, as the bootstrap's spread and percentiles do. ``chunk`` maps a (b, n) chunk of rows to
-    (b, m) values and a (b,) mask of rows it leaves to ``one``, the exact
+    value, as the bootstrap's spread and percentiles do. ``chunk`` maps a
+    (b, n) chunk of rows to (b, m) values and a (b,) mask of rows it leaves to ``one``, the exact
     (m,) values of one index row. A row fails where ``one`` raises a
     package error or ArithmeticError; it stays NaN, or with ``redraw`` is
     replaced by the next stream. A chunk never holds more rows than
