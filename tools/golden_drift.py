@@ -60,10 +60,6 @@ def _git(*args: str) -> str:
                           check=True).stdout.decode("utf-8")
 
 
-def _is_output(path: str) -> bool:
-    return ".out." in PurePosixPath(path).name
-
-
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print("usage: golden_drift.py [REV]", file=sys.stderr)
@@ -89,7 +85,7 @@ def main(argv: list[str]) -> int:
         new = (ROOT / path).read_bytes().decode("utf-8")
         if new == old[path]:
             continue
-        if not _is_output(path):
+        if ".out." not in name.name:
             print(f"{name}: changed, and it is not an output")
             status = 1
             continue
