@@ -358,23 +358,53 @@ def test_independence_refits_leave_their_inputs_unchanged(monkeypatch):
     assert checked and all(checked)  # float counts reach the kernel as they are
 
 
-def test_cell_sums_keep_the_bits_of_the_product_table_sum():
+def subject_major_cell_sums(counts, g0, g1):
+    """Reference for ``estimators._cell_sums``: each cell's products laid out
+    subject-major, (n, 4, b), and summed down the outer axis, which adds the
+    subjects one after another as a sum over the middle axis of the (b, n, 4)
+    product table does."""
+    c, h0, h1 = counts.T, g0.T, g1.T
+    u0, u1 = 1.0 - h0, 1.0 - h1
+    n, b = c.shape
+    terms = np.empty((n, len(JOINT_LABELS), b))
+    for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
+        np.multiply(p, q, out=terms[:, k])
+        terms[:, k] *= c
+    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
+
+
+def test_cell_sums_agree_with_the_subject_major_and_product_table_sums():
+    """Only the order of the additions may differ, so the sums agree to
+    rounding; rtol is the chunk form's own against its full-data form."""
     rng = np.random.default_rng(23)
     shapes = [(1, 5), (1, 9), (1, 501), (2, 7), (3, 1), (32, 500), (81, 200)]
     shapes += [(int(rng.integers(1, 50)), int(rng.integers(1, 700))) for _ in range(40)]
-    pairwise_moves_bits = False
     for b, n in shapes:
         counts = resample_counts(rng.integers(0, n, size=(b, n)), n)
         counts[:, rng.random(n) < 0.2] = 0.0  # subjects no resample draws
         g0, g1 = expit(rng.normal(0.0, 2.0, size=(2, b, n)))
-        table = estimators._cell_table(g0, g1)
-        want = np.sum(counts[:, :, None] * table, axis=1)
         got = estimators._cell_sums(counts, g0, g1)
-        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), (b, n)
-        pairwise = np.stack([(table[..., k] * counts).sum(axis=1) for k in range(4)], axis=-1)
-        pairwise_moves_bits |= pairwise.tobytes() != want.tobytes()
-    # the shapes tell an order-preserving sum from the faster pairwise one
-    assert pairwise_moves_bits
+        assert got.shape == (b, len(JOINT_LABELS)), (b, n)
+        np.testing.assert_allclose(got, subject_major_cell_sums(counts, g0, g1), rtol=1e-12)
+        table = np.sum(counts[:, :, None] * estimators._cell_table(g0, g1), axis=1)
+        np.testing.assert_allclose(got, table, rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["sparse", "a4p_violated", "paper_like"])
+def test_independence_report_does_not_depend_on_how_cells_are_summed(case, monkeypatch):
+    """The report publishes counts over the replicates, not their values, so
+    the subject-major cell sums give the same report: with rejections, and
+    with p-values above their floor of 1/(B+1)."""
+    if case == "sparse":
+        records, n_bootstrap = load_crossover_csv(DATA / "sparse_refit.csv"), 2000
+    else:
+        n, n_bootstrap = (500, 300) if case == "a4p_violated" else (163, 400)
+        records = generate_trial(scenario(case, n_subjects=n, seed=1))
+    own = independence_test(records, n_bootstrap=n_bootstrap, seed=3)
+    monkeypatch.setattr(estimators, "_cell_sums", subject_major_cell_sums)
+    assert independence_test(records, n_bootstrap=n_bootstrap, seed=3) == own
+    assert (own.n_rejected > 0) == (case == "sparse")
+    assert (own.p_value > 1 / (n_bootstrap + 1)) == (case != "a4p_violated")
 
 
 @pytest.mark.parametrize("method", list(estimators._RECONSTRUCTIONS), ids=lambda m: m.value)
