@@ -281,22 +281,13 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     stratum probabilities under independence, in JOINT_LABELS order, from
     (b, n) counts and arm adherence probabilities.
 
-    Each cell's products are formed as ``_cell_table`` forms them and laid
-    out subject-major, (n, 4, b), so the sum runs down the outer axis and
-    adds the subjects one after another, exactly as a sum over the middle
-    axis of the (b, n, 4) product table does: the same bits, one resample
-    included. Summing along a contiguous axis instead adds pairwise and
-    moves the last bits.
+    Each cell is a dot product along a contiguous row of the counts times
+    one arm's factor, so its additions run in another order than a one-row
+    full-data sum's and its last bits may differ. No report prints a cell,
+    only how many replicates exceed a gap.
     """
-    c, h0, h1 = counts.T, g0.T, g1.T
-    u0, u1 = 1.0 - h0, 1.0 - h1
-    n, b = c.shape
-    terms = np.empty((n, len(JOINT_LABELS), b))
-    for k, (p, q) in enumerate(((u0, u1), (u0, h1), (h0, u1), (h0, h1))):
-        # c * (p * q), with no temporary: a product's bits do not depend on its order
-        np.multiply(p, q, out=terms[:, k])
-        terms[:, k] *= c
-    return np.ascontiguousarray(np.add.reduce(terms, axis=0).T)
+    w0, w1, u1 = counts * (1.0 - g0), counts * g0, 1.0 - g1
+    return np.column_stack([np.einsum("ij,ij->i", w, q) for w in (w0, w1) for q in (u1, g1)])
 
 
 def _cond_indep_cells(
@@ -319,7 +310,9 @@ def _cond_indep_cells_counts(
     counts over subjects with adherence observed in both arms: (b, 4) cells
     and a (b,) mask of the rows whose two refits from starts did not
     converge cleanly (they carry no usable cells and are left to
-    ``_cond_indep_cells``)."""
+    ``_cond_indep_cells``). On one all-ones row the cells agree with
+    ``_cond_indep_cells`` to rounding, not bit for bit: the batched fits and
+    the cell sums (``_cell_sums``) each add in another order."""
     design = intercept_design(cols.x)
     beta0, ok0 = fit_logistic_counts(design, cols.a[:, 0], counts, starts[0])
     beta1, ok1 = fit_logistic_counts(design, cols.a[:, 1], counts, starts[1])
