@@ -97,8 +97,8 @@ class SubjectRecord:
                 f"subject {self.subject_id!r}: sequence={self.sequence!r} not in {{CF,EF}}"
             ) from None
         for a, col in ((self.a_p1, "a_p1"), (self.a_p2, "a_p2")):
-            if a is not None and a not in (0, 1):
-                raise SchemaError(f"subject {self.subject_id!r}: {col}={a!r} not in {{0,1}}")
+            if a is not None:
+                check_integer(f"subject {self.subject_id!r}: {col}", a, 0, 2, error=SchemaError)
 
     @property
     def t_p1(self) -> int:
@@ -133,8 +133,8 @@ class ParallelObservation:
 
     def __post_init__(self) -> None:
         check_integer(f"subject {self.subject_id!r}: t", self.t, 0, 2, error=SchemaError)
-        if self.a is not None and self.a not in (0, 1):
-            raise SchemaError(f"subject {self.subject_id!r}: a={self.a!r} not in {{0,1}}")
+        if self.a is not None:
+            check_integer(f"subject {self.subject_id!r}: a", self.a, 0, 2, error=SchemaError)
         if len(self.covariate_names) != len(self.covariates):
             raise SchemaError(
                 f"subject {self.subject_id!r}: {len(self.covariate_names)} covariate "
@@ -150,9 +150,8 @@ class StratumLabel:
     a1: int
 
     def __post_init__(self) -> None:
-        for v in (self.a0, self.a1):
-            if v not in (0, 1):
-                raise ValueError(f"stratum coordinates must be 0 or 1, got {v!r}")
+        check_integer("stratum coordinate a0", self.a0, 0, 2)
+        check_integer("stratum coordinate a1", self.a1, 0, 2)
 
     def __str__(self) -> str:
         return f"S{self.a0}{self.a1}"

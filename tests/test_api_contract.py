@@ -13,14 +13,18 @@ at least 1 and a seed that is not an integer in [0, 2**64) the same way;
 not a real number strictly between 0 and 1. ``as_parallel``,
 ``ParallelObservation``, ``SubjectRecord.period_of_arm``,
 ``estimate_mu_direct`` and ``PrincipalScoreModel`` refuse an arm that is
-not the integer 0 or 1, a float or bool included. ``DgpConfig``, ``scenario``
+not the integer 0 or 1, a float or bool included, and ``StratumLabel``,
+``SubjectRecord`` and ``ParallelObservation`` refuse such an adherence value
+(a record's may also be None, for missing). ``DgpConfig``, ``scenario``
 and ``true_pce`` refuse a subject count, seed or oracle size outside the
 generator's range, sizes numpy cannot describe included. Covariate names
 are read once, so a one-shot iterator of them gives what the list gives.
 Examples are derandomized, so every run of the suite tries the same inputs.
 """
 
+import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from pcekit import (
     PceMethod,
     PrincipalScoreModel,
     ProbMethod,
+    StratumLabel,
     as_columns,
     as_parallel,
     completer_filter,
@@ -49,7 +54,7 @@ from pcekit import (
     monotonicity_report,
     percentile_interval,
 )
-from pcekit.errors import PcekitError
+from pcekit.errors import PcekitError, SchemaError
 from pcekit.simulator import (MIN_ORACLE_N, SIZE_LIMIT, DgpConfig, generate_trial, scenario,
                               true_pce)
 
@@ -164,6 +169,15 @@ CASES = {
     "PrincipalScoreModel-arm": (
         lambda v: PrincipalScoreModel(v, SCORE_FIT, COVARIATES), ARM_VALUES, ()),
 }
+# each builder of an adherence value, named by "<builder>-<field>", and the
+# error it raises
+ADHERENCE_CALLS = {
+    "StratumLabel-a0": (lambda v: StratumLabel(v, 1), ValueError),
+    "StratumLabel-a1": (lambda v: StratumLabel(0, v), ValueError),
+    "SubjectRecord-a_p1": (lambda v: dataclasses.replace(RECORDS[0], a_p1=v), SchemaError),
+    "SubjectRecord-a_p2": (lambda v: dataclasses.replace(RECORDS[0], a_p2=v), SchemaError),
+    "ParallelObservation-a": (lambda v: ParallelObservation("s1", (), (), 0, v, 0.0), SchemaError),
+}
 
 
 def _offenders(value: object, valid: tuple[str, ...]) -> list:
@@ -182,6 +196,17 @@ def test_a_value_that_names_no_choice_is_refused_by_name(call, values, valid, da
         call(value)
     message = str(info.value)
     assert any(repr(v) in message for v in _offenders(value, valid)), message
+
+
+# values that equal 0 or 1 but are no integer, and integers outside {0, 1}
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.0, 2, -1], ids=repr)
+@pytest.mark.parametrize("key", ADHERENCE_CALLS)
+def test_an_adherence_value_that_is_not_the_integer_0_or_1_is_refused_by_name(key, value):
+    call, error = ADHERENCE_CALLS[key]
+    field = key.split("-")[1]
+    message = f"{field} must be an integer of at least 0 and below 2, not {value!r}"
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        call(value)
 
 
 COVARIATE_CALLS = {key: call for key, (call, _, _) in CASES.items() if key.endswith("-covariates")}

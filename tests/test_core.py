@@ -91,7 +91,8 @@ def parallel_obs(**changes):
 @pytest.mark.parametrize("build, error, message", [
     (lambda: parallel_obs(t=2), SchemaError,
      "subject 'p1': t must be an integer of at least 0 and below 2, not 2"),
-    (lambda: parallel_obs(a=2), SchemaError, r"subject 'p1': a=2 not in \{0,1\}"),
+    (lambda: parallel_obs(a=2), SchemaError,
+     "subject 'p1': a must be an integer of at least 0 and below 2, not 2"),
     (lambda: parallel_obs(covariates=()), SchemaError,
      "subject 'p1': 1 covariate names but 0 values"),
     (lambda: StratumTable({StratumLabel(0, 0): 1}, 1), ValueError,
