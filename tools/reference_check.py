@@ -11,8 +11,8 @@ generated once and the workload's command runs on each side in a fresh
 interpreter with one BLAS thread. One line per seed says whether
 ``perfbench/checks.compare_text`` accepts the tree's output against
 ``perfbench/reference/`` and whether that output is byte-identical to REV's;
-if it is not, how many numbers differ and the largest relative difference. A benchmark
-run checks one reference seed; this checks all of them.
+if it is not, how many numbers differ and the largest relative difference.
+A benchmark run checks one reference seed; this checks all of them.
 
 The exit status is 1 if a reference check or a command fails, else 0.
 """
@@ -41,14 +41,13 @@ sys.dont_write_bytecode = _write_bytecode
 _MAIN = "import sys; from pcekit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def run_command(src: Path, argv: list[str], work: Path) -> tuple[str | None, str]:
-    """Run ``pcekit`` argv from src in a fresh interpreter with one BLAS
-    thread: its output, or None and the last line of what it printed."""
+def run_command(src: Path, argv: list[str], out: Path, work: Path) -> tuple[str | None, str]:
+    """Run ``pcekit`` argv, which writes out, from src in a fresh interpreter
+    with one BLAS thread: the output, or None and the last line it printed."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
                PCEKIT_OUT_DIR=str(work))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    out = Path(argv[argv.index("--out") + 1])
     out.unlink(missing_ok=True)
     proc = subprocess.run([sys.executable, "-c", _MAIN, *argv], cwd=work, env=env,
                           capture_output=True, text=True)
@@ -80,11 +79,11 @@ def main(argv: list[str] | None = None) -> int:
                 if workload.needs_input:
                     trial = generate_trial(workload.preset, workload.n, ref_seed, REFERENCE_STREAM)
                     write_crossover_csv(trial, input_path)
-                command = workload.argv(input_path, work / f"out.{workload.output_kind}",
-                                        ref_seed)
+                out = work / f"out.{workload.output_kind}"
+                command = workload.argv(input_path, out, ref_seed)
                 label = f"{workload.name} seed {ref_seed}:"
                 (now, now_error), (then, then_error) = (
-                    run_command(tree / "src", command, work) for tree in (ROOT, rev_tree))
+                    run_command(tree / "src", command, out, work) for tree in (ROOT, rev_tree))
                 if now is None or then is None:
                     side, error = ("tree", now_error) if now is None else (args.rev, then_error)
                     print(f"{label} the command failed on {side}: {error}", flush=True)
