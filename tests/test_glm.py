@@ -310,7 +310,7 @@ def test_count_weighted_fits_leave_rank_deficient_resamples_to_fit_logistic():
     x = np.asarray([1.0, 1.0, 2.0, 3.0, 0.0, 2.5])
     a = np.asarray([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
     design = DesignMatrix.with_intercept(("x1",), [x])
-    start = fit_logistic(design, a).coefficients
+    start = _reference().reference_fit_logistic(design, a).coefficients
     counts = np.asarray([[3.0, 3.0, 0.0, 0.0, 0.0, 0.0], [1.0] * 6])
     coef, converged = fit_logistic_counts(design.values, a, counts, start)
     assert converged.tolist() == [False, True]
@@ -370,12 +370,20 @@ def _separated_chunk():
     return design, a, counts, np.array([0.0, 1e5])
 
 
+def _reference():
+    """tests/test_irls_reference.py, which imports this module's chunks."""
+    import test_irls_reference
+
+    return test_irls_reference
+
+
 def _resample_fit(values, a, row, start):
-    """fit_logistic on the resample a count row describes; None where it raises."""
-    idx = np.repeat(np.arange(len(a)), row.astype(int))
-    names = tuple(f"c{j}" for j in range(values.shape[1]))
+    """The one-at-a-time reference fit of the resample a count row describes;
+    None where it raises."""
+    reference = _reference()
     try:
-        return fit_logistic(DesignMatrix(names, values[idx]), a[idx], start=start)
+        return reference.reference_fit_logistic(
+            *reference.resample_design(values, a, row), start=start)
     except (DegenerateResponseError, SingularDesignError):
         return None
 
