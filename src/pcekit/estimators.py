@@ -421,12 +421,14 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
     """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
 
     Both arms' scores are refit for all rows at once by
-    ``fit_logistic_counts`` from fit_logistic's own zero start, so each row
-    takes the IRLS path of its one-at-a-time fit. Returns the (b, 4, 2) means
-    and a (b,) mask of the rows whose two fits did not converge cleanly: they
-    carry no usable means and are left to ``_ps_cells``. The extreme-score
-    warning is raised here for the other rows, once per arm and replicate, as
-    ``_clip_scores`` would.
+    ``fit_logistic_counts`` from fit_logistic's own zero start. That is the
+    IRLS loop ``fit_logistic`` runs, so each row takes the path of its
+    one-at-a-time fit. The row gate's rank test is scale-free, so a
+    covariate in large units does not leave rows to the fallback. Returns
+    the (b, 4, 2) means and a (b,) mask of the rows whose two fits did not
+    converge cleanly: they carry no usable means and are left to
+    ``_ps_cells``. The extreme-score warning is raised here for the other
+    rows, once per arm and replicate, as ``_clip_scores`` would.
 
     Each arm's four strata come from one product: the count-weighted cross
     scores, c(1-g) and c g, times the (n', 4) table [1{a=0}, 1{a=0} y,

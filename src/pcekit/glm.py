@@ -23,10 +23,12 @@ DIVERGENCE_NORM = 1e6
 # max |a - p| below this at the gradient stop means the fit is numerically
 # perfect, which only separated data can achieve: no finite MLE exists
 PERFECT_FIT_TOL = 1e-6
-# fit_logistic_counts fits a resample only if its Gram matrix's smallest
-# eigenvalue is above this share of the largest: far above matrix_rank's
-# tolerance, so every row it fits is certainly full rank
+# fit_logistic_counts fits a resample only if its Gram matrix, scaled to a
+# unit diagonal, has a smallest eigenvalue above this share of its largest:
+# far above matrix_rank's tolerance, so every row it fits is clearly full
+# rank, in whatever units the covariates come
 GRAM_RATIO_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 # Stirling's series log Γ(z) = (z - 1/2) log z - z + log(2π)/2 + Σ c_k z^(1-2k)
 # with c_k = B_2k / (2k (2k - 1)), k = 1..7; from z = 8 on, the first term
 # left out is under 1e-15, below math.lgamma's rounding at those z
@@ -270,11 +272,6 @@ def fit_ols(design: DesignMatrix, y: np.ndarray) -> OlsFit:
     )
 
 
-def _bernoulli_deviance(a: np.ndarray, eta: np.ndarray) -> float:
-    # -2 log L, written with logaddexp so saturated probabilities stay finite
-    return float(2.0 * np.sum(a * np.logaddexp(0.0, -eta) + (1.0 - a) * np.logaddexp(0.0, eta)))
-
-
 def fit_logistic(
     design: DesignMatrix,
     a: np.ndarray,
@@ -286,7 +283,14 @@ def fit_logistic(
     updates; the converged flag reflects which. Divergence (coefficient norm
     beyond 1e6, a collapsed weight matrix, or a numerically perfect fit, all
     separation symptoms) yields converged=False and diverged=True rather than
-    an exception.
+    an exception; a stall, where no halving of the Newton step lowers the
+    deviance, yields neither.
+
+    The input is checked here, the design's rank included. The fit is the
+    one IRLS loop every logistic fit runs, ``_irls``, on a single all-ones
+    count row, and the result is what the loop records of that row. It
+    skips ``fit_logistic_counts``'s row gate: the rank check above is the
+    one that decides whether this design is fitted.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.shape[0] != design.n:
@@ -302,67 +306,28 @@ def fit_logistic(
     _check_full_rank(design)
 
     x = design.values
-    beta = np.zeros(design.q) if start is None else np.asarray(start, dtype=float).copy()
+    beta = np.zeros(design.q) if start is None else np.asarray(start, dtype=float)
     if beta.shape != (design.q,):
         raise ValueError(f"start must have shape ({design.q},)")
-    eta = x @ beta
-    p = expit(eta)
-    dev = _bernoulli_deviance(a, eta)
-    path = [dev]
-    converged = False
-    diverged = False
-    iterations = 0
-    grad = x.T @ (a - p)
-    gnorm = float(np.max(np.abs(grad)))
-
-    for it in range(MAX_ITERATIONS + 1):
-        if gnorm <= GRADIENT_TOL:
-            if float(np.max(np.abs(a - p))) < PERFECT_FIT_TOL:
-                diverged = True  # perfect fit certifies separation
-            else:
-                converged = True
-            break
-        if it == MAX_ITERATIONS:
-            break  # iteration cap: converged stays False
-        w = p * (1.0 - p)
-        hess = (x * w[:, None]).T @ x
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            diverged = True
-            break
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            cand = beta + step * delta
-            eta_c = x @ cand
-            dev_c = _bernoulli_deviance(a, eta_c)
-            if dev_c <= dev + 1e-12:
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break  # stalled: no improving step along the Newton direction
-        beta, eta, dev = cand, eta_c, dev_c
-        p = expit(eta)
-        iterations += 1
-        path.append(dev)
-        grad = x.T @ (a - p)
-        gnorm = float(np.max(np.abs(grad)))
-        if float(np.max(np.abs(beta))) > DIVERGENCE_NORM:
-            diverged = True
-            break
-
+    fit = _irls(x, _outer_rows(x), a, np.ones((1, design.n)), beta)
+    iterations = int(fit.iterations[0])
+    path = tuple(fit.deviance_path[: iterations + 1, 0].tolist())
     return LogisticFit(
         names=design.names,
-        coefficients=beta,
-        converged=converged,
-        diverged=diverged,
+        coefficients=fit.coefficients[0],
+        converged=bool(fit.converged[0]),
+        diverged=bool(fit.diverged[0]),
         iterations=iterations,
-        final_gradient_norm=gnorm,
-        deviance=dev,
-        deviance_path=tuple(path),
+        final_gradient_norm=float(fit.gradient_norm[0]),
+        deviance=path[-1],
+        deviance_path=path,
     )
+
+
+def _outer_rows(x: np.ndarray) -> np.ndarray:
+    """Row i's outer product x_i x_i^T, flattened: counts @ it sums them."""
+    n, q = x.shape
+    return (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
 
 
 def _probs_and_deviances(
@@ -395,21 +360,73 @@ def fit_logistic_counts(
 
     Row r of ``counts`` (b, n) says how often each of the n design rows
     occurs in resample r; its fit is the one ``fit_logistic`` computes on
-    that resample with ``start`` as the warm start. Every row runs the same
-    IRLS: the same tolerances, iteration cap and divergence norm, and up to
-    30 step halvings under the same acceptance rule.
+    that resample with ``start`` as the warm start, by the same IRLS loop,
+    to rounding: a matrix product over more rows may sum in another order.
+
+    This function is the row gate in front of the IRLS loop, ``_irls``. A
+    row goes to the loop only if its resample has both responses and a
+    clearly full-rank design: its Gram matrix G, scaled to D^-1/2 G D^-1/2
+    by its diagonal D, passes ``GRAM_RATIO_TOL``, so the test does not
+    depend on the covariates' units.
 
     Returns (b, q) coefficients and a (b,) mask of the rows that converged
     cleanly. The other rows carry no usable coefficients: a constant
     response, a rank-deficient resample, separation, a singular Hessian, a
     stall or the iteration cap. Refit those with ``fit_logistic`` for its
-    exact verdict.
+    exact verdict. The inputs are only read.
+    """
+    x = np.asarray(design, dtype=float)
+    a = np.asarray(a, dtype=float)
+    counts = np.ascontiguousarray(counts, dtype=float)
+    b, q = counts.shape[0], x.shape[1]
+    outer = _outer_rows(x)
+    both = (counts @ a > 0.0) & (counts @ (1.0 - a) > 0.0)
+    gram = (counts @ outer).reshape(b, q, q)
+    # a zero entry of D belongs to a zero row and column of G, which stay
+    # zero under the finite scale 1 / sqrt(tiny), so its eigenvalue 0 fails
+    scale = 1.0 / np.sqrt(np.maximum(gram.reshape(b, q * q)[:, :: q + 1], _TINY))
+    gram_eigs = np.linalg.eigvalsh(gram * scale[:, :, None] * scale[:, None, :])
+    full_rank = gram_eigs[:, 0] > GRAM_RATIO_TOL * gram_eigs[:, -1]
+
+    start = np.asarray(start, dtype=float)
+    beta = np.tile(start, (b, 1))
+    converged = np.zeros(b, dtype=bool)
+    rows = np.flatnonzero(both & full_rank)
+    fits = _irls(x, outer, a, counts if rows.size == b else counts[rows], start)
+    beta[rows], converged[rows] = fits.coefficients, fits.converged
+    return beta, converged
+
+
+class _RowFits(NamedTuple):
+    """What the IRLS loop records of each count row it fits."""
+
+    coefficients: np.ndarray  # (b, q)
+    converged: np.ndarray  # (b,)
+    diverged: np.ndarray  # (b,): a perfect fit, a singular Hessian or the divergence norm
+    iterations: np.ndarray  # (b,) accepted steps
+    gradient_norm: np.ndarray  # (b,) max |gradient| at the coefficients
+    deviance_path: np.ndarray  # (MAX_ITERATIONS + 1, b): row r's first iterations[r] + 1
+
+
+def _irls(
+    x: np.ndarray, outer: np.ndarray, a: np.ndarray, counts: np.ndarray, start: np.ndarray
+) -> _RowFits:
+    """The IRLS loop of every logistic fit, for each row of (b, n) counts
+    over the rows of design x (outer is ``_outer_rows(x)``), from start.
+
+    Each iteration tests the divergence norm (not at the start), then the
+    gradient, then the cap; then it solves for the Newton step and tries it,
+    halving it up to 29 times until the deviance does not rise by more than
+    1e-12. A row that is neither converged nor diverged stalled, with no
+    improving step, or met the cap.
 
     The rows still iterating form a working set: their counts (``counts``
-    itself while every row is in it), probabilities, coefficients and
-    deviances as compact arrays. They are gathered again only when a row
-    leaves, and when every row accepts its full Newton step the candidate
-    arrays become the working set without a copy. The inputs are only read.
+    itself while every row is in it), probabilities, coefficients, deviances
+    and gradient norms as compact arrays. Only the deviance path is written
+    on every iteration; the rest of a row's record is written when it
+    leaves, and the rows that stay are gathered again. When every row
+    accepts its full Newton step the candidate arrays become the working
+    set without a copy.
     Every elementwise operation runs in a fixed order (w = c * p, then
     w *= 1 - p) and each row's deviance is summed along its own contiguous
     row, but a matrix product over more rows may take another BLAS path and
@@ -417,49 +434,46 @@ def fit_logistic_counts(
     always to the bit, whichever rows share its chunk; the same chunks give
     the same bits in any process.
     """
-    x = np.asarray(design, dtype=float)
-    a = np.asarray(a, dtype=float)
-    counts = np.ascontiguousarray(counts, dtype=float)
-    b, n = counts.shape
-    q = x.shape[1]
+    b, q = counts.shape[0], x.shape[1]
     sign = 1.0 - 2.0 * a
-    # row i's outer product d_i d_i^T, flattened: counts @ outer sums them
-    outer = (x[:, :, None] * x[:, None, :]).reshape(n, q * q)
-
-    # a resample needs both responses and a clearly full-rank design; the
-    # Gram threshold leaves any doubtful row to fit_logistic's rank check
-    both = (counts @ a > 0.0) & (counts @ (1.0 - a) > 0.0)
-    gram_eigs = np.linalg.eigvalsh((counts @ outer).reshape(b, q, q))
-    full_rank = gram_eigs[:, 0] > GRAM_RATIO_TOL * gram_eigs[:, -1]
+    beta = np.empty((b, q))
     converged = np.zeros(b, dtype=bool)
+    unfinished = np.zeros(b, dtype=bool)  # stalled or capped
+    iterations = np.empty(b, dtype=int)
+    gradient_norm = np.empty(b)
+    path = np.empty((MAX_ITERATIONS + 1, b))
 
-    start = np.asarray(start, dtype=float)
-    beta = np.tile(start, (b, 1))
-    rows = np.flatnonzero(both & full_rank)
-    c = counts if rows.size == b else counts[rows]
-    coef = beta[rows]
+    rows, c, coef = np.arange(b), counts, np.tile(start, (b, 1))
     # every row starts at the same coefficients: one eta row serves them all
     p, dev = _probs_and_deviances(sign, (x @ start)[None, :], c)
-    p = np.repeat(p, rows.size, axis=0)
+    p = np.repeat(p, b, axis=0)
+    path[0] = dev
 
     def keep(stay: np.ndarray) -> None:
-        """Write back the rows that leave the working set; gather the rest."""
-        nonlocal rows, c, p, coef, dev
-        beta[rows[~stay]] = coef[~stay]
+        """Record the rows that leave the working set; gather the rest."""
+        nonlocal rows, c, p, coef, dev, gnorm
+        go = ~stay
+        out = rows[go]
+        beta[out], iterations[out], gradient_norm[out] = coef[go], it, gnorm[go]
         rows, c, p, coef, dev = rows[stay], c[stay], p[stay], coef[stay], dev[stay]
+        gnorm = gnorm[stay]
 
     for it in range(MAX_ITERATIONS + 1):
-        if rows.size == 0:
-            break
         resid = a - p
-        grad = (c * resid) @ x
-        small = np.abs(grad).max(axis=1) <= GRADIENT_TOL
-        if small.any():
+        resid *= c
+        grad = resid @ x
+        gnorm = np.abs(grad).max(axis=1)
+        small = gnorm <= GRADIENT_TOL
+        # past the divergence norm a row stops before its gradient is tested
+        far = np.abs(coef).max(axis=1) > (DIVERGENCE_NORM if it else np.inf)
+        leave = small | far
+        if leave.any():
+            small &= ~far
             # a numerically perfect fit certifies separation, not convergence
-            worst = np.where(c[small] > 0.0, np.abs(resid[small]), 0.0).max(axis=1)
+            worst = np.where(c[small] > 0.0, np.abs(a - p[small]), 0.0).max(axis=1)
             converged[rows[small]] = worst >= PERFECT_FIT_TOL
-            keep(~small)
-            grad = grad[~small]
+            keep(~leave)
+            grad = grad[~leave]
         if it == MAX_ITERATIONS or rows.size == 0:
             break  # iteration cap: rows still active stay unconverged
 
@@ -477,7 +491,6 @@ def fit_logistic_counts(
         cand = coef + delta
         p_c, dev_c = _probs_and_deviances(sign, cand @ x.T, c)
         ok = dev_c <= dev + 1e-12
-        k = None
         if ok.all():
             coef, p, dev = cand, p_c, dev_c
         else:
@@ -492,13 +505,17 @@ def fit_logistic_counts(
                 k = k[~ok]
                 if k.size == 0:
                     break
-        leave = np.abs(coef).max(axis=1) > DIVERGENCE_NORM
-        if k is not None and k.size:
-            leave[k] = True  # stalled: no improving step along the Newton direction
-        if leave.any():
-            keep(~leave)
-    beta[rows] = coef
-    return beta, converged
+            if k.size:  # stalled: no improving step along the Newton direction
+                unfinished[rows[k]] = True
+                stay = np.ones(rows.size, dtype=bool)
+                stay[k] = False
+                keep(stay)
+        path[it + 1, rows] = dev
+    if rows.size:
+        unfinished[rows] = True
+        keep(np.zeros(rows.size, dtype=bool))
+    diverged = ~(converged | unfinished)
+    return _RowFits(beta, converged, diverged, iterations, gradient_norm, path)
 
 
 def _solve_stack(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -67,3 +67,45 @@ def test_main_prints_code_and_physical_lines_with_and_without_a_revision(monkeyp
     assert out[-1].split() == [code, code, "+0", lines, lines, "+0", "total"]
     assert out[1].split() == ["REV", "tree", "change"] * 2 and len(out) == 2 + len(tree) + 1
     assert len(calls) == 1 + len(tree)  # one listing, then each module read once
+
+
+def test_function_code_lines_count_each_top_level_function():
+    source = SOURCE + '''
+
+@staticmethod
+def g():
+    def inner():  # a nested function counts in g
+        return 1
+    return inner
+'''
+    # f: both lines of the def, both of x, both of y, and the return
+    assert code_lines.function_code_lines(SOURCE) == {"f": 7}
+    assert code_lines.function_code_lines(source) == {"f": 7, "g": 5}
+    assert code_lines.function_code_lines('"""Only a docstring."""\n') == {}
+
+
+def test_main_prints_each_function_of_a_module_beside_the_revision(monkeypatch, capsys):
+    text = (code_lines.SRC / "glm.py").read_text(encoding="utf-8")
+    before = text.replace("def predict_probs(", "def predicted_probs(")
+
+    def git_serving_a_renamed_function(*args):
+        assert args == ("show", "REV:src/pcekit/glm.py")
+        return before
+
+    monkeypatch.setattr(code_lines, "_git", git_serving_a_renamed_function)
+    counts = code_lines.function_code_lines(text)
+    assert code_lines.main(["--functions", "glm"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].split() == [str(sum(counts.values())), "total"]
+    assert len(out) == 1 + len(counts) + 1
+    assert code_lines.main(["REV", "--functions", "glm.py"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "code lines of glm.py"
+    assert out[1].split() == ["REV", "tree", "change"]
+    rows = {line.split()[-1]: line.split()[:-1] for line in out[2:]}
+    n = str(counts["predict_probs"])
+    assert rows["predict_probs"] == ["0", n, f"+{n}"]
+    assert rows["predicted_probs"] == [n, "0", f"-{n}"]
+    assert rows["fit_ols"] == [str(counts["fit_ols"])] * 2 + ["+0"]
+    total = str(sum(counts.values()))
+    assert rows["total"] == [total, total, "+0"]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcekit import core, estimators, resampling
+from pcekit import core, estimators, glm, resampling
 from pcekit.core import (
     JOINT_LABELS,
     ParallelObservation,
@@ -648,6 +648,24 @@ def test_route_chunk_forms_match_their_per_stratum_reference(case):
             assert new_warnings == ref_warnings
             np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
             np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0.0)
+
+
+def test_ps_chunk_form_fits_a_badly_scaled_covariate_without_the_fallback():
+    """With x_base in units 10^4 times smaller, every resample's Gram matrix
+    fails an unscaled eigenvalue ratio, yet each is well posed: the batched
+    fit takes every row, and each agrees with its one-at-a-time fit."""
+    cols = as_columns(generate_trial(scenario("paper_like", n_subjects=200, seed=3)))
+    cols = TrialColumns(cols.covariate_names, cols.x * 1e4, cols.a, cols.y, cols.ef)
+    idx = resampling.resample_index_matrix(1, 0, 40, len(cols))
+    counts = resampling.resample_counts(idx, len(cols))
+    gram = counts @ glm._outer_rows(intercept_design(cols.x))
+    eigs = np.linalg.eigvalsh(gram.reshape(-1, 2, 2))
+    assert (eigs[:, 0] < glm.GRAM_RATIO_TOL * eigs[:, -1]).all()
+    mu, left = estimators._ps_cells_counts(cols, counts)
+    assert not left.any()
+    for r in range(0, 40, 8):
+        np.testing.assert_allclose(mu[r], estimators._ps_cells(cols.take(idx[r])),
+                                   rtol=1e-9, atol=0.0)
 
 
 def test_estimate_bootstrap_refits_do_not_grow_with_replicates(monkeypatch):

@@ -394,9 +394,13 @@ def test_count_weighted_fits_match_per_resample_fits():
     for make in (_resample_chunk, _mixed_chunk, _saturated_chunk, _separated_chunk):
         design, a, counts, start = make()
         coef, converged = fit_logistic_counts(design, a, counts, start)
+        # the loop itself, past the row gate, tells divergence from a stall
+        diverged = glm._irls(design, glm._outer_rows(design), a, counts, start).diverged
         for r, row in enumerate(counts):
             ref = _resample_fit(design, a, row, start)
             assert converged[r] == (ref is not None and ref.converged), (make.__name__, r)
+            if ref is not None:
+                assert diverged[r] == ref.diverged, (make.__name__, r)
             if converged[r]:
                 np.testing.assert_allclose(coef[r], ref.coefficients, rtol=1e-9, atol=1e-12)
         if make is _resample_chunk:

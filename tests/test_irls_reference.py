@@ -234,3 +234,19 @@ def test_badly_scaled_design_matches_the_reference():
     design, a = scaled_design()
     fit = assert_fits_agree(design, a)
     assert fit.converged and fit.iterations <= 6
+
+
+def test_batched_fits_of_the_badly_scaled_design_match_the_reference():
+    """The row gate is scale-free: each resample of the badly scaled design
+    is fitted in the batch, as the reference fits it one at a time."""
+    design, a = scaled_design()
+    rng = np.random.default_rng(4)
+    counts = rng.multinomial(design.n, np.full(design.n, 1.0 / design.n), size=20).astype(float)
+    start = np.zeros(design.q)
+    coef, converged = glm.fit_logistic_counts(design.values, a, counts, start)
+    assert converged.all()
+    for r, row in enumerate(counts):
+        want = reference_fit_logistic(*resample_design(design.values, a, row), start)
+        assert want.converged, r
+        np.testing.assert_allclose(coef[r], want.coefficients, rtol=1e-9, atol=1e-12,
+                                   err_msg=f"row {r}")

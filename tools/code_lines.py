@@ -10,10 +10,18 @@ statement of a module, class or function does. Run from anywhere:
 With a git revision, each module's counts at REV are printed beside the
 working tree's, with the change; the revision's files are read with
 ``git show REV:path`` and nothing is written.
+
+    python3 tools/code_lines.py [REV] --functions MODULE
+
+prints the code lines of each top-level function of one module (``glm``
+or ``glm.py``), nested functions counted in the one that holds them, and
+with REV each function's count at REV beside the tree's.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import io
 import subprocess
 import sys
@@ -28,6 +36,10 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
 
 def code_lines(source: str) -> int:
     """The number of lines in source that hold code."""
+    return len(_code_line_numbers(source))
+
+
+def _code_line_numbers(source: str) -> set[int]:
     lines: set[int] = set()
     statement: list[tokenize.TokenInfo] = []
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -38,7 +50,19 @@ def code_lines(source: str) -> int:
                 for t in statement:
                     lines.update(range(t.start[0], t.end[0] + 1))
             statement = []
-    return len(lines)
+    return lines
+
+
+def function_code_lines(source: str) -> dict[str, int]:
+    """The code lines of each top-level function in source, by name, from
+    its first decorator to its last line."""
+    lines = _code_line_numbers(source)
+    counts = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            counts[node.name] = sum(first <= i <= node.end_lineno for i in lines)
+    return counts
 
 
 def physical_lines(source: str) -> int:
@@ -49,6 +73,13 @@ def physical_lines(source: str) -> int:
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout
+
+
+def module_at(rev: str | None, name: str) -> str:
+    """The source of one module, in the working tree or at a git revision."""
+    if rev is None:
+        return (SRC / name).read_text(encoding="utf-8")
+    return _git("show", f"{rev}:{SRC.relative_to(ROOT).as_posix()}/{name}")
 
 
 def counts_at(rev: str | None) -> dict[str, tuple[int, int]]:
@@ -64,38 +95,58 @@ def counts_at(rev: str | None) -> dict[str, tuple[int, int]]:
     return {name: (code_lines(text), physical_lines(text)) for name, text in texts.items()}
 
 
-def _cells(old: tuple[int, int] | None, new: tuple[int, int]) -> str:
-    """Code then physical lines in the tree, each after its count at the
-    revision and before the change if there is one."""
+def _cells(old: tuple[int, ...] | None, new: tuple[int, ...]) -> str:
+    """Each count in the tree, after its count at the revision and before
+    the change if there is one."""
     if old is None:
         return "  ".join(f"{n:6d}" for n in new)
     return "  ".join(f"{o:8d}  {n:6d}  {n - o:+6d}" for o, n in zip(old, new))
 
 
+def _total(table: dict[str, tuple[int, ...]], width: int) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*table.values()))) if table else (0,) * width
+
+
+def _print_table(before: dict | None, tree: dict, width: int) -> None:
+    for name in sorted({*tree, *(before or ())}):
+        old = None if before is None else before.get(name, (0,) * width)
+        print(f"{_cells(old, tree.get(name, (0,) * width))}  {name}")
+    print(f"{_cells(None if before is None else _total(before, width), _total(tree, width))}"
+          "  total")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) > 1:
-        print("usage: code_lines.py [REV]", file=sys.stderr)
-        return 2
-    rev = argv[0] if argv else None
+    parser = argparse.ArgumentParser(prog="code_lines.py", description=__doc__.splitlines()[0])
+    parser.add_argument("rev", nargs="?", help="a git revision to compare the tree with")
+    parser.add_argument("--functions", metavar="MODULE",
+                        help="count each top-level function of one module instead")
+    args = parser.parse_args(argv)
+    rev = args.rev
     try:
-        before = None if rev is None else counts_at(rev)
-        tree = counts_at(None)
+        if args.functions is None:
+            before = None if rev is None else counts_at(rev)
+            tree = counts_at(None)
+        else:
+            name = args.functions.removesuffix(".py") + ".py"
+
+            def functions_at(at: str | None) -> dict[str, tuple[int]]:
+                return {f: (n,) for f, n in function_code_lines(module_at(at, name)).items()}
+
+            before = None if rev is None else functions_at(rev)
+            tree = functions_at(None)
     except subprocess.CalledProcessError as exc:
         print(f"git: {exc.stderr.strip()}", file=sys.stderr)
         return 1
+    except FileNotFoundError as exc:
+        print(f"no module {exc.filename}", file=sys.stderr)
+        return 1
+    width = 1 if args.functions else 2
     if rev is not None:
-        print(f"{'code lines':<24}  physical lines")
-        print("  ".join([f"{rev[:8]:>8}  {'tree':>6}  {'change':>6}"] * 2))
+        print(f"code lines of {name}" if args.functions else f"{'code lines':<24}  physical lines")
+        print("  ".join([f"{rev[:8]:>8}  {'tree':>6}  {'change':>6}"] * width))
     else:
-        print(f"{'code':>6}  {'lines':>6}")
-
-    def total(table: dict[str, tuple[int, int]]) -> tuple[int, int]:
-        return tuple(map(sum, zip(*table.values()))) if table else (0, 0)
-
-    for name in sorted({*tree, *(before or ())}):
-        old = None if before is None else before.get(name, (0, 0))
-        print(f"{_cells(old, tree.get(name, (0, 0)))}  {name}")
-    print(f"{_cells(None if before is None else total(before), total(tree))}  total")
+        print(f"{'code':>6}" if args.functions else f"{'code':>6}  {'lines':>6}")
+    _print_table(before, tree, width)
     return 0
 
 
