@@ -86,13 +86,17 @@ def counts_at(rev: str | None) -> dict[str, tuple[int, int]]:
     """Each module's (code lines, physical lines) by file name, in the
     working tree or at a git revision."""
     if rev is None:
-        texts = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+        names = [p.name for p in SRC.glob("*.py")]
     else:
-        src = SRC.relative_to(ROOT).as_posix()
-        paths = _git("ls-tree", "--name-only", f"{rev}:{src}").split()
-        texts = {name: _git("show", f"{rev}:{src}/{name}")
-                 for name in paths if name.endswith(".py")}
+        listing = _git("ls-tree", "--name-only", f"{rev}:{SRC.relative_to(ROOT).as_posix()}")
+        names = [name for name in listing.split() if name.endswith(".py")]
+    texts = {name: module_at(rev, name) for name in names}
     return {name: (code_lines(text), physical_lines(text)) for name, text in texts.items()}
+
+
+def function_counts_at(rev: str | None, module: str) -> dict[str, tuple[int]]:
+    """Each top-level function's (code lines,) in one module, by name."""
+    return {name: (n,) for name, n in function_code_lines(module_at(rev, module)).items()}
 
 
 def _cells(old: tuple[int, ...] | None, new: tuple[int, ...]) -> str:
@@ -122,30 +126,27 @@ def main(argv: list[str]) -> int:
                         help="count each top-level function of one module instead")
     args = parser.parse_args(argv)
     rev = args.rev
+    if args.functions is None:
+        table_at, width = counts_at, 2
+        header = f"{'code lines':<24}  physical lines"
+    else:
+        module = args.functions.removesuffix(".py") + ".py"
+        table_at, width = (lambda at: function_counts_at(at, module)), 1
+        header = f"code lines of {module}"
     try:
-        if args.functions is None:
-            before = None if rev is None else counts_at(rev)
-            tree = counts_at(None)
-        else:
-            name = args.functions.removesuffix(".py") + ".py"
-
-            def functions_at(at: str | None) -> dict[str, tuple[int]]:
-                return {f: (n,) for f, n in function_code_lines(module_at(at, name)).items()}
-
-            before = None if rev is None else functions_at(rev)
-            tree = functions_at(None)
+        before = None if rev is None else table_at(rev)
+        tree = table_at(None)
     except subprocess.CalledProcessError as exc:
         print(f"git: {exc.stderr.strip()}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"no module {exc.filename}", file=sys.stderr)
         return 1
-    width = 1 if args.functions else 2
     if rev is not None:
-        print(f"code lines of {name}" if args.functions else f"{'code lines':<24}  physical lines")
+        print(header)
         print("  ".join([f"{rev[:8]:>8}  {'tree':>6}  {'change':>6}"] * width))
     else:
-        print(f"{'code':>6}" if args.functions else f"{'code':>6}  {'lines':>6}")
+        print("  ".join([f"{'code':>6}", f"{'lines':>6}"][:width]))
     _print_table(before, tree, width)
     return 0
 
