@@ -460,7 +460,8 @@ def _irls(
 
     for it in range(MAX_ITERATIONS + 1):
         resid = a - p
-        grad = (c * resid) @ x
+        resid *= c
+        grad = resid @ x
         gnorm = np.abs(grad).max(axis=1)
         small = gnorm <= GRADIENT_TOL
         # past the divergence norm a row stops before its gradient is tested
@@ -469,7 +470,7 @@ def _irls(
         if leave.any():
             small &= ~far
             # a numerically perfect fit certifies separation, not convergence
-            worst = np.where(c[small] > 0.0, np.abs(resid[small]), 0.0).max(axis=1)
+            worst = np.where(c[small] > 0.0, np.abs(a - p[small]), 0.0).max(axis=1)
             converged[rows[small]] = worst >= PERFECT_FIT_TOL
             keep(~leave)
             grad = grad[~leave]
