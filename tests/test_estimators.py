@@ -571,6 +571,49 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
         assert not good.any() and not ref_failures and not ref_warnings
 
 
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatch):
+    """Every replicate of estimate_pce_table's bootstrap against the bootstrap
+    that refits every resample from zero: the batched per-stratum reference
+    from a zero start, with the one-at-a-time table from a zero start on the
+    rows it leaves. The same failures and NaN cells, and each value within
+    1e-8 of its column's largest magnitude."""
+    load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
+    cols = as_columns(load()).select(covariates)
+    n = len(cols)
+
+    def zero_start_chunk(idx):
+        counts = resampling.resample_counts(idx, n)
+        runs = {m: REFERENCE_CHUNK_FORMS[m](cols, counts) for m in PceMethod if m in methods}
+        left = np.logical_or.reduce([rows_left for _, rows_left in runs.values()])
+        return estimators._table_layout([runs[m][0] for m in methods]), left
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref, ref_failures = resampling.draw_replicates(
+            seed, n, n_replicates, zero_start_chunk,
+            lambda row: estimators._table_values(cols.take(row), methods),
+        )
+        drawn = []
+        draw = resampling.draw_replicates
+
+        def recording_draw(*args, **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(resampling, "draw_replicates", recording_draw)
+        estimate_pce_table(cols, methods, None, BootstrapSpec(n_replicates, seed))
+    (new, new_failures), = drawn
+    assert new_failures == ref_failures
+    np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+    good = ~np.isnan(ref)
+    scale = np.max(np.where(good, np.abs(ref), 0.0), axis=0)
+    gap = np.where(good, np.abs(new - ref), 0.0)
+    assert np.all(gap <= 1e-8 * scale)
+    worst = float(np.max(gap / np.where(scale > 0.0, scale, 1.0), initial=0.0))
+    print(f"{case}: largest replicate difference {worst:.1e} of its column's largest magnitude")
+
+
 def reference_ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``estimators._ps_cells_counts`` as a loop over the strata: per arm and
     stratum, one weighted (b, n) array, its row sums and one ``w @ y``."""

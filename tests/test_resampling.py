@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -83,6 +84,17 @@ def test_index_rows_follow_the_formula_draw_by_draw():
         assert idx.dtype == np.int64
         assert idx.tolist() == _reference_index_rows(seed & (2**64 - 1), first, count, n), \
             (seed, first, count, n)
+
+
+def test_index_rows_keep_their_bits():
+    """Every index byte over a grid of seeds, sizes and replicate ranges,
+    pinned by SHA-256 of the rows' bytes concatenated in loop order."""
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2**63 + 5):
+        for n in (1, 2, 7, 200, 500, 3001):
+            for first, count in ((0, 1), (5, 65), (1000, 17)):
+                digest.update(resample_index_matrix(seed, first, count, n).tobytes())
+    assert digest.hexdigest() == "7024d8f16ec905f019989e13090a90cc991dfe373db7b0a80cdb46375e1b70de"
 
 
 def test_exhaustive_enumeration_of_three_point_mean():
