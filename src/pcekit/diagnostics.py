@@ -237,7 +237,7 @@ def independence_test(
     cols = cols.select(covariates)
     obs_vec = _prob_vector(cols, ProbMethod.OBSERVED)
     full, batch = _RECONSTRUCTIONS[method]
-    est_vec, warm = full(cols, (None, None))
+    est_vec, warm = full(cols, None)
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))

@@ -8,15 +8,17 @@ probabilities come either from observed crossover proportions or from a
 model-based reconstruction that takes the two potential adherences as
 independent, conditionally on X or unconditionally.
 
-Two tables hold the forms, in enum order and with one calling convention.
-``_ROUTES`` holds one entry per ``PceMethod``: the route's full-data form,
-(cols) -> (4, 2) arm means per joint stratum, and its chunk form,
-(cols, (b, n) counts) -> the (b, 4, 2) means of each resample and a (b,)
-mask of the rows left to the full-data form. ``_RECONSTRUCTIONS`` holds one
-entry per model-based ``ProbMethod``: its full-data form, (cols, starts) ->
-the (4,) cell probabilities and the starts a resample's refit takes, and its
-chunk form, (cols, (b, n) counts, starts) -> the (b, 4) cells of each
-resample and a (b,) mask of the rows left to the full-data form.
+Two tables hold the forms, in enum order, and every form has one calling
+convention. ``_ROUTES`` holds one entry per ``PceMethod``, and
+``_RECONSTRUCTIONS`` one per model-based ``ProbMethod``. An entry's full-data
+form maps (cols, starts) to its values and the starts a resample's refits
+take: (4, 2) arm means per joint stratum for a route, (4,) cell
+probabilities for a reconstruction. Its chunk form maps (cols, (b, n)
+counts, starts) to the values of each resample, (b, 4, 2) or (b, 4), and a
+(b,) mask of the rows left to the full-data form. The starts are None on
+the data, so each principal score is fit from zero there, and the
+full-data fits' coefficients on every resample; a form that fits no model
+passes them through.
 
 Every estimate is computed on ``TrialColumns``; the functions that take
 records or observations are adapters that validate and convert them. The
@@ -260,11 +262,12 @@ def _adherence_rows(cols: TrialColumns) -> np.ndarray:
 
 
 def _fit_both_arms(
-    cols: TrialColumns, observed: np.ndarray, starts: Sequence[np.ndarray | None] = (None, None)
+    cols: TrialColumns, observed: np.ndarray, starts: Sequence[np.ndarray] | None
 ) -> tuple[PrincipalScoreModel, PrincipalScoreModel]:
     """Each arm's principal-score model, fit on its adherence-observed rows
-    from that arm's start."""
-    m0, m1 = (_fit_score(cols.x[rows], cols.a[rows, t], cols.covariate_names, t, starts[t])
+    from that arm's start, or from zero without starts."""
+    m0, m1 = (_fit_score(cols.x[rows], cols.a[rows, t], cols.covariate_names, t,
+                         None if starts is None else starts[t])
               for t, rows in enumerate(observed.T))
     return m0, m1
 
@@ -291,12 +294,12 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
 
 
 def _cond_indep_cells(
-    cols: TrialColumns, starts: Sequence[np.ndarray | None]
+    cols: TrialColumns, starts: Sequence[np.ndarray] | None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Joint-cell probabilities under independence given X, in JOINT_LABELS
     order, and the coefficients of the two principal-score models they
-    average, each fit from its arm's start: None for an estimate, the
-    full-data fit for a resample's."""
+    average, each fit from its arm's start: from zero for an estimate, from
+    the full-data fit for a resample's."""
     m0, m1 = _fit_both_arms(cols, _adherence_rows(cols), starts)
     # each cell is summed as one contiguous row, in the order of a 1-D mean
     cells = np.ascontiguousarray(_cell_table(_scores(m0, cols.x), _scores(m1, cols.x)).T)
@@ -312,15 +315,16 @@ def _cond_indep_cells_counts(
     converge cleanly (they carry no usable cells and are left to
     ``_cond_indep_cells``). On one all-ones row the cells agree with
     ``_cond_indep_cells`` to rounding, not bit for bit: the batched fits and
-    the cell sums (``_cell_sums``) each add in another order."""
+    the cell sums (``_cell_sums``) each add in another order. Both arms are
+    fit on the same design rows and counts, so one call to
+    ``fit_logistic_counts`` gates the rows for both."""
     design = intercept_design(cols.x)
-    beta0, ok0 = fit_logistic_counts(design, cols.a[:, 0], counts, starts[0])
-    beta1, ok1 = fit_logistic_counts(design, cols.a[:, 1], counts, starts[1])
-    g0, g1 = expit(beta0 @ design.T), expit(beta1 @ design.T)
-    return _cell_sums(counts, g0, g1) / counts.shape[1], ~(ok0 & ok1)
+    beta, ok = fit_logistic_counts(design, cols.a.T, counts, np.stack(starts))
+    g0, g1 = (expit(coef @ design.T) for coef in beta)
+    return _cell_sums(counts, g0, g1) / counts.shape[1], ~(ok[0] & ok[1])
 
 
-def _indep_cells(cols: TrialColumns, starts: Sequence) -> tuple[np.ndarray, Sequence]:
+def _indep_cells(cols: TrialColumns, starts: Sequence | None) -> tuple[np.ndarray, Sequence | None]:
     """Joint-cell probabilities under unconditional independence, in
     JOINT_LABELS order, from each arm's adherence rate over its observed
     rows; no model is fit, so covariates go unused and starts pass through."""
@@ -329,7 +333,7 @@ def _indep_cells(cols: TrialColumns, starts: Sequence) -> tuple[np.ndarray, Sequ
 
 
 def _indep_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: Sequence
+    cols: TrialColumns, counts: np.ndarray, starts: Sequence | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_indep_cells`` of each resample in a chunk, given as (b, n) counts
     over subjects with adherence observed in both arms: (b, 4) cells, and a
@@ -350,7 +354,7 @@ def _prob_vector(cols: TrialColumns, method: ProbMethod) -> np.ndarray:
     """Joint-cell probabilities in JOINT_LABELS order."""
     if method is ProbMethod.OBSERVED:
         return stratum_counts(cols) / len(cols)
-    return _RECONSTRUCTIONS[method][0](cols, (None, None))[0]
+    return _RECONSTRUCTIONS[method][0](cols, None)[0]
 
 
 def estimate_stratum_probs(
@@ -383,14 +387,19 @@ class EstimateSummary(NamedTuple):
     note: str | None = None
 
 
-def _ps_cells(cols: TrialColumns) -> np.ndarray:
-    """(4, 2) principal-score-weighted arm means per joint stratum; NaN rows inestimable.
+def _ps_cells(
+    cols: TrialColumns, starts: Sequence[np.ndarray] | None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(4, 2) principal-score-weighted arm means per joint stratum, NaN rows
+    inestimable, and the coefficients of both arms' scores, each fit from its
+    arm's start: from zero for an estimate, from the full-data fit for a
+    resample's.
 
     Each arm's outcomes are weighted by the other arm's score, computed once
     for that arm's complete rows (adherence and outcome observed).
     """
     observed = _adherence_rows(cols)
-    models = _fit_both_arms(cols, observed)
+    models = _fit_both_arms(cols, observed, starts)
     mu = np.full((len(JOINT_LABELS), 2), np.nan)
     for t in (0, 1):
         use = observed[:, t] & ~np.isnan(cols.y[:, t])
@@ -400,11 +409,12 @@ def _ps_cells(cols: TrialColumns) -> np.ndarray:
         a, y = cols.a[use, t], cols.y[use, t]
         mu[:, t] = [_hayden_mean(a, y, g, stratum, t) for stratum in JOINT_LABELS]
     mu[np.isnan(mu).any(axis=1)] = np.nan  # a stratum needs both arms
-    return mu
+    return mu, (models[0].fit.coefficients, models[1].fit.coefficients)
 
 
-def _direct_cells(cols: TrialColumns) -> np.ndarray:
-    """(4, 2) arm means per joint stratum over full completers; NaN rows empty."""
+def _direct_cells(cols: TrialColumns, starts: Sequence | None) -> tuple[np.ndarray, Sequence | None]:
+    """(4, 2) arm means per joint stratum over full completers, NaN rows
+    empty; no model is fit, so starts pass through."""
     if not cols.crossover:
         raise PcekitError("direct stratification needs crossover data")
     complete = completer_mask(cols, CompleterRule.BOTH)
@@ -414,17 +424,22 @@ def _direct_cells(cols: TrialColumns) -> np.ndarray:
         mask = codes == i
         if mask.any():
             mu[i] = np.mean(y[mask, 0]), np.mean(y[mask, 1])
-    return mu
+    return mu, starts
 
 
-def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ps_cells_counts(
+    cols: TrialColumns, counts: np.ndarray, starts: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
 
     Both arms' scores are refit for all rows at once by
-    ``fit_logistic_counts`` from fit_logistic's own zero start. That is the
-    IRLS loop ``fit_logistic`` runs, so each row takes the path of its
+    ``fit_logistic_counts``, each from its arm's start: the full-data fit's
+    coefficients, which the fallback ``_ps_cells`` starts from too. That is
+    the IRLS loop ``fit_logistic`` runs, so each row takes the path of its
     one-at-a-time fit. The row gate's rank test is scale-free, so a
-    covariate in large units does not leave rows to the fallback. Returns
+    covariate in large units does not leave rows to the fallback. The arms
+    are fit on different rows when some adherence is missing, so each arm
+    has its own gate. Returns
     the (b, 4, 2) means and a (b,) mask of the rows whose two fits did not
     converge cleanly: they carry no usable means and are left to
     ``_ps_cells``. The extreme-score warning is raised here for the other
@@ -443,9 +458,7 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
     beta = []
     for t in (0, 1):
         rows = observed[:, t]
-        coef, ok = fit_logistic_counts(
-            design[rows], cols.a[rows, t], counts[:, rows], start=np.zeros(design.shape[1])
-        )
+        coef, ok = fit_logistic_counts(design[rows], cols.a[rows, t], counts[:, rows], starts[t])
         beta.append(coef)
         clean &= ok
     mu = np.empty((b, len(JOINT_LABELS), 2))
@@ -475,9 +488,12 @@ def _ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray
     return mu, ~clean
 
 
-def _direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _direct_cells_counts(
+    cols: TrialColumns, counts: np.ndarray, starts: Sequence | None
+) -> tuple[np.ndarray, np.ndarray]:
     """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
     (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``.
+    No model is fit, so the starts go unused.
 
     One product gives every stratum's count and both arms' outcome sums:
     the counts of the full completers times their (n', 12) table
@@ -500,10 +516,17 @@ _ROUTES = {
 }
 
 
-def _table_values(cols: TrialColumns, methods: Sequence[PceMethod]) -> np.ndarray:
-    """All table cells in (method, stratum, quantity) order; NaN = inestimable."""
-    cells = {m: form(cols) for m, (form, _) in _ROUTES.items() if m in methods}
-    return _table_layout([cells[method] for method in methods])
+def _table_values(
+    cols: TrialColumns, methods: Sequence[PceMethod], starts: Sequence[np.ndarray] | None
+) -> tuple[np.ndarray, Sequence[np.ndarray] | None]:
+    """All table cells in (method, stratum, quantity) order, NaN =
+    inestimable, and the starts a resample's refits take. Routes run in
+    table order, each from the starts the one before it returned."""
+    cells = {}
+    for m, (form, _) in _ROUTES.items():
+        if m in methods:
+            cells[m], starts = form(cols, starts)
+    return _table_layout([cells[method] for method in methods]), starts
 
 
 def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
@@ -514,9 +537,11 @@ def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _table_chunk(
-    cols: TrialColumns, methods: Sequence[PceMethod], idx: np.ndarray
+    cols: TrialColumns, methods: Sequence[PceMethod], idx: np.ndarray,
+    starts: Sequence[np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_table_values`` of a chunk of resamples, given as (b, n) index rows.
+    """``_table_values`` of a chunk of resamples, given as (b, n) index rows,
+    each refit from starts, those ``_table_values`` returned on the data.
 
     Each resample is a row of multinomial counts over the subjects, so every
     mean is a count-weighted sum. Returns the (b, m) values and a (b,) mask
@@ -524,7 +549,7 @@ def _table_chunk(
     to its full-data form. Routes run in table order.
     """
     counts = resample_counts(idx, len(cols))
-    runs = {m: form(cols, counts) for m, (_, form) in _ROUTES.items() if m in methods}
+    runs = {m: form(cols, counts, starts) for m, (_, form) in _ROUTES.items() if m in methods}
     retry = np.logical_or.reduce([left for _, left in runs.values()])
     return _table_layout([runs[method][0] for method in methods]), retry
 
@@ -540,9 +565,11 @@ def estimate_pce_table(
     methods (default: every route): one or several, by value ("ps") or member.
     Crossover records support both methods; parallel observations support
     only principal-score weighting. Bootstrap resampling is at the subject
-    level and refits all models inside each replicate; cells inestimable on
-    the full data carry NaN points and a note instead of failing the table.
-    The covariate names are checked whether or not a route uses them.
+    level and refits all models inside each replicate, each from the
+    coefficients of the full-data fit behind the points, whether the
+    replicate is refit in a batch or alone. Cells inestimable on the full
+    data carry NaN points and a note instead of failing the table. The
+    covariate names are checked whether or not a route uses them.
     """
     cols = as_columns(data).select(covariates)
     # one method, not a collection of them; PceMethod refuses a value it does not name
@@ -552,15 +579,16 @@ def estimate_pce_table(
         raise ValueError("at least one method required")
     boot = None
     if bootstrap_spec is None:
-        points = _table_values(cols, methods)
+        points = _table_values(cols, methods, None)[0]
     else:
-        # the bootstrap's own point is the full-data table; replicates are
-        # evaluated a chunk at a time, with _table_values for rows left over
+        # the bootstrap's own point is the full-data table, whose fits every
+        # replicate's refits start from; replicates are evaluated a chunk at
+        # a time, with _table_values for rows left over
         boot = bootstrap_vector(
             cols,
-            lambda sample: _table_values(sample, methods),
+            lambda sample, starts: _table_values(sample, methods, starts),
             bootstrap_spec,
-            lambda idx: _table_chunk(cols, methods, idx),
+            lambda idx, starts: _table_chunk(cols, methods, idx, starts),
         )
         points = boot.points
 

@@ -369,18 +369,23 @@ def fit_logistic_counts(
     by its diagonal D, passes ``GRAM_RATIO_TOL``, so the test does not
     depend on the covariates' units.
 
+    ``a`` is one (n,) response with a (q,) ``start``, or k responses (k, n)
+    on the same design rows and counts with (k, q) starts. The rank test
+    depends only on the design and the counts, so it runs once for them
+    all, and each response's fits are those it would get alone, bit for bit.
+
     Returns (b, q) coefficients and a (b,) mask of the rows that converged
-    cleanly. The other rows carry no usable coefficients: a constant
-    response, a rank-deficient resample, separation, a singular Hessian, a
-    stall or the iteration cap. Refit those with ``fit_logistic`` for its
-    exact verdict. The inputs are only read.
+    cleanly, or (k, b, q) and (k, b) for k responses. The other rows carry
+    no usable coefficients: a constant response, a rank-deficient resample,
+    separation, a singular Hessian, a stall or the iteration cap. Refit
+    those with ``fit_logistic`` for its exact verdict. The inputs are only
+    read.
     """
     x = np.asarray(design, dtype=float)
-    a = np.asarray(a, dtype=float)
+    a = np.ascontiguousarray(a, dtype=float)
     counts = np.ascontiguousarray(counts, dtype=float)
-    b, q = counts.shape[0], x.shape[1]
+    (n, q), b = x.shape, counts.shape[0]
     outer = _outer_rows(x)
-    both = (counts @ a > 0.0) & (counts @ (1.0 - a) > 0.0)
     gram = (counts @ outer).reshape(b, q, q)
     # a zero entry of D belongs to a zero row and column of G, which stay
     # zero under the finite scale 1 / sqrt(tiny), so its eigenvalue 0 fails
@@ -388,13 +393,17 @@ def fit_logistic_counts(
     gram_eigs = np.linalg.eigvalsh(gram * scale[:, :, None] * scale[:, None, :])
     full_rank = gram_eigs[:, 0] > GRAM_RATIO_TOL * gram_eigs[:, -1]
 
-    start = np.asarray(start, dtype=float)
-    beta = np.tile(start, (b, 1))
-    converged = np.zeros(b, dtype=bool)
-    rows = np.flatnonzero(both & full_rank)
-    fits = _irls(x, outer, a, counts if rows.size == b else counts[rows], start)
-    beta[rows], converged[rows] = fits.coefficients, fits.converged
-    return beta, converged
+    responses = a.reshape(-1, n)
+    starts = np.asarray(start, dtype=float).reshape(len(responses), q)
+    beta = np.empty((len(responses), b, q))
+    converged = np.zeros((len(responses), b), dtype=bool)
+    for k, (resp, st) in enumerate(zip(responses, starts)):
+        both = (counts @ resp > 0.0) & (counts @ (1.0 - resp) > 0.0)
+        rows = np.flatnonzero(both & full_rank)
+        fits = _irls(x, outer, resp, counts if rows.size == b else counts[rows], st)
+        beta[k] = st
+        beta[k, rows], converged[k, rows] = fits.coefficients, fits.converged
+    return beta.reshape(*a.shape[:-1], b, q), converged.reshape(*a.shape[:-1], b)
 
 
 class _RowFits(NamedTuple):

@@ -49,6 +49,7 @@ _MIX2 = _U64(0x94D049BB133111EB)
 
 T = TypeVar("T")
 R = TypeVar("R")
+S = TypeVar("S")  # the starts a statistic's resamples take
 
 # resample streams are keyed by the seed's 64 bits, so a seed outside
 # [0, SEED_LIMIT) would repeat the resamples of one inside it
@@ -70,10 +71,10 @@ def check_level(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a number strictly between 0 and 1, not {value!r}")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer, in place on a uint64 array (wrapping
-    arithmetic); z already holds its input plus the golden gamma."""
-    t = np.empty_like(z)
+    arithmetic), with t, of z's shape and dtype, as scratch; z already holds
+    its input plus the golden gamma."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=t)
         z ^= t
@@ -89,6 +90,10 @@ def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n:
     Row b depends only on (seed, b, n): stream key = mix(seed + (b+1)*phi),
     draw j = mix(key + (j+1)*phi), index = floor(top53(draw) / 2^53 * n),
     where mix(z) is SplitMix64's finalizer applied to z + phi.
+
+    The rows are built in two (count, n) buffers, which each step overwrites
+    in place: the draws, then the indices as int64, in one, and the mix's
+    scratch, then the scaled draws as float64, in the other.
     """
     if n <= 0:
         raise ValueError("cannot resample an empty collection")
@@ -98,12 +103,18 @@ def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n:
         # uint64 sums wrap, so each mix's own + phi folds into the multiple
         # of phi: (k + 1) * phi + phi = (k + 2) * phi
         b = np.arange(first_replicate + 2, first_replicate + n_replicates + 2, dtype=_U64)
-        keys = _mix(_U64(seed & 0xFFFFFFFFFFFFFFFF) + b * _GOLDEN)
-        z = _mix(keys[:, None] + np.arange(2, n + 2, dtype=_U64) * _GOLDEN)
+        keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + b * _GOLDEN
+        keys = _mix(keys, np.empty_like(keys))
+        z = keys[:, None] + np.arange(2, n + 2, dtype=_U64) * _GOLDEN
+        t = np.empty_like(z)
+        _mix(z, t)
+    np.right_shift(z, _U64(11), out=z)
     # top53 * 2^-53 is exact, so scaling by n * 2^-53 rounds as (top53 * 2^-53) * n
-    u = np.right_shift(z, _U64(11), out=z).astype(np.float64)
-    u *= n * 2.0**-53
-    return np.minimum(u.astype(np.int64), n - 1)
+    u = t.view(np.float64)
+    np.multiply(z, n * 2.0**-53, out=u, casting="unsafe")
+    idx = z.view(np.int64)
+    np.copyto(idx, u, casting="unsafe")
+    return np.minimum(idx, n - 1, out=idx)
 
 
 def resample_counts(idx: np.ndarray, n: int) -> np.ndarray:
@@ -408,7 +419,9 @@ def bootstrap(
     The statistic must be defined on the original records (errors propagate);
     on resamples, package errors mark the replicate inestimable.
     """
-    res = bootstrap_vector(records, lambda sample: np.asarray([float(statistic(sample))]), spec)
+    res = bootstrap_vector(
+        records, lambda sample, starts: (np.asarray([float(statistic(sample))]), starts), spec
+    )
     return BootstrapResult(
         point=float(res.points[0]),
         se=float(res.se[0]),
@@ -434,11 +447,17 @@ class VectorBootstrapResult(NamedTuple):
 
 def bootstrap_vector(
     records: Sequence[T] | TrialColumns,
-    statistic: Callable[[list[T]], np.ndarray] | Callable[[TrialColumns], np.ndarray],
+    statistic: Callable[[Sequence[T] | TrialColumns, S | None], tuple[np.ndarray, S | None]],
     spec: BootstrapSpec,
-    chunk_statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    chunk_statistic: Callable[[np.ndarray, S | None], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> VectorBootstrapResult:
     """Bootstrap a vector statistic; NaN components mark inestimable pieces.
+
+    ``statistic(sample, starts)`` returns the (m,) values and the starts a
+    resample's evaluation takes, such as the coefficients of the fits behind
+    the values. It runs once on the records with starts None, for the
+    points and the starts; every replicate is then evaluated from those
+    starts. A statistic that fits nothing passes its starts through.
 
     Columns are resampled by row, with ``TrialColumns.take``; any other
     sequence is resampled as a list. A raised package error fails the whole
@@ -446,11 +465,11 @@ def bootstrap_vector(
     per-component inestimability should be encoded as NaN so the other
     components survive.
 
-    ``chunk_statistic``, if given, is the engine's ``chunk``: it evaluates a
-    (b, n) chunk of index rows at once and returns (b, m) values and a (b,)
-    mask of the rows it could not evaluate cleanly; only those rows (all,
-    without it) are resampled and passed to ``statistic``, whose verdict,
-    value or exception, stands for them.
+    ``chunk_statistic``, if given, is the engine's ``chunk`` with the
+    starts: it evaluates a (b, n) chunk of index rows at once and returns
+    (b, m) values and a (b,) mask of the rows it could not evaluate cleanly;
+    only those rows (all, without it) are resampled and passed to
+    ``statistic``, whose verdict, value or exception, stands for them.
     """
     columnar = isinstance(records, TrialColumns)
     if not columnar:
@@ -458,18 +477,21 @@ def bootstrap_vector(
     n = len(records)
     if n == 0:
         raise ValueError("cannot bootstrap an empty record list")
-    points = np.asarray(statistic(records), dtype=float)
+    points, starts = statistic(records, None)
+    points = np.asarray(points, dtype=float)
     m = points.shape[0]
 
     def one(row: np.ndarray) -> np.ndarray:
-        return statistic(records.take(row) if columnar else [records[i] for i in row.tolist()])
+        sample = records.take(row) if columnar else [records[i] for i in row.tolist()]
+        return statistic(sample, starts)[0]
 
-    def every_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def every_row(idx: np.ndarray, starts: S | None) -> tuple[np.ndarray, np.ndarray]:
         return np.full((idx.shape[0], m), np.nan), np.ones(idx.shape[0], dtype=bool)
 
+    batch = chunk_statistic or every_row
     b_total = spec.n_replicates
     values, failure_counts = draw_replicates(
-        spec.seed, n, b_total, chunk_statistic or every_row, one
+        spec.seed, n, b_total, lambda idx: batch(idx, starts), one
     )
 
     se = np.full(m, np.nan)  # undefined below two replicates

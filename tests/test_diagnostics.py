@@ -245,7 +245,8 @@ def test_independence_rows_left_by_the_batched_fit_are_refit_alone(monkeypatch):
     draw = diagnostics.draw_replicates
 
     def leave_every_row(design, a, counts, start):
-        return np.full((counts.shape[0], design.shape[1]), np.nan), np.zeros(len(counts), bool)
+        rows = (*np.shape(a)[:-1], counts.shape[0])  # (b,), or (k, b) for k responses
+        return np.full((*rows, design.shape[1]), np.nan), np.zeros(rows, bool)
 
     def recording_draw(*args, **kwargs):
         result = draw(*args, **kwargs)

@@ -538,7 +538,8 @@ def test_batched_estimate_bootstrap_matches_one_at_a_time(case, monkeypatch):
                            [r.n_effective for r in rows])
             else:
                 res = bootstrap_vector(
-                    cols.select(covariates), lambda s: estimators._table_values(s, methods), spec
+                    cols.select(covariates),
+                    lambda s, starts: estimators._table_values(s, methods, starts), spec,
                 )
                 summary = (np.where(np.isnan(res.points), np.nan, res.se),
                            [None if np.isnan(p) else int(k)
@@ -582,9 +583,11 @@ def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatc
     cols = as_columns(load()).select(covariates)
     n = len(cols)
 
+    zeros = (np.zeros(cols.x.shape[1] + 1),) * 2
+
     def zero_start_chunk(idx):
         counts = resampling.resample_counts(idx, n)
-        runs = {m: REFERENCE_CHUNK_FORMS[m](cols, counts) for m in PceMethod if m in methods}
+        runs = {m: REFERENCE_CHUNK_FORMS[m](cols, counts, zeros) for m in PceMethod if m in methods}
         left = np.logical_or.reduce([rows_left for _, rows_left in runs.values()])
         return estimators._table_layout([runs[m][0] for m in methods]), left
 
@@ -592,7 +595,7 @@ def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatc
         warnings.simplefilter("ignore")
         ref, ref_failures = resampling.draw_replicates(
             seed, n, n_replicates, zero_start_chunk,
-            lambda row: estimators._table_values(cols.take(row), methods),
+            lambda row: estimators._table_values(cols.take(row), methods, None)[0],
         )
         drawn = []
         draw = resampling.draw_replicates
@@ -614,9 +617,12 @@ def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatc
     print(f"{case}: largest replicate difference {worst:.1e} of its column's largest magnitude")
 
 
-def reference_ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reference_ps_cells_counts(
+    cols: TrialColumns, counts: np.ndarray, starts: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """``estimators._ps_cells_counts`` as a loop over the strata: per arm and
-    stratum, one weighted (b, n) array, its row sums and one ``w @ y``."""
+    stratum, one weighted (b, n) array, its row sums and one ``w @ y``; each
+    arm's score is refit from its start."""
     observed = cols.a != core.A_MISSING
     design = intercept_design(cols.x)
     b = counts.shape[0]
@@ -624,9 +630,7 @@ def reference_ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[n
     beta = []
     for t in (0, 1):
         rows = observed[:, t]
-        coef, ok = fit_logistic_counts(
-            design[rows], cols.a[rows, t], counts[:, rows], start=np.zeros(design.shape[1])
-        )
+        coef, ok = fit_logistic_counts(design[rows], cols.a[rows, t], counts[:, rows], starts[t])
         beta.append(coef)
         clean &= ok
     mu = np.empty((b, len(JOINT_LABELS), 2))
@@ -649,7 +653,9 @@ def reference_ps_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[n
     return mu, ~clean
 
 
-def reference_direct_cells_counts(cols: TrialColumns, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reference_direct_cells_counts(
+    cols: TrialColumns, counts: np.ndarray, starts: object
+) -> tuple[np.ndarray, np.ndarray]:
     """``estimators._direct_cells_counts`` as a loop over the strata: per
     stratum, a gather of its columns, one product and one row sum."""
     complete = core.completer_mask(cols, core.CompleterRule.BOTH)
@@ -673,9 +679,10 @@ def test_route_chunk_forms_match_their_per_stratum_reference(case):
     """Each route's chunk form against its per-stratum loop, on every resample
     of the case and on its first resample alone: the same rows left, the same
     NaN cells and warnings, and means within 1e-12 relative (the sums run in
-    another order)."""
+    another order). Both refit from the starts the full-data table returns."""
     load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
     cols = as_columns(load()).select(covariates)
+    starts = estimators._table_values(cols, methods, None)[1]
     idx = resampling.resample_index_matrix(seed, 0, n_replicates, len(cols))
     counts = resampling.resample_counts(idx, len(cols))
     for method in methods:
@@ -684,7 +691,7 @@ def test_route_chunk_forms_match_their_per_stratum_reference(case):
             for form in (estimators._ROUTES[method][1], REFERENCE_CHUNK_FORMS[method]):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    mu, left = form(cols, block.copy())
+                    mu, left = form(cols, block.copy(), starts)
                 results.append((mu, left, [str(w.message) for w in caught]))
             (new, new_left, new_warnings), (ref, ref_left, ref_warnings) = results
             np.testing.assert_array_equal(new_left, ref_left)
@@ -704,11 +711,48 @@ def test_ps_chunk_form_fits_a_badly_scaled_covariate_without_the_fallback():
     gram = counts @ glm._outer_rows(intercept_design(cols.x))
     eigs = np.linalg.eigvalsh(gram.reshape(-1, 2, 2))
     assert (eigs[:, 0] < glm.GRAM_RATIO_TOL * eigs[:, -1]).all()
-    mu, left = estimators._ps_cells_counts(cols, counts)
+    starts = estimators._ps_cells(cols, None)[1]
+    mu, left = estimators._ps_cells_counts(cols, counts, starts)
     assert not left.any()
     for r in range(0, 40, 8):
-        np.testing.assert_allclose(mu[r], estimators._ps_cells(cols.take(idx[r])),
+        np.testing.assert_allclose(mu[r], estimators._ps_cells(cols.take(idx[r]), starts)[0],
                                    rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("case", [c for c, v in BATCH_CASES.items() if PceMethod.PS in v[1]])
+def test_every_bootstrap_refit_starts_from_the_point_fits(case, monkeypatch):
+    """The two full-data fits behind the points start from zero. Every
+    batched refit (fit_logistic_counts, arm 0 then arm 1 in each chunk) and
+    every one-at-a-time fallback refit starts from the coefficients of its
+    arm's full-data fit."""
+    load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
+    cols = as_columns(load()).select(covariates)
+    point_fits = estimators._table_values(cols, methods, None)[1]
+    batched, alone = [], []
+    fit_counts, fit_score = estimators.fit_logistic_counts, estimators._fit_score
+
+    def recording_counts(design, a, counts, start):
+        batched.append(np.array(start))
+        return fit_counts(design, a, counts, start)
+
+    def recording_score(x, a, names, arm, start=None):
+        alone.append((arm, None if start is None else np.array(start)))
+        return fit_score(x, a, names, arm, start)
+
+    monkeypatch.setattr(estimators, "fit_logistic_counts", recording_counts)
+    monkeypatch.setattr(estimators, "_fit_score", recording_score)
+    monkeypatch.setattr(resampling, "_process_count", lambda items: 1)  # every chunk runs here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        estimate_pce_table(cols, methods, None, BootstrapSpec(n_replicates, seed))
+    assert [(arm, start) for arm, start in alone[:2]] == [(0, None), (1, None)]
+    for arm, start in alone[2:]:
+        np.testing.assert_array_equal(start, point_fits[arm])
+    assert batched and len(batched) % 2 == 0
+    for k, start in enumerate(batched):
+        np.testing.assert_array_equal(start, point_fits[k % 2])
+    if case in ("separating", "constant_response"):  # rows left to the fallback
+        assert len(alone) > 2
 
 
 def test_estimate_bootstrap_refits_do_not_grow_with_replicates(monkeypatch):

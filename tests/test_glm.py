@@ -471,6 +471,23 @@ def test_count_weighted_fits_keep_their_bits(name, monkeypatch):
         assert arr.tobytes() == copy.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_KERNEL_CASES))
+def test_responses_fit_together_keep_each_ones_bits(name, monkeypatch):
+    """Two responses on one design and counts, fit in one call, give each
+    response's own fit bit for bit: the row gate is shared, the loop is not."""
+    make, cap, _, _ = PINNED_KERNEL_CASES[name]
+    if cap is not None:
+        monkeypatch.setattr(glm, "MAX_ITERATIONS", cap)
+    design, a, counts, start = make()
+    responses, starts = np.stack([a, 1.0 - a]), np.stack([start, -0.5 * start])
+    coef, converged = fit_logistic_counts(design, responses, counts, starts)
+    assert coef.shape == (2, *counts.shape[:1], design.shape[1])
+    for k in range(2):
+        alone, alone_converged = fit_logistic_counts(design, responses[k], counts, starts[k])
+        assert coef[k].tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(converged[k], alone_converged)
+
+
 @pytest.mark.parametrize("name", sorted(LOGISTIC_ORACLE))
 def test_logistic_gradient_is_checked_at_the_iteration_cap(name, monkeypatch):
     """A fit whose gradient first meets the tolerance after exactly

@@ -124,7 +124,8 @@ def test_se_from_fewer_than_two_replicates_is_nan():
     assert math.isnan(res.se)
     assert res.ci[0] == res.ci[1]
     vec = bootstrap_vector(
-        [1.0, 2.0, 3.0], lambda s: np.asarray([np.mean(s), np.nan]), BootstrapSpec(5, seed=1)
+        [1.0, 2.0, 3.0], lambda s, starts: (np.asarray([np.mean(s), np.nan]), starts),
+        BootstrapSpec(5, seed=1),
     )
     assert list(vec.n_effective) == [5, 0]
     assert not math.isnan(vec.se[0])
@@ -173,7 +174,8 @@ def scalar_run(records, statistic, spec):
 
 
 def vector_run(records, statistic, spec):
-    res = bootstrap_vector(records, lambda s: np.asarray([statistic(s), 1.0]), spec)
+    res = bootstrap_vector(records, lambda s, starts: (np.asarray([statistic(s), 1.0]), starts),
+                           spec)
     assert res.n_effective[0] == res.n_effective[1]
     return res.n_failures, int(res.n_effective[0]), res.failure_counts
 
@@ -293,11 +295,11 @@ def test_vector_bootstrap_tracks_components_separately():
     records = list(range(12))
     spec = BootstrapSpec(n_replicates=60, seed=8)
 
-    def statistic(sample):
+    def statistic(sample, starts):
         first = float(np.mean(sample))
         # second component is inestimable unless index 0 was drawn
         second = float(np.min(sample)) if 0 in sample else np.nan
-        return np.asarray([first, second])
+        return np.asarray([first, second]), starts
 
     res = bootstrap_vector(records, statistic, spec)
     assert res.points.shape == (2,)
@@ -311,7 +313,8 @@ def test_vector_bootstrap_shares_index_streams_with_scalar():
     records = [3.0, 1.0, 4.0, 1.0, 5.0]
     spec = BootstrapSpec(n_replicates=30, seed=12)
     scalar = bootstrap(records, lambda s: float(np.mean(s)), spec)
-    vector = bootstrap_vector(records, lambda s: np.asarray([float(np.mean(s))]), spec)
+    vector = bootstrap_vector(records, lambda s, starts: (np.asarray([float(np.mean(s))]), starts),
+                              spec)
     assert scalar.se == pytest.approx(float(vector.se[0]), abs=1e-15)
     assert scalar.ci == (float(vector.ci[0, 0]), float(vector.ci[0, 1]))
 
