@@ -71,17 +71,18 @@ def check_level(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a number strictly between 0 and 1, not {value!r}")
 
 
-def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _mix(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SplitMix64's finalizer, in place on a uint64 array (wrapping
-    arithmetic), with t, of z's shape and dtype, as scratch; z already holds
-    its input plus the golden gamma."""
+    arithmetic); z already holds its input plus the golden gamma. Returns z
+    and the scratch array of its shape that the finalizer used."""
+    t = np.empty_like(z)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, _U64(shift), out=t)
         z ^= t
         z *= mult
     np.right_shift(z, _U64(31), out=t)
     z ^= t
-    return z
+    return z, t
 
 
 def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n: int) -> np.ndarray:
@@ -103,15 +104,11 @@ def resample_index_matrix(seed: int, first_replicate: int, n_replicates: int, n:
         # uint64 sums wrap, so each mix's own + phi folds into the multiple
         # of phi: (k + 1) * phi + phi = (k + 2) * phi
         b = np.arange(first_replicate + 2, first_replicate + n_replicates + 2, dtype=_U64)
-        keys = _U64(seed & 0xFFFFFFFFFFFFFFFF) + b * _GOLDEN
-        keys = _mix(keys, np.empty_like(keys))
-        z = keys[:, None] + np.arange(2, n + 2, dtype=_U64) * _GOLDEN
-        t = np.empty_like(z)
-        _mix(z, t)
+        keys = _mix(_U64(seed & 0xFFFFFFFFFFFFFFFF) + b * _GOLDEN)[0]
+        z, t = _mix(keys[:, None] + np.arange(2, n + 2, dtype=_U64) * _GOLDEN)
     np.right_shift(z, _U64(11), out=z)
     # top53 * 2^-53 is exact, so scaling by n * 2^-53 rounds as (top53 * 2^-53) * n
-    u = t.view(np.float64)
-    np.multiply(z, n * 2.0**-53, out=u, casting="unsafe")
+    u = np.multiply(z, n * 2.0**-53, out=t.view(np.float64), casting="unsafe")
     idx = z.view(np.int64)
     np.copyto(idx, u, casting="unsafe")
     return np.minimum(idx, n - 1, out=idx)
