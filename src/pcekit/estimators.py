@@ -412,7 +412,9 @@ def _ps_cells(
     return mu, (models[0].fit.coefficients, models[1].fit.coefficients)
 
 
-def _direct_cells(cols: TrialColumns, starts: Sequence | None) -> tuple[np.ndarray, Sequence | None]:
+def _direct_cells(
+    cols: TrialColumns, starts: Sequence | None
+) -> tuple[np.ndarray, Sequence | None]:
     """(4, 2) arm means per joint stratum over full completers, NaN rows
     empty; no model is fit, so starts pass through."""
     if not cols.crossover:
