@@ -482,14 +482,12 @@ def bootstrap_vector(
         sample = records.take(row) if columnar else [records[i] for i in row.tolist()]
         return statistic(sample, starts)[0]
 
-    def every_row(idx: np.ndarray, starts: S | None) -> tuple[np.ndarray, np.ndarray]:
+    def every_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.full((idx.shape[0], m), np.nan), np.ones(idx.shape[0], dtype=bool)
 
-    batch = chunk_statistic or every_row
+    chunk = every_row if chunk_statistic is None else lambda idx: chunk_statistic(idx, starts)
     b_total = spec.n_replicates
-    values, failure_counts = draw_replicates(
-        spec.seed, n, b_total, lambda idx: batch(idx, starts), one
-    )
+    values, failure_counts = draw_replicates(spec.seed, n, b_total, chunk, one)
 
     se = np.full(m, np.nan)  # undefined below two replicates
     ci = np.zeros((m, 2))
