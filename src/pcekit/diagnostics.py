@@ -6,9 +6,10 @@ as an (almost) empty stratum cell, within-arm and cross-world ignorability
 as adherence coefficients in outcome regressions, and cross-world
 independence as agreement between observed stratum proportions and their
 independence-based reconstruction. The reconstructions live in one table,
-``estimators._RECONSTRUCTIONS``; the independence test runs the entry of its
-method, the full-data form on the data and on rows the chunk form leaves,
-and the chunk form on batches of resamples.
+``estimators._RECONSTRUCTIONS``, one count-weighted form each; the
+independence test runs the form of its method through the estimators'
+drivers: ``_exact`` on the data and on each resample the batch leaves,
+``_batched`` on chunks of resamples.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     stratum_codes,
 )
 from .errors import BootstrapError, DiagnosticError, InsufficientDataError
-from .estimators import ProbMethod, _RECONSTRUCTIONS, _prob_vector
+from .estimators import ProbMethod, _RECONSTRUCTIONS, _batched, _exact, _prob_vector
 from .glm import DesignMatrix, fit_ols, t_two_sided_p
 from .resampling import SEED_LIMIT, draw_replicates, exceedance_p, resample_counts
 
@@ -216,13 +217,15 @@ def independence_test(
     aborts the test. Subjects need adherence in both periods.
 
     method is a model-based ``ProbMethod``, by value ("indep") or member;
-    its entry in ``estimators._RECONSTRUCTIONS`` holds a full-data form and a
-    chunk form. Each replicate is a row of multinomial counts over the
-    subjects. Chunks of rows, ``resampling._CHUNK_ELEMENTS`` index draws
-    each, go to the chunk form, which refits them together from the starts
-    the full-data form returned on the data; the engine runs the full-data
-    form, from the same starts, on each row the chunk form leaves, and its
-    verdict rejects the row or not.
+    its entry in ``estimators._RECONSTRUCTIONS`` is one count-weighted form.
+    The estimate is that form on the data as one all-ones row, with its
+    principal scores fit by ``fit_logistic`` (``estimators._exact``). Each
+    replicate is a row of multinomial counts over the subjects. Chunks of
+    rows, ``resampling._CHUNK_ELEMENTS`` index draws each, go to
+    ``estimators._batched``, which refits the scores of every row together
+    from the data's fits; the engine runs ``_exact``, from the same starts,
+    on each resample whose batched refits fail, and its verdict rejects the
+    row or not.
     """
     method = ProbMethod(method)
     if method is ProbMethod.OBSERVED:
@@ -236,8 +239,7 @@ def independence_test(
 
     cols = cols.select(covariates)
     obs_vec = _prob_vector(cols, ProbMethod.OBSERVED)
-    full, batch = _RECONSTRUCTIONS[method]
-    est_vec, warm = full(cols, None)
+    (est_vec,), warm = _exact(cols, _RECONSTRUCTIONS, [method], None)
     gap0 = obs_vec - est_vec
     d_obs = float(np.max(np.abs(gap0)))
     ssq_obs = float(np.sum(gap0**2))
@@ -252,11 +254,11 @@ def independence_test(
 
     def chunk(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         counts = resample_counts(idx, n)
-        est_b, left = batch(cols, counts, warm)
+        (est_b,), left = _batched(cols, _RECONSTRUCTIONS, [method], counts, warm)
         return gaps(counts, est_b), left
 
     def one(row: np.ndarray) -> np.ndarray:
-        est_b = full(cols.take(row), warm)[0]
+        (est_b,), _ = _exact(cols.take(row), _RECONSTRUCTIONS, [method], warm)
         return gaps(resample_counts(row[None, :], n), est_b)[0]
 
     try:

@@ -8,24 +8,29 @@ probabilities come either from observed crossover proportions or from a
 model-based reconstruction that takes the two potential adherences as
 independent, conditionally on X or unconditionally.
 
-Two tables hold the forms, in enum order, and every form has one calling
-convention. ``_ROUTES`` holds one entry per ``PceMethod``, and
-``_RECONSTRUCTIONS`` one per model-based ``ProbMethod``. An entry's full-data
-form maps (cols, starts) to its values and the starts a resample's refits
-take: (4, 2) arm means per joint stratum for a route, (4,) cell
-probabilities for a reconstruction. Its chunk form maps (cols, (b, n)
-counts, starts) to the values of each resample, (b, 4, 2) or (b, 4), and a
-(b,) mask of the rows left to the full-data form. The starts are None on
-the data, so each principal score is fit from zero there, and the
-full-data fits' coefficients on every resample; a form that fits no model
-passes them through.
+Two tables hold the forms, in enum order: ``_ROUTES`` one per
+``PceMethod`` and ``_RECONSTRUCTIONS`` one per model-based ``ProbMethod``.
+Each entry is one count-weighted form, (cols, (b, n) counts, (2, b, n) arm
+scores) -> the values of each count row: (b, 4, 2) arm means per joint
+stratum for a route, (b, 4) cell probabilities for a reconstruction. A row
+of counts says how often each subject occurs in a resample; the data is
+the row of all ones. The scores are each arm's principal score at every
+subject, and None for a form that fits no model (outside ``_SCORED``).
+
+Two drivers run the forms of both tables. ``_exact`` runs them on the data,
+or on one resample's rows, as one all-ones row; its scores come from
+``fit_logistic``, with its errors. ``_batched`` runs them on a chunk of
+resamples' counts; its scores come from ``fit_logistic_counts``, and it
+leaves to ``_exact`` the rows whose refits fail. Both fit from starts:
+None on the data, so each principal score is fit from zero there, and the
+data's fitted coefficients on every resample.
 
 Every estimate is computed on ``TrialColumns``; the functions that take
 records or observations are adapters that validate and convert them. The
 public functions choose the covariates once, with ``TrialColumns.select``,
-so every form fits on all the covariates of the columns it is given. Both
-forms of a route mark an empty stratum cell, one with no subjects or no
-weight, with NaN; only the record adapters raise ``InestimableStratumError``.
+so every score is fit on all the covariates of the columns it is given.
+Every form marks an empty stratum cell, one with no subjects or no weight,
+with NaN; only the record adapters raise ``InestimableStratumError``.
 """
 
 from __future__ import annotations
@@ -111,11 +116,6 @@ def _fit_score(
     return PrincipalScoreModel(arm=arm, fit=fit, covariate_names=names)
 
 
-def _scores(model: PrincipalScoreModel, x: np.ndarray) -> np.ndarray:
-    """Unclipped scores for covariate rows x, columns in the model's order."""
-    return predict_probs(model.fit, intercept_design(x))
-
-
 def _one_arm(obs: Sequence[ParallelObservation], need_y: bool) -> int:
     """The arm all of obs come from; each needs its adherence, and with need_y its outcome."""
     if not obs:
@@ -142,7 +142,8 @@ def fit_principal_score(
 
 def principal_scores(model: PrincipalScoreModel, subjects: Dataset) -> np.ndarray:
     """Predicted adherence probabilities for subjects' covariates, unclipped."""
-    return _scores(model, as_columns(subjects).select(model.covariate_names).x)
+    x = as_columns(subjects).select(model.covariate_names).x
+    return predict_probs(model.fit, intercept_design(x))
 
 
 def _extreme(g: np.ndarray) -> np.ndarray:
@@ -158,11 +159,6 @@ def _warn_if_extreme(frac_extreme: float, stacklevel: int) -> None:
         )
 
 
-def _clip_scores(g: np.ndarray) -> np.ndarray:
-    _warn_if_extreme(float(np.mean(_extreme(g))), stacklevel=4)
-    return np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP)
-
-
 def estimate_mu_hayden(
     obs: Sequence[ParallelObservation],
     cross_model: PrincipalScoreModel,
@@ -173,14 +169,18 @@ def estimate_mu_hayden(
     obs must be one arm's observations with a and y observed; cross_model
     must be fit on the opposite arm. For stratum (k, l), subjects with the
     own-arm adherence value are weighted by the cross-arm score raised to
-    the stratum's other coordinate: g^c (1-g)^(1-c).
+    the stratum's other coordinate: g^c (1-g)^(1-c). This is the ``ps``
+    route's form on one all-ones row, given the model's scores.
     """
     arm = _one_arm(obs, need_y=True)
     if cross_model.arm != 1 - arm:
         raise ValueError(f"cross_model is for arm {cross_model.arm}; need arm {1 - arm}")
     cols = as_columns(obs)
-    g = _clip_scores(principal_scores(cross_model, cols))
-    mu = _hayden_mean(cols.a[:, arm], cols.y[:, arm], g, stratum, arm)
+    # obs hold one arm, so the score that would weight the other arm goes unread
+    scores = np.zeros((2, 1, len(cols)))
+    scores[1 - arm] = principal_scores(cross_model, cols)
+    means = _ps_means(cols, np.ones((1, len(cols))), scores)[0]
+    mu = float(means[JOINT_LABELS.index(stratum), arm])
     if np.isnan(mu):
         raise InestimableStratumError(
             f"no weight in stratum {stratum} for arm {arm}: no subjects with "
@@ -189,32 +189,12 @@ def estimate_mu_hayden(
     return mu
 
 
-def _hayden_mean(
-    a: np.ndarray, y: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
-) -> float:
-    """Weighted mean of one arm's outcomes y, with _hayden_weights; NaN when
-    no subject has the stratum's own-arm adherence, so the weight is zero."""
-    w = _hayden_weights(a, g, stratum, arm)
-    total = float(np.sum(w))
-    if total <= 0.0:
-        return float("nan")
-    return float(np.sum(w * y) / total)
-
-
-def _hayden_weights(
-    a: np.ndarray, g: np.ndarray, stratum: StratumLabel, arm: int
-) -> np.ndarray:
-    """Weights 1{a = own coordinate} times g or 1-g, as the stratum's cross-arm
-    coordinate is 1 or 0."""
-    own_coord = stratum.a0 if arm == 0 else stratum.a1
-    cross_coord = stratum.a1 if arm == 0 else stratum.a0
-    return (a == own_coord) * (g if cross_coord == 1 else 1.0 - g)
-
-
 def estimate_mu_direct(
     records: Sequence[SubjectRecord], stratum: StratumLabel, t: int
 ) -> float:
-    """Plain mean of arm-t outcomes among subjects observed in the stratum."""
+    """Plain mean of arm-t outcomes among subjects observed in the stratum:
+    the ``direct`` route's stratum sums on one all-ones row, over the
+    subjects with an arm-t outcome."""
     check_integer("t", t, 0, 2)
     records = list(records)
     if not records:
@@ -235,7 +215,9 @@ def estimate_mu_direct(
         )
     if not in_stratum.any():
         raise InestimableStratumError(f"no subjects observed in stratum {stratum}")
-    return float(np.mean(cols.y[in_stratum, t]))
+    has_y = ~np.isnan(cols.y[:, t])
+    mu = _stratum_means(np.ones((1, int(has_y.sum()))), cols.a[has_y], cols.y[has_y, t, None])
+    return float(mu[0, JOINT_LABELS.index(stratum), 0])
 
 
 @dataclass(frozen=True)
@@ -261,17 +243,6 @@ def _adherence_rows(cols: TrialColumns) -> np.ndarray:
     return observed
 
 
-def _fit_both_arms(
-    cols: TrialColumns, observed: np.ndarray, starts: Sequence[np.ndarray] | None
-) -> tuple[PrincipalScoreModel, PrincipalScoreModel]:
-    """Each arm's principal-score model, fit on its adherence-observed rows
-    from that arm's start, or from zero without starts."""
-    m0, m1 = (_fit_score(cols.x[rows], cols.a[rows, t], cols.covariate_names, t,
-                         None if starts is None else starts[t])
-              for t, rows in enumerate(observed.T))
-    return m0, m1
-
-
 def _cell_table(g0: np.ndarray | float, g1: np.ndarray | float) -> np.ndarray:
     """Stratum probabilities g0^k (1-g0)^(1-k) g1^l (1-g1)^(1-l), in
     JOINT_LABELS order along a new last axis, from arm adherence probabilities
@@ -285,76 +256,130 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     (b, n) counts and arm adherence probabilities.
 
     Each cell is a dot product along a contiguous row of the counts times
-    one arm's factor, so its additions run in another order than a one-row
-    full-data sum's and its last bits may differ. No report prints a cell,
-    only how many replicates exceed a gap.
+    one arm's factor, so its additions run in another order than a plain
+    sum's and its last bits may differ.
     """
     w0, w1, u1 = counts * (1.0 - g0), counts * g0, 1.0 - g1
     return np.column_stack([np.einsum("ij,ij->i", w, q) for w in (w0, w1) for q in (u1, g1)])
 
 
-def _cond_indep_cells(
-    cols: TrialColumns, starts: Sequence[np.ndarray] | None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Joint-cell probabilities under independence given X, in JOINT_LABELS
-    order, and the coefficients of the two principal-score models they
-    average, each fit from its arm's start: from zero for an estimate, from
-    the full-data fit for a resample's."""
-    m0, m1 = _fit_both_arms(cols, _adherence_rows(cols), starts)
-    # each cell is summed as one contiguous row, in the order of a 1-D mean
-    cells = np.ascontiguousarray(_cell_table(_scores(m0, cols.x), _scores(m1, cols.x)).T)
-    return cells.mean(axis=1), (m0.fit.coefficients, m1.fit.coefficients)
+def _cond_indep_cells(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(b, 4) joint-cell probabilities under independence given X, in
+    JOINT_LABELS order: each count row's average over the n subjects of the
+    cell probabilities that the (2, b, n) arm scores give, every subject
+    counted, whichever adherence it has observed."""
+    return _cell_sums(counts, *scores) / counts.shape[1]
 
 
-def _cond_indep_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_cond_indep_cells`` of each resample in a chunk, given as (b, n)
-    counts over subjects with adherence observed in both arms: (b, 4) cells
-    and a (b,) mask of the rows whose two refits from starts did not
-    converge cleanly (they carry no usable cells and are left to
-    ``_cond_indep_cells``). On one all-ones row the cells agree with
-    ``_cond_indep_cells`` to rounding, not bit for bit: the batched fits and
-    the cell sums (``_cell_sums``) each add in another order. Both arms are
-    fit on the same design rows and counts, so one call to
-    ``fit_logistic_counts`` gates the rows for both."""
-    design = intercept_design(cols.x)
-    beta, ok = fit_logistic_counts(design, cols.a.T, counts, np.stack(starts))
-    g0, g1 = (expit(coef @ design.T) for coef in beta)
-    return _cell_sums(counts, g0, g1) / counts.shape[1], ~(ok[0] & ok[1])
+def _indep_cells(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray | None) -> np.ndarray:
+    """(b, 4) joint-cell probabilities under unconditional independence, in
+    JOINT_LABELS order, from each arm's count-weighted adherence rate over
+    its observed rows. No model is fit, so covariates and scores go unused.
+    Each rate is a sum of whole counts over another, so a row of ones gives
+    the plain mean's bits."""
+    observed = _adherence_rows(cols)
+    rates = counts @ np.where(observed, cols.a, 0) / (counts @ observed)
+    return _cell_table(*rates.T)
 
 
-def _indep_cells(cols: TrialColumns, starts: Sequence | None) -> tuple[np.ndarray, Sequence | None]:
-    """Joint-cell probabilities under unconditional independence, in
-    JOINT_LABELS order, from each arm's adherence rate over its observed
-    rows; no model is fit, so covariates go unused and starts pass through."""
-    p0, p1 = (np.mean(cols.a[rows, t]) for t, rows in enumerate(_adherence_rows(cols).T))
-    return _cell_table(p0, p1), starts
-
-
-def _indep_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: Sequence | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_indep_cells`` of each resample in a chunk, given as (b, n) counts
-    over subjects with adherence observed in both arms: (b, 4) cells, and a
-    (b,) mask that leaves no row to ``_indep_cells``. The rates are whole
-    counts over n, so a row of ones gives ``_indep_cells``'s bits."""
-    rates = counts @ cols.a / counts.shape[1]
-    return _cell_table(*rates.T), np.zeros(counts.shape[0], dtype=bool)
-
-
-# (full-data form, chunk form) of every model-based reconstruction, in enum order
+# the count-weighted form of every model-based reconstruction, in enum order
 _RECONSTRUCTIONS = {
-    ProbMethod.COND_INDEP: (_cond_indep_cells, _cond_indep_cells_counts),
-    ProbMethod.INDEP: (_indep_cells, _indep_cells_counts),
+    ProbMethod.COND_INDEP: _cond_indep_cells,
+    ProbMethod.INDEP: _indep_cells,
 }
+# the entries whose forms weight by the arms' principal scores; for the
+# others the drivers fit no model
+_SCORED = frozenset({PceMethod.PS, ProbMethod.COND_INDEP})
+
+
+def _arm_scores(cols: TrialColumns, beta: np.ndarray) -> np.ndarray:
+    """(2, b, n) adherence probabilities of each arm at every subject, from
+    (2, b, q) principal-score coefficients."""
+    design = intercept_design(cols.x)
+    return np.stack([expit(coef @ design.T) for coef in beta])
+
+
+def _fit_arms_counts(
+    cols: TrialColumns, counts: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both arms' principal scores refit on each (b, n) count row by
+    ``fit_logistic_counts``, each from its arm's start: (2, b, q)
+    coefficients and a (b,) mask of the rows whose two fits converged
+    cleanly. When every subject has both adherences, one call fits the two
+    responses, so the row gate's rank test runs once, and each arm's fits
+    are those it would get alone, bit for bit. Otherwise each arm is fit on
+    its own observed rows."""
+    design = intercept_design(cols.x)
+    observed = cols.a != A_MISSING
+    if observed.all():
+        beta, ok = fit_logistic_counts(design, cols.a.T, counts, starts)
+    else:
+        fits = [fit_logistic_counts(design[rows], cols.a[rows, t], counts[:, rows], starts[t])
+                for t, rows in enumerate(observed.T)]
+        beta, ok = (np.stack(parts) for parts in zip(*fits))
+    return beta, ok[0] & ok[1]
+
+
+def _exact(
+    cols: TrialColumns, table: dict, keys: Sequence, starts: np.ndarray | None
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The forms of ``table`` named by keys on cols as one all-ones count
+    row, run in table order and returned in the order of keys, and the
+    starts a resample's evaluation takes.
+
+    If a form weights by principal scores, both arms are first fit by
+    ``fit_logistic`` on their observed rows (``_fit_score``), each from its
+    arm's start, or from zero when starts is None; a failed fit raises its
+    error. Their (2, q) coefficients are then the starts returned. Otherwise
+    no model is fit and the starts pass through.
+    """
+    scores = None
+    if _SCORED.intersection(keys):
+        observed = _adherence_rows(cols)
+        starts = np.stack([
+            _fit_score(cols.x[rows], cols.a[rows, t], cols.covariate_names, t,
+                       None if starts is None else starts[t]).fit.coefficients
+            for t, rows in enumerate(observed.T)
+        ])
+        scores = _arm_scores(cols, starts[:, None])
+    ones = np.ones((1, len(cols)))
+    values = {key: form(cols, ones, scores)[0] for key, form in table.items() if key in keys}
+    return [values[key] for key in keys], starts
+
+
+def _batched(
+    cols: TrialColumns, table: dict, keys: Sequence, counts: np.ndarray, starts: np.ndarray | None
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The forms of ``table`` named by keys on each (b, n) count row of a
+    chunk of resamples, run in table order and returned in the order of
+    keys, and a (b,) mask of the rows left to ``_exact``, which read NaN.
+
+    If a form weights by principal scores, both arms are refit on every row
+    from the starts ``_exact`` returned on the data (``_fit_arms_counts``),
+    and the rows whose fits do not converge cleanly are left: the forms run
+    on the others only.
+    """
+    left = np.zeros(counts.shape[0], dtype=bool)
+    scores = None
+    if _SCORED.intersection(keys):
+        beta, ok = _fit_arms_counts(cols, counts, starts)
+        left = ~ok
+        if left.any():
+            counts, beta = counts[ok], beta[:, ok]
+        scores = _arm_scores(cols, beta)
+    values = {key: form(cols, counts, scores) for key, form in table.items() if key in keys}
+    if left.any():  # each form's rows back in place, NaN on the rows left
+        for key, part in values.items():
+            values[key] = np.full((left.size, *part.shape[1:]), np.nan)
+            values[key][~left] = part
+    return [values[key] for key in keys], left
 
 
 def _prob_vector(cols: TrialColumns, method: ProbMethod) -> np.ndarray:
     """Joint-cell probabilities in JOINT_LABELS order."""
     if method is ProbMethod.OBSERVED:
         return stratum_counts(cols) / len(cols)
-    return _RECONSTRUCTIONS[method][0](cols, None)[0]
+    return _exact(cols, _RECONSTRUCTIONS, [method], None)[0][0]
 
 
 def estimate_stratum_probs(
@@ -387,90 +412,31 @@ class EstimateSummary(NamedTuple):
     note: str | None = None
 
 
-def _ps_cells(
-    cols: TrialColumns, starts: Sequence[np.ndarray] | None
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(4, 2) principal-score-weighted arm means per joint stratum, NaN rows
-    inestimable, and the coefficients of both arms' scores, each fit from its
-    arm's start: from zero for an estimate, from the full-data fit for a
-    resample's.
+def _ps_means(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(b, 4, 2) principal-score-weighted arm means per joint stratum of each
+    (b, n) count row, NaN where an arm has no weight in a stratum.
 
-    Each arm's outcomes are weighted by the other arm's score, computed once
-    for that arm's complete rows (adherence and outcome observed).
-    """
-    observed = _adherence_rows(cols)
-    models = _fit_both_arms(cols, observed, starts)
-    mu = np.full((len(JOINT_LABELS), 2), np.nan)
-    for t in (0, 1):
-        use = observed[:, t] & ~np.isnan(cols.y[:, t])
-        if not use.any():
-            continue
-        g = _clip_scores(_scores(models[1 - t], cols.x[use]))
-        a, y = cols.a[use, t], cols.y[use, t]
-        mu[:, t] = [_hayden_mean(a, y, g, stratum, t) for stratum in JOINT_LABELS]
-    mu[np.isnan(mu).any(axis=1)] = np.nan  # a stratum needs both arms
-    return mu, (models[0].fit.coefficients, models[1].fit.coefficients)
-
-
-def _direct_cells(
-    cols: TrialColumns, starts: Sequence | None
-) -> tuple[np.ndarray, Sequence | None]:
-    """(4, 2) arm means per joint stratum over full completers, NaN rows
-    empty; no model is fit, so starts pass through."""
-    if not cols.crossover:
-        raise PcekitError("direct stratification needs crossover data")
-    complete = completer_mask(cols, CompleterRule.BOTH)
-    codes, y = stratum_codes(cols.a[complete]), cols.y[complete]
-    mu = np.full((len(JOINT_LABELS), 2), np.nan)
-    for i in range(len(JOINT_LABELS)):
-        mask = codes == i
-        if mask.any():
-            mu[i] = np.mean(y[mask, 0]), np.mean(y[mask, 1])
-    return mu, starts
-
-
-def _ps_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_ps_cells`` of each resample in a chunk, given as (b, n) counts.
-
-    Both arms' scores are refit for all rows at once by
-    ``fit_logistic_counts``, each from its arm's start: the full-data fit's
-    coefficients, which the fallback ``_ps_cells`` starts from too. That is
-    the IRLS loop ``fit_logistic`` runs, so each row takes the path of its
-    one-at-a-time fit. The row gate's rank test is scale-free, so a
-    covariate in large units does not leave rows to the fallback. The arms
-    are fit on different rows when some adherence is missing, so each arm
-    has its own gate. Returns
-    the (b, 4, 2) means and a (b,) mask of the rows whose two fits did not
-    converge cleanly: they carry no usable means and are left to
-    ``_ps_cells``. The extreme-score warning is raised here for the other
-    rows, once per arm and replicate, as ``_clip_scores`` would.
+    Arm t's complete rows (adherence and outcome observed) are weighted by
+    the other arm's score, from the (2, b, n) arm scores, clipped to
+    [SCORE_CLIP, 1 - SCORE_CLIP]. The extreme-score warning is raised once
+    per arm and row whose count-weighted share of scores outside the band
+    passes one half.
 
     Each arm's four strata come from one product: the count-weighted cross
     scores, c(1-g) and c g, times the (n', 4) table [1{a=0}, 1{a=0} y,
     1{a=1}, 1{a=1} y] of its complete rows. Stratum (own, cross) reads its
-    weight total and weighted outcome sum from row block ``cross``,
-    columns 2 own and 2 own + 1, as ``_hayden_weights`` picks g or 1-g.
+    weight total and weighted outcome sum from row block ``cross``, columns
+    2 own and 2 own + 1: a subject with the own-arm adherence is weighted by
+    g or 1 - g as the stratum's cross-arm coordinate is 1 or 0.
     """
-    observed = cols.a != A_MISSING
-    design = intercept_design(cols.x)
     b = counts.shape[0]
-    clean = np.ones(b, dtype=bool)
-    beta = []
-    for t in (0, 1):
-        rows = observed[:, t]
-        coef, ok = fit_logistic_counts(design[rows], cols.a[rows, t], counts[:, rows], starts[t])
-        beta.append(coef)
-        clean &= ok
     mu = np.empty((b, len(JOINT_LABELS), 2))
     share = np.empty((b, 2))
     codes = np.arange(len(JOINT_LABELS))
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with no weight read NaN
         for t in (0, 1):
-            use = observed[:, t] & ~np.isnan(cols.y[:, t])
-            c = counts[:, use]
-            g = expit(beta[1 - t] @ design[use].T)
+            use = (cols.a[:, t] != A_MISSING) & ~np.isnan(cols.y[:, t])
+            c, g = counts[:, use], scores[1 - t][:, use]
             share[:, t] = (c * _extreme(g)).sum(axis=1) / c.sum(axis=1)
             np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP, out=g)
             w = np.empty((2, b, c.shape[1]))  # by the cross-arm coordinate
@@ -479,81 +445,82 @@ def _ps_cells_counts(
             np.multiply(c, g, out=w[1])
             onehot = np.eye(2)[cols.a[use, t]]  # 1{a=0}, 1{a=1}
             table = np.stack([onehot, onehot * cols.y[use, t, None]], axis=2).reshape(-1, 4)
-            sums = (w.reshape(2 * b, -1) @ table).reshape(2, b, 4)
+            sums = (w.reshape(2 * b, c.shape[1]) @ table).reshape(2, b, 4)
             # a stratum's code is 2 A(0) + A(1); arm t's own coordinate is A(t)
             own, cross = (codes >> 1, codes & 1) if t == 0 else (codes & 1, codes >> 1)
             total = sums[cross, :, 2 * own].T
             mu[:, :, t] = np.where(total > 0.0, sums[cross, :, 2 * own + 1].T / total, np.nan)
-    mu[np.isnan(mu).any(axis=2)] = np.nan  # a stratum needs both arms
-    for r, t in np.argwhere(clean[:, None] & (share > 0.5)).tolist():
-        _warn_if_extreme(float(share[r, t]), stacklevel=3)
-    return mu, ~clean
+    for r, t in np.argwhere(share > 0.5).tolist():
+        _warn_if_extreme(float(share[r, t]), stacklevel=4)
+    return mu
 
 
-def _direct_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: Sequence | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_direct_cells`` of each resample in a chunk, given as (b, n) counts:
-    (b, 4, 2) means, and a (b,) mask that leaves no row to ``_direct_cells``.
-    No model is fit, so the starts go unused.
-
-    One product gives every stratum's count and both arms' outcome sums:
-    the counts of the full completers times their (n', 12) table
-    [onehot, onehot y0, onehot y1] of one-hot stratum codes."""
-    complete = completer_mask(cols, CompleterRule.BOTH)
-    onehot = np.eye(len(JOINT_LABELS))[stratum_codes(cols.a[complete])]
-    y = cols.y[complete]
-    sums = counts[:, complete] @ np.hstack([onehot, onehot * y[:, :1], onehot * y[:, 1:]])
-    # (b, 4, 3): each stratum's count, then its outcome sum in arm 0 and arm 1
-    sums = sums.reshape(-1, 3, len(JOINT_LABELS)).transpose(0, 2, 1)
+def _stratum_means(counts: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(b, 4, k) count-weighted means of the k outcome columns y per joint
+    stratum of the (n, 2) adherence a, NaN where a stratum has no count.
+    One product gives every stratum's count and outcome sums: the counts
+    times the (n, 4 (k + 1)) table [onehot, onehot y_1, ...] of one-hot
+    stratum codes."""
+    onehot = np.eye(len(JOINT_LABELS))[stratum_codes(a)]
+    sums = counts @ np.hstack([onehot, *(onehot * col[:, None] for col in y.T)])
+    # (b, 4, k + 1): each stratum's count, then its outcome sums
+    sums = sums.reshape(counts.shape[0], y.shape[1] + 1, len(JOINT_LABELS)).transpose(0, 2, 1)
     with np.errstate(invalid="ignore"):  # an empty stratum reads 0/0 = NaN
-        mu = sums[:, :, 1:] / sums[:, :, :1]
-    return mu, np.zeros(counts.shape[0], dtype=bool)
+        return sums[:, :, 1:] / sums[:, :, :1]
 
 
-# (full-data form, chunk form) of every route, in the order routes run in
+def _direct_means(
+    cols: TrialColumns, counts: np.ndarray, scores: np.ndarray | None
+) -> np.ndarray:
+    """(b, 4, 2) arm means per joint stratum over the full completers of each
+    (b, n) count row, NaN where a stratum is empty. No model is fit, so the
+    scores go unused."""
+    if not cols.crossover:
+        raise PcekitError("direct stratification needs crossover data")
+    complete = completer_mask(cols, CompleterRule.BOTH)
+    return _stratum_means(counts[:, complete], cols.a[complete], cols.y[complete])
+
+
+# the count-weighted form of every route, in the order routes run in
 _ROUTES = {
-    PceMethod.PS: (_ps_cells, _ps_cells_counts),
-    PceMethod.DIRECT: (_direct_cells, _direct_cells_counts),
+    PceMethod.PS: _ps_means,
+    PceMethod.DIRECT: _direct_means,
 }
 
 
 def _table_values(
-    cols: TrialColumns, methods: Sequence[PceMethod], starts: Sequence[np.ndarray] | None
-) -> tuple[np.ndarray, Sequence[np.ndarray] | None]:
+    cols: TrialColumns, methods: Sequence[PceMethod], starts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """All table cells in (method, stratum, quantity) order, NaN =
-    inestimable, and the starts a resample's refits take. Routes run in
-    table order, each from the starts the one before it returned."""
-    cells = {}
-    for m, (form, _) in _ROUTES.items():
-        if m in methods:
-            cells[m], starts = form(cols, starts)
-    return _table_layout([cells[method] for method in methods]), starts
+    inestimable, and the starts a resample's refits take: the routes'
+    forms on cols as one all-ones row (``_exact``)."""
+    means, starts = _exact(cols, _ROUTES, methods, starts)
+    return _table_layout(means), starts
 
 
 def _table_layout(cells: Sequence[np.ndarray]) -> np.ndarray:
     """(..., 4, 2) arm means per method, flattened along the last axis in
-    (method, stratum, quantity) order, the quantities being arm0, arm1, diff."""
-    parts = [np.concatenate([mu, mu[..., 1:] - mu[..., :1]], axis=-1) for mu in cells]
+    (method, stratum, quantity) order, the quantities being arm0, arm1, diff.
+    A stratum needs both arms: one arm's NaN makes all three cells NaN."""
+    parts = []
+    for mu in cells:
+        diff = mu[..., 1:] - mu[..., :1]
+        parts.append(np.concatenate([np.where(np.isnan(diff), np.nan, mu), diff], axis=-1))
     return np.concatenate([p.reshape(*p.shape[:-2], -1) for p in parts], axis=-1)
 
 
 def _table_chunk(
-    cols: TrialColumns, methods: Sequence[PceMethod], idx: np.ndarray,
-    starts: Sequence[np.ndarray] | None,
+    cols: TrialColumns, methods: Sequence[PceMethod], idx: np.ndarray, starts: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_table_values`` of a chunk of resamples, given as (b, n) index rows,
     each refit from starts, those ``_table_values`` returned on the data.
 
     Each resample is a row of multinomial counts over the subjects, so every
-    mean is a count-weighted sum. Returns the (b, m) values and a (b,) mask
-    of the rows left to ``_table_values``: those any requested route leaves
-    to its full-data form. Routes run in table order.
+    mean is a count-weighted sum (``_batched``). Returns the (b, m) values
+    and a (b,) mask of the rows left to ``_table_values``.
     """
-    counts = resample_counts(idx, len(cols))
-    runs = {m: form(cols, counts, starts) for m, (_, form) in _ROUTES.items() if m in methods}
-    retry = np.logical_or.reduce([left for _, left in runs.values()])
-    return _table_layout([runs[method][0] for method in methods]), retry
+    means, left = _batched(cols, _ROUTES, methods, resample_counts(idx, len(cols)), starts)
+    return _table_layout(means), left
 
 
 def estimate_pce_table(

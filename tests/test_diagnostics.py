@@ -376,7 +376,8 @@ def subject_major_cell_sums(counts, g0, g1):
 
 def test_cell_sums_agree_with_the_subject_major_and_product_table_sums():
     """Only the order of the additions may differ, so the sums agree to
-    rounding; rtol is the chunk form's own against its full-data form."""
+    rounding; rtol is the one form's own against the full-data kernels
+    (test_form_reference.py)."""
     rng = np.random.default_rng(23)
     shapes = [(1, 5), (1, 9), (1, 501), (2, 7), (3, 1), (32, 500), (81, 200)]
     shapes += [(int(rng.integers(1, 50)), int(rng.integers(1, 700))) for _ in range(40)]
@@ -394,8 +395,10 @@ def test_cell_sums_agree_with_the_subject_major_and_product_table_sums():
 @pytest.mark.parametrize("case", ["sparse", "a4p_violated", "paper_like"])
 def test_independence_report_does_not_depend_on_how_cells_are_summed(case, monkeypatch):
     """The report publishes counts over the replicates, not their values, so
-    the subject-major cell sums give the same report: with rejections, and
-    with p-values above their floor of 1/(B+1)."""
+    the subject-major cell sums give the same p-values and rejections: with
+    rejections, and with p-values above their floor of 1/(B+1). The estimate
+    on the data is summed by the same cell sums, so it and both gaps move
+    only by rounding."""
     if case == "sparse":
         records, n_bootstrap = load_crossover_csv(DATA / "sparse_refit.csv"), 2000
     else:
@@ -403,52 +406,61 @@ def test_independence_report_does_not_depend_on_how_cells_are_summed(case, monke
         records = generate_trial(scenario(case, n_subjects=n, seed=1))
     own = independence_test(records, n_bootstrap=n_bootstrap, seed=3)
     monkeypatch.setattr(estimators, "_cell_sums", subject_major_cell_sums)
-    assert independence_test(records, n_bootstrap=n_bootstrap, seed=3) == own
+    other = independence_test(records, n_bootstrap=n_bootstrap, seed=3)
+    assert (other.p_value, other.secondary_p_value, other.n_rejected) == (
+        own.p_value, own.secondary_p_value, own.n_rejected)
+    assert (other.observed, other.n_subjects, other.n_bootstrap) == (
+        own.observed, own.n_subjects, own.n_bootstrap)
+    np.testing.assert_allclose([other.estimated[lab] for lab in JOINT_LABELS],
+                               [own.estimated[lab] for lab in JOINT_LABELS], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose([other.discrepancy, other.secondary_discrepancy],
+                               [own.discrepancy, own.secondary_discrepancy], rtol=1e-14, atol=0.0)
     assert (own.n_rejected > 0) == (case == "sparse")
     assert (own.p_value > 1 / (n_bootstrap + 1)) == (case != "a4p_violated")
 
 
 @pytest.mark.parametrize("method", list(estimators._RECONSTRUCTIONS), ids=lambda m: m.value)
-def test_reconstruction_chunk_form_on_the_full_data_is_its_full_data_form(method):
-    """Each reconstruction's chunk form on one all-ones row is its full-data
-    form: cond-indep to rounding, as the batched fit agrees with the exact
-    one, and indep bit for bit, as its rates are whole counts over n."""
-    full, chunk = estimators._RECONSTRUCTIONS[method]
+def test_batched_reconstruction_of_one_all_ones_row_is_the_exact_one(method):
+    """Each reconstruction's batched driver on one all-ones row gives the
+    exact driver's bits: the batched fits of that row are fit_logistic's,
+    and both drivers then run the same form on the same scores."""
     records = generate_trial(scenario("paper_like", n_subjects=200, seed=3))
     cols = as_columns(completer_filter(records, CompleterRule.STRATUM_VAR))
-    warm = full(cols, (None, None))[1]
-    zero = np.zeros(cols.x.shape[1] + 1)
+    warm = estimators._exact(cols, estimators._RECONSTRUCTIONS, [method], None)[1]
+    zero = np.zeros((2, cols.x.shape[1] + 1))
     ones = np.ones((1, len(cols)))
-    for starts in ((zero, zero), warm):
-        want = full(cols, starts)[0]
-        got, left = chunk(cols, ones, starts)
+    for starts in (zero, warm):
+        (want,), _ = estimators._exact(cols, estimators._RECONSTRUCTIONS, [method], starts)
+        (got,), left = estimators._batched(cols, estimators._RECONSTRUCTIONS, [method], ones,
+                                           starts)
         assert got.shape == (1, len(JOINT_LABELS)) and left.tolist() == [False]
-        if method is ProbMethod.INDEP:
-            assert got[0].tobytes() == want.tobytes()
-        else:
-            np.testing.assert_allclose(got[0], want, rtol=1e-12)
+        assert got[0].tobytes() == want.tobytes()
 
 
-def test_independence_rows_left_by_the_indep_chunk_form_are_refit_alone(monkeypatch):
-    """A row indep's chunk form leaves is refit by its full-data form, to the same bits."""
+def test_independence_rows_left_by_the_batched_fits_are_evaluated_alone(monkeypatch):
+    """A row whose batched refits fail is evaluated by the exact driver on
+    its resample. With every row left, the test runs the exact driver on the
+    data and on each replicate; its values agree with the batched ones to
+    rounding, so the report is the same."""
     records = completer_filter(generate_trial(scenario("paper_like", n_subjects=150, seed=5)),
                                CompleterRule.STRATUM_VAR)
-    want = independence_test(records, ProbMethod.INDEP, n_bootstrap=80, seed=3)
-    full, chunk = estimators._RECONSTRUCTIONS[ProbMethod.INDEP]
+    want = independence_test(records, n_bootstrap=80, seed=3)
+    fit_arms, exact = estimators._fit_arms_counts, diagnostics._exact
     calls = []
 
-    def counting_full(cols, starts):
+    def counting_exact(cols, *args):
         calls.append(len(cols))
-        return full(cols, starts)
+        return exact(cols, *args)
 
-    def leave_every_row(cols, counts, starts):
-        return chunk(cols, counts, starts)[0], np.ones(len(counts), dtype=bool)
+    def leave_every_row(*args):
+        beta, ok = fit_arms(*args)
+        return beta, np.zeros_like(ok)
 
-    monkeypatch.setitem(estimators._RECONSTRUCTIONS, ProbMethod.INDEP,
-                        (counting_full, leave_every_row))
-    got = independence_test(records, ProbMethod.INDEP, n_bootstrap=80, seed=3)
+    monkeypatch.setattr(diagnostics, "_exact", counting_exact)
+    monkeypatch.setattr(estimators, "_fit_arms_counts", leave_every_row)
+    got = independence_test(records, n_bootstrap=80, seed=3)
     assert len(calls) == 1 + 80  # the estimate, then every replicate alone
-    assert got == want  # p-values included, to the bit
+    assert got == want
 
 
 def test_independence_test_takes_method_values():

@@ -52,6 +52,7 @@ from pcekit.resampling import BootstrapSpec, bootstrap_vector
 from pcekit.simulator import generate_trial, scenario
 
 from conftest import make_record
+from test_form_reference import hayden_weights
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -390,12 +391,12 @@ def test_pce_table_lays_out_the_requested_order_and_runs_routes_in_table_order(m
         return run
 
     monkeypatch.setattr(estimators, "_ROUTES", {
-        m: tuple(recording(m, form) for form in forms) for m, forms in estimators._ROUTES.items()
+        m: recording(m, form) for m, form in estimators._ROUTES.items()
     })
     monkeypatch.setattr(resampling, "_process_count", lambda items: 1)  # every chunk runs here
     reverse = estimate_pce_table(records, (PceMethod.DIRECT, PceMethod.PS), bootstrap_spec=spec)
     assert [repr(r) for r in reverse] == [repr(r) for r in forward[12:] + forward[:12]]
-    # the full-data table and at least one chunk, each route by route in table order
+    # the data, at least one chunk and any row left, each route by route in table order
     assert len(ran) >= 4 and ran == [PceMethod.PS, PceMethod.DIRECT] * (len(ran) // 2)
 
 
@@ -617,11 +618,11 @@ def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatc
 
 
 def reference_ps_cells_counts(
-    cols: TrialColumns, counts: np.ndarray, starts: tuple[np.ndarray, np.ndarray]
+    cols: TrialColumns, counts: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``estimators._ps_cells_counts`` as a loop over the strata: per arm and
-    stratum, one weighted (b, n) array, its row sums and one ``w @ y``; each
-    arm's score is refit from its start."""
+    """The ``ps`` route on a chunk as a loop over the strata: each arm's
+    score refit from its start, then per arm and stratum one weighted (b, n)
+    array, its row sums and one ``w @ y``."""
     observed = cols.a != core.A_MISSING
     design = intercept_design(cols.x)
     b = counts.shape[0]
@@ -643,7 +644,7 @@ def reference_ps_cells_counts(
             g = np.clip(g, estimators.SCORE_CLIP, 1.0 - estimators.SCORE_CLIP)
             a, y = cols.a[use, t], cols.y[use, t]
             for i, stratum in enumerate(JOINT_LABELS):
-                w = c * estimators._hayden_weights(a, g, stratum, t)
+                w = c * hayden_weights(a, g, stratum, t)
                 total = w.sum(axis=1)
                 mu[:, i, t] = np.where(total > 0.0, (w @ y) / total, np.nan)
     mu[np.isnan(mu).any(axis=2)] = np.nan
@@ -655,7 +656,7 @@ def reference_ps_cells_counts(
 def reference_direct_cells_counts(
     cols: TrialColumns, counts: np.ndarray, starts: object
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``estimators._direct_cells_counts`` as a loop over the strata: per
+    """The ``direct`` route on a chunk as a loop over the strata: per
     stratum, a gather of its columns, one product and one row sum."""
     complete = core.completer_mask(cols, core.CompleterRule.BOTH)
     c, codes, y = counts[:, complete], core.stratum_codes(cols.a[complete]), cols.y[complete]
@@ -675,10 +676,11 @@ REFERENCE_CHUNK_FORMS = {
 
 @pytest.mark.parametrize("case", list(BATCH_CASES))
 def test_route_chunk_forms_match_their_per_stratum_reference(case):
-    """Each route's chunk form against its per-stratum loop, on every resample
-    of the case and on its first resample alone: the same rows left, the same
-    NaN cells and warnings, and means within 1e-12 relative (the sums run in
-    another order). Both refit from the starts the full-data table returns."""
+    """Each route run on a chunk by ``_batched`` against its per-stratum
+    loop, on every resample of the case and on its first resample alone:
+    the same rows left, and on the others the same NaN cells and warnings
+    and means within 1e-12 relative (the sums run in another order). Both
+    refit from the starts the full-data table returns."""
     load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
     cols = as_columns(load()).select(covariates)
     starts = estimators._table_values(cols, methods, None)[1]
@@ -687,14 +689,17 @@ def test_route_chunk_forms_match_their_per_stratum_reference(case):
     for method in methods:
         for block in (counts, counts[:1]):
             results = []
-            for form in (estimators._ROUTES[method][1], REFERENCE_CHUNK_FORMS[method]):
+            for run in (lambda: estimators._batched(cols, estimators._ROUTES, [method],
+                                                    block.copy(), starts),
+                        lambda: REFERENCE_CHUNK_FORMS[method](cols, block.copy(), starts)):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    mu, left = form(cols, block.copy(), starts)
+                    mu, left = run()
                 results.append((mu, left, [str(w.message) for w in caught]))
-            (new, new_left, new_warnings), (ref, ref_left, ref_warnings) = results
+            ((new,), new_left, new_warnings), (ref, ref_left, ref_warnings) = results
             np.testing.assert_array_equal(new_left, ref_left)
             assert new_warnings == ref_warnings
+            new, ref = (estimators._table_layout([mu[~ref_left]]) for mu in (new, ref))
             np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
             np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0.0)
 
@@ -710,20 +715,23 @@ def test_ps_chunk_form_fits_a_badly_scaled_covariate_without_the_fallback():
     gram = counts @ glm._outer_rows(intercept_design(cols.x))
     eigs = np.linalg.eigvalsh(gram.reshape(-1, 2, 2))
     assert (eigs[:, 0] < glm.GRAM_RATIO_TOL * eigs[:, -1]).all()
-    starts = estimators._ps_cells(cols, None)[1]
-    mu, left = estimators._ps_cells_counts(cols, counts, starts)
+    ps = [PceMethod.PS]
+    starts = estimators._table_values(cols, ps, None)[1]
+    values, left = estimators._table_chunk(cols, ps, idx, starts)
     assert not left.any()
     for r in range(0, 40, 8):
-        np.testing.assert_allclose(mu[r], estimators._ps_cells(cols.take(idx[r]), starts)[0],
+        np.testing.assert_allclose(values[r], estimators._table_values(cols.take(idx[r]), ps,
+                                                                       starts)[0],
                                    rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("case", [c for c, v in BATCH_CASES.items() if PceMethod.PS in v[1]])
 def test_every_bootstrap_refit_starts_from_the_point_fits(case, monkeypatch):
     """The two full-data fits behind the points start from zero. Every
-    batched refit (fit_logistic_counts, arm 0 then arm 1 in each chunk) and
-    every one-at-a-time fallback refit starts from the coefficients of its
-    arm's full-data fit."""
+    batched refit and every one-at-a-time fallback refit starts from the
+    coefficients of its arm's full-data fit. A chunk refits both arms in one
+    fit_logistic_counts call from the (2, q) stacked starts when every
+    subject has both adherences, and otherwise in two, arm 0 then arm 1."""
     load, methods, covariates, n_replicates, seed = BATCH_CASES[case]
     cols = as_columns(load()).select(covariates)
     point_fits = estimators._table_values(cols, methods, None)[1]
@@ -731,7 +739,7 @@ def test_every_bootstrap_refit_starts_from_the_point_fits(case, monkeypatch):
     fit_counts, fit_score = estimators.fit_logistic_counts, estimators._fit_score
 
     def recording_counts(design, a, counts, start):
-        batched.append(np.array(start))
+        batched.extend(np.array(start).reshape(-1, len(point_fits[0])))
         return fit_counts(design, a, counts, start)
 
     def recording_score(x, a, names, arm, start=None):

@@ -3,6 +3,9 @@ give each module's own object, though a bare ``import pcekit`` loads no
 submodule (see test_imports.py)."""
 
 import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +104,19 @@ def test_unknown_name_raises_attribute_error_naming_it():
         pcekit.frobnicate  # noqa: B018
     with pytest.raises(ImportError, match="frobnicate"):
         exec("from pcekit import frobnicate", {})
+
+
+def test_every_benchmark_probe_names_a_function(monkeypatch):
+    """The benchmark's tracer wraps each (module, function) of
+    ``perfbench/tracing.PROBES`` by name, so a name that leaves pcekit makes
+    every traced run fail. The tracer is loaded from its file and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache file beside it
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.PROBES
+    for probe in tracing.PROBES:
+        module = importlib.import_module(f"pcekit.{probe.module}")
+        assert callable(getattr(module, probe.function, None)), probe
