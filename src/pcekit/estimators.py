@@ -10,12 +10,13 @@ independent, conditionally on X or unconditionally.
 
 Two tables hold the forms, in enum order: ``_ROUTES`` one per
 ``PceMethod`` and ``_RECONSTRUCTIONS`` one per model-based ``ProbMethod``.
-Each entry is one count-weighted form, (cols, (b, n) counts, (2, b, n) arm
-scores) -> the values of each count row: (b, 4, 2) arm means per joint
-stratum for a route, (b, 4) cell probabilities for a reconstruction. A row
-of counts says how often each subject occurs in a resample; the data is
-the row of all ones. The scores are each arm's principal score at every
-subject, and None for a form that fits no model (outside ``_SCORED``).
+Each entry is one count-weighted form, (cols, (b, n) counts, arm scores)
+-> the values of each count row: (b, 4, 2) arm means per joint stratum
+for a route, (b, 4) cell probabilities for a reconstruction. A row of
+counts says how often each subject occurs in a resample; the data is the
+row of all ones. The scores, indexed by arm, are each arm's (b, n)
+principal scores at every subject, and None for a form that fits no model
+(outside ``_SCORED``).
 
 Two drivers run the forms of both tables. ``_exact`` runs them on the data,
 or on one resample's rows, as one all-ones row; its scores come from
@@ -263,15 +264,19 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     return np.column_stack([np.einsum("ij,ij->i", w, q) for w in (w0, w1) for q in (u1, g1)])
 
 
-def _cond_indep_cells(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def _cond_indep_cells(
+    cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray]
+) -> np.ndarray:
     """(b, 4) joint-cell probabilities under independence given X, in
     JOINT_LABELS order: each count row's average over the n subjects of the
-    cell probabilities that the (2, b, n) arm scores give, every subject
+    cell probabilities that the two arms' scores give, every subject
     counted, whichever adherence it has observed."""
     return _cell_sums(counts, *scores) / counts.shape[1]
 
 
-def _indep_cells(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray | None) -> np.ndarray:
+def _indep_cells(
+    cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray] | None
+) -> np.ndarray:
     """(b, 4) joint-cell probabilities under unconditional independence, in
     JOINT_LABELS order, from each arm's count-weighted adherence rate over
     its observed rows. No model is fit, so covariates and scores go unused.
@@ -292,11 +297,11 @@ _RECONSTRUCTIONS = {
 _SCORED = frozenset({PceMethod.PS, ProbMethod.COND_INDEP})
 
 
-def _arm_scores(cols: TrialColumns, beta: np.ndarray) -> np.ndarray:
-    """(2, b, n) adherence probabilities of each arm at every subject, from
+def _arm_scores(cols: TrialColumns, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each arm's (b, n) adherence probabilities at every subject, from
     (2, b, q) principal-score coefficients."""
     design = intercept_design(cols.x)
-    return np.stack([expit(coef @ design.T) for coef in beta])
+    return tuple(expit(coef @ design.T) for coef in beta)
 
 
 def _fit_arms_counts(
@@ -412,15 +417,14 @@ class EstimateSummary(NamedTuple):
     note: str | None = None
 
 
-def _ps_means(cols: TrialColumns, counts: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def _ps_means(cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray]) -> np.ndarray:
     """(b, 4, 2) principal-score-weighted arm means per joint stratum of each
     (b, n) count row, NaN where an arm has no weight in a stratum.
 
     Arm t's complete rows (adherence and outcome observed) are weighted by
-    the other arm's score, from the (2, b, n) arm scores, clipped to
-    [SCORE_CLIP, 1 - SCORE_CLIP]. The extreme-score warning is raised once
-    per arm and row whose count-weighted share of scores outside the band
-    passes one half.
+    the other arm's (b, n) scores, clipped to [SCORE_CLIP, 1 - SCORE_CLIP].
+    The extreme-score warning is raised once per arm and row whose
+    count-weighted share of scores outside the band passes one half.
 
     Each arm's four strata come from one product: the count-weighted cross
     scores, c(1-g) and c g, times the (n', 4) table [1{a=0}, 1{a=0} y,
@@ -470,7 +474,7 @@ def _stratum_means(counts: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def _direct_means(
-    cols: TrialColumns, counts: np.ndarray, scores: np.ndarray | None
+    cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray] | None
 ) -> np.ndarray:
     """(b, 4, 2) arm means per joint stratum over the full completers of each
     (b, n) count row, NaN where a stratum is empty. No model is fit, so the
