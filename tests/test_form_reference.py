@@ -18,8 +18,9 @@ These tolerances were fixed before the first comparison:
 - the same extreme-score warnings from ``estimate_mu_hayden``.
 
 The inputs are every input CSV in ``tests/data``, 30 simulated trials (six
-scenarios, five seeds, 300 subjects each) and the stratum probabilities of
-the two inputs with missing adherence.
+scenarios, five seeds, 300 subjects each), the stratum probabilities of the
+two inputs with missing adherence, and for ``estimate_mu_hayden`` a trial
+whose scores are mostly extreme.
 """
 
 import warnings
@@ -53,7 +54,7 @@ from pcekit.estimators import (
     fit_principal_score,
 )
 from pcekit.glm import DesignMatrix, fit_logistic, intercept_design, predict_probs
-from pcekit.simulator import generate_trial, scenario, scenario_names
+from pcekit.simulator import DgpConfig, generate_trial, scenario, scenario_names
 
 DATA = Path(__file__).resolve().parent / "data"
 RTOL = 1e-12
@@ -294,6 +295,10 @@ def hayden_cases():
     for name, seed in TRIALS[::4]:
         records = trial_records(name, seed)
         sources.append((f"{name} seed {seed}", [as_parallel(records, t) for t in (0, 1)]))
+    # a covariate so spread that most scores pass the band, so both sides warn
+    records = generate_trial(DgpConfig(n_subjects=200, seed=2, sigma_x=8.0, beta=(1.0, 1.0),
+                                       gamma=(0.0, 1.0)))
+    sources.append(("spread covariate", [as_parallel(records, t) for t in (0, 1)]))
     for where, by_arm in sources:
         for t in (0, 1):
             own = [o for o in by_arm[t] if o.a is not None and o.y is not None]
@@ -316,6 +321,8 @@ def test_record_adapters_match_the_reference(where, arm, own, cross):
             warnings.simplefilter("always")
             got = outcome(lambda: estimate_mu_hayden(own, model, stratum))
         assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        if where.startswith("spread covariate"):
+            assert got_warnings, where
         if np.isnan(want):
             assert got[0].__name__ == "InestimableStratumError", where
         else:
