@@ -509,7 +509,7 @@ BATCH_CASES = {
     "separating": (lambda: load_crossover_csv(DATA / "sparse_refit.csv"), BOTH, None, 40, 4),
     "constant_response": (few_adherers, BOTH, (), 100, 0),
     "no_control_outcomes": (no_control_outcomes, (PceMethod.PS,), None, 40, 6),
-    # the direct chunk form on its own: one subject in S10, missed by some resamples
+    # the direct route on its own: one subject in S10, missed by some resamples
     "direct_only": (lambda: load_crossover_csv(DATA / "sparse_stratum.csv"),
                     (PceMethod.DIRECT,), None, 40, 8),
 }
