@@ -264,7 +264,7 @@ def _cell_sums(counts: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> np.ndarray
     return np.column_stack([np.einsum("ij,ij->i", w, q) for w in (w0, w1) for q in (u1, g1)])
 
 
-def _cond_indep_cells(
+def _cond_indep_probs(
     cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray]
 ) -> np.ndarray:
     """(b, 4) joint-cell probabilities under independence given X, in
@@ -274,7 +274,7 @@ def _cond_indep_cells(
     return _cell_sums(counts, *scores) / counts.shape[1]
 
 
-def _indep_cells(
+def _indep_probs(
     cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarray] | None
 ) -> np.ndarray:
     """(b, 4) joint-cell probabilities under unconditional independence, in
@@ -289,8 +289,8 @@ def _indep_cells(
 
 # the count-weighted form of every model-based reconstruction, in enum order
 _RECONSTRUCTIONS = {
-    ProbMethod.COND_INDEP: _cond_indep_cells,
-    ProbMethod.INDEP: _indep_cells,
+    ProbMethod.COND_INDEP: _cond_indep_probs,
+    ProbMethod.INDEP: _indep_probs,
 }
 # the entries whose forms weight by the arms' principal scores; for the
 # others the drivers fit no model
