@@ -379,7 +379,12 @@ def fit_logistic_counts(
     no usable coefficients: a constant response, a rank-deficient resample,
     separation, a singular Hessian, a stall or the iteration cap. Refit
     those with ``fit_logistic`` for its exact verdict. The inputs are only
-    read.
+    read, and the counts must be at least 0.
+
+    A row that stops on the gradient is scanned for a perfect fit only if
+    its deviance is at most 4 * PERFECT_FIT_TOL times its count total, which
+    every perfect fit's is; a row above that bound has converged, as the
+    scan would find (see ``_irls``).
     """
     x = np.asarray(design, dtype=float)
     a = np.ascontiguousarray(a, dtype=float)
@@ -429,13 +434,23 @@ def _irls(
     1e-12. A row that is neither converged nor diverged stalled, with no
     improving step, or met the cap.
 
+    A row that passes the gradient test has converged unless it is a
+    numerically perfect fit: every counted entry within PERFECT_FIT_TOL of
+    its response. Each such entry loses less than 1.000002e-6, so a perfect
+    fit's deviance is below 2.000002e-6 times its count total. The loop
+    holds each row's deviance at its probabilities, so a row whose deviance
+    is above 4 * PERFECT_FIT_TOL times its count total converges without a
+    scan; only the others, and a NaN deviance, are scanned for max |a - p|.
+    The verdict is the scan's either way. This needs counts of at least 0,
+    which every caller passes: a negative count could cancel a lost entry.
+
     The rows still iterating form a working set: their counts (``counts``
-    itself while every row is in it), probabilities, coefficients, deviances
-    and gradient norms as compact arrays. Only the deviance path is written
-    on every iteration; the rest of a row's record is written when it
-    leaves, and the rows that stay are gathered again. When every row
-    accepts its full Newton step the candidate arrays become the working
-    set without a copy.
+    itself while every row is in it), probabilities, coefficients,
+    deviances, gradient norms and perfect-fit bounds as compact arrays.
+    Only the deviance path is written on every iteration; the rest of a
+    row's record is written when it leaves, and the rows that stay are
+    gathered again. When every row accepts its full Newton step the
+    candidate arrays become the working set without a copy.
     Every elementwise operation runs in a fixed order (w = c * p, then
     w *= 1 - p) and each row's deviance is summed along its own contiguous
     row, but a matrix product over more rows may take another BLAS path and
@@ -453,6 +468,8 @@ def _irls(
     path = np.empty((MAX_ITERATIONS + 1, b))
 
     rows, c, coef = np.arange(b), counts, np.tile(start, (b, 1))
+    # above its bound a row's deviance is no perfect fit's (see above)
+    bound = 4.0 * PERFECT_FIT_TOL * counts.sum(axis=1)
     # every row starts at the same coefficients: one eta row serves them all
     p, dev = _probs_and_deviances(sign, (x @ start)[None, :], c)
     p = np.repeat(p, b, axis=0)
@@ -460,12 +477,12 @@ def _irls(
 
     def keep(stay: np.ndarray) -> None:
         """Record the rows that leave the working set; gather the rest."""
-        nonlocal rows, c, p, coef, dev, gnorm
+        nonlocal rows, c, p, coef, dev, gnorm, bound
         go = ~stay
         out = rows[go]
         beta[out], iterations[out], gradient_norm[out] = coef[go], it, gnorm[go]
         rows, c, p, coef, dev = rows[stay], c[stay], p[stay], coef[stay], dev[stay]
-        gnorm = gnorm[stay]
+        gnorm, bound = gnorm[stay], bound[stay]
 
     for it in range(MAX_ITERATIONS + 1):
         resid = a - p
@@ -478,9 +495,12 @@ def _irls(
         leave = small | far
         if leave.any():
             small &= ~far
-            # a numerically perfect fit certifies separation, not convergence
-            worst = np.where(c[small] > 0.0, np.abs(a - p[small]), 0.0).max(axis=1)
-            converged[rows[small]] = worst >= PERFECT_FIT_TOL
+            # a numerically perfect fit certifies separation, not convergence;
+            # only a row within its bound (or with a NaN deviance) is scanned
+            scan = small & ~(dev > bound)
+            worst = np.where(c[scan] > 0.0, np.abs(a - p[scan]), 0.0).max(axis=1)
+            converged[rows[small]] = True
+            converged[rows[scan]] = worst >= PERFECT_FIT_TOL
             keep(~leave)
             grad = grad[~leave]
         if it == MAX_ITERATIONS or rows.size == 0:

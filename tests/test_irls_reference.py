@@ -16,6 +16,12 @@ not to the bit. These tolerances were fixed before the first comparison:
   noise, and both must be at most ``GRADIENT_TOL``. On the badly scaled
   design below, the gradient at the reference's own coefficients reads
   2.2e-10 by one summation and 1.7e-10 by the batched loop's.
+
+A second reference, ``scan_every_row_irls``, is ``glm._irls`` with the
+perfect-fit scan it had before its deviance bound: every row that passes
+the gradient test is scanned. The bound only skips scans, so the two must
+give the same verdicts, iterations, gradient norms and coefficients, bit for
+bit, on random chunks and on rows built at the bound.
 """
 
 import sys
@@ -250,3 +256,159 @@ def test_batched_fits_of_the_badly_scaled_design_match_the_reference():
         assert want.converged, r
         np.testing.assert_allclose(coef[r], want.coefficients, rtol=1e-9, atol=1e-12,
                                    err_msg=f"row {r}")
+
+
+# ---- the perfect-fit scan ---------------------------------------------------
+
+
+def scan_every_row_irls(x, outer, a, counts, start):
+    """``glm._irls`` with the perfect-fit scan it had before the deviance
+    bound: every row that passes the gradient test is scanned for max |a - p|
+    over its counted entries. Everything else is the loop as it is."""
+    b, q = counts.shape[0], x.shape[1]
+    sign = 1.0 - 2.0 * a
+    beta = np.empty((b, q))
+    converged = np.zeros(b, dtype=bool)
+    unfinished = np.zeros(b, dtype=bool)  # stalled or capped
+    iterations = np.empty(b, dtype=int)
+    gradient_norm = np.empty(b)
+    path = np.empty((MAX_ITERATIONS + 1, b))
+
+    rows, c, coef = np.arange(b), counts, np.tile(start, (b, 1))
+    p, dev = glm._probs_and_deviances(sign, (x @ start)[None, :], c)
+    p = np.repeat(p, b, axis=0)
+    path[0] = dev
+
+    def keep(stay: np.ndarray) -> None:
+        """Record the rows that leave the working set; gather the rest."""
+        nonlocal rows, c, p, coef, dev, gnorm
+        go = ~stay
+        out = rows[go]
+        beta[out], iterations[out], gradient_norm[out] = coef[go], it, gnorm[go]
+        rows, c, p, coef, dev = rows[stay], c[stay], p[stay], coef[stay], dev[stay]
+        gnorm = gnorm[stay]
+
+    for it in range(MAX_ITERATIONS + 1):
+        resid = a - p
+        resid *= c
+        grad = resid @ x
+        gnorm = np.abs(grad).max(axis=1)
+        small = gnorm <= GRADIENT_TOL
+        far = np.abs(coef).max(axis=1) > (DIVERGENCE_NORM if it else np.inf)
+        leave = small | far
+        if leave.any():
+            small &= ~far
+            # every row that passes the gradient test is scanned
+            worst = np.where(c[small] > 0.0, np.abs(a - p[small]), 0.0).max(axis=1)
+            converged[rows[small]] = worst >= PERFECT_FIT_TOL
+            keep(~leave)
+            grad = grad[~leave]
+        if it == MAX_ITERATIONS or rows.size == 0:
+            break
+
+        w = c * p
+        w *= 1.0 - p
+        delta, solved = glm._solve_stack((w @ outer).reshape(rows.size, q, q), grad)
+        if solved is not None:
+            keep(solved)
+            delta = delta[solved]
+
+        cand = coef + delta
+        p_c, dev_c = glm._probs_and_deviances(sign, cand @ x.T, c)
+        ok = dev_c <= dev + 1e-12
+        if ok.all():
+            coef, p, dev = cand, p_c, dev_c
+        else:
+            coef[ok], p[ok], dev[ok] = cand[ok], p_c[ok], dev_c[ok]
+            k, step = np.flatnonzero(~ok), 1.0
+            for _ in range(29):
+                step *= 0.5
+                cand = coef[k] + step * delta[k]
+                p_c, dev_c = glm._probs_and_deviances(sign, cand @ x.T, c[k])
+                ok = dev_c <= dev[k] + 1e-12
+                coef[k[ok]], p[k[ok]], dev[k[ok]] = cand[ok], p_c[ok], dev_c[ok]
+                k = k[~ok]
+                if k.size == 0:
+                    break
+            if k.size:  # stalled
+                unfinished[rows[k]] = True
+                stay = np.ones(rows.size, dtype=bool)
+                stay[k] = False
+                keep(stay)
+        path[it + 1, rows] = dev
+    if rows.size:
+        unfinished[rows] = True
+        keep(np.zeros(rows.size, dtype=bool))
+    diverged = ~(converged | unfinished)
+    return glm._RowFits(beta, converged, diverged, iterations, gradient_norm, path)
+
+
+def assert_same_row_fits(got, want, where=""):
+    """The same verdicts, iterations and gradient norms, and the same
+    coefficients, bit for bit: the bound changes no arithmetic."""
+    for field in ("converged", "diverged", "iterations", "gradient_norm", "coefficients"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                      err_msg=f"{where} {field}")
+
+
+def random_chunk(rng, kind, q, scale):
+    """A chunk of 30 count rows over a random design: q columns (an
+    intercept and q - 1 covariates, or one covariate when q is 1) in units of
+    scale, a response separated by the true linear predictor, separated but
+    for a few flips, or logistic, and a warm start near the truth or zero."""
+    n = int(rng.integers(8, 40))
+    z = rng.normal(size=(n, max(q - 1, 1)))
+    x = scale * z if q == 1 else intercept_design(scale * z)
+    truth = rng.normal(0.0, 2.0, q) / scale
+    if q > 1:
+        truth[0] *= scale  # the intercept is in units of 1
+    lin = x @ truth
+    if kind == "separable":
+        a = (lin > 0).astype(float)
+    elif kind == "near-separable":
+        a = (lin > 0).astype(float)
+        flip = rng.choice(n, size=2, replace=False)
+        a[flip] = 1.0 - a[flip]
+    else:
+        a = (lin + rng.logistic(size=n) > 0).astype(float)
+    draws = int(rng.integers(2, n + 1))
+    counts = rng.multinomial(draws, np.full(n, 1.0 / n), size=30).astype(float)
+    start = truth * rng.uniform(0.0, 2.0) if rng.uniform() < 0.5 else np.zeros(q)
+    return x, a, counts, start
+
+
+@pytest.mark.parametrize("kind", ["separable", "near-separable", "ordinary"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_deviance_bound_decides_as_the_scan_of_every_row(kind, q, scale):
+    rng = np.random.default_rng([q, int(100 * scale), len(kind)])
+    ends = {"converged": 0, "perfect": 0}
+    for i in range(8):
+        x, a, counts, start = random_chunk(rng, kind, q, scale)
+        outer = glm._outer_rows(x)
+        got = glm._irls(x, outer, a, counts, start)
+        assert_same_row_fits(got, scan_every_row_irls(x, outer, a, counts, start),
+                             f"{kind} q={q} scale={scale} chunk {i}")
+        ends["converged"] += int(got.converged.sum())
+        ends["perfect"] += int((got.diverged & (got.gradient_norm <= GRADIENT_TOL)).sum())
+    assert ends["perfect"] and (ends["converged"] or kind == "separable"), ends
+
+
+@pytest.mark.parametrize("e, verdict", [
+    (0.999e-6, "diverged"),  # a perfect fit near the top of its deviances: scanned
+    (1.999e-6, "converged"),  # no perfect fit, yet within the bound: scanned
+    (2.001e-6, "converged"),  # just over the bound: no scan
+], ids=["perfect", "under-bound", "over-bound"])
+def test_rows_at_the_deviance_bound_get_the_scan_verdict(e, verdict):
+    """Rows that stop on the gradient at their start, with every counted
+    |a - p| = e / (1 + e): small counts make the gradient, 2 c e / (1 + e),
+    pass while the deviance per count, 2 log1p(e), lies near the bound of
+    4 * PERFECT_FIT_TOL."""
+    x, a = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
+    counts, start = np.full((1, 2), 1e-3), np.array([-np.log(e)])
+    dev = glm._probs_and_deviances(1.0 - 2.0 * a, (x @ start)[None, :], counts)[1]
+    bound = 4.0 * PERFECT_FIT_TOL * counts.sum()
+    assert bool(dev[0] > bound) == (e > 2e-6)
+    got = glm._irls(x, glm._outer_rows(x), a, counts, start)
+    assert_same_row_fits(got, scan_every_row_irls(x, glm._outer_rows(x), a, counts, start))
+    assert got.iterations[0] == 0 and getattr(got, verdict)[0]
