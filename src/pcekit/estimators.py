@@ -193,9 +193,14 @@ def estimate_mu_hayden(
 def estimate_mu_direct(
     records: Sequence[SubjectRecord], stratum: StratumLabel, t: int
 ) -> float:
-    """Plain mean of arm-t outcomes among subjects observed in the stratum:
-    the ``direct`` route's stratum sums on one all-ones row, over the
-    subjects with an arm-t outcome."""
+    """Plain mean of arm-t outcomes over every member of the stratum.
+
+    Every record needs both adherences and every member an arm-t outcome,
+    else ``MissingDataError``; a member may lack its other-arm outcome. So
+    this is not the ``direct`` route of ``estimate_pce_table``, which
+    averages over full completers only: on data with missing outcomes the
+    two differ. The mean is ``_stratum_means`` on one all-ones row over the
+    records with an arm-t outcome."""
     check_integer("t", t, 0, 2)
     records = list(records)
     if not records:
@@ -424,7 +429,8 @@ def _ps_means(cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarra
     Arm t's complete rows (adherence and outcome observed) are weighted by
     the other arm's (b, n) scores, clipped to [SCORE_CLIP, 1 - SCORE_CLIP].
     The extreme-score warning is raised once per arm and row whose
-    count-weighted share of scores outside the band passes one half.
+    count-weighted share of scores outside the band passes one half; the
+    share is counted only when some score of the arm lies outside it.
 
     Each arm's four strata come from one product: the count-weighted cross
     scores, c(1-g) and c g, times the (n', 4) table [1{a=0}, 1{a=0} y,
@@ -441,7 +447,9 @@ def _ps_means(cols: TrialColumns, counts: np.ndarray, scores: Sequence[np.ndarra
         for t in (0, 1):
             use = (cols.a[:, t] != A_MISSING) & ~np.isnan(cols.y[:, t])
             c, g = counts[:, use], scores[1 - t][:, use]
-            share[:, t] = (c * _extreme(g)).sum(axis=1) / c.sum(axis=1)
+            lo, hi = EXTREME_SCORE_BAND  # a NaN score is not banded: it is counted
+            banded = lo <= g.min(initial=lo) and g.max(initial=hi) <= hi
+            share[:, t] = 0.0 if banded else (c * _extreme(g)).sum(axis=1) / c.sum(axis=1)
             np.clip(g, SCORE_CLIP, 1.0 - SCORE_CLIP, out=g)
             w = np.empty((2, b, c.shape[1]))  # by the cross-arm coordinate
             np.subtract(1.0, g, out=w[0])

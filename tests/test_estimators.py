@@ -220,6 +220,23 @@ def test_direct_mu_is_group_mean():
         estimate_mu_direct([make_record("d", a=(None, 1))], StratumLabel(1, 1), 0)
 
 
+def test_direct_mu_keeps_members_the_direct_route_drops_for_a_missing_outcome():
+    """``estimate_mu_direct`` averages arm t over every member of the stratum,
+    with or without its other-arm outcome, and refuses a member without its
+    arm-t outcome; the ``direct`` route averages full completers only."""
+    records = load_crossover_csv(DATA / "crossover_missing.csv")
+    kept = core.completer_filter(records, core.CompleterRule.STRATUM_VAR)
+    s10 = StratumLabel(1, 0)
+    table = estimate_pce_table(records, methods=(PceMethod.DIRECT,))
+    (route,) = [e.point for e in table if e.stratum == s10 and e.quantity == "arm0"]
+    assert estimate_mu_direct(kept, s10, 0) == pytest.approx(15.4252, abs=5e-5)
+    assert route == pytest.approx(15.5304, abs=5e-5)
+    with pytest.raises(MissingDataError, match="missing arm-1 outcome"):
+        estimate_mu_direct(kept, s10, 1)
+    both = core.completer_filter(records, core.CompleterRule.BOTH)
+    assert estimate_mu_direct(both, s10, 0) == pytest.approx(route, rel=1e-12)
+
+
 def test_observed_stratum_probs():
     records = (
         [make_record(f"a{i}", "CF", a=(0, 0)) for i in range(2)]
@@ -617,6 +634,12 @@ def test_estimate_bootstrap_stays_near_the_zero_start_bootstrap(case, monkeypatc
     print(f"{case}: largest replicate difference {worst:.1e} of its column's largest magnitude")
 
 
+def reference_extreme_share(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each count row's count-weighted share of scores outside the band,
+    counted over every score."""
+    return (c * estimators._extreme(g)).sum(axis=1) / c.sum(axis=1)
+
+
 def reference_ps_cells_counts(
     cols: TrialColumns, counts: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -640,7 +663,7 @@ def reference_ps_cells_counts(
             use = observed[:, t] & ~np.isnan(cols.y[:, t])
             c = counts[:, use]
             g = expit(beta[1 - t] @ design[use].T)
-            share[:, t] = (c * estimators._extreme(g)).sum(axis=1) / c.sum(axis=1)
+            share[:, t] = reference_extreme_share(c, g)
             g = np.clip(g, estimators.SCORE_CLIP, 1.0 - estimators.SCORE_CLIP)
             a, y = cols.a[use, t], cols.y[use, t]
             for i, stratum in enumerate(JOINT_LABELS):
@@ -666,6 +689,35 @@ def reference_direct_cells_counts(
             mask = codes == i
             mu[:, i] = (c[:, mask] @ y[mask]) / c[:, mask].sum(axis=1)[:, None]
     return mu, np.zeros(counts.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("extreme", [0, 3, 8], ids=["none", "minority", "majority"])
+def test_ps_means_warns_as_the_full_extreme_count_does(extreme):
+    """``_ps_means`` counts the extreme share only where some score is out of
+    the band; its warnings are those of the full count on every row, with
+    row 1's arm-0 scores holding ``extreme`` of 10 scores out of the band
+    (the missing outcomes of crossover_missing leave a few of them unused)."""
+    cols = as_columns(load_crossover_csv(DATA / "crossover_missing.csv"))
+    rng = np.random.default_rng(extreme)
+    counts = rng.multinomial(len(cols), np.full(len(cols), 1.0 / len(cols)), size=4)
+    counts = counts.astype(float)
+    scores = [rng.uniform(0.01, 0.99, (4, len(cols))) for _ in (0, 1)]
+    out = np.flatnonzero(np.arange(len(cols)) % 10 < extreme)
+    scores[0][1, out] = np.where(out % 2, 1e-4, 1.0 - 1e-4)
+    share = np.empty((4, 2))
+    for t in (0, 1):
+        use = (cols.a[:, t] != core.A_MISSING) & ~np.isnan(cols.y[:, t])
+        share[:, t] = reference_extreme_share(counts[:, use], scores[1 - t][:, use])
+    caught = []
+    for run in (lambda: estimators._ps_means(cols, counts, [g.copy() for g in scores]),
+                lambda: [estimators._warn_if_extreme(float(share[r, t]), stacklevel=2)
+                         for r, t in np.argwhere(share > 0.5).tolist()]):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            run()
+        caught.append([str(w.message) for w in got])
+    assert caught[0] == caught[1]
+    assert (share[1, 1] > 0.0) == (extreme > 0) and len(caught[0]) == (extreme > 5)
 
 
 REFERENCE_CHUNK_FORMS = {
