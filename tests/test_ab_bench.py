@@ -51,3 +51,52 @@ def test_verdict_refuses_mismatched_or_unbounded_input():
         verdict(BASE, BASE, "faster", bound=0.1)
     with pytest.raises(ValueError):
         verdict(BASE, BASE, "lower")
+
+
+METRICS = {"wall_s": {"better": "lower", "bound": 0.25},
+           "units_per_s": {"better": "higher", "bound": 0.25}}
+
+
+def _runs(wall, units, correct=True):
+    """Result lines of one side, one per pair."""
+    return [{"correct": correct, "metrics": {"wall_s": {"value": w}, "units_per_s": {"value": u}}}
+            for w, u in zip(wall, units)]
+
+
+def _workload(base_wall, change_wall, correct=True):
+    return {"base": _runs(base_wall, base_wall), "change": _runs(change_wall, change_wall, correct)}
+
+
+def test_judge_claims_on_the_first_workload_and_bounds_every_other_metric():
+    runs = {"first": _workload(BASE, [b - 0.1 for b in BASE]),
+            "second": _workload(BASE, [b - 0.1 for b in BASE])}
+    judged, status = ab_bench.judge(runs, METRICS, claim="wall_s")
+    assert [(j.workload, j.metric, j.claimed, j.verdict.status) for j in judged] == [
+        ("first", "wall_s", True, "gain"),
+        ("first", "units_per_s", False, "within bound"),
+        ("second", "wall_s", False, "within bound"),
+        ("second", "units_per_s", False, "within bound"),
+    ]
+    assert status == 0 and judged[0].base == BASE
+
+
+def test_judge_fails_a_claim_or_a_bound_on_any_workload():
+    flat = _workload(BASE, BASE)
+    assert ab_bench.judge({"first": flat}, METRICS, claim="wall_s")[1] == 3
+    # the claim is judged on the first workload only, so the second's flat wall_s passes
+    gain = _workload(BASE, [b - 0.1 for b in BASE])
+    assert ab_bench.judge({"first": gain, "second": flat}, METRICS, claim="wall_s")[1] == 0
+    slow = _workload(BASE, [b * 1.3 for b in BASE])
+    judged, status = ab_bench.judge({"first": gain, "second": slow}, METRICS, claim="wall_s")
+    assert status == 3 and judged[2].verdict.status == "worse"
+
+
+def test_judge_exits_with_the_worst_verdict():
+    slow = _workload(BASE, [b * 1.3 for b in BASE])
+    broken = _workload(BASE, BASE, correct=False)
+    assert ab_bench.judge({"slow": slow, "broken": broken}, METRICS)[1] == 1
+    assert ab_bench.judge({"broken": broken, "slow": slow}, METRICS)[1] == 1
+    missing = _workload(BASE, BASE)
+    del missing["change"][4]["metrics"]["units_per_s"]
+    judged, status = ab_bench.judge({"missing": missing}, METRICS)
+    assert status == 3 and judged[1].verdict is None and judged[0].verdict.passed
