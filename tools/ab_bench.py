@@ -18,15 +18,14 @@ sides alike.
 
 It prints one line per run, then for each workload and metric each side's
 median and quartiles and the number of pairs the change won (ties count for
-neither). The metric named by ``--claim`` is judged on the first workload
-named by the gain rule: the change wins
-at least nine pairs in ten, and the medians differ, in the better
-direction, by more than the distance between the base's quartiles. Every
-other metric, on every workload, is judged against its bound in
-``BENCHMARK.json``: the change's
-median may be worse than the base's by at most that share of it, and where
-either side's quartiles lie further apart than the bound allows the metric
-is unresolved, unless every change run beats every base run.
+neither). The metric named by ``--claim`` is judged by the gain rule on the
+first workload named: the change wins at least nine pairs in ten, and the
+medians differ, in the better direction, by more than the distance between
+the base's quartiles. Every other metric, on every workload, is judged
+against its bound in ``BENCHMARK.json``: the change's median may be worse
+than the base's by at most that share of it, and where either side's
+quartiles lie further apart than the bound allows the metric is unresolved,
+unless every change run beats every base run.
 
 Exit status, the worst over all workloads: 1 when a run failed or reported
 ``correct: false``, else 3 when a verdict did not pass, else 0.
