@@ -409,6 +409,7 @@ def test_rows_at_the_deviance_bound_get_the_scan_verdict(e, verdict):
     dev = glm._probs_and_deviances(1.0 - 2.0 * a, (x @ start)[None, :], counts)[1]
     bound = 4.0 * PERFECT_FIT_TOL * counts.sum()
     assert bool(dev[0] > bound) == (e > 2e-6)
-    got = glm._irls(x, glm._outer_rows(x), a, counts, start)
-    assert_same_row_fits(got, scan_every_row_irls(x, glm._outer_rows(x), a, counts, start))
+    outer = glm._outer_rows(x)
+    got = glm._irls(x, outer, a, counts, start)
+    assert_same_row_fits(got, scan_every_row_irls(x, outer, a, counts, start))
     assert got.iterations[0] == 0 and getattr(got, verdict)[0]
